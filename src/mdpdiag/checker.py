@@ -7,6 +7,7 @@ negated formula and callers are expected to rewrite it that way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +16,7 @@ from .mdp import Mdp, Scheduler
 from .pctl import PathFormula, PropertySpec, eval_state_formula
 
 DEFAULT_EPSILON = 1e-6
-# Extraction treats one-step backups within this of the state value as tied.
+# Extraction treats one-step backups within this of the best one as tied.
 SCHEDULER_TIE_TOL = 1e-9
 
 
@@ -55,26 +56,49 @@ def _sat_sets(m: Mdp, psi: PathFormula):
     return sat1, sat2
 
 
-def _backward_reach(m: Mdp, sat1, sat2) -> frozenset[int]:
-    """States that can reach sat2 while moving through sat1 states only."""
-    rev: dict[int, list[int]] = {}
-    for (s, aid), dist in m.transition_items():
-        if s in sat1 and s not in sat2:
-            for t, _ in dist:
-                rev.setdefault(t, []).append(s)
+def _backward_reach(preds, sat2) -> frozenset[int]:
+    """States that can reach sat2 backward along preds (successor -> the
+    sat1 states with an action leading to it)."""
     reach = set(sat2)
     stack = list(sat2)
     while stack:
         t = stack.pop()
-        for s in rev.get(t, ()):
+        for s in preds.get(t, ()):
             if s not in reach:
                 reach.add(s)
                 stack.append(s)
     return frozenset(reach)
 
 
-def _backup(m: Mdp, s: int, aid: int, values) -> float:
-    return sum(p * values[t] for t, p in m.distribution(s, aid))
+def _sweep(choices, preds, values, pending, max_sweeps: int,
+           epsilon: float) -> tuple[int, float]:
+    """Jacobi sweeps updating values in place; returns (sweeps, residual).
+
+    The first sweep backs up every pending state, a later one only the
+    predecessors of the states that changed value in the sweep before; any
+    other state would reproduce its value exactly. Stops after max_sweeps,
+    when nothing changes, or when the residual (largest change) is below
+    epsilon. The residual is inf when no sweep ran.
+    """
+    dirty = pending
+    sweeps = 0
+    residual = math.inf
+    while sweeps < max_sweeps:
+        sweeps += 1
+        residual = 0.0
+        changed = []
+        for s in dirty:
+            best = max([sum([p * values[t] for t, p in dist])
+                        for _, dist in choices[s]])
+            if best != values[s]:
+                residual = max(residual, abs(best - values[s]))
+                changed.append((s, best))
+        for s, best in changed:
+            values[s] = best
+        if not changed or residual < epsilon:
+            break
+        dirty = {u for s, _ in changed for u in preds.get(s, ())}
+    return sweeps, residual
 
 
 def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
@@ -89,6 +113,11 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     Atoms are evaluated against the labels alone: an atom that labels no
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
+
+    Each sweep after the first backs up only the states whose successors
+    changed value, with the same values, iterations and residual as full
+    Jacobi sweeps. Running out of max_iterations sweeps raises BudgetError;
+    its message and partial give the residual reached (inf for no sweep).
     """
     if psi.op != "U":
         raise DomainError("only until path formulas have a checked maximal "
@@ -96,93 +125,85 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     sat1, sat2 = _sat_sets(m, psi)
+    choices = m.choice_table()
+    interior = [s for s in m.states if s in sat1 and s not in sat2]
+    preds: dict[int, list[int]] = {}
+    for s in interior:
+        for _, dist in choices[s]:
+            for t, _ in dist:
+                preds.setdefault(t, []).append(s)
+    values = [1.0 if s in sat2 else 0.0 for s in m.states]
 
     if psi.bound is not None:
-        values = [1.0 if s in sat2 else 0.0 for s in m.states]
-        residual = 0.0
-        for _ in range(psi.bound):
-            nxt = list(values)
-            residual = 0.0
-            for s in m.states:
-                if s in sat2 or s not in sat1:
-                    continue
-                best = max(_backup(m, s, aid, values)
-                           for aid in m.enabled_actions(s))
-                residual = max(residual, abs(best - nxt[s]))
-                nxt[s] = best
-            values = nxt
+        # epsilon 0: run all psi.bound sweeps, or until nothing changes
+        sweeps, residual = _sweep(choices, preds, values, interior,
+                                  psi.bound, 0.0)
         zero = frozenset(s for s in m.states if values[s] == 0.0)
-        return ValueVector(values, psi.bound, residual, psi, sat2, zero)
+        return ValueVector(values, psi.bound, residual if sweeps else 0.0,
+                           psi, sat2, zero)
 
-    reach = _backward_reach(m, sat1, sat2)
+    reach = _backward_reach(preds, sat2)
     zero = frozenset(s for s in m.states if s not in reach)
-    values = [1.0 if s in sat2 else 0.0 for s in m.states]
-    pending = [s for s in m.states if s in reach and s not in sat2]
-    iterations = 0
-    while True:
-        if iterations >= max_iterations:
-            raise BudgetError(
-                f"value iteration did not reach residual {epsilon} "
-                f"within {max_iterations} sweeps")
-        iterations += 1
-        residual = 0.0
-        nxt = list(values)
-        for s in pending:
-            best = max(_backup(m, s, aid, values) for aid in m.enabled_actions(s))
-            residual = max(residual, abs(best - values[s]))
-            nxt[s] = best
-        values = nxt
-        if residual < epsilon:
-            break
-    return ValueVector(values, iterations, residual, psi, sat2, zero)
+    pending = [s for s in interior if s in reach]
+    sweeps, residual = _sweep(choices, preds, values, pending,
+                              max_iterations, epsilon)
+    if not residual < epsilon:
+        raise BudgetError(
+            f"value iteration did not reach residual {epsilon} within "
+            f"{max_iterations} sweeps (residual reached: {residual:.6g})",
+            partial=residual)
+    return ValueVector(values, sweeps, residual, psi, sat2, zero)
 
 
 def extract_max_scheduler(m: Mdp, vv: ValueVector,
                           tie_tol: float = SCHEDULER_TIE_TOL) -> Scheduler:
     """Pick one value-maximizing action per state.
 
-    Among actions whose one-step backup ties with the state value (within
-    tie_tol), the choice is made layer by layer outward from the target
-    states so that every chosen action makes progress toward them; a bare
-    argmax could otherwise settle on a value-preserving self-loop and the
-    induced chain would lose the promised probability mass. Ties within a
-    layer go to the lowest action id. Target and zero-value states take
-    their lowest enabled action id.
+    Among actions whose one-step backup ties with the best backup at the
+    state (within tie_tol), the choice is made layer by layer outward from
+    the target states so that every chosen action makes progress toward
+    them; a bare argmax could otherwise settle on a value-preserving
+    self-loop and the induced chain would lose the promised probability
+    mass. A state in layer k takes the lowest tied action id with a
+    successor in layer k-1. States no layer reaches take the lowest action
+    id of maximal backup. Target and zero-value states take their lowest
+    enabled action id.
+
+    Each backup is computed once, and the layers come from one backward
+    breadth-first pass over the tied actions, so the work is linear in the
+    transitions.
     """
     values = vv.values
+    choices = m.choice_table()
     choice: dict[int, int] = {}
     for s in vv.target_states | vv.zero_states:
-        acts = m.enabled_actions(s)
-        if acts:
-            choice[s] = acts[0]
-    done = set(vv.target_states)
-    remaining = [s for s in m.states
-                 if s not in done and s not in vv.zero_states]
-    while remaining:
-        placed = []
-        for s in remaining:
-            best = max(_backup(m, s, aid, values) for aid in m.enabled_actions(s))
-            pick = None
-            for aid in m.enabled_actions(s):
-                if _backup(m, s, aid, values) < best - tie_tol:
-                    continue
-                if any(t in done for t, _ in m.distribution(s, aid)):
-                    pick = aid
-                    break
-            if pick is not None:
-                choice[s] = pick
-                placed.append(s)
-        if not placed:
-            # No further progress possible; remaining states cannot reach
-            # the targets through tied actions, so any maximizer will do.
-            for s in remaining:
-                ranked = sorted(m.enabled_actions(s),
-                                key=lambda aid: (-_backup(m, s, aid, values), aid))
-                choice[s] = ranked[0]
-            break
-        for s in placed:
-            done.add(s)
-        remaining = [s for s in remaining if s not in done]
+        if choices[s]:
+            choice[s] = choices[s][0][0]
+    # successor -> (state, action id) of each tied action leading to it
+    tied_into: dict[int, list[tuple[int, int]]] = {}
+    fallback: dict[int, int] = {}
+    for s in m.states:
+        if s in vv.target_states or s in vv.zero_states:
+            continue
+        row = choices[s]
+        backups = [sum([p * values[t] for t, p in dist]) for _, dist in row]
+        best = max(backups)
+        fallback[s] = row[backups.index(best)][0]
+        for (aid, dist), q in zip(row, backups):
+            if q >= best - tie_tol:
+                for t, _ in dist:
+                    tied_into.setdefault(t, []).append((s, aid))
+    frontier = vv.target_states
+    while frontier:
+        layer: dict[int, int] = {}
+        for t in frontier:
+            for s, aid in tied_into.get(t, ()):
+                if s not in choice and (s not in layer or aid < layer[s]):
+                    layer[s] = aid
+        choice.update(layer)
+        frontier = layer
+    for s, aid in fallback.items():
+        choice.setdefault(s, aid)
     return Scheduler(choice)
 
 

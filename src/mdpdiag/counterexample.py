@@ -111,19 +111,22 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     states satisfy the left operand. Best-first search over negative log
     probabilities drives the order; equal probabilities are resolved by
     the lexicographic order of the state sequences. The stream stops after
-    max_paths paths or once the next candidate's probability drops below
-    min_prob; without both bounds it can be infinite on cyclic chains.
+    max_paths paths (none at all for a cap of zero or less) or once the
+    next candidate's probability drops below min_prob; without both bounds
+    it can be infinite on cyclic chains.
     An atom that labels no state of d is false everywhere, so a target
     named by such an atom yields no path.
     """
     if psi.op != "U":
         raise DomainError("path enumeration handles until formulas only")
+    if max_paths is not None and max_paths <= 0:
+        return
     sat1 = {s for s in d.states if eval_state_formula(d.labels, s, psi.left)}
     sat2 = {s for s in d.states if eval_state_formula(d.labels, s, psi.right)}
 
     if d.init in sat2:
         # The only path cut at its first target state is the empty one.
-        if 1.0 >= min_prob and (max_paths is None or max_paths > 0):
+        if 1.0 >= min_prob:
             yield WeightedPath(FinitePath((d.init,), ()), 1.0)
         return
     if d.init not in sat1:

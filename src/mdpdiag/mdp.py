@@ -15,6 +15,9 @@ from .errors import DomainError, ParseError
 # Tolerance for "successor probabilities sum to one" checks.
 PROB_SUM_TOL = 1e-9
 
+# (successor, probability) pairs of one action at one state.
+Distribution = tuple[tuple[int, float], ...]
+
 
 class Mdp:
     def __init__(self, num_states, init, transitions, labels=None, state_names=None,
@@ -25,6 +28,12 @@ class Mdp:
         (successor, probability) pairs. labels maps a state to an iterable
         of atomic proposition names; unlisted states carry no labels.
         state_names is an optional display table used only for reports.
+
+        The transitions are compiled once into the choice table (see
+        choice_table): state -> ((action id, distribution), ...) in
+        ascending action id, with an entry for every state. A source
+        outside 0..num_states-1 keeps its own entry, so that validate_mdp
+        can report it.
 
         ap_names declares the alphabet of atomic propositions; it defaults
         to the atoms occurring in labels. The attribute ap_names lists the
@@ -37,19 +46,17 @@ class Mdp:
         self.init = int(init)
         self.action_names: list[str] = []
         self._action_ids: dict[str, int] = {}
-        self._trans: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-        self._enabled: dict[int, list[int]] = {}
 
+        rows: dict[int, dict[int, Distribution]] = {}
         for (s, act), dist in transitions.items():
             aid = self._intern_action(str(act))
-            key = (int(s), aid)
-            if key in self._trans:
+            row = rows.setdefault(int(s), {})
+            if aid in row:
                 raise DomainError(
                     f"transitions listed twice for state {s} action {act!r}")
-            self._trans[key] = tuple((int(t), float(p)) for t, p in dist)
-            self._enabled.setdefault(int(s), []).append(aid)
-        for acts in self._enabled.values():
-            acts.sort()
+            row[aid] = tuple((int(t), float(p)) for t, p in dist)
+        self._choices = {s: tuple(sorted(rows.get(s, {}).items()))
+                         for s in sorted(rows.keys() | self.states)}
 
         atoms: dict[str, None] = {}
         self._labels: dict[int, frozenset[str]] = {}
@@ -94,18 +101,27 @@ class Mdp:
         except IndexError:
             raise DomainError(f"unknown action id {aid}") from None
 
+    def choice_table(self) -> Mapping[int, tuple[tuple[int, Distribution], ...]]:
+        """The compiled choices: state -> ((action id, distribution), ...).
+
+        Every state 0..n-1 has an entry, empty when no action is enabled;
+        action ids ascend within an entry. The engines iterate this table
+        directly; it is shared, not copied, so callers must not mutate it.
+        """
+        return self._choices
+
     def enabled_actions(self, s: int) -> tuple[int, ...]:
         """Action ids with at least one listed successor at s, ascending."""
         self._check_state(s)
-        return tuple(self._enabled.get(s, ()))
+        return tuple(aid for aid, _ in self._choices[s])
 
-    def distribution(self, s: int, aid: int) -> tuple[tuple[int, float], ...]:
+    def distribution(self, s: int, aid: int) -> Distribution:
         self._check_state(s)
-        try:
-            return self._trans[(s, aid)]
-        except KeyError:
-            name = self.action_names[aid] if 0 <= aid < len(self.action_names) else aid
-            raise DomainError(f"action {name!r} not enabled at state {s}") from None
+        for a, dist in self._choices[s]:
+            if a == aid:
+                return dist
+        name = self.action_names[aid] if 0 <= aid < len(self.action_names) else aid
+        raise DomainError(f"action {name!r} not enabled at state {s}")
 
     def successors(self, s: int, aid: int) -> set[int]:
         return {t for t, _ in self.distribution(s, aid)}
@@ -119,8 +135,9 @@ class Mdp:
         return {s: self._labels.get(s, frozenset()) for s in self.states}
 
     def transition_items(self):
-        """Iterate ((state, action id), distribution) deterministically."""
-        return sorted(self._trans.items())
+        """Iterate ((state, action id), distribution) in ascending order."""
+        return (((s, aid), dist) for s, row in self._choices.items()
+                for aid, dist in row)
 
     def state_name(self, s: int) -> str:
         if self.state_names is not None and 0 <= s < len(self.state_names):

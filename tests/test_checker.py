@@ -120,6 +120,24 @@ class TestComputePmax:
         with pytest.raises(BudgetError):
             compute_pmax(m, PQ, epsilon=1e-12, max_iterations=5)
 
+    def test_iteration_budget_reports_residual_reached(self):
+        # sweep k raises the value of state 0 by 0.1 * 0.9 ** (k - 1)
+        m = Mdp(2, 0, {
+            (0, "a"): [(0, 0.9), (1, 0.1)],
+            (1, "b"): [(1, 1.0)],
+        }, labels={0: {"p"}, 1: {"q"}})
+        with pytest.raises(BudgetError) as info:
+            compute_pmax(m, PQ, epsilon=1e-12, max_iterations=5)
+        assert info.value.partial == pytest.approx(0.1 * 0.9 ** 4, abs=1e-15)
+        assert "within 5 sweeps" in str(info.value)
+        assert f"residual reached: {info.value.partial:.6g}" in str(info.value)
+
+    def test_zero_sweep_budget_still_raises(self):
+        with pytest.raises(BudgetError) as info:
+            compute_pmax(coin_mdp(), PQ, max_iterations=0)
+        assert info.value.partial == float("inf")
+        assert "within 0 sweeps" in str(info.value)
+
     def test_matches_exhaustive_oracle_on_random_models(self):
         rng = random.Random(411)
         for _ in range(20):

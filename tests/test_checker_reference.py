@@ -1,0 +1,269 @@
+"""The checker against its earlier full-sweep algorithms, bit for bit.
+
+compute_pmax backs up only the states whose successors changed value, and
+extract_max_scheduler places states in one backward pass. Both must give
+exactly what full Jacobi sweeps and the layer-by-layer rescan give. The
+reference copies below are those earlier algorithms, kept unchanged; they
+are not independent oracles (see oracles.py for those) but the definition
+of the numbers the faster code must reproduce.
+"""
+
+import random
+
+import pytest
+
+from mdpdiag import (DEFAULT_EPSILON, Atom, BudgetError, DomainError, Mdp,
+                     PathFormula, Scheduler, ValueVector, compute_pmax,
+                     eval_state_formula, extract_max_scheduler)
+from mdpdiag.checker import SCHEDULER_TIE_TOL
+
+PQ = PathFormula(Atom("p"), Atom("q"))
+
+
+# -- reference: full Jacobi sweeps and the layer-by-layer rescan ----------
+
+
+def _sat_sets(m: Mdp, psi: PathFormula):
+    labels = m.label_map()
+    sat1 = frozenset(s for s in m.states
+                     if eval_state_formula(labels, s, psi.left))
+    sat2 = frozenset(s for s in m.states
+                     if eval_state_formula(labels, s, psi.right))
+    return sat1, sat2
+
+
+def _backward_reach(m: Mdp, sat1, sat2) -> frozenset[int]:
+    """States that can reach sat2 while moving through sat1 states only."""
+    rev: dict[int, list[int]] = {}
+    for (s, aid), dist in m.transition_items():
+        if s in sat1 and s not in sat2:
+            for t, _ in dist:
+                rev.setdefault(t, []).append(s)
+    reach = set(sat2)
+    stack = list(sat2)
+    while stack:
+        t = stack.pop()
+        for s in rev.get(t, ()):
+            if s not in reach:
+                reach.add(s)
+                stack.append(s)
+    return frozenset(reach)
+
+
+def _backup(m: Mdp, s: int, aid: int, values) -> float:
+    return sum(p * values[t] for t, p in m.distribution(s, aid))
+
+
+def reference_compute_pmax(m: Mdp, psi: PathFormula,
+                           epsilon: float = DEFAULT_EPSILON,
+                           max_iterations: int = 1_000_000) -> ValueVector:
+    if psi.op != "U":
+        raise DomainError("only until path formulas have a checked maximal "
+                          "probability; weak until is not supported")
+    if epsilon <= 0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    sat1, sat2 = _sat_sets(m, psi)
+
+    if psi.bound is not None:
+        values = [1.0 if s in sat2 else 0.0 for s in m.states]
+        residual = 0.0
+        for _ in range(psi.bound):
+            nxt = list(values)
+            residual = 0.0
+            for s in m.states:
+                if s in sat2 or s not in sat1:
+                    continue
+                best = max(_backup(m, s, aid, values)
+                           for aid in m.enabled_actions(s))
+                residual = max(residual, abs(best - nxt[s]))
+                nxt[s] = best
+            values = nxt
+        zero = frozenset(s for s in m.states if values[s] == 0.0)
+        return ValueVector(values, psi.bound, residual, psi, sat2, zero)
+
+    reach = _backward_reach(m, sat1, sat2)
+    zero = frozenset(s for s in m.states if s not in reach)
+    values = [1.0 if s in sat2 else 0.0 for s in m.states]
+    pending = [s for s in m.states if s in reach and s not in sat2]
+    iterations = 0
+    while True:
+        if iterations >= max_iterations:
+            raise BudgetError(
+                f"value iteration did not reach residual {epsilon} "
+                f"within {max_iterations} sweeps")
+        iterations += 1
+        residual = 0.0
+        nxt = list(values)
+        for s in pending:
+            best = max(_backup(m, s, aid, values) for aid in m.enabled_actions(s))
+            residual = max(residual, abs(best - values[s]))
+            nxt[s] = best
+        values = nxt
+        if residual < epsilon:
+            break
+    return ValueVector(values, iterations, residual, psi, sat2, zero)
+
+
+def reference_extract_max_scheduler(m: Mdp, vv: ValueVector,
+                                    tie_tol: float = SCHEDULER_TIE_TOL
+                                    ) -> Scheduler:
+    values = vv.values
+    choice: dict[int, int] = {}
+    for s in vv.target_states | vv.zero_states:
+        acts = m.enabled_actions(s)
+        if acts:
+            choice[s] = acts[0]
+    done = set(vv.target_states)
+    remaining = [s for s in m.states
+                 if s not in done and s not in vv.zero_states]
+    while remaining:
+        placed = []
+        for s in remaining:
+            best = max(_backup(m, s, aid, values) for aid in m.enabled_actions(s))
+            pick = None
+            for aid in m.enabled_actions(s):
+                if _backup(m, s, aid, values) < best - tie_tol:
+                    continue
+                if any(t in done for t, _ in m.distribution(s, aid)):
+                    pick = aid
+                    break
+            if pick is not None:
+                choice[s] = pick
+                placed.append(s)
+        if not placed:
+            # No further progress possible; remaining states cannot reach
+            # the targets through tied actions, so any maximizer will do.
+            for s in remaining:
+                ranked = sorted(m.enabled_actions(s),
+                                key=lambda aid: (-_backup(m, s, aid, values), aid))
+                choice[s] = ranked[0]
+            break
+        for s in placed:
+            done.add(s)
+        remaining = [s for s in remaining if s not in done]
+    return Scheduler(choice)
+
+
+# -- models full of value ties ------------------------------------------
+
+
+def tied_mdp(rng: random.Random) -> Mdp:
+    """Random MDP whose states often hold several value-tied actions.
+
+    Besides random actions, a state may get a copy of one of its actions
+    (an exact tie, or a near tie when the successors are listed in another
+    order) and a value-preserving self-loop.
+    """
+    n = rng.randint(2, 10)
+    transitions = {}
+    for s in range(n):
+        acts = []
+        for a in range(rng.randint(1, 3)):
+            succs = rng.sample(range(n), rng.randint(1, min(4, n)))
+            weights = [rng.randint(1, 7) for _ in succs]
+            total = sum(weights)
+            dist = [(t, w / total) for t, w in zip(succs, weights)]
+            transitions[(s, f"a{a}")] = dist
+            acts.append(dist)
+        if rng.random() < 0.5:
+            copy = list(rng.choice(acts))
+            if rng.random() < 0.5:
+                copy.reverse()
+            transitions[(s, "dup")] = copy
+        if rng.random() < 0.4:
+            transitions[(s, "stay")] = [(s, 1.0)]
+    labels = {}
+    for s in range(n):
+        here = set()
+        if rng.random() < 0.75:
+            here.add("p")
+        if rng.random() < 0.25:
+            here.add("q")
+        if here:
+            labels[s] = here
+    return Mdp(n, rng.randrange(n), transitions, labels)
+
+
+def tied_chain(rng: random.Random, n: int) -> Mdp:
+    """n `p` states in a shuffled chain to a `q` goal: each moves on with
+    0.99 (else to a sink) or stays on a self-loop whose value ties."""
+    ids = list(range(n + 2))
+    rng.shuffle(ids)
+    goal, sink = ids[n], ids[n + 1]
+    transitions = {}
+    for i in range(n):
+        s = ids[i]
+        nxt = ids[i + 1] if i + 1 < n else goal
+        transitions[(s, "stay")] = [(s, 1.0)]
+        transitions[(s, "fwd")] = [(nxt, 0.99), (sink, 0.01)]
+    transitions[(goal, "done")] = [(goal, 1.0)]
+    transitions[(sink, "stuck")] = [(sink, 1.0)]
+    labels = {ids[i]: {"p"} for i in range(n)}
+    labels[goal] = {"q"}
+    return Mdp(n + 2, ids[0], transitions, labels)
+
+
+def assert_same(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON):
+    want = reference_compute_pmax(m, psi, epsilon)
+    got = compute_pmax(m, psi, epsilon)
+    assert got.values == want.values
+    assert got.iterations == want.iterations
+    assert got.residual == want.residual
+    assert got.target_states == want.target_states
+    assert got.zero_states == want.zero_states
+    assert (extract_max_scheduler(m, got).choice
+            == reference_extract_max_scheduler(m, want).choice)
+
+
+class TestMatchesFullSweeps:
+    def test_random_tied_models_unbounded(self):
+        rng = random.Random(1608)
+        for _ in range(300):
+            assert_same(tied_mdp(rng), PQ,
+                        rng.choice((1e-3, DEFAULT_EPSILON, 1e-9, 1e-12)))
+
+    def test_random_tied_models_bounded(self):
+        rng = random.Random(7881)
+        for _ in range(200):
+            psi = PathFormula(Atom("p"), Atom("q"), bound=rng.randint(0, 12))
+            assert_same(tied_mdp(rng), psi)
+
+    def test_long_tied_chain(self):
+        m = tied_chain(random.Random(300), 300)
+        assert_same(m, PQ)
+        vv = compute_pmax(m, PQ)
+        sched = extract_max_scheduler(m, vv)
+        # every chain state moves on; none settles on its tied self-loop
+        assert {sched.action_for(s) for s in m.states
+                if s not in vv.target_states | vv.zero_states} == {
+                    m.action_id("fwd")}
+
+    def test_tied_chain_bounded(self):
+        m = tied_chain(random.Random(301), 60)
+        for bound in (0, 1, 30, 59, 60, 61, 200):
+            assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
+
+    def test_extraction_on_arbitrary_value_vectors(self):
+        # Vectors that no value iteration produces: some states then have
+        # no tied path to the targets and take the fallback maximizer.
+        rng = random.Random(16087881)
+        for _ in range(300):
+            m = tied_mdp(rng)
+            values = [rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in m.states]
+            targets = frozenset(s for s in m.states if values[s] == 1.0)
+            zero = frozenset(s for s in m.states
+                             if values[s] == 0.0 and rng.random() < 0.5)
+            vv = ValueVector(values, 1, 0.0, PQ, targets, zero)
+            assert (extract_max_scheduler(m, vv).choice
+                    == reference_extract_max_scheduler(m, vv).choice)
+
+    def test_budget_runs_out_at_the_same_sweep(self):
+        m = tied_chain(random.Random(302), 40)
+        for cap in (0, 1, 20, 40):
+            with pytest.raises(BudgetError):
+                reference_compute_pmax(m, PQ, max_iterations=cap)
+            with pytest.raises(BudgetError):
+                compute_pmax(m, PQ, max_iterations=cap)
+        want = reference_compute_pmax(m, PQ, max_iterations=41)
+        got = compute_pmax(m, PQ, max_iterations=41)
+        assert got.values == want.values and got.iterations == 41

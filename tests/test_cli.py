@@ -221,6 +221,13 @@ class TestDiagnose:
                            *demo_args())
         assert code == 3 and "incomplete" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_path_cap_of_zero_or_less_gathers_nothing(self, capsys, cap):
+        code, _, err = run(capsys, "diagnose", "--max-paths", cap,
+                           *demo_args())
+        assert code == 3
+        assert "gathered mass 0.0 from 0 paths" in err
+
     def test_program_model_report_carries_source_lines(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--model",
                            str(MODELS / "zeroconf.pm"), "--props-file",

@@ -47,6 +47,18 @@ class TestEnumeration:
                                               max_paths=2))
         assert probs(got) == pytest.approx([0.25, 0.2])
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_of_zero_or_less_yields_nothing(self, cap):
+        assert list(enumerate_satisfying_paths(demo_chain(),
+                                               demo_property().path,
+                                               max_paths=cap)) == []
+        # the branch where init already satisfies the target
+        at_target = PathFormula(demo_property().path.left, Atom("a"))
+        assert list(enumerate_satisfying_paths(demo_chain(), at_target,
+                                               max_paths=cap)) == []
+        assert len(list(enumerate_satisfying_paths(demo_chain(), at_target,
+                                                   max_paths=1))) == 1
+
     def test_min_prob_cuts_the_stream(self):
         got = list(enumerate_satisfying_paths(demo_chain(),
                                               demo_property().path,
