@@ -118,6 +118,8 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     changed value, with the same values, iterations and residual as full
     Jacobi sweeps. Running out of max_iterations sweeps raises BudgetError;
     its message and partial give the residual reached (inf for no sweep).
+    A successor outside the states of an interior state, one validate_mdp
+    reports, raises DomainError.
     """
     if psi.op != "U":
         raise DomainError("only until path formulas have a checked maximal "
@@ -128,9 +130,13 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     choices = m.choice_table()
     interior = [s for s in m.states if s in sat1 and s not in sat2]
     preds: dict[int, list[int]] = {}
+    n = m.num_states
     for s in interior:
         for _, dist in choices[s]:
             for t, _ in dist:
+                if not 0 <= t < n:
+                    raise DomainError(f"state {s} has successor {t} outside "
+                                      f"the states 0..{n - 1}")
                 preds.setdefault(t, []).append(s)
     values = [1.0 if s in sat2 else 0.0 for s in m.states]
 

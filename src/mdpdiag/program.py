@@ -16,15 +16,19 @@ module fires jointly, probabilities multiply); unlabelled commands
 interleave on their own. Elaboration explores the reachable valuations
 breadth-first, so building the same program twice yields identical state
 numbering, and records for every transition the source commands it came
-from.
+from. Every guard, update and label expression is compiled once, before
+exploration, into a statically typed closure over state tuples (variable
+values in declaration order), so no expression tree is walked per state.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import Mdp
@@ -93,70 +97,108 @@ def _names_in(expr: Expr) -> set[str]:
     return set()
 
 
-def eval_expr(expr: Expr, env: Mapping[str, object], line: Optional[int] = None,
-              filename: Optional[str] = None):
-    """Evaluate under env; integers and booleans stay distinct types."""
+class _Code(NamedTuple):
+    """A compiled expression.
 
-    def err(msg):
-        raise ParseError(msg, line=line, filename=filename)
+    fn maps a state tuple to the value. kind is the static type: 'bool',
+    'int', 'float', 'num' (int or float, as min/max pick at run time) or
+    'error', whose fn raises. value is the result when no variable is read.
+    """
+    fn: Callable
+    kind: str
+    value: object = None
 
-    def number(e):
-        v = rec(e)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            err("expected a numeric operand")
-        return v
 
-    def boolean(e):
-        v = rec(e)
-        if not isinstance(v, bool):
-            err("expected a boolean operand")
-        return v
+# & and | do not short-circuit: both sides are checked, as both are typed
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        "&": operator.and_, "|": operator.or_}
+
+
+def compile_expr(expr: Expr, consts: Mapping[str, object],
+                 slots: Optional[Mapping[str, int]] = None,
+                 line: Optional[int] = None,
+                 filename: Optional[str] = None) -> _Code:
+    """Compile expr once into a closure over state tuples.
+
+    Names resolve to constants, folded in as literals, or to slots, the
+    index of an integer variable in the state tuple. Integers and booleans
+    stay distinct types, and as every type is known here, the closure
+    checks none: an ill-typed expression compiles to a closure raising the
+    ParseError that evaluating left to right meets first, once called.
+    """
+    slots = slots or {}
+
+    def fail(msg):
+        def raise_error(state):
+            raise ParseError(msg, line=line, filename=filename)
+        return _Code(raise_error, "error")
+
+    def literal(v):
+        kind = ("bool" if isinstance(v, bool) else
+                "int" if isinstance(v, int) else "float")
+        return _Code(lambda state: v, kind, v)
+
+    def operand(e, boolean):
+        c = rec(e)
+        if c.kind == "error" or (c.kind == "bool") == boolean:
+            return c
+        return fail("expected a boolean operand" if boolean
+                    else "expected a numeric operand")
+
+    def apply(f, kind, args):
+        for a in args:
+            if a.kind == "error":
+                return a
+        if all(a.value is not None for a in args):
+            return literal(f(*(a.value for a in args)))
+        fns = [a.fn for a in args]
+        if len(args) != 2:
+            return _Code(lambda s: f(*[g(s) for g in fns]), kind)
+        (lf, rf), rv = fns, args[1].value
+        if rv is not None:  # the common `variable op constant`
+            return _Code(lambda s: f(lf(s), rv), kind)
+        return _Code(lambda s: f(lf(s), rf(s)), kind)
 
     def rec(e):
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
+        if isinstance(e, (Num, BoolLit)):
+            return literal(e.value)
         if isinstance(e, Name):
-            try:
-                return env[e.ident]
-            except KeyError:
-                err(f"unknown identifier {e.ident!r}")
+            if e.ident in slots:
+                return _Code(itemgetter(slots[e.ident]), "int")
+            if e.ident in consts:
+                return literal(consts[e.ident])
+            return fail(f"unknown identifier {e.ident!r}")
+        if isinstance(e, Unary) and e.op == "-":
+            c = operand(e.child, False)
+            return apply(operator.neg, c.kind, [c])
         if isinstance(e, Unary):
-            return -number(e.child) if e.op == "-" else not boolean(e.child)
+            return apply(operator.not_, "bool", [operand(e.child, True)])
         if isinstance(e, Call):
-            vals = [number(a) for a in e.args]
-            return min(vals) if e.func == "min" else max(vals)
-        if isinstance(e, Binary):
-            op = e.op
-            if op in ("&", "|"):
-                l = boolean(e.left)
-                # no short-circuit: both sides must be well-typed
-                r = boolean(e.right)
-                return (l and r) if op == "&" else (l or r)
-            l = number(e.left)
-            r = number(e.right)
-            if op == "+":
-                return l + r
-            if op == "-":
-                return l - r
-            if op == "*":
-                return l * r
-            if op == "=":
-                return l == r
-            if op == "!=":
-                return l != r
-            if op == "<":
-                return l < r
-            if op == "<=":
-                return l <= r
-            if op == ">":
-                return l > r
-            if op == ">=":
-                return l >= r
-        err(f"cannot evaluate expression node {e!r}")
+            args = [operand(a, False) for a in e.args]
+            kinds = {a.kind for a in args}
+            pick = min if e.func == "min" else max
+            return apply(lambda *vals: pick(vals),
+                         kinds.pop() if len(kinds) == 1 else "num", args)
+        if isinstance(e, Binary) and e.op in _OPS:
+            boolean = e.op in ("&", "|")
+            l, r = operand(e.left, boolean), operand(e.right, boolean)
+            if e.op not in ("+", "-", "*"):
+                kind = "bool"
+            elif "float" in (l.kind, r.kind):
+                kind = "float"
+            else:
+                kind = "int" if l.kind == r.kind == "int" else "num"
+            return apply(_OPS[e.op], kind, [l, r])
+        return fail(f"cannot evaluate expression node {e!r}")
 
     return rec(expr)
+
+
+def _constant(expr, consts, line, filename):
+    """The value of an expression that reads no variable."""
+    return compile_expr(expr, consts, None, line, filename).fn(())
 
 
 # -- program syntax ----------------------------------------------------------
@@ -542,7 +584,7 @@ def fold_constants(program: Program,
         if c.name in overrides:
             value = overrides.pop(c.name)
         elif c.expr is not None:
-            value = eval_expr(c.expr, values, c.line, program.filename)
+            value = _constant(c.expr, values, c.line, program.filename)
         else:
             raise DomainError(f"constant {c.name!r} has no value; supply one")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -568,25 +610,21 @@ class _ReadyCommand:
     module: str
     label: str
     label_index: int  # position among same-label commands of the module
-    guard: Expr
-    updates: tuple[tuple[float, tuple[Assignment, ...]], ...]
+    guard: Callable  # state tuple -> value; enabled where it is True
+    # (probability, ((variable, slot, value of, low, high), ...)) per branch
+    updates: tuple[tuple[float, tuple[tuple], ...], ...]
     line: int
     action: Optional[str]  # fixed action name for unlabelled commands
 
 
 @dataclass
 class _ReadyProgram:
-    consts: dict
     var_order: tuple[str, ...]
-    bounds: dict[str, tuple[int, int]]
-    init: dict[str, int]
-    owner: dict[str, str]
-    modules: tuple[str, ...]
-    by_label: dict[str, dict[str, list[_ReadyCommand]]]  # label -> module -> cmds
+    init: tuple[int, ...]
+    # label -> the commands of each module in its alphabet, in module order
+    syncs: tuple[tuple[str, tuple[tuple[_ReadyCommand, ...], ...]], ...]
     internal: tuple[_ReadyCommand, ...]
-    label_order: tuple[str, ...]
-    labels: tuple[LabelDef, ...]
-    filename: Optional[str]
+    labels: tuple[tuple[str, Callable], ...]  # name, state tuple -> bool
 
 
 def _prepare(program: Program, consts: dict) -> _ReadyProgram:
@@ -605,8 +643,8 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
             if decl.name in owner or decl.name in consts:
                 raise ParseError(f"name {decl.name!r} is already in use",
                                  line=decl.line, filename=fn)
-            low = eval_expr(decl.low, consts, decl.line, fn)
-            high = eval_expr(decl.high, consts, decl.line, fn)
+            low = _constant(decl.low, consts, decl.line, fn)
+            high = _constant(decl.high, consts, decl.line, fn)
             if not isinstance(low, int) or not isinstance(high, int) \
                     or isinstance(low, bool) or isinstance(high, bool):
                 raise ParseError(f"bounds of {decl.name!r} must be integers",
@@ -616,7 +654,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                                  line=decl.line, filename=fn)
             start = low
             if decl.init is not None:
-                start = eval_expr(decl.init, consts, decl.line, fn)
+                start = _constant(decl.init, consts, decl.line, fn)
                 if not isinstance(start, int) or isinstance(start, bool):
                     raise ParseError(f"initial value of {decl.name!r} must be "
                                      "an integer", line=decl.line, filename=fn)
@@ -630,6 +668,22 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
             init[decl.name] = start
 
     scope = set(owner) | set(consts)
+    slots = {v: i for i, v in enumerate(var_order)}
+
+    def typed(expr, kind, line, msg):
+        """The closure of expr, raising ParseError(msg) on a value not of
+        kind ('bool' or 'int'); only a min/max mixing int and float needs
+        the check at run time."""
+        code = compile_expr(expr, consts, slots, line, fn)
+        if code.kind in (kind, "error"):
+            return code.fn
+
+        def checked(state):
+            value = code.fn(state)
+            if kind == "bool" or type(value) is not int:
+                raise ParseError(msg, line=line, filename=fn)
+            return value
+        return checked
 
     def check_scope(expr, line):
         for ident in sorted(_names_in(expr)):
@@ -655,7 +709,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                             raise ParseError(
                                 f"branch probability must be constant, "
                                 f"found {ident!r}", line=cmd.line, filename=fn)
-                    p = eval_expr(upd.prob, consts, cmd.line, fn)
+                    p = _constant(upd.prob, consts, cmd.line, fn)
                 if isinstance(p, bool) or not isinstance(p, (int, float)):
                     raise ParseError("branch probability must be numeric",
                                      line=cmd.line, filename=fn)
@@ -679,15 +733,20 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                                          filename=fn)
                     assigned.add(a.var)
                     check_scope(a.expr, cmd.line)
-                probs.append((p, upd.assignments))
+                probs.append((p, tuple(
+                    (a.var, slots[a.var],
+                     typed(a.expr, "int", cmd.line,
+                           f"update of {a.var!r} must be an integer"),
+                     *bounds[a.var]) for a in upd.assignments)))
             total = sum(p for p, _ in probs)
             if abs(total - 1.0) > 1e-9:
                 raise ParseError(f"update probabilities sum to {total!r}, "
                                  "expected 1", line=cmd.line, filename=fn)
+            guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn).fn
             if cmd.label:
                 idx = group_counts.get(cmd.label, 0)
                 group_counts[cmd.label] = idx + 1
-                ready = _ReadyCommand(mod.name, cmd.label, idx, cmd.guard,
+                ready = _ReadyCommand(mod.name, cmd.label, idx, guard,
                                       tuple(probs), cmd.line, None)
                 if cmd.label not in by_label:
                     by_label[cmd.label] = {}
@@ -700,7 +759,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                 action = f"{mod.name}:{cmd.line}"
                 if k:
                     action = f"{action}#{k}"
-                internal.append(_ReadyCommand(mod.name, "", 0, cmd.guard,
+                internal.append(_ReadyCommand(mod.name, "", 0, guard,
                                               tuple(probs), cmd.line, action))
 
     seen_labels = set()
@@ -711,9 +770,15 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
         seen_labels.add(ldef.name)
         check_scope(ldef.expr, ldef.line)
 
-    return _ReadyProgram(consts, tuple(var_order), bounds, init, owner,
-                         tuple(m.name for m in program.modules), by_label,
-                         tuple(internal), tuple(label_order), program.labels, fn)
+    syncs = tuple((label, tuple(tuple(by_label[label][m.name])
+                                for m in program.modules
+                                if m.name in by_label[label]))
+                  for label in label_order)
+    labels = tuple((l.name, typed(l.expr, "bool", l.line,
+                                  f"label {l.name!r} must be boolean"))
+                   for l in program.labels)
+    return _ReadyProgram(tuple(var_order), tuple(init[v] for v in var_order),
+                         syncs, tuple(internal), labels)
 
 
 # -- elaboration -------------------------------------------------------------
@@ -753,121 +818,97 @@ def build_mdp(program: Program,
     than state_cap states become reachable and DomainError when an update
     drives a variable out of its range, naming the command line and the
     offending valuation.
+
+    Each valuation is a tuple in variable declaration order. Guards,
+    updates and labels are compiled once by compile_expr, with their types
+    checked statically; an ill-typed expression raises its ParseError only
+    where it is evaluated, so a guard that is never evaluated never raises.
     """
     consts = fold_constants(program, constants)
     ready = _prepare(program, consts)
-    fn = ready.filename
     var_order = ready.var_order
 
-    def as_tuple(valuation: dict) -> tuple[int, ...]:
-        return tuple(valuation[v] for v in var_order)
+    def describe(state: tuple) -> str:
+        return ",".join(f"{v}={x}" for v, x in zip(var_order, state))
 
-    def describe(valuation: dict) -> str:
-        return ",".join(f"{v}={valuation[v]}" for v in var_order)
-
-    init_val = dict(ready.init)
-    ids: dict[tuple[int, ...], int] = {as_tuple(init_val): 0}
-    valuations: list[dict] = [init_val]
+    ids: dict[tuple[int, ...], int] = {ready.init: 0}
+    valuations: list[tuple[int, ...]] = [ready.init]
     transitions: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    sources: dict[tuple[int, str, int], set[tuple[str, int]]] = {}
+    sources: dict[tuple[int, str, int], tuple[tuple[str, int], ...]] = {}
 
-    def intern_state(valuation: dict) -> int:
-        key = as_tuple(valuation)
-        sid = ids.get(key)
+    def intern_state(state: tuple) -> int:
+        sid = ids.get(state)
         if sid is None:
             sid = len(valuations)
             if sid >= state_cap:
                 raise BudgetError(f"state space exceeds the cap of "
                                   f"{state_cap} states")
-            ids[key] = sid
-            valuations.append(valuation)
+            ids[state] = sid
+            valuations.append(state)
         return sid
 
-    def fire(sid: int, env: dict, action: str, combo: tuple[_ReadyCommand, ...]):
-        current = valuations[sid]
+    def fire(sid: int, state: tuple, action: str,
+             combo: tuple[_ReadyCommand, ...]):
         dist: dict[tuple[int, ...], float] = {}  # insertion order is firing order
-        targets: dict[tuple[int, ...], dict] = {}
         for branches in product(*(c.updates for c in combo)):
             prob = 1.0
-            target = dict(current)
+            target = list(state)
             for cmd, (p, assignments) in zip(combo, branches):
                 prob *= p
-                for a in assignments:
-                    value = eval_expr(a.expr, env, cmd.line, fn)
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ParseError(f"update of {a.var!r} must be an "
-                                         "integer", line=cmd.line, filename=fn)
-                    low, high = ready.bounds[a.var]
+                for var, slot, value_of, low, high in assignments:
+                    value = value_of(state)
                     if not low <= value <= high:
                         raise DomainError(
-                            f"line {cmd.line}: update {a.var}'={value} leaves "
-                            f"[{low}..{high}] at state {describe(current)}")
-                    target[a.var] = value
-            key = as_tuple(target)
+                            f"line {cmd.line}: update {var}'={value} leaves "
+                            f"[{low}..{high}] at state {describe(state)}")
+                    target[slot] = value
+            key = tuple(target)
             if key in dist:
                 dist[key] += prob
             else:
                 dist[key] = prob
-                targets[key] = target
+        provenance = tuple(sorted({(c.module, c.line) for c in combo}))
         out = []
         for key, prob in dist.items():
-            tid = intern_state(targets[key])
+            tid = intern_state(key)
             out.append((tid, prob))
-            src = sources.setdefault((sid, action, tid), set())
-            for cmd in combo:
-                src.add((cmd.module, cmd.line))
+            sources[(sid, action, tid)] = provenance
         transitions[(sid, action)] = out
 
     sid = 0
     while sid < len(valuations):
-        env = dict(ready.consts)
-        env.update(valuations[sid])
-        for label in ready.label_order:
-            participants = [m for m in ready.modules
-                            if m in ready.by_label[label]]
+        state = valuations[sid]
+        for label, groups in ready.syncs:
             enabled: list[list[_ReadyCommand]] = []
-            blocked = False
-            for m in participants:
-                here = [c for c in ready.by_label[label][m]
-                        if eval_expr(c.guard, env, c.line, fn) is True]
+            for group in groups:
+                here = [c for c in group if c.guard(state) is True]
                 if not here:
-                    blocked = True
                     break
                 enabled.append(here)
-            if blocked:
-                continue
-            for combo in product(*enabled):
-                sig = tuple(c.label_index for c in combo)
-                if any(sig):
-                    action = label + "#" + ".".join(str(i) for i in sig)
-                else:
-                    action = label
-                fire(sid, env, action, combo)
+            else:
+                for combo in product(*enabled):
+                    sig = tuple(c.label_index for c in combo)
+                    if any(sig):
+                        action = label + "#" + ".".join(str(i) for i in sig)
+                    else:
+                        action = label
+                    fire(sid, state, action, combo)
         for cmd in ready.internal:
-            if eval_expr(cmd.guard, env, cmd.line, fn) is True:
-                fire(sid, env, cmd.action, (cmd,))
+            if cmd.guard(state) is True:
+                fire(sid, state, cmd.action, (cmd,))
         sid += 1
 
     labels: dict[int, set[str]] = {}
-    for s, valuation in enumerate(valuations):
-        env = dict(ready.consts)
-        env.update(valuation)
-        here = set()
-        for ldef in ready.labels:
-            value = eval_expr(ldef.expr, env, ldef.line, fn)
-            if not isinstance(value, bool):
-                raise ParseError(f"label {ldef.name!r} must be boolean",
-                                 line=ldef.line, filename=fn)
-            if value:
-                here.add(ldef.name)
+    for s, state in enumerate(valuations):
+        here = {name for name, holds in ready.labels if holds(state)}
         if here:
             labels[s] = here
 
     state_names = tuple(describe(v) for v in valuations)
     m = Mdp(len(valuations), 0, transitions, labels, state_names,
-            ap_names=[l.name for l in ready.labels])
+            ap_names=[name for name, _ in ready.labels])
 
     src_by_id: dict[tuple[int, int, int], tuple[tuple[str, int], ...]] = {}
     for (s, action, t), cmds in sources.items():
-        src_by_id[(s, m.action_id(action), t)] = tuple(sorted(cmds))
+        src_by_id[(s, m.action_id(action), t)] = cmds
     return m, SourceMap(src_by_id)

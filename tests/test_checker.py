@@ -132,6 +132,21 @@ class TestComputePmax:
         assert "within 5 sweeps" in str(info.value)
         assert f"residual reached: {info.value.partial:.6g}" in str(info.value)
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_successor_out_of_range_is_a_domain_error(self, bad):
+        # -1 would silently read the last state's value and report Pmax = 1
+        m = Mdp(2, 0, {(0, "a"): [(1, 0.5), (bad, 0.5)],
+                       (1, "b"): [(1, 1.0)]},
+                labels={0: {"p"}, 1: {"q"}})
+        needle = f"state 0 has successor {bad} outside the states 0..1"
+        with pytest.raises(DomainError, match=needle):
+            compute_pmax(m, PQ)
+        with pytest.raises(DomainError, match=needle):
+            check_property(m, parse_property("P<=0.1 [ p U q ]"))
+        bounded = PathFormula(Atom("p"), Atom("q"), bound=3)
+        with pytest.raises(DomainError, match=needle):
+            compute_pmax(m, bounded)
+
     def test_zero_sweep_budget_still_raises(self):
         with pytest.raises(BudgetError) as info:
             compute_pmax(coin_mdp(), PQ, max_iterations=0)
