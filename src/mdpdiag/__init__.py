@@ -16,9 +16,8 @@ from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
                              counterexample_to_json,
                              enumerate_satisfying_paths, verify_counterexample)
 from .diagnosis import (BlameEntry, Cause, DiagnosisReport,
-                        TransitionDiagnosis, blame, check_prop1, check_prop2,
-                        collect_causes, find_causes, generate_diagnoses,
-                        is_critical, render_text_report, responsibility_oracle,
+                        TransitionDiagnosis, blame, collect_causes,
+                        find_causes, generate_diagnoses, render_text_report,
                         state_mass, transition_mass)
 from .errors import BudgetError, DomainError, MdpDiagError, ParseError
 from .fixtures import (blame_gap_mdp, blame_gap_property, demo_mdp,
@@ -45,17 +44,16 @@ __all__ = [
     "Scheduler", "SourceMap", "TRUE", "TransitionDiagnosis", "TrueFormula",
     "ValueVector", "Verdict", "Violation", "WeightedPath", "atoms_of",
     "blame", "blame_gap_mdp", "blame_gap_property", "build_mdp",
-    "build_mipcx", "check_prop1", "check_prop2", "check_property",
-    "collect_causes", "compute_pmax", "counterexample_from_dict",
-    "counterexample_from_json", "counterexample_to_dict",
-    "counterexample_to_json", "demo_mdp", "demo_property",
-    "enumerate_satisfying_paths", "eval_path_formula", "eval_state_formula",
-    "extract_max_scheduler", "find_causes", "fold_constants",
-    "format_property", "generate_diagnoses", "induce_dtmc", "is_critical",
-    "is_nnf", "mass_exceeds", "parse_explicit_model", "parse_labels_text",
-    "parse_program", "parse_property", "parse_state_formula",
-    "path_atoms", "path_probability", "render_text_report",
-    "responsibility_oracle", "serialize_explicit_model", "serialize_labels",
+    "build_mipcx", "check_property", "collect_causes", "compute_pmax",
+    "counterexample_from_dict", "counterexample_from_json",
+    "counterexample_to_dict", "counterexample_to_json", "demo_mdp",
+    "demo_property", "enumerate_satisfying_paths", "eval_path_formula",
+    "eval_state_formula", "extract_max_scheduler", "find_causes",
+    "fold_constants", "format_property", "generate_diagnoses",
+    "induce_dtmc", "is_nnf", "mass_exceeds", "parse_explicit_model",
+    "parse_labels_text", "parse_program", "parse_property",
+    "parse_state_formula", "path_atoms", "path_probability",
+    "render_text_report", "serialize_explicit_model", "serialize_labels",
     "state_mass", "to_nnf", "transition_mass", "validate_mdp",
     "verify_counterexample",
 ]

@@ -220,7 +220,12 @@ def verify_counterexample(cx: Counterexample,
                           labels: Optional[Mapping[int, frozenset[str]]] = None
                           ) -> list[str]:
     """Check every structural claim a counterexample makes; return the
-    failures as human-readable strings (empty list: all good)."""
+    failures as human-readable strings (empty list: all good).
+
+    The until guard and target are evaluated once per distinct state on
+    the paths; only a path with an interior state outside the guard-only
+    set is walked position by position to name its first bad state.
+    """
     if cx.spec.path.op != "U":
         raise DomainError("counterexamples are defined for until formulas only")
     labels = cx.labels if labels is None else labels
@@ -229,6 +234,10 @@ def verify_counterexample(cx: Counterexample,
     out: list[str] = []
     if not cx.paths:
         out.append("counterexample contains no paths")
+    on_paths = cx.states_on_paths()
+    sat2 = {s for s in on_paths if eval_state_formula(labels, s, phi2)}
+    guard_only = {s for s in on_paths - sat2
+                  if eval_state_formula(labels, s, phi1)}
     seen: dict[tuple, int] = {}
     mass = 0.0
     for i, wp in enumerate(cx.paths):
@@ -244,16 +253,18 @@ def verify_counterexample(cx: Counterexample,
         states = wp.path.states
         if bound is not None and len(wp.path) > bound:
             out.append(f"{tag}: {len(wp.path)} steps exceed the bound {bound}")
-        if not eval_state_formula(labels, states[-1], phi2):
+        if states[-1] not in sat2:
             out.append(f"{tag}: final state {states[-1]} does not satisfy "
                        "the until target")
+        if guard_only.issuperset(states[:-1]):
+            continue
         for j, s in enumerate(states[:-1]):
-            if eval_state_formula(labels, s, phi2):
+            if s in sat2:
                 out.append(f"{tag}: state {s} at position {j} already "
                            "satisfies the until target; paths must stop at "
                            "their first such state")
                 break
-            if not eval_state_formula(labels, s, phi1):
+            if s not in guard_only:
                 out.append(f"{tag}: state {s} at position {j} fails the "
                            "until guard")
                 break
@@ -332,9 +343,10 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     if not isinstance(raw_paths, list):
         raise ParseError("counterexample paths must form a list")
     for i, entry in enumerate(raw_paths):
-        if not isinstance(entry, dict):
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("actions", []), list)):
             raise ParseError(f"malformed path entry {i}")
-        names.update(str(a) for a in entry.get("actions", ()))
+        names.update(map(str, entry.get("actions", ())))
     raw_sched = data.get("scheduler") or {}
     if not isinstance(raw_sched, dict):
         raise ParseError("counterexample scheduler must map states to labels")
@@ -345,13 +357,18 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     paths = []
     for i, entry in enumerate(raw_paths):
         try:
-            states = tuple(int(s) for s in entry["states"])
-            actions = tuple(action_ids[str(a)] for a in entry["actions"])
+            states = entry["states"]
+            actions = tuple(map(action_ids.__getitem__,
+                                map(str, entry["actions"])))
             prob = float(entry["probability"])
         except (KeyError, ValueError, TypeError):
             raise ParseError(f"malformed path entry {i}") from None
+        # JSON integers only: int() would also accept "7", 7.9 and true
+        if not isinstance(states, list) or not set(map(type, states)) <= {int}:
+            raise ParseError(f"malformed path entry {i}")
         try:
-            paths.append(WeightedPath(FinitePath(states, actions), prob))
+            paths.append(WeightedPath(FinitePath(tuple(states), actions),
+                                      prob))
         except DomainError as exc:
             raise ParseError(f"path entry {i}: {exc}") from None
 

@@ -12,30 +12,24 @@ mass crossing that transition.
 Cause extraction itself is syntactic and cheap: it walks the negation
 normal form of the guard/target formulas once per state, granting full
 responsibility through conjunctions and splitting it at disjunctions whose
-two sides both hold. A brute-force semantic oracle (responsibility_oracle)
-is provided to cross-check the syntactic degrees on small alphabets.
+two sides both hold.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Optional
 
 from .counterexample import Counterexample, counterexample_to_dict
-from .checker import mass_exceeds
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .pctl import (And, Atom, FalseFormula, Not, Or, PropertySpec, StateFormula,
-                   TrueFormula, eval_path_formula, eval_state_formula,
-                   format_property, path_atoms, to_nnf)
+                   TrueFormula, eval_state_formula, format_property, to_nnf)
 
-# Absolute tolerance for "these two probability masses coincide" tests in
-# the structural propositions; masses are sums of path probabilities, so
+# Absolute tolerance for "these two probability masses coincide" tests,
+# such as ties for the top rank; masses are sums of path probabilities, so
 # genuinely different sums differ by at least one path's probability.
 MASS_EQ_TOL = 1e-12
-
-DEFAULT_ORACLE_VAR_CAP = 20
 
 
 # -- probability masses ------------------------------------------------------
@@ -61,11 +55,11 @@ def _all_masses(cx: Counterexample, counter: list[int]):
     smass: dict[int, float] = {}
     tmass: dict[tuple[int, int, int], float] = {}
     for wp in cx.paths:
-        for s in sorted(set(wp.path.states)):
+        states = wp.path.states
+        for s in sorted(set(states)):
             smass[s] = smass.get(s, 0.0) + wp.probability
             counter[0] += 1
-        steps = sorted({(u, a, v) for _, u, a, v in wp.path.steps()})
-        for key in steps:
+        for key in sorted(set(zip(states, wp.path.actions, states[1:]))):
             tmass[key] = tmass.get(key, 0.0) + wp.probability
             counter[0] += 1
     return smass, tmass
@@ -154,70 +148,6 @@ def find_causes(s: int, labels: Mapping[int, frozenset[str]],
     raise DomainError(f"not a state formula: {phi!r}")
 
 
-def _flip_labels(labels: Mapping[int, frozenset[str]], s: int,
-                 aps: set[str]) -> dict[int, frozenset[str]]:
-    out = dict(labels)
-    out[s] = frozenset(set(out.get(s, frozenset())) ^ aps)
-    return out
-
-
-def _satisfying_mass(cx: Counterexample,
-                     labels: Mapping[int, frozenset[str]]) -> float:
-    return sum(wp.probability for wp in cx.paths
-               if eval_path_formula(labels, wp.path.states, cx.spec.path))
-
-
-def _check_literal(cx: Counterexample, s: int, literal: tuple[str, bool]):
-    ap, value = literal
-    actual = ap in cx.labels.get(s, frozenset())
-    if actual != value:
-        raise DomainError(f"literal {ap if value else '!' + ap} does not "
-                          f"describe state {s}")
-
-
-def is_critical(cx: Counterexample, s: int, literal: tuple[str, bool]) -> bool:
-    """Does flipping the literal at every occurrence of s invalidate cx?
-
-    The flip is applied to the state's labelling, every path is re-judged
-    under full finite until semantics (a flip may create an earlier target
-    state, which still counts as satisfaction), and the counterexample is
-    invalid once the still-satisfying mass no longer witnesses the
-    violation.
-    """
-    _check_literal(cx, s, literal)
-    flipped = _flip_labels(cx.labels, s, {literal[0]})
-    return not mass_exceeds(cx.spec, _satisfying_mass(cx, flipped))
-
-
-def responsibility_oracle(cx: Counterexample, s: int,
-                          literal: tuple[str, bool],
-                          var_cap: int = DEFAULT_ORACLE_VAR_CAP
-                          ) -> Optional[float]:
-    """Semantic degree of responsibility of the literal at s, or None.
-
-    Searches subsets W of the property's other propositions in increasing
-    size; the degree is 1/(|W|+1) for the smallest W whose flip at s leaves
-    the counterexample valid while the additional flip of the literal
-    invalidates it. Exponential in the alphabet, hence the var_cap guard.
-    """
-    _check_literal(cx, s, literal)
-    ap = literal[0]
-    alphabet = sorted(path_atoms(cx.spec.path))
-    if len(alphabet) > var_cap:
-        raise BudgetError(f"oracle alphabet has {len(alphabet)} propositions, "
-                          f"cap is {var_cap}")
-    others = [a for a in alphabet if a != ap]
-    for size in range(len(others) + 1):
-        for group in combinations(others, size):
-            world = _flip_labels(cx.labels, s, set(group))
-            if not mass_exceeds(cx.spec, _satisfying_mass(cx, world)):
-                continue  # these flips alone already invalidate
-            beyond = _flip_labels(world, s, {ap})
-            if not mass_exceeds(cx.spec, _satisfying_mass(cx, beyond)):
-                return 1.0 / (size + 1)
-    return None
-
-
 def collect_causes(cx: Counterexample,
                    _counter: Optional[list[int]] = None
                    ) -> dict[tuple[int, str, bool], Cause]:
@@ -227,6 +157,10 @@ def collect_causes(cx: Counterexample,
     states of the until guard. A literal reached from both roles keeps the
     larger degree and origin "both". Masses are left at zero; the report
     generator fills them in.
+
+    The guard and target formulas are evaluated once per distinct state
+    and role; each path is visited once per distinct (state, role) pair,
+    guard states in order of first occurrence, then the final state.
     """
     counter = _counter if _counter is not None else [0]
     phi1 = to_nnf(cx.spec.path.left)
@@ -235,9 +169,10 @@ def collect_causes(cx: Counterexample,
     out: dict[tuple[int, str, bool], Cause] = {}
     for wp in cx.paths:
         states = wp.path.states
-        for pos, s in enumerate(states):
-            role = "target" if pos == len(states) - 1 else "guard"
-            cache_key = (s, role)
+        visits = [(s, "guard") for s in dict.fromkeys(states[:-1])]
+        visits.append((states[-1], "target"))
+        for cache_key in visits:
+            s, role = cache_key
             found = per_state.get(cache_key)
             if found is None:
                 phi = phi2 if role == "target" else phi1
@@ -272,40 +207,6 @@ def blame(cx: Counterexample, s: int, aid: int,
                      if u == s and a == aid}):
         total += best.get(t, 0.0) * transition_mass(cx, s, aid, t)
     return total
-
-
-# -- structural propositions -------------------------------------------------
-
-
-def check_prop1(cx: Counterexample, s: int, aid: int, t: int) -> bool:
-    """Transition mass equals state mass exactly when t is the only
-    successor of s inside the counterexample. Returns whether that
-    biconditional holds on this instance."""
-    tm = transition_mass(cx, s, aid, t)
-    sm = state_mass(cx, s)
-    equal = abs(tm - sm) <= MASS_EQ_TOL
-    successors = {v for wp in cx.paths for _, u, a, v in wp.path.steps()
-                  if u == s and a == aid}
-    unique = successors == {t}
-    return equal == unique
-
-
-def check_prop2(cx: Counterexample, s: int, aid: int) -> bool:
-    """Blame equals the total counterexample mass exactly when every path
-    crosses this action into a state holding a full-responsibility cause.
-    Returns whether that biconditional holds on this instance."""
-    causes = collect_causes(cx)
-    best: dict[int, float] = {}
-    for (state, _, _), cause in causes.items():
-        if cause.dr > best.get(state, 0.0):
-            best[state] = cause.dr
-    db = blame(cx, s, aid, causes)
-    equal = abs(db - cx.total_mass) <= MASS_EQ_TOL
-    covered = all(
-        any(u == s and a == aid and best.get(v, 0.0) == 1.0
-            for _, u, a, v in wp.path.steps())
-        for wp in cx.paths)
-    return equal == covered
 
 
 # -- report generation -------------------------------------------------------
@@ -479,11 +380,17 @@ def generate_diagnoses(cx: Counterexample, spec: Optional[PropertySpec] = None,
 # -- text rendering ----------------------------------------------------------
 
 
-def _format_path(cx: Counterexample, wp) -> str:
-    bits = [cx.state_name(wp.path.states[0])]
-    for _, _, a, v in wp.path.steps():
-        bits.append(f"-{cx.action_name(a)}-> {cx.state_name(v)}")
-    return " ".join(bits)
+def _format_path(cx: Counterexample, wp,
+                 pieces: dict[tuple[int, int], str]) -> str:
+    """The path as text; pieces caches each "-action-> state" step text
+    across the paths of one report."""
+    states = wp.path.states
+    steps = list(zip(wp.path.actions, states[1:]))
+    for step in dict.fromkeys(steps):
+        if step not in pieces:
+            a, v = step
+            pieces[step] = f"-{cx.action_name(a)}-> {cx.state_name(v)}"
+    return " ".join([cx.state_name(states[0]), *map(pieces.__getitem__, steps)])
 
 
 def _pct(x: float) -> str:
@@ -498,8 +405,10 @@ def render_text_report(report: DiagnosisReport, normalize: bool = False) -> str:
                      f"threshold {report.spec.threshold:g})")
     lines.append(f"counterexample: {len(cx.paths)} paths, "
                  f"total probability {cx.total_mass:.6g}")
+    pieces: dict[tuple[int, int], str] = {}
     for i, wp in enumerate(cx.paths, start=1):
-        lines.append(f"  {i}) {_format_path(cx, wp)}   p={wp.probability:.6g}")
+        lines.append(f"  {i}) {_format_path(cx, wp, pieces)}   "
+                     f"p={wp.probability:.6g}")
     lines.append("ranked actions by blame:")
     for rank, e in enumerate(report.entries, start=1):
         lines.append(f"  {rank}. action {e.action_label} at state "

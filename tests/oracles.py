@@ -2,19 +2,30 @@
 
 Everything here deliberately uses different algorithms than the code under
 test: exact linear elimination instead of value iteration, exhaustive
-scheduler enumeration instead of greedy extraction, and depth-first path
-listing instead of best-first search. Keep this module free of imports
-from the package internals beyond the plain Mdp container.
+scheduler enumeration instead of greedy extraction, depth-first path
+listing instead of best-first search, and brute-force label flips instead
+of syntactic cause extraction. The flip oracles (is_critical,
+responsibility_oracle) and the structural propositions of the diagnosis
+(check_prop1, check_prop2) are built on the public functions of the
+package: path formula evaluation, the mass threshold test, causes, blame
+and masses. Keep this module free of imports from the package internals
+beyond those public functions and the mass tolerance of the diagnosis.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Mapping, Optional
 
 import numpy as np
 
-from mdpdiag import Mdp
+from mdpdiag import (BudgetError, Counterexample, DomainError, Mdp, blame,
+                     collect_causes, eval_path_formula, mass_exceeds,
+                     path_atoms, state_mass, transition_mass)
+from mdpdiag.diagnosis import MASS_EQ_TOL
+
+DEFAULT_ORACLE_VAR_CAP = 20
 
 
 def dtmc_reach_exact(trans, targets, interior, num_states):
@@ -178,3 +189,103 @@ def star_mdp(branches: int) -> Mdp:
         transitions[(goal, "stay")] = [(goal, 1.0)]
         labels[goal] = {"goal"}
     return Mdp(1 + 2 * branches, 0, transitions, labels)
+
+
+# -- label-flip oracles ------------------------------------------------------
+
+
+def _flip_labels(labels: Mapping[int, frozenset[str]], s: int,
+                 aps: set[str]) -> dict[int, frozenset[str]]:
+    out = dict(labels)
+    out[s] = frozenset(set(out.get(s, frozenset())) ^ aps)
+    return out
+
+
+def _satisfying_mass(cx: Counterexample,
+                     labels: Mapping[int, frozenset[str]]) -> float:
+    return sum(wp.probability for wp in cx.paths
+               if eval_path_formula(labels, wp.path.states, cx.spec.path))
+
+
+def _check_literal(cx: Counterexample, s: int, literal: tuple[str, bool]):
+    ap, value = literal
+    actual = ap in cx.labels.get(s, frozenset())
+    if actual != value:
+        raise DomainError(f"literal {ap if value else '!' + ap} does not "
+                          f"describe state {s}")
+
+
+def is_critical(cx: Counterexample, s: int, literal: tuple[str, bool]) -> bool:
+    """Does flipping the literal at every occurrence of s invalidate cx?
+
+    The flip is applied to the state's labelling, every path is re-judged
+    under full finite until semantics (a flip may create an earlier target
+    state, which still counts as satisfaction), and the counterexample is
+    invalid once the still-satisfying mass no longer witnesses the
+    violation.
+    """
+    _check_literal(cx, s, literal)
+    flipped = _flip_labels(cx.labels, s, {literal[0]})
+    return not mass_exceeds(cx.spec, _satisfying_mass(cx, flipped))
+
+
+def responsibility_oracle(cx: Counterexample, s: int,
+                          literal: tuple[str, bool],
+                          var_cap: int = DEFAULT_ORACLE_VAR_CAP
+                          ) -> Optional[float]:
+    """Semantic degree of responsibility of the literal at s, or None.
+
+    Searches subsets W of the property's other propositions in increasing
+    size; the degree is 1/(|W|+1) for the smallest W whose flip at s leaves
+    the counterexample valid while the additional flip of the literal
+    invalidates it. Exponential in the alphabet, hence the var_cap guard.
+    """
+    _check_literal(cx, s, literal)
+    ap = literal[0]
+    alphabet = sorted(path_atoms(cx.spec.path))
+    if len(alphabet) > var_cap:
+        raise BudgetError(f"oracle alphabet has {len(alphabet)} propositions, "
+                          f"cap is {var_cap}")
+    others = [a for a in alphabet if a != ap]
+    for size in range(len(others) + 1):
+        for group in itertools.combinations(others, size):
+            world = _flip_labels(cx.labels, s, set(group))
+            if not mass_exceeds(cx.spec, _satisfying_mass(cx, world)):
+                continue  # these flips alone already invalidate
+            beyond = _flip_labels(world, s, {ap})
+            if not mass_exceeds(cx.spec, _satisfying_mass(cx, beyond)):
+                return 1.0 / (size + 1)
+    return None
+
+# -- structural propositions -------------------------------------------------
+
+
+def check_prop1(cx: Counterexample, s: int, aid: int, t: int) -> bool:
+    """Transition mass equals state mass exactly when t is the only
+    successor of s inside the counterexample. Returns whether that
+    biconditional holds on this instance."""
+    tm = transition_mass(cx, s, aid, t)
+    sm = state_mass(cx, s)
+    equal = abs(tm - sm) <= MASS_EQ_TOL
+    successors = {v for wp in cx.paths for _, u, a, v in wp.path.steps()
+                  if u == s and a == aid}
+    unique = successors == {t}
+    return equal == unique
+
+
+def check_prop2(cx: Counterexample, s: int, aid: int) -> bool:
+    """Blame equals the total counterexample mass exactly when every path
+    crosses this action into a state holding a full-responsibility cause.
+    Returns whether that biconditional holds on this instance."""
+    causes = collect_causes(cx)
+    best: dict[int, float] = {}
+    for (state, _, _), cause in causes.items():
+        if cause.dr > best.get(state, 0.0):
+            best[state] = cause.dr
+    db = blame(cx, s, aid, causes)
+    equal = abs(db - cx.total_mass) <= MASS_EQ_TOL
+    covered = all(
+        any(u == s and a == aid and best.get(v, 0.0) == 1.0
+            for _, u, a, v in wp.path.steps())
+        for wp in cx.paths)
+    return equal == covered

@@ -1,7 +1,9 @@
 """Path enumeration, greedy counterexample assembly, and the JSON form."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
                      induce_dtmc, parse_property, verify_counterexample)
 
 from oracles import list_satisfying_paths, random_layered_mdp
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def demo_chain():
@@ -401,6 +405,34 @@ class TestJsonInterchange:
         data["total_mass"] = "heavy"
         with pytest.raises(ParseError, match="number"):
             counterexample_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("states", "017"),
+        ("states", [0.9, 1.9, 7.9]),
+        ("states", [0.0, 1.0, 7.0]),
+        ("states", [0, True, 7]),
+        ("states", ["0", "1", "7"]),
+        ("states", {"0": 0, "1": 1, "7": 7}),
+        ("states", 17),
+        ("actions", "ab"),
+        ("actions", {"alpha0": 0, "alpha1": 1}),
+        ("actions", 2),
+    ], ids=["string", "floats", "integral-floats", "bool", "strings",
+            "object", "number", "actions-string", "actions-object",
+            "actions-number"])
+    def test_path_entry_needs_lists_of_json_integers(self, field, value):
+        # the first path of the exported demo is 0 -alpha0-> 1 -alpha1-> 7
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        data["paths"][0][field] = value
+        with pytest.raises(ParseError, match="malformed path entry 0"):
+            counterexample_from_dict(data)
+        with pytest.raises(ParseError, match="malformed path entry 0"):
+            counterexample_from_json(json.dumps(data))
+
+    def test_golden_export_still_imports(self):
+        cx = counterexample_from_json((GOLDEN / "demo.cx.json").read_text())
+        assert cx.paths[0].path.states == (0, 1, 7)
+        assert verify_counterexample(cx) == []
 
     def test_missing_scheduler_tolerated(self):
         data = self.base()

@@ -5,10 +5,11 @@ import pytest
 from mdpdiag import (TRUE, And, Atom, BudgetError, Counterexample,
                      DomainError, FinitePath, Not, Or, WeightedPath, blame,
                      blame_gap_mdp, blame_gap_property, build_mipcx,
-                     check_prop1, check_prop2, collect_causes, demo_mdp,
-                     demo_property, find_causes, generate_diagnoses,
-                     is_critical, parse_property, responsibility_oracle,
-                     state_mass, transition_mass)
+                     collect_causes, demo_mdp, demo_property, find_causes,
+                     generate_diagnoses, parse_property, state_mass,
+                     transition_mass)
+from oracles import (check_prop1, check_prop2, is_critical,
+                     responsibility_oracle)
 
 
 def demo_cx():
