@@ -5,6 +5,9 @@ The golden files hold the output of `mdpdiag diagnose` before the checker
 layer was rewritten for speed, and the `diagnose-trace` reports of the
 exported demo counterexample and the library reports of the two fixtures
 before the counterexample layers were made to work per distinct state.
+The `check` verdicts, the JSON and normalized `diagnose` reports and the
+re-ranking under `diagnose-trace --prop` were added before the second
+copies of the mass index, the induced chain and the parsers were removed.
 Any change to a report, however small, shows up here; a deliberate one
 means regenerating the file with the command or call in its test case and
 saying why in CHANGES.md.
@@ -26,14 +29,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = ("--model", str(MODELS / "demo.tra"), "--labels",
         str(MODELS / "demo.lab"), "--props-file", str(MODELS / "demo.props"))
 
+CSMA = ("--model", str(MODELS / "csma.pm"),
+        "--props-file", str(MODELS / "csma.props"))
+ZEROCONF = ("--model", str(MODELS / "zeroconf.pm"),
+            "--props-file", str(MODELS / "zeroconf.props"))
+
 REPORTS = [
     ("demo.diagnose.txt", DEMO),
-    ("csma.diagnose.txt", ("--model", str(MODELS / "csma.pm"),
-                           "--props-file", str(MODELS / "csma.props"))),
-    ("zeroconf.diagnose.json", ("--model", str(MODELS / "zeroconf.pm"),
-                                "--props-file",
-                                str(MODELS / "zeroconf.props"),
-                                "--format", "json")),
+    ("demo.diagnose.json", (*DEMO, "--format", "json")),
+    ("demo.diagnose_normalize.txt", (*DEMO, "--normalize")),
+    ("csma.diagnose.txt", CSMA),
+    ("csma.diagnose.json", (*CSMA, "--format", "json")),
+    ("zeroconf.diagnose.txt", ZEROCONF),
+    ("zeroconf.diagnose.json", (*ZEROCONF, "--format", "json")),
 ]
 
 
@@ -43,6 +51,23 @@ def test_diagnose_report(capsys, golden, args):
     code = main(["diagnose", *args])
     out = capsys.readouterr().out
     assert code == 1
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+CHECKS = [
+    ("demo.check.txt", DEMO, 1),
+    ("demo.check.json", (*DEMO, "--format", "json"), 1),
+    ("demo.check_holds.txt", (*DEMO[:4], "--prop",
+                              "P<=0.9 [ (a|b) U (c&d) ]"), 0),
+]
+
+
+@pytest.mark.parametrize("golden, args, expected", CHECKS,
+                         ids=[name for name, _, _ in CHECKS])
+def test_check_verdict(capsys, golden, args, expected):
+    code = main(["check", *args])
+    out = capsys.readouterr().out
+    assert code == expected
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
@@ -57,6 +82,7 @@ def test_exported_counterexample(capsys, tmp_path):
 TRACES = [
     ("demo.trace.txt", ()),
     ("demo.trace.json", ("--format", "json")),
+    ("demo.trace_prop.txt", ("--prop", "P<=0.3 [ (a|b) U (c&d) ]")),
 ]
 
 
