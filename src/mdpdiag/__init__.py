@@ -16,9 +16,8 @@ from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
                              counterexample_to_json,
                              enumerate_satisfying_paths, verify_counterexample)
 from .diagnosis import (BlameEntry, Cause, DiagnosisReport,
-                        TransitionDiagnosis, blame, collect_causes,
-                        find_causes, generate_diagnoses, render_text_report,
-                        state_mass, transition_mass)
+                        TransitionDiagnosis, collect_causes, find_causes,
+                        generate_diagnoses, render_text_report)
 from .errors import BudgetError, DomainError, MdpDiagError, ParseError
 from .fixtures import (blame_gap_mdp, blame_gap_property, demo_mdp,
                        demo_property)
@@ -28,7 +27,7 @@ from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler, Violation,
                   serialize_explicit_model, serialize_labels, validate_mdp)
 from .pctl import (FALSE, TRUE, And, Atom, FalseFormula, Not, Or, PathFormula,
                    PropertySpec, TrueFormula, atoms_of, eval_path_formula,
-                   eval_state_formula, format_property, is_nnf, parse_property,
+                   eval_state_formula, is_nnf, parse_property,
                    parse_state_formula, path_atoms, to_nnf)
 from .program import (DEFAULT_STATE_CAP, Program, SourceMap, build_mdp,
                       fold_constants, parse_program)
@@ -43,17 +42,17 @@ __all__ = [
     "PROB_SUM_TOL", "ParseError", "PathFormula", "Program", "PropertySpec",
     "Scheduler", "SourceMap", "TRUE", "TransitionDiagnosis", "TrueFormula",
     "ValueVector", "Verdict", "Violation", "WeightedPath", "atoms_of",
-    "blame", "blame_gap_mdp", "blame_gap_property", "build_mdp",
+    "blame_gap_mdp", "blame_gap_property", "build_mdp",
     "build_mipcx", "check_property", "collect_causes", "compute_pmax",
     "counterexample_from_dict", "counterexample_from_json",
     "counterexample_to_dict", "counterexample_to_json", "demo_mdp",
     "demo_property", "enumerate_satisfying_paths", "eval_path_formula",
     "eval_state_formula", "extract_max_scheduler", "find_causes",
-    "fold_constants", "format_property", "generate_diagnoses",
+    "fold_constants", "generate_diagnoses",
     "induce_dtmc", "is_nnf", "mass_exceeds", "parse_explicit_model",
     "parse_labels_text", "parse_program", "parse_property",
     "parse_state_formula", "path_atoms", "path_probability",
     "render_text_report", "serialize_explicit_model", "serialize_labels",
-    "state_mass", "to_nnf", "transition_mass", "validate_mdp",
+    "to_nnf", "validate_mdp",
     "verify_counterexample",
 ]

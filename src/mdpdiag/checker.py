@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetError, DomainError
-from .mdp import Mdp, Scheduler
+from .mdp import Mdp, Scheduler, backward_reachable
 from .pctl import PathFormula, PropertySpec, eval_state_formula
 
 DEFAULT_EPSILON = 1e-6
@@ -54,20 +54,6 @@ def _sat_sets(m: Mdp, psi: PathFormula):
     sat2 = frozenset(s for s in m.states
                      if eval_state_formula(labels, s, psi.right))
     return sat1, sat2
-
-
-def _backward_reach(preds, sat2) -> frozenset[int]:
-    """States that can reach sat2 backward along preds (successor -> the
-    sat1 states with an action leading to it)."""
-    reach = set(sat2)
-    stack = list(sat2)
-    while stack:
-        t = stack.pop()
-        for s in preds.get(t, ()):
-            if s not in reach:
-                reach.add(s)
-                stack.append(s)
-    return frozenset(reach)
 
 
 def _sweep(choices, preds, values, pending, max_sweeps: int,
@@ -148,7 +134,7 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
         return ValueVector(values, psi.bound, residual if sweeps else 0.0,
                            psi, sat2, zero)
 
-    reach = _backward_reach(preds, sat2)
+    reach = backward_reachable(preds, sat2)
     zero = frozenset(s for s in m.states if s not in reach)
     pending = [s for s in interior if s in reach]
     sweeps, residual = _sweep(choices, preds, values, pending,
@@ -161,19 +147,18 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     return ValueVector(values, sweeps, residual, psi, sat2, zero)
 
 
-def extract_max_scheduler(m: Mdp, vv: ValueVector,
-                          tie_tol: float = SCHEDULER_TIE_TOL) -> Scheduler:
+def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
     """Pick one value-maximizing action per state.
 
     Among actions whose one-step backup ties with the best backup at the
-    state (within tie_tol), the choice is made layer by layer outward from
-    the target states so that every chosen action makes progress toward
-    them; a bare argmax could otherwise settle on a value-preserving
-    self-loop and the induced chain would lose the promised probability
-    mass. A state in layer k takes the lowest tied action id with a
-    successor in layer k-1. States no layer reaches take the lowest action
-    id of maximal backup. Target and zero-value states take their lowest
-    enabled action id.
+    state (within SCHEDULER_TIE_TOL), the choice is made layer by layer
+    outward from the target states so that every chosen action makes
+    progress toward them; a bare argmax could otherwise settle on a
+    value-preserving self-loop and the induced chain would lose the
+    promised probability mass. A state in layer k takes the lowest tied
+    action id with a successor in layer k-1. States no layer reaches take
+    the lowest action id of maximal backup. Target and zero-value states
+    take their lowest enabled action id.
 
     Each backup is computed once, and the layers come from one backward
     breadth-first pass over the tied actions, so the work is linear in the
@@ -196,7 +181,7 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector,
         best = max(backups)
         fallback[s] = row[backups.index(best)][0]
         for (aid, dist), q in zip(row, backups):
-            if q >= best - tie_tol:
+            if q >= best - SCHEDULER_TIE_TOL:
                 for t, _ in dist:
                     tied_into.setdefault(t, []).append((s, aid))
     frontier = vv.target_states

@@ -15,17 +15,17 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .checker import DEFAULT_EPSILON, check_property
 from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
-                             Counterexample, build_mipcx,
-                             counterexample_from_json, counterexample_to_json,
-                             verify_counterexample)
+                             build_mipcx, counterexample_from_json,
+                             counterexample_to_json, verify_counterexample)
 from .diagnosis import generate_diagnoses
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import parse_explicit_model, validate_mdp
-from .pctl import format_property, parse_property, path_atoms
+from .pctl import parse_property, path_atoms
 from .program import DEFAULT_STATE_CAP, build_mdp, parse_program
 
 EXIT_HOLDS = 0
@@ -159,7 +159,7 @@ def _emit(args, text: str) -> None:
 def _verdict_output(args, spec, verdict) -> None:
     if args.format == "json":
         payload = {
-            "property": format_property(spec),
+            "property": str(spec),
             "comparison": spec.comparison,
             "threshold": spec.threshold,
             "pmax": verdict.pmax,
@@ -168,9 +168,16 @@ def _verdict_output(args, spec, verdict) -> None:
         _emit(args, json.dumps(payload, indent=2) + "\n")
         return
     word = "HOLDS" if verdict.holds else "VIOLATED"
-    _emit(args, f"property: {format_property(spec)}\n"
+    _emit(args, f"property: {spec}\n"
                 f"Pmax = {verdict.pmax:.6g}\n"
                 f"verdict: {word} (threshold {spec.threshold:g})\n")
+
+
+def _report_output(args, report) -> None:
+    if args.format == "json":
+        _emit(args, report.to_json())
+    else:
+        _emit(args, report.render_text(normalize=args.normalize))
 
 
 def _cmd_check(args) -> int:
@@ -194,34 +201,24 @@ def _cmd_diagnose(args) -> int:
                      min_prob=args.min_prob)
     if args.export_cx:
         _write_text(args.export_cx, counterexample_to_json(cx))
-    report = generate_diagnoses(cx, source_map=smap, pmax=verdict.pmax)
-    if args.format == "json":
-        _emit(args, report.to_json())
-    else:
-        _emit(args, report.render_text(normalize=args.normalize))
+    _report_output(args, generate_diagnoses(cx, source_map=smap,
+                                            pmax=verdict.pmax))
     return EXIT_VIOLATED
 
 
 def _cmd_diagnose_trace(args) -> int:
     cx = counterexample_from_json(_read_text(args.trace))
     if args.prop:
-        defined = set()
-        for aps in cx.labels.values():
-            defined |= aps
-        spec = parse_property(args.prop, defined_labels=defined)
-        cx = Counterexample(cx.paths, cx.total_mass, cx.scheduler, spec,
-                            cx.labels, cx.action_names, cx.state_names)
+        defined = set().union(*cx.labels.values())
+        cx = replace(cx, spec=parse_property(args.prop,
+                                             defined_labels=defined))
     problems = verify_counterexample(cx)
     if problems:
         for p in problems:
             print(f"invalid counterexample: {p}", file=sys.stderr)
         raise _UsageError(f"counterexample failed verification with "
                           f"{len(problems)} problem(s)")
-    report = generate_diagnoses(cx)
-    if args.format == "json":
-        _emit(args, report.to_json())
-    else:
-        _emit(args, report.render_text(normalize=args.normalize))
+    _report_output(args, generate_diagnoses(cx))
     return EXIT_VIOLATED
 
 

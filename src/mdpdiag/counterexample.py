@@ -17,9 +17,10 @@ from typing import Iterator, Mapping, Optional
 
 from .checker import DEFAULT_EPSILON, check_property, mass_exceeds
 from .errors import BudgetError, DomainError, ParseError
-from .mdp import Dtmc, FinitePath, Mdp, Scheduler, WeightedPath, induce_dtmc
+from .mdp import (Dtmc, FinitePath, Mdp, Scheduler, WeightedPath,
+                  backward_reachable, induce_dtmc)
 from .pctl import (PathFormula, PropertySpec, eval_state_formula,
-                   format_property, parse_property)
+                   parse_property)
 
 DEFAULT_MAX_PATHS = 10_000
 DEFAULT_MIN_PROB = 1e-15
@@ -45,10 +46,9 @@ class Counterexample:
     state_names: Optional[tuple[str, ...]] = None
 
     def action_name(self, aid: int) -> str:
-        try:
-            return self.action_names[aid]
-        except IndexError:
-            raise DomainError(f"unknown action id {aid}") from None
+        if not 0 <= aid < len(self.action_names):
+            raise DomainError(f"unknown action id {aid}")
+        return self.action_names[aid]
 
     def states_on_paths(self) -> set[int]:
         out: set[int] = set()
@@ -132,20 +132,11 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     if d.init not in sat1:
         return
 
-    interior = sat1 - sat2
-    rev: dict[int, list[int]] = {}
-    for s in interior:
+    preds: dict[int, list[int]] = {}
+    for s in sat1 - sat2:
         for t, _ in d.transitions.get(s, ()):
-            if t in interior or t in sat2:
-                rev.setdefault(t, []).append(s)
-    alive = set(sat2)
-    stack = list(sat2)
-    while stack:
-        t = stack.pop()
-        for s in rev.get(t, ()):
-            if s not in alive:
-                alive.add(s)
-                stack.append(s)
+            preds.setdefault(t, []).append(s)
+    alive = backward_reachable(preds, sat2)
     if d.init not in alive:
         return
 
@@ -168,15 +159,15 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
         if bound is not None and prefix.length >= bound:
             continue
         u = prefix.state
+        aid = d.action[u]
         for t, p in sorted(d.transitions.get(u, ())):
             if t in sat2:
                 done = True
-            elif t in interior and t in alive:
+            elif t in alive:
                 done = False
             else:
                 continue
-            heapq.heappush(heap, (cost - math.log(p),
-                                  _Prefix(t, d.provenance[(u, t)], prefix),
+            heapq.heappush(heap, (cost - math.log(p), _Prefix(t, aid, prefix),
                                   prob * p, done))
 
 
@@ -193,7 +184,7 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
     """
     verdict = check_property(m, spec, epsilon)
     if verdict.holds:
-        raise DomainError(f"property {format_property(spec)} holds; "
+        raise DomainError(f"property {spec} holds; "
                           "there is no counterexample to build")
     dtmc = induce_dtmc(m, verdict.witness)
     gathered: list[WeightedPath] = []
@@ -213,12 +204,10 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
     raise BudgetError(
         f"counterexample incomplete: gathered mass {total!r} from "
         f"{len(gathered)} paths does not witness violation of "
-        f"{format_property(spec)}", partial=total)
+        f"{spec}", partial=total)
 
 
-def verify_counterexample(cx: Counterexample,
-                          labels: Optional[Mapping[int, frozenset[str]]] = None
-                          ) -> list[str]:
+def verify_counterexample(cx: Counterexample) -> list[str]:
     """Check every structural claim a counterexample makes; return the
     failures as human-readable strings (empty list: all good).
 
@@ -228,16 +217,15 @@ def verify_counterexample(cx: Counterexample,
     """
     if cx.spec.path.op != "U":
         raise DomainError("counterexamples are defined for until formulas only")
-    labels = cx.labels if labels is None else labels
     phi1, phi2 = cx.spec.path.left, cx.spec.path.right
     bound = cx.spec.path.bound
     out: list[str] = []
     if not cx.paths:
         out.append("counterexample contains no paths")
     on_paths = cx.states_on_paths()
-    sat2 = {s for s in on_paths if eval_state_formula(labels, s, phi2)}
+    sat2 = {s for s in on_paths if eval_state_formula(cx.labels, s, phi2)}
     guard_only = {s for s in on_paths - sat2
-                  if eval_state_formula(labels, s, phi1)}
+                  if eval_state_formula(cx.labels, s, phi1)}
     seen: dict[tuple, int] = {}
     mass = 0.0
     for i, wp in enumerate(cx.paths):
@@ -273,7 +261,7 @@ def verify_counterexample(cx: Counterexample,
                    f"probability sum {mass!r}")
     if not mass_exceeds(cx.spec, cx.total_mass):
         out.append(f"total mass {cx.total_mass!r} does not witness violation "
-                   f"of {format_property(cx.spec)}")
+                   f"of {cx.spec}")
     return out
 
 
@@ -287,7 +275,7 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
             sched[str(s)] = cx.action_name(cx.scheduler.choice[s])
     return {
         "format_version": CX_FORMAT_VERSION,
-        "property": format_property(cx.spec),
+        "property": str(cx.spec),
         "comparison": cx.spec.comparison,
         "threshold": cx.spec.threshold,
         "total_mass": cx.total_mass,
@@ -314,6 +302,23 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _state_id(key: str) -> int:
+    """The state id a JSON object key spells; ValueError unless the key is
+    its canonical decimal form (int() alone also takes " 1" and "+0")."""
+    s = int(key)
+    if str(s) != key:
+        raise ValueError(f"non-canonical state key {key!r}")
+    return s
+
+
+def _number(x) -> float:
+    """A JSON number as a float; TypeError for a bool, string or other
+    value (float() alone also takes "0.25" and true)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"not a number: {x!r}")
+    return float(x)
+
+
 def counterexample_from_dict(data: dict) -> Counterexample:
     """Rebuild a counterexample from its JSON form.
 
@@ -330,7 +335,9 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     labels: dict[int, frozenset[str]] = {}
     try:
         for k, v in raw_labels.items():
-            labels[int(k)] = frozenset(str(a) for a in v)
+            if not isinstance(v, list) or not set(map(type, v)) <= {str}:
+                raise TypeError(f"labels of {k!r} are not a list of names")
+            labels[_state_id(k)] = frozenset(v)
     except (ValueError, TypeError, AttributeError):
         raise ParseError("counterexample labels must map state ids to "
                          "lists of names") from None
@@ -343,14 +350,17 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     if not isinstance(raw_paths, list):
         raise ParseError("counterexample paths must form a list")
     for i, entry in enumerate(raw_paths):
-        if not (isinstance(entry, dict)
-                and isinstance(entry.get("actions", []), list)):
+        actions = entry.get("actions", []) if isinstance(entry, dict) else None
+        # JSON strings only: str() would also accept 1 and true
+        if not (isinstance(actions, list)
+                and set(map(type, actions)) <= {str}):
             raise ParseError(f"malformed path entry {i}")
-        names.update(map(str, entry.get("actions", ())))
+        names.update(actions)
     raw_sched = data.get("scheduler") or {}
-    if not isinstance(raw_sched, dict):
+    if not (isinstance(raw_sched, dict)
+            and set(map(type, raw_sched.values())) <= {str}):
         raise ParseError("counterexample scheduler must map states to labels")
-    names.update(str(a) for a in raw_sched.values())
+    names.update(raw_sched.values())
     action_names = tuple(sorted(names))
     action_ids = {name: i for i, name in enumerate(action_names)}
 
@@ -358,10 +368,9 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     for i, entry in enumerate(raw_paths):
         try:
             states = entry["states"]
-            actions = tuple(map(action_ids.__getitem__,
-                                map(str, entry["actions"])))
-            prob = float(entry["probability"])
-        except (KeyError, ValueError, TypeError):
+            actions = tuple(map(action_ids.__getitem__, entry["actions"]))
+            prob = _number(entry["probability"])
+        except (KeyError, ValueError, TypeError, OverflowError):
             raise ParseError(f"malformed path entry {i}") from None
         # JSON integers only: int() would also accept "7", 7.9 and true
         if not isinstance(states, list) or not set(map(type, states)) <= {int}:
@@ -375,14 +384,14 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     scheduler = None
     if raw_sched:
         try:
-            scheduler = Scheduler({int(s): action_ids[str(a)]
+            scheduler = Scheduler({_state_id(s): action_ids[a]
                                    for s, a in raw_sched.items()})
         except (ValueError, TypeError, KeyError):
             raise ParseError("malformed scheduler mapping") from None
 
     try:
-        total = float(_require(data, "total_mass"))
-    except (ValueError, TypeError):
+        total = _number(_require(data, "total_mass"))
+    except (ValueError, TypeError, OverflowError):
         raise ParseError("total_mass must be a number") from None
     return Counterexample(tuple(paths), total, scheduler, spec, labels,
                           action_names)

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 from .counterexample import Counterexample, counterexample_to_dict
 from .errors import DomainError
 from .pctl import (And, Atom, FalseFormula, Not, Or, PropertySpec, StateFormula,
-                   TrueFormula, eval_state_formula, format_property, to_nnf)
+                   TrueFormula, eval_state_formula, to_nnf)
 
 # Absolute tolerance for "these two probability masses coincide" tests,
 # such as ties for the top rank; masses are sums of path probabilities, so
@@ -35,23 +35,9 @@ MASS_EQ_TOL = 1e-12
 # -- probability masses ------------------------------------------------------
 
 
-def state_mass(cx: Counterexample, s: int) -> float:
-    """Probability mass of the counterexample paths that visit s."""
-    return sum(wp.probability for wp in cx.paths if s in wp.path.states)
-
-
-def transition_mass(cx: Counterexample, s: int, aid: int, t: int) -> float:
-    """Mass of the paths taking the step s -aid-> t at least once."""
-    total = 0.0
-    for wp in cx.paths:
-        for _, u, a, v in wp.path.steps():
-            if u == s and a == aid and v == t:
-                total += wp.probability
-                break
-    return total
-
-
 def _all_masses(cx: Counterexample, counter: list[int]):
+    """State and step masses: the probability of the paths that visit a
+    state, or take a (state, action id, successor) step, at least once."""
     smass: dict[int, float] = {}
     tmass: dict[tuple[int, int, int], float] = {}
     for wp in cx.paths:
@@ -189,26 +175,6 @@ def collect_causes(cx: Counterexample,
     return out
 
 
-def blame(cx: Counterexample, s: int, aid: int,
-          causes: Mapping[tuple[int, str, bool], Cause]) -> float:
-    """Degree of blame of action aid at state s within cx.
-
-    Sums, over the action's successors inside the counterexample, the
-    highest cause responsibility at the successor times the mass of the
-    paths crossing that transition. Successors without causes contribute
-    nothing.
-    """
-    best: dict[int, float] = {}
-    for (state, _, _), cause in causes.items():
-        if cause.dr > best.get(state, 0.0):
-            best[state] = cause.dr
-    total = 0.0
-    for t in sorted({v for wp in cx.paths for _, u, a, v in wp.path.steps()
-                     if u == s and a == aid}):
-        total += best.get(t, 0.0) * transition_mass(cx, s, aid, t)
-    return total
-
-
 # -- report generation -------------------------------------------------------
 
 
@@ -246,7 +212,7 @@ class DiagnosisReport:
         cx_dict = counterexample_to_dict(self.counterexample)
         return {
             "format_version": 1,
-            "property": format_property(self.spec),
+            "property": str(self.spec),
             "comparison": self.spec.comparison,
             "threshold": self.spec.threshold,
             "pmax": self.pmax,
@@ -297,9 +263,8 @@ def _cause_dict(c: Cause) -> dict:
     }
 
 
-def generate_diagnoses(cx: Counterexample, spec: Optional[PropertySpec] = None,
-                       source_map=None, pmax: Optional[float] = None
-                       ) -> DiagnosisReport:
+def generate_diagnoses(cx: Counterexample, source_map=None,
+                       pmax: Optional[float] = None) -> DiagnosisReport:
     """Rank the counterexample's actions by blame and its causes by
     responsibility times mass.
 
@@ -312,19 +277,15 @@ def generate_diagnoses(cx: Counterexample, spec: Optional[PropertySpec] = None,
 
     Ranking by responsibility times absolute mass orders causes exactly as
     the normalized variant would: normalization divides every score by the
-    same total.
+    same total. To rank under another property, pass
+    dataclasses.replace(cx, spec=...).
     """
-    if spec is None:
-        spec = cx.spec
-    if spec.path.op != "U":
+    if cx.spec.path.op != "U":
         raise DomainError("diagnosis handles until properties only")
     counter = [0]
-    work_cx = cx if spec is cx.spec else Counterexample(
-        cx.paths, cx.total_mass, cx.scheduler, spec, cx.labels,
-        cx.action_names, cx.state_names)
-    causes = collect_causes(work_cx, _counter=counter)
-    smass, tmass = _all_masses(work_cx, counter)
-    total = work_cx.total_mass
+    causes = collect_causes(cx, _counter=counter)
+    smass, tmass = _all_masses(cx, counter)
+    total = cx.total_mass
 
     sized: dict[tuple[int, str, bool], Cause] = {}
     for key, c in causes.items():
@@ -360,7 +321,7 @@ def generate_diagnoses(cx: Counterexample, spec: Optional[PropertySpec] = None,
                                              commands))
         trans.sort(key=lambda t: (-max((c.score for c in t.causes), default=0.0),
                                   t.target))
-        entries.append(BlameEntry(u, a, work_cx.action_name(a), db,
+        entries.append(BlameEntry(u, a, cx.action_name(a), db,
                                   tuple(trans)))
     entries.sort(key=lambda e: (-e.db, e.state, e.action_label))
 
@@ -372,7 +333,7 @@ def generate_diagnoses(cx: Counterexample, spec: Optional[PropertySpec] = None,
     most_blamed = tuple(e for e in entries
                         if abs(e.db - top_blame) <= MASS_EQ_TOL)
 
-    return DiagnosisReport(spec, work_cx, tuple(ranked), tuple(entries),
+    return DiagnosisReport(cx.spec, cx, tuple(ranked), tuple(entries),
                            most_responsible, most_blamed, pmax=pmax,
                            operation_count=counter[0])
 
@@ -399,7 +360,7 @@ def _pct(x: float) -> str:
 
 def render_text_report(report: DiagnosisReport, normalize: bool = False) -> str:
     cx = report.counterexample
-    lines = [f"property: {format_property(report.spec)}"]
+    lines = [f"property: {report.spec}"]
     if report.pmax is not None:
         lines.append(f"verdict: VIOLATED (Pmax = {report.pmax:.6g}, "
                      f"threshold {report.spec.threshold:g})")

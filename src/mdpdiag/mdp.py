@@ -96,10 +96,9 @@ class Mdp:
             raise DomainError(f"unknown action label {name!r}") from None
 
     def action_name(self, aid: int) -> str:
-        try:
-            return self.action_names[aid]
-        except IndexError:
-            raise DomainError(f"unknown action id {aid}") from None
+        if not 0 <= aid < len(self.action_names):
+            raise DomainError(f"unknown action id {aid}")
+        return self.action_names[aid]
 
     def choice_table(self) -> Mapping[int, tuple[tuple[int, Distribution], ...]]:
         """The compiled choices: state -> ((action id, distribution), ...).
@@ -122,9 +121,6 @@ class Mdp:
                 return dist
         name = self.action_names[aid] if 0 <= aid < len(self.action_names) else aid
         raise DomainError(f"action {name!r} not enabled at state {s}")
-
-    def successors(self, s: int, aid: int) -> set[int]:
-        return {t for t, _ in self.distribution(s, aid)}
 
     def labels_of(self, s: int) -> frozenset[str]:
         self._check_state(s)
@@ -291,27 +287,23 @@ class Scheduler:
             raise DomainError(f"scheduler undefined at state {s}") from None
 
 
+@dataclass(frozen=True)
 class Dtmc:
-    """Chain induced by fixing one action per state of an MDP.
+    """Chain induced by fixing one action per state of an MDP: its choice
+    table with one entry per state.
 
     Keeps the original MDP state ids so that paths and diagnoses refer back
-    to the source model; only states reachable from init are present.
-    provenance maps (state, successor) to the originating action id.
+    to the source model; states lists the states reachable from init in
+    ascending order, and only they have entries. transitions[s] holds the
+    (successor, probability) pairs of action[s], the action id the
+    scheduler picks at s; labels[s] is the labelling of s.
     """
 
-    def __init__(self, states, init, transitions, labels, provenance,
-                 action_names, ap_names, state_names=None):
-        self.states = tuple(sorted(states))
-        self.init = init
-        self.transitions = transitions
-        self.labels = labels
-        self.provenance = provenance
-        self.action_names = tuple(action_names)
-        self.ap_names = tuple(ap_names)
-        self.state_names = state_names
-
-    def labels_of(self, s: int) -> frozenset[str]:
-        return self.labels.get(s, frozenset())
+    states: tuple[int, ...]
+    init: int
+    transitions: Mapping[int, Distribution]
+    action: Mapping[int, int]
+    labels: Mapping[int, frozenset[str]]
 
 
 def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
@@ -323,8 +315,8 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
     reachable = []
     seen = {m.init}
     queue = deque([m.init])
-    transitions: dict[int, tuple[tuple[int, float], ...]] = {}
-    provenance: dict[tuple[int, int], int] = {}
+    transitions: dict[int, Distribution] = {}
+    action: dict[int, int] = {}
     while queue:
         s = queue.popleft()
         reachable.append(s)
@@ -336,14 +328,28 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
         for t, p in m.distribution(s, aid):
             merged[t] = merged.get(t, 0.0) + p
         transitions[s] = tuple(merged.items())
+        action[s] = aid
         for t in merged:
-            provenance[(s, t)] = aid
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
     labels = {s: m.labels_of(s) for s in reachable}
-    return Dtmc(reachable, m.init, transitions, labels, provenance,
-                m.action_names, m.ap_names, m.state_names)
+    return Dtmc(tuple(sorted(reachable)), m.init, transitions, action, labels)
+
+
+def backward_reachable(preds: Mapping[int, Iterable[int]],
+                       targets: Iterable[int]) -> set[int]:
+    """The targets and every state that reaches one of them backward along
+    preds, which maps a state to the states with a step into it."""
+    reach = set(targets)
+    stack = list(reach)
+    while stack:
+        t = stack.pop()
+        for s in preds.get(t, ()):
+            if s not in reach:
+                reach.add(s)
+                stack.append(s)
+    return reach
 
 
 # -- external text format --------------------------------------------------

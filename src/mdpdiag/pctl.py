@@ -134,10 +134,6 @@ def _fmt_number(x: float) -> str:
     return repr(x) if x != int(x) else repr(int(x))
 
 
-def format_property(spec: PropertySpec) -> str:
-    return str(spec)
-
-
 def atoms_of(phi: StateFormula) -> frozenset[str]:
     if isinstance(phi, Atom):
         return frozenset((phi.name,))
@@ -156,35 +152,28 @@ def path_atoms(psi: PathFormula) -> frozenset[str]:
 
 
 def eval_state_formula(labels: Mapping[int, AbstractSet[str]], s: int,
-                       phi: StateFormula,
-                       known_aps: Optional[Collection[str]] = None) -> bool:
-    """Evaluate phi at state s under the given labelling.
-
-    When known_aps is supplied, an atom outside it raises DomainError;
-    otherwise unknown atoms are simply false at every state.
-    """
+                       phi: StateFormula) -> bool:
+    """Evaluate phi at state s under the given labelling; an atom that
+    labels no state is false at every state."""
     if isinstance(phi, TrueFormula):
         return True
     if isinstance(phi, FalseFormula):
         return False
     if isinstance(phi, Atom):
-        if known_aps is not None and phi.name not in known_aps:
-            raise DomainError(f"unknown atomic proposition {phi.name!r}")
         return phi.name in labels.get(s, frozenset())
     if isinstance(phi, Not):
-        return not eval_state_formula(labels, s, phi.child, known_aps)
+        return not eval_state_formula(labels, s, phi.child)
     if isinstance(phi, And):
-        return (eval_state_formula(labels, s, phi.left, known_aps)
-                and eval_state_formula(labels, s, phi.right, known_aps))
+        return (eval_state_formula(labels, s, phi.left)
+                and eval_state_formula(labels, s, phi.right))
     if isinstance(phi, Or):
-        return (eval_state_formula(labels, s, phi.left, known_aps)
-                or eval_state_formula(labels, s, phi.right, known_aps))
+        return (eval_state_formula(labels, s, phi.left)
+                or eval_state_formula(labels, s, phi.right))
     raise DomainError(f"not a state formula: {phi!r}")
 
 
 def eval_path_formula(labels: Mapping[int, AbstractSet[str]],
-                      states: tuple[int, ...], psi: PathFormula,
-                      known_aps: Optional[Collection[str]] = None) -> bool:
+                      states: tuple[int, ...], psi: PathFormula) -> bool:
     """Evaluate psi on a finite state sequence.
 
     Until holds iff some position within the bound satisfies the right
@@ -196,9 +185,9 @@ def eval_path_formula(labels: Mapping[int, AbstractSet[str]],
     if psi.bound is not None:
         limit = min(limit, psi.bound)
     for j in range(limit + 1):
-        if eval_state_formula(labels, states[j], psi.right, known_aps):
+        if eval_state_formula(labels, states[j], psi.right):
             return True
-        if not eval_state_formula(labels, states[j], psi.left, known_aps):
+        if not eval_state_formula(labels, states[j], psi.left):
             return False
     return psi.op == "W"
 
@@ -252,26 +241,30 @@ _TOKEN_RE = re.compile(r"""
 
 
 @dataclass(frozen=True)
-class _Token:
+class Token:
     kind: str
     text: str
     line: int
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def tokenize(pattern: re.Pattern, text: str,
+             filename: Optional[str] = None) -> list[Token]:
+    """Split text into tokens, one per match of pattern, whose named group
+    gives the kind; the group 'ws' is dropped and an 'eof' token closes the
+    list. A character no group matches raises ParseError at its position."""
     tokens = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}",
-                             line=line, column=col)
+                             line=line, column=col, filename=filename)
         kind = m.lastgroup
         lexeme = m.group()
         if kind != "ws":
-            tokens.append(_Token(kind, lexeme, line, col))
+            tokens.append(Token(kind, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -279,20 +272,23 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             col += len(lexeme)
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, col))
     return tokens
 
 
-class _PropertyParser:
-    def __init__(self, tokens, defined_labels=None):
+class TokenCursor:
+    """A position in a token list from tokenize, for recursive-descent
+    parsers; errors name the token's line, column and the filename."""
+
+    def __init__(self, tokens: list[Token], filename: Optional[str] = None):
         self.tokens = tokens
         self.pos = 0
-        self.defined_labels = defined_labels
+        self.filename = filename
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
@@ -300,7 +296,8 @@ class _PropertyParser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise ParseError(message, line=tok.line, column=tok.column)
+        raise ParseError(message, line=tok.line, column=tok.column,
+                         filename=self.filename)
 
     def expect(self, text):
         tok = self.peek()
@@ -308,6 +305,12 @@ class _PropertyParser:
             shown = tok.text or "end of input"
             self.error(f"expected {text!r}, got {shown!r}")
         return self.advance()
+
+
+class _PropertyParser(TokenCursor):
+    def __init__(self, tokens, defined_labels=None):
+        super().__init__(tokens)
+        self.defined_labels = defined_labels
 
     def parse_property(self) -> PropertySpec:
         tok = self.peek()
@@ -410,12 +413,13 @@ def parse_property(text: str,
     built from guarded-command programs, their label definitions; for
     explicit models, the atomic propositions of the labelling).
     """
-    return _PropertyParser(_tokenize(text), defined_labels).parse_property()
+    return _PropertyParser(tokenize(_TOKEN_RE, text),
+                           defined_labels).parse_property()
 
 
 def parse_state_formula(text: str,
                         defined_labels: Optional[Collection[str]] = None) -> StateFormula:
-    parser = _PropertyParser(_tokenize(text), defined_labels)
+    parser = _PropertyParser(tokenize(_TOKEN_RE, text), defined_labels)
     phi = parser.parse_or()
     tok = parser.peek()
     if tok.kind != "eof":

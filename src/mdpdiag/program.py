@@ -32,6 +32,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import Mdp
+from .pctl import TokenCursor, tokenize
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -263,9 +264,6 @@ class Program:
     labels: tuple[LabelDef, ...]
     filename: Optional[str] = None
 
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(l.name for l in self.labels)
-
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -278,64 +276,7 @@ _PM_TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize_program(text: str, filename=None) -> list[_Tok]:
-    toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _PM_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line=line, column=col, filename=filename)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
-class _ProgramParser:
-    def __init__(self, tokens, filename=None):
-        self.toks = tokens
-        self.pos = 0
-        self.filename = filename
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def advance(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def error(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, line=tok.line, column=tok.column,
-                         filename=self.filename)
-
-    def expect(self, text):
-        t = self.peek()
-        if t.text != text:
-            shown = t.text or "end of input"
-            self.error(f"expected {text!r}, got {shown!r}")
-        return self.advance()
-
+class _ProgramParser(TokenCursor):
     def expect_ident(self, what="an identifier"):
         t = self.peek()
         if t.kind != "ident" or t.text in _KEYWORDS:
@@ -561,7 +502,8 @@ class _ProgramParser:
 
 
 def parse_program(text: str, filename: Optional[str] = None) -> Program:
-    return _ProgramParser(_tokenize_program(text, filename), filename).parse_program()
+    return _ProgramParser(tokenize(_PM_TOKEN_RE, text, filename),
+                          filename).parse_program()
 
 
 # -- constant folding and validation ----------------------------------------
@@ -799,11 +741,6 @@ class SourceMap:
 
     def items(self):
         return self._map.items()
-
-    @staticmethod
-    def display_action(name: str) -> str:
-        """Reported label of a possibly disambiguated action name."""
-        return name.split("#", 1)[0]
 
 
 def build_mdp(program: Program,

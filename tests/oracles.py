@@ -7,9 +7,11 @@ listing instead of best-first search, and brute-force label flips instead
 of syntactic cause extraction. The flip oracles (is_critical,
 responsibility_oracle) and the structural propositions of the diagnosis
 (check_prop1, check_prop2) are built on the public functions of the
-package: path formula evaluation, the mass threshold test, causes, blame
-and masses. Keep this module free of imports from the package internals
-beyond those public functions and the mass tolerance of the diagnosis.
+package: path formula evaluation, the mass threshold test and causes.
+State mass, transition mass and blame are rescanned here path by path,
+as references for the one mass index inside generate_diagnoses. Keep
+this module free of imports from the package internals beyond those
+public functions and the mass tolerance of the diagnosis.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from mdpdiag import (BudgetError, Counterexample, DomainError, Mdp, blame,
+from mdpdiag import (BudgetError, Cause, Counterexample, DomainError, Mdp,
                      collect_causes, eval_path_formula, mass_exceeds,
-                     path_atoms, state_mass, transition_mass)
+                     path_atoms)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 
 DEFAULT_ORACLE_VAR_CAP = 20
@@ -256,6 +258,45 @@ def responsibility_oracle(cx: Counterexample, s: int,
             if not mass_exceeds(cx.spec, _satisfying_mass(cx, beyond)):
                 return 1.0 / (size + 1)
     return None
+
+# -- masses and blame by rescanning the paths ---------------------------------
+
+
+def state_mass(cx: Counterexample, s: int) -> float:
+    """Probability mass of the counterexample paths that visit s."""
+    return sum(wp.probability for wp in cx.paths if s in wp.path.states)
+
+
+def transition_mass(cx: Counterexample, s: int, aid: int, t: int) -> float:
+    """Mass of the paths taking the step s -aid-> t at least once."""
+    total = 0.0
+    for wp in cx.paths:
+        for _, u, a, v in wp.path.steps():
+            if u == s and a == aid and v == t:
+                total += wp.probability
+                break
+    return total
+
+
+def blame(cx: Counterexample, s: int, aid: int,
+          causes: Mapping[tuple[int, str, bool], Cause]) -> float:
+    """Degree of blame of action aid at state s within cx.
+
+    Sums, over the action's successors inside the counterexample, the
+    highest cause responsibility at the successor times the mass of the
+    paths crossing that transition. Successors without causes contribute
+    nothing.
+    """
+    best: dict[int, float] = {}
+    for (state, _, _), cause in causes.items():
+        if cause.dr > best.get(state, 0.0):
+            best[state] = cause.dr
+    total = 0.0
+    for t in sorted({v for wp in cx.paths for _, u, a, v in wp.path.steps()
+                     if u == s and a == aid}):
+        total += best.get(t, 0.0) * transition_mass(cx, s, aid, t)
+    return total
+
 
 # -- structural propositions -------------------------------------------------
 

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -121,11 +122,10 @@ class TestEnumeration:
             m = random_layered_mdp(rng)
             sched = Scheduler({s: m.enabled_actions(s)[0] for s in m.states})
             d = induce_dtmc(m, sched)
-            known = set(d.ap_names)
             sat1 = {s for s in d.states
-                    if eval_state_formula(d.labels, s, psi.left, known)}
+                    if eval_state_formula(d.labels, s, psi.left)}
             sat2 = {s for s in d.states
-                    if eval_state_formula(d.labels, s, psi.right, known)}
+                    if eval_state_formula(d.labels, s, psi.right)}
             trans = {s: d.transitions[s] for s in d.states}
             want = {tuple(states): p
                     for states, p in list_satisfying_paths(trans, d.init,
@@ -155,8 +155,8 @@ class TestEnumeration:
                       for s in range(n)}
             d = induce_dtmc(Mdp(n, 0, trans, labels),
                             Scheduler({s: 0 for s in range(n)}))
-            sat1 = {s for s in d.states if "p" in d.labels_of(s)}
-            sat2 = {s for s in d.states if "g" in d.labels_of(s)}
+            sat1 = {s for s in d.states if "p" in d.labels[s]}
+            sat2 = {s for s in d.states if "g" in d.labels[s]}
 
             def cost(states):
                 c = 0.0
@@ -280,7 +280,8 @@ class TestVerification:
 
     def test_external_labelling_overrides_embedded(self):
         cx = make_cx([wp((0, 2), 0.5)], 0.5)
-        problems = verify_counterexample(cx, labels={0: {"g"}, 2: {"g"}})
+        problems = verify_counterexample(replace(cx, labels={0: {"g"},
+                                                             2: {"g"}}))
         assert any("until target" in p for p in problems)
 
     def test_weak_until_spec_rejected(self):
@@ -428,6 +429,41 @@ class TestJsonInterchange:
             counterexample_from_dict(data)
         with pytest.raises(ParseError, match="malformed path entry 0"):
             counterexample_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["labels"].update({"1": "ab"}),
+        lambda d: d["labels"].update({"1": ["a", 1]}),
+        lambda d: d["labels"].update({" 1": d["labels"].pop("1")}),
+        lambda d: d["labels"].update({"+0": d["labels"].pop("0")}),
+        lambda d: d["scheduler"].update({" 1": d["scheduler"].pop("1")}),
+        lambda d: d["scheduler"].update({"+0": d["scheduler"].pop("0")}),
+        lambda d: d["paths"][0].update({"probability": "0.25"}),
+        lambda d: d["paths"][0].update({"probability": True}),
+        lambda d: d["paths"][0].update({"probability": 10 ** 400}),
+        lambda d: d.update({"total_mass": "0.6"}),
+        lambda d: d.update({"total_mass": True}),
+        lambda d: d.update({"total_mass": 10 ** 400}),
+        lambda d: d["paths"][0].update({"actions": [0, 1]}),
+        lambda d: d["scheduler"].update({"0": 0}),
+    ], ids=["labels-string", "labels-number", "label-key-space",
+            "label-key-plus", "scheduler-key-space", "scheduler-key-plus",
+            "probability-string", "probability-bool", "probability-huge",
+            "total-mass-string", "total-mass-bool", "total-mass-huge",
+            "actions-numbers", "scheduler-number"])
+    def test_ill_typed_fields_rejected(self, edit):
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        edit(data)
+        with pytest.raises(ParseError):
+            counterexample_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("aid", [-1, 8])
+    @pytest.mark.parametrize("owner", ["mdp", "counterexample"])
+    def test_action_id_outside_the_table_is_unknown(self, owner, aid):
+        # the demo model and its exported trace both name alpha0..alpha7
+        named = demo_mdp() if owner == "mdp" else counterexample_from_json(
+            (GOLDEN / "demo.cx.json").read_text())
+        with pytest.raises(DomainError, match=f"unknown action id {aid}"):
+            named.action_name(aid)
 
     def test_golden_export_still_imports(self):
         cx = counterexample_from_json((GOLDEN / "demo.cx.json").read_text())

@@ -18,9 +18,9 @@ import pytest
 from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
                      PathFormula, PropertySpec, Scheduler, WeightedPath,
                      collect_causes, diagnosis, enumerate_satisfying_paths,
-                     eval_state_formula, find_causes, format_property,
-                     generate_diagnoses, induce_dtmc, mass_exceeds,
-                     parse_state_formula, to_nnf, verify_counterexample)
+                     eval_state_formula, find_causes, generate_diagnoses,
+                     induce_dtmc, mass_exceeds, parse_state_formula, to_nnf,
+                     verify_counterexample)
 
 # -- the reference: earlier per-position versions ----------------------------
 
@@ -67,7 +67,7 @@ def reference_verify_counterexample(cx, labels=None):
                    f"probability sum {mass!r}")
     if not mass_exceeds(cx.spec, cx.total_mass):
         out.append(f"total mass {cx.total_mass!r} does not witness violation "
-                   f"of {format_property(cx.spec)}")
+                   f"of {cx.spec}")
     return out
 
 
@@ -353,7 +353,7 @@ def test_external_labelling_matches_reference():
     for cx in CXS[:50]:
         labels = {s: frozenset(ap for ap in APS if rng.random() < 0.5)
                   for s in cx.labels}
-        assert (verify_counterexample(cx, labels)
+        assert (verify_counterexample(replace(cx, labels=labels))
                 == reference_verify_counterexample(cx, labels))
 
 

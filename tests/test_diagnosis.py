@@ -2,14 +2,15 @@
 
 import pytest
 
+from dataclasses import replace
+
 from mdpdiag import (TRUE, And, Atom, BudgetError, Counterexample,
-                     DomainError, FinitePath, Not, Or, WeightedPath, blame,
+                     DomainError, FinitePath, Not, Or, WeightedPath,
                      blame_gap_mdp, blame_gap_property, build_mipcx,
                      collect_causes, demo_mdp, demo_property, find_causes,
-                     generate_diagnoses, parse_property, state_mass,
-                     transition_mass)
-from oracles import (check_prop1, check_prop2, is_critical,
-                     responsibility_oracle)
+                     generate_diagnoses, parse_property)
+from oracles import (blame, check_prop1, check_prop2, is_critical,
+                     responsibility_oracle, state_mass, transition_mass)
 
 
 def demo_cx():
@@ -310,18 +311,18 @@ class TestReport:
         assert one.to_json() == two.to_json()
         assert one.render_text() == two.render_text()
 
-    def test_spec_override_rebuilds_context(self):
+    def test_report_follows_the_counterexample_spec(self):
         cx = demo_cx()
         spec = parse_property("P<0.45 [ (a|b) U (c&d) ]")
-        report = generate_diagnoses(cx, spec=spec)
+        report = generate_diagnoses(replace(cx, spec=spec))
         assert report.spec is spec
         assert report.counterexample.spec is spec
         assert cx.spec.threshold == 0.5  # input untouched
 
     def test_weak_until_rejected(self):
-        cx = demo_cx()
+        cx = replace(demo_cx(), spec=parse_property("P<=0.5 [ a W c ]"))
         with pytest.raises(DomainError, match="until"):
-            generate_diagnoses(cx, spec=parse_property("P<=0.5 [ a W c ]"))
+            generate_diagnoses(cx)
 
     def test_dict_shape(self):
         report = generate_diagnoses(demo_cx(), pmax=0.882)

@@ -39,7 +39,7 @@ class TestConstruction:
     def test_distribution_and_successors(self):
         m = two_action_mdp()
         assert m.distribution(0, m.action_id("go")) == ((1, 0.5), (2, 0.5))
-        assert m.successors(0, m.action_id("go")) == {1, 2}
+        assert {t for t, _ in m.distribution(0, m.action_id("go"))} == {1, 2}
 
     def test_disabled_action_raises(self):
         m = two_action_mdp()
@@ -185,9 +185,9 @@ class TestScheduler:
         assert d.states == (0, 1, 2)
         assert d.init == 0
         assert dict(d.transitions[0]) == {1: 0.5, 2: 0.5}
-        assert d.provenance[(0, 1)] == m.action_id("go")
-        assert d.provenance[(1, 1)] == m.action_id("stay")
-        assert d.labels_of(1) == frozenset({"goal"})
+        assert d.action == {0: m.action_id("go"), 1: m.action_id("stay"),
+                            2: m.action_id("stay")}
+        assert d.labels[1] == frozenset({"goal"})
 
     def test_induce_only_reachable_states(self):
         m = two_action_mdp()

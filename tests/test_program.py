@@ -61,7 +61,7 @@ class TestParsing:
         assert [v.name for v in mod.variables] == ["c"]
         assert [c.label for c in mod.commands] == ["tick", "stay"]
         assert mod.commands[0].line == 3
-        assert prog.label_names() == ("full",)
+        assert [l.name for l in prog.labels] == ["full"]
 
     def test_updates_and_probabilities(self):
         prog = parse_program(SYNC)
@@ -283,8 +283,6 @@ class TestElaboration:
         assert enabled_names(m, 1) == ["go#1.1"]
         assert enabled_names(m, 2) == ["go#1.0"]
         assert enabled_names(m, 3) == ["go#0.1"]
-        assert SourceMap.display_action("go#1.0") == "go"
-        assert SourceMap.display_action("go") == "go"
 
     def test_blocked_synchronization(self):
         text = ("module one\n x : [0..1] init 0;\n"

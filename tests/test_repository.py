@@ -1,0 +1,40 @@
+"""Properties of the source tree and its documentation: no module of the
+package imports a private name of another, and every python example in
+README.md runs."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mdpdiag").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_import_from_a_sibling(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = [f"line {node.lineno}: {alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("mdpdiag"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_example_runs(code, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {"__name__": "__readme__"})
+    assert capsys.readouterr().out
