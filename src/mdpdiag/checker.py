@@ -8,7 +8,8 @@ negated formula and callers are expected to rewrite it that way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import BudgetError, DomainError
@@ -18,6 +19,10 @@ from .pctl import PathFormula, PropertySpec, eval_state_formula
 DEFAULT_EPSILON = 1e-6
 # Extraction treats one-step backups within this of the best one as tied.
 SCHEDULER_TIE_TOL = 1e-9
+
+# model -> {(path formula, epsilon, max_iterations): ValueVector}. An entry
+# dies with its model; models are immutable after construction.
+_PMAX_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -93,9 +98,10 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
 
     Right-operand states are fixed at one and states that cannot reach one
     through left-operand states at zero; the rest converge by value
-    iteration until the sup-norm residual drops below epsilon. A step bound
-    runs exactly that many backward steps instead (the result then is the
-    optimum over step-dependent choices). Weak until is not supported here.
+    iteration until the sup-norm residual drops below epsilon, which must
+    be positive and finite. A step bound runs exactly that many backward
+    steps instead (the result then is the optimum over step-dependent
+    choices). Weak until is not supported here.
     Atoms are evaluated against the labels alone: an atom that labels no
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
@@ -106,12 +112,29 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     its message and partial give the residual reached (inf for no sweep).
     A successor outside the states of an interior state, one validate_mdp
     reports, raises DomainError.
+
+    Results are memoized per model, path formula, epsilon and
+    max_iterations, for as long as the model lives, so the model must not
+    be mutated after its first check. Every call returns its own copy of
+    the values; errors are not memoized.
     """
     if psi.op != "U":
         raise DomainError("only until path formulas have a checked maximal "
                           "probability; weak until is not supported")
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, "
+                          f"got {epsilon}")
+    key = (psi, epsilon, max_iterations)
+    vv = _PMAX_MEMO.get(m, {}).get(key)
+    if vv is None:
+        vv = _value_iteration(m, psi, epsilon, max_iterations)
+        _PMAX_MEMO.setdefault(m, {})[key] = vv
+    return replace(vv, values=list(vv.values))
+
+
+def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
+                     max_iterations: int) -> ValueVector:
+    """compute_pmax on a memo miss, with its arguments already checked."""
     sat1, sat2 = _sat_sets(m, psi)
     choices = m.choice_table()
     interior = [s for s in m.states if s in sat1 and s not in sat2]
@@ -201,7 +224,12 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
 def check_property(m: Mdp, spec: PropertySpec,
                    epsilon: float = DEFAULT_EPSILON) -> Verdict:
     """Decide an upper-threshold property and, when violated, attach a
-    probability-maximizing scheduler as witness."""
+    probability-maximizing scheduler as witness.
+
+    The value vector comes from compute_pmax, memoized per model, path
+    formula, epsilon and iteration budget, so build_mipcx on the same model
+    and property reuses it; the model must not be mutated in between.
+    """
     if spec.comparison not in ("<=", "<"):
         raise DomainError(
             f"only upper-threshold comparisons are checked, got "

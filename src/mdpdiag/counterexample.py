@@ -32,9 +32,10 @@ CX_FORMAT_VERSION = 1
 class Counterexample:
     """Paths plus the context needed to diagnose them without the model.
 
-    labels carries the labelling of every state that occurs on some path;
-    action_names maps the action ids appearing in paths and scheduler back
-    to their labels.
+    labels carries the labelling of every state that occurs on some path,
+    and state_names, when the model has names, the name of each such
+    state; action_names maps the action ids appearing in paths and
+    scheduler back to their labels.
     """
 
     paths: tuple[WeightedPath, ...]
@@ -43,7 +44,7 @@ class Counterexample:
     spec: PropertySpec
     labels: Mapping[int, frozenset[str]]
     action_names: tuple[str, ...]
-    state_names: Optional[tuple[str, ...]] = None
+    state_names: Optional[Mapping[int, str]] = None
 
     def action_name(self, aid: int) -> str:
         if not 0 <= aid < len(self.action_names):
@@ -57,7 +58,7 @@ class Counterexample:
         return out
 
     def state_name(self, s: int) -> str:
-        if self.state_names is not None and 0 <= s < len(self.state_names):
+        if self.state_names is not None and s in self.state_names:
             return self.state_names[s]
         return str(s)
 
@@ -113,12 +114,15 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     the lexicographic order of the state sequences. The stream stops after
     max_paths paths (none at all for a cap of zero or less) or once the
     next candidate's probability drops below min_prob; without both bounds
-    it can be infinite on cyclic chains.
+    it can be infinite on cyclic chains. A NaN min_prob raises DomainError
+    (it would switch the floor off).
     An atom that labels no state of d is false everywhere, so a target
     named by such an atom yields no path.
     """
     if psi.op != "U":
         raise DomainError("path enumeration handles until formulas only")
+    if math.isnan(min_prob):
+        raise DomainError("min_prob must be a number, got nan")
     if max_paths is not None and max_paths <= 0:
         return
     sat1 = {s for s in d.states if eval_state_formula(d.labels, s, psi.left)}
@@ -176,11 +180,13 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
                 min_prob: float = DEFAULT_MIN_PROB) -> Counterexample:
     """Smallest greedy set of most-probable violating paths for spec on m.
 
-    Checks the property first (DomainError if it holds), induces the chain
-    of the witness scheduler, and keeps accumulating the most probable
-    satisfying paths until their mass witnesses the violation. If the path
-    budget or probability floor cuts the stream off first, a BudgetError
-    carrying the gathered mass is raised.
+    Checks the property first (DomainError if it holds; the value vector
+    of an earlier check of the same m, formula and epsilon is reused, see
+    compute_pmax), induces the chain of the witness scheduler, and keeps
+    accumulating the most probable satisfying paths until their mass
+    witnesses the violation. If the path budget or probability floor cuts
+    the stream off first, a BudgetError carrying the gathered mass is
+    raised.
     """
     verdict = check_property(m, spec, epsilon)
     if verdict.holds:
@@ -197,10 +203,13 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
             states: set[int] = set()
             for g in gathered:
                 states.update(g.path.states)
-            labels = {s: m.labels_of(s) for s in sorted(states)}
+            on_paths = sorted(states)
+            labels = {s: m.labels_of(s) for s in on_paths}
+            names = None
+            if m.state_names is not None:
+                names = {s: m.state_name(s) for s in on_paths}
             return Counterexample(tuple(gathered), total, verdict.witness,
-                                  spec, labels, tuple(m.action_names),
-                                  m.state_names)
+                                  spec, labels, tuple(m.action_names), names)
     raise BudgetError(
         f"counterexample incomplete: gathered mass {total!r} from "
         f"{len(gathered)} paths does not witness violation of "
@@ -273,7 +282,7 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
     if cx.scheduler is not None:
         for s in sorted(cx.scheduler.choice):
             sched[str(s)] = cx.action_name(cx.scheduler.choice[s])
-    return {
+    out = {
         "format_version": CX_FORMAT_VERSION,
         "property": str(cx.spec),
         "comparison": cx.spec.comparison,
@@ -281,15 +290,19 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
         "total_mass": cx.total_mass,
         "scheduler": sched,
         "labels": {str(s): sorted(cx.labels[s]) for s in sorted(cx.labels)},
-        "paths": [
-            {
-                "states": list(wp.path.states),
-                "actions": [cx.action_name(a) for a in wp.path.actions],
-                "probability": wp.probability,
-            }
-            for wp in cx.paths
-        ],
     }
+    if cx.state_names is not None:
+        out["state_names"] = {str(s): cx.state_names[s]
+                              for s in sorted(cx.state_names)}
+    out["paths"] = [
+        {
+            "states": list(wp.path.states),
+            "actions": [cx.action_name(a) for a in wp.path.actions],
+            "probability": wp.probability,
+        }
+        for wp in cx.paths
+    ]
+    return out
 
 
 def counterexample_to_json(cx: Counterexample) -> str:
@@ -319,6 +332,28 @@ def _number(x) -> float:
     return float(x)
 
 
+def _name(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"not a name: {x!r}")
+    return x
+
+
+def _name_set(x) -> frozenset[str]:
+    if not isinstance(x, list):
+        raise TypeError(f"not a list of names: {x!r}")
+    return frozenset(map(_name, x))
+
+
+def _state_keyed(raw, value, field: str, what: str) -> dict:
+    """A JSON object keyed by canonical state ids, each value converted
+    by value (TypeError when malformed); ParseError for anything else."""
+    try:
+        return {_state_id(k): value(v) for k, v in raw.items()}
+    except (ValueError, TypeError, AttributeError):
+        raise ParseError(f"counterexample {field} must map state ids to "
+                         f"{what}") from None
+
+
 def counterexample_from_dict(data: dict) -> Counterexample:
     """Rebuild a counterexample from its JSON form.
 
@@ -331,16 +366,12 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     if version != CX_FORMAT_VERSION:
         raise ParseError(f"unsupported counterexample format_version {version!r}")
 
-    raw_labels = _require(data, "labels")
-    labels: dict[int, frozenset[str]] = {}
-    try:
-        for k, v in raw_labels.items():
-            if not isinstance(v, list) or not set(map(type, v)) <= {str}:
-                raise TypeError(f"labels of {k!r} are not a list of names")
-            labels[_state_id(k)] = frozenset(v)
-    except (ValueError, TypeError, AttributeError):
-        raise ParseError("counterexample labels must map state ids to "
-                         "lists of names") from None
+    labels = _state_keyed(_require(data, "labels"), _name_set,
+                          "labels", "lists of names")
+    state_names = None
+    if "state_names" in data:
+        state_names = _state_keyed(data["state_names"], _name, "state_names",
+                                   "names")
 
     spec = parse_property(str(_require(data, "property")),
                           defined_labels=set().union(*labels.values(), set()))
@@ -394,7 +425,7 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     except (ValueError, TypeError, OverflowError):
         raise ParseError("total_mass must be a number") from None
     return Counterexample(tuple(paths), total, scheduler, spec, labels,
-                          action_names)
+                          action_names, state_names)
 
 
 def counterexample_from_json(text: str) -> Counterexample:

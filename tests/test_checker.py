@@ -1,14 +1,17 @@
 """Value iteration, scheduler extraction, and threshold verdicts."""
 
+import gc
+import math
 import random
+import weakref
 
 import pytest
 
 from mdpdiag import (Atom, BudgetError, DomainError, Mdp, PathFormula,
                      PropertySpec, Scheduler, check_property, compute_pmax,
                      demo_mdp, demo_property, eval_state_formula,
-                     extract_max_scheduler, induce_dtmc, mass_exceeds,
-                     parse_property)
+                     build_mipcx, extract_max_scheduler, induce_dtmc,
+                     mass_exceeds, parse_property)
 
 from oracles import (bounded_pmax_exact, dtmc_reach_exact, exhaustive_pmax,
                      random_mdp)
@@ -107,10 +110,14 @@ class TestComputePmax:
         with pytest.raises(DomainError, match="weak until"):
             compute_pmax(demo_mdp(), PathFormula(Atom("a"), Atom("c"), op="W"))
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.inf, -math.inf,
+                                     math.nan])
     def test_bad_epsilon_rejected(self, eps):
+        # inf would stop after one sweep, nan would never stop
         with pytest.raises(DomainError, match="epsilon"):
             compute_pmax(demo_mdp(), demo_property().path, epsilon=eps)
+        with pytest.raises(DomainError, match="epsilon"):
+            check_property(demo_mdp(), demo_property(), epsilon=eps)
 
     def test_iteration_budget(self):
         m = Mdp(2, 0, {
@@ -161,6 +168,55 @@ class TestComputePmax:
             got = compute_pmax(m, PQ, epsilon=1e-9).values[m.init]
             want = exhaustive_pmax(m, interior, targets)
             assert got == pytest.approx(want, abs=1e-6)
+
+
+class TestPmaxMemo:
+    def test_second_call_returns_an_equal_private_copy(self, sweep_calls):
+        m, psi = demo_mdp(), demo_property().path
+        first = compute_pmax(m, psi)
+        second = compute_pmax(m, psi)
+        assert len(sweep_calls) == 1
+        assert second == first
+        assert second.values is not first.values
+        first.values[0] = -1.0
+        third = compute_pmax(m, psi)
+        assert third.values == second.values
+        assert third.values[0] == pytest.approx(0.882, abs=1e-9)
+
+    def test_other_arguments_or_model_recompute(self, sweep_calls):
+        m, psi = demo_mdp(), demo_property().path
+        compute_pmax(m, psi)
+        compute_pmax(m, psi, epsilon=1e-9)
+        compute_pmax(m, psi, max_iterations=500)
+        compute_pmax(m, PathFormula(psi.left, psi.right, bound=2))
+        compute_pmax(demo_mdp(), psi)
+        assert len(sweep_calls) == 5
+        compute_pmax(m, PathFormula(psi.left, psi.right))
+        compute_pmax(m, psi, epsilon=1e-9)
+        assert len(sweep_calls) == 5
+
+    def test_budget_error_is_not_memoized(self, sweep_calls):
+        m = coin_mdp()
+        for _ in range(2):
+            with pytest.raises(BudgetError):
+                compute_pmax(m, PQ, epsilon=1e-12, max_iterations=1)
+        assert len(sweep_calls) == 2
+
+    def test_check_then_build_shares_one_run(self, sweep_calls):
+        m = demo_mdp()
+        check_property(m, demo_property())
+        build_mipcx(m, demo_property())
+        assert len(sweep_calls) == 1
+
+    def test_entry_dies_with_its_model(self):
+        m = demo_mdp()
+        check_property(m, demo_property())
+        cx = build_mipcx(m, demo_property())
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+        assert cx.total_mass == pytest.approx(0.6, abs=1e-12)
 
 
 class TestSchedulerExtraction:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,15 @@ class TestCheck:
     def test_bad_epsilon(self, capsys):
         code, _, err = run(capsys, "check", "--epsilon", "-1", *demo_args())
         assert code == 2 and "epsilon" in err
+
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    @pytest.mark.parametrize("eps", ["0", "inf", "-inf", "nan"])
+    def test_epsilon_must_be_positive_and_finite(self, capsys, command, eps):
+        # inf once printed Pmax = 0 and HOLDS; nan ran out of sweeps
+        code, out, err = run(capsys, command, f"--epsilon={eps}",
+                             *demo_args())
+        assert code == 2 and "epsilon must be positive and finite" in err
+        assert out == ""
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "verdict.txt"
@@ -228,6 +238,18 @@ class TestDiagnose:
         assert code == 3
         assert "gathered mass 0.0 from 0 paths" in err
 
+    def test_nan_min_prob_rejected(self, capsys):
+        code, out, err = run(capsys, "diagnose", "--min-prob", "nan",
+                             *demo_args())
+        assert code == 2 and "min_prob" in err
+        assert out == ""
+
+    def test_checks_once(self, capsys, sweep_calls):
+        # build_mipcx reuses the value vector of the CLI's own check
+        code, _, _ = run(capsys, "diagnose", *demo_args())
+        assert code == 1
+        assert len(sweep_calls) == 1
+
     def test_program_model_report_carries_source_lines(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--model",
                            str(MODELS / "zeroconf.pm"), "--props-file",
@@ -283,6 +305,24 @@ class TestDiagnoseTrace:
         path.write_text("{broken")
         code, _, err = run(capsys, "diagnose-trace", "--trace", str(path))
         assert code == 2 and "invalid JSON" in err
+
+    def test_program_model_trace_keeps_state_names(self, capsys, tmp_path):
+        path = tmp_path / "cx.json"
+        csma = ("--model", str(MODELS / "csma.pm"), "--props-file",
+                str(MODELS / "csma.props"))
+        code, direct, _ = run(capsys, "diagnose", "--export-cx", str(path),
+                              *csma)
+        assert code == 1
+        code, traced, _ = run(capsys, "diagnose-trace", "--trace", str(path))
+        assert code == 1
+
+        def path_lines(report):
+            return [ln for ln in report.splitlines()
+                    if re.match(r" +\d+\) ", ln)]
+
+        assert len(path_lines(direct)) == 3
+        assert path_lines(traced) == path_lines(direct)
+        assert "busy=0,s1=0,r1=0,s2=0,r2=0 -start1->" in path_lines(traced)[0]
 
     def test_normalize(self, capsys, tmp_path):
         path, _ = self.export(capsys, tmp_path)

@@ -31,6 +31,18 @@ def probs(stream):
     return [wp.probability for wp in stream]
 
 
+def named_mdp():
+    """Half the mass reaches t in one step; state 2 is never on a path."""
+    return Mdp(3, 0, {(0, "go"): [(1, 0.5), (2, 0.5)],
+                      (1, "stay"): [(1, 1.0)],
+                      (2, "stay"): [(2, 1.0)]},
+               labels={0: {"g"}, 1: {"t"}},
+               state_names=("x=0", "x=1", "x=2"))
+
+
+NAMED_PROP = "P<=0.4 [ g U t ]"
+
+
 class TestEnumeration:
     def test_demo_order_and_values(self):
         got = list(enumerate_satisfying_paths(demo_chain(),
@@ -63,6 +75,15 @@ class TestEnumeration:
                                                max_paths=cap)) == []
         assert len(list(enumerate_satisfying_paths(demo_chain(), at_target,
                                                    max_paths=1))) == 1
+
+    def test_nan_min_prob_rejected(self):
+        # nan compares false with every probability: no floor at all
+        with pytest.raises(DomainError, match="min_prob"):
+            list(enumerate_satisfying_paths(demo_chain(),
+                                            demo_property().path,
+                                            min_prob=math.nan))
+        with pytest.raises(DomainError, match="min_prob"):
+            build_mipcx(demo_mdp(), demo_property(), min_prob=math.nan)
 
     def test_min_prob_cuts_the_stream(self):
         got = list(enumerate_satisfying_paths(demo_chain(),
@@ -217,6 +238,13 @@ class TestBuildMipcx:
         assert [cx.action_name(a) for a in first.actions] == ["alpha0",
                                                               "alpha1"]
         assert cx.state_name(0) == "0"
+        assert cx.state_names is None
+
+    def test_state_names_cover_exactly_the_path_states(self):
+        cx = build_mipcx(named_mdp(), parse_property(NAMED_PROP))
+        assert cx.state_names == {0: "x=0", 1: "x=1"}
+        assert cx.state_name(1) == "x=1"
+        assert cx.state_name(2) == "2"
 
     def test_verifies_clean(self):
         cx = build_mipcx(demo_mdp(), demo_property())
@@ -328,6 +356,34 @@ class TestJsonInterchange:
                                     "probability": 0.25}
         assert data["labels"]["3"] == ["c", "d"]
         assert data["scheduler"]["0"] == "alpha0"
+
+    def test_state_names_round_trip(self):
+        cx = build_mipcx(named_mdp(), parse_property(NAMED_PROP))
+        data = counterexample_to_dict(cx)
+        assert data["state_names"] == {"0": "x=0", "1": "x=1"}
+        again = counterexample_from_json(counterexample_to_json(cx))
+        assert again.state_names == cx.state_names
+        assert counterexample_to_dict(again) == data
+
+    def test_unnamed_export_has_no_state_names(self):
+        assert "state_names" not in self.base()
+        assert counterexample_from_dict(self.base()).state_names is None
+
+    @pytest.mark.parametrize("names", [
+        ["x=0", "x=1"],
+        {"0": "x=0", "1": 1},
+        {"0": "x=0", "1": ["x=1"]},
+        {"0": "x=0", " 1": "x=1"},
+        {"+0": "x=0", "1": "x=1"},
+        {"0": "x=0", "one": "x=1"},
+    ], ids=["list", "number", "list-value", "key-space", "key-plus",
+            "key-word"])
+    def test_bad_state_names_rejected(self, names):
+        data = counterexample_to_dict(build_mipcx(named_mdp(),
+                                                  parse_property(NAMED_PROP)))
+        data["state_names"] = names
+        with pytest.raises(ParseError, match="state_names"):
+            counterexample_from_json(json.dumps(data))
 
     def test_invalid_json_text(self):
         with pytest.raises(ParseError, match="invalid JSON"):
