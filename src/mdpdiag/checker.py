@@ -99,9 +99,9 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     Right-operand states are fixed at one and states that cannot reach one
     through left-operand states at zero; the rest converge by value
     iteration until the sup-norm residual drops below epsilon, which must
-    be positive and finite. A step bound runs exactly that many backward
-    steps instead (the result then is the optimum over step-dependent
-    choices). Weak until is not supported here.
+    lie strictly between 0 and 1. A step bound runs exactly that many
+    backward steps instead (the result then is the optimum over
+    step-dependent choices). Weak until is not supported here.
     Atoms are evaluated against the labels alone: an atom that labels no
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
@@ -121,8 +121,9 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     if psi.op != "U":
         raise DomainError("only until path formulas have a checked maximal "
                           "probability; weak until is not supported")
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, "
+    if not 0 < epsilon < 1:
+        # a residual never exceeds 1, so epsilon >= 1 stops after one sweep
+        raise DomainError(f"epsilon must be positive and finite and below 1, "
                           f"got {epsilon}")
     key = (psi, epsilon, max_iterations)
     vv = _PMAX_MEMO.get(m, {}).get(key)

@@ -24,7 +24,7 @@ from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
                              counterexample_to_json, verify_counterexample)
 from .diagnosis import generate_diagnoses
 from .errors import BudgetError, DomainError, ParseError
-from .mdp import parse_explicit_model, validate_mdp
+from .mdp import content_lines, parse_explicit_model, validate_mdp
 from .pctl import parse_property, path_atoms
 from .program import DEFAULT_STATE_CAP, build_mdp, parse_program
 
@@ -81,10 +81,8 @@ def _detect_format(path: str, text: str) -> str:
         return "explicit"
     if ext in (".pm", ".nm", ".prism"):
         return "program"
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return "explicit" if line.split()[0] == "STATES" else "program"
+    for _, line in content_lines(text):
+        return "explicit" if line.split()[0] == "STATES" else "program"
     return "explicit"
 
 
@@ -118,11 +116,7 @@ def _property_text(args) -> str:
         return args.prop
     if not args.props_file:
         raise _UsageError("a property is required: --prop or --props-file")
-    found = []
-    for raw in _read_text(args.props_file).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            found.append(line)
+    found = [line for _, line in content_lines(_read_text(args.props_file))]
     if len(found) != 1:
         raise _UsageError(f"{args.props_file}: expected exactly one property, "
                           f"found {len(found)}")

@@ -138,8 +138,9 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
 
     preds: dict[int, list[int]] = {}
     for s in sat1 - sat2:
-        for t, _ in d.transitions.get(s, ()):
-            preds.setdefault(t, []).append(s)
+        for _, dist in d.choices[s]:
+            for t, _ in dist:
+                preds.setdefault(t, []).append(s)
     alive = backward_reachable(preds, sat2)
     if d.init not in alive:
         return
@@ -147,7 +148,8 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     bound = psi.bound
     # Heap entries: (cost, prefix, probability, complete). A prefix shares
     # its ancestors with every other path through them; states and actions
-    # are materialised only for emitted paths.
+    # are materialised only for emitted paths. (cost, prefix) orders the
+    # entries totally, so the order of pushes never shows in the pops.
     heap = [(0.0, _Prefix(d.init, None, None), 1.0, False)]
     emitted = 0
     while heap:
@@ -162,17 +164,16 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
             continue
         if bound is not None and prefix.length >= bound:
             continue
-        u = prefix.state
-        aid = d.action[u]
-        for t, p in sorted(d.transitions.get(u, ())):
-            if t in sat2:
-                done = True
-            elif t in alive:
-                done = False
-            else:
-                continue
-            heapq.heappush(heap, (cost - math.log(p), _Prefix(t, aid, prefix),
-                                  prob * p, done))
+        for aid, dist in d.choices[prefix.state]:
+            for t, p in dist:
+                if t in sat2:
+                    done = True
+                elif t in alive:
+                    done = False
+                else:
+                    continue
+                heapq.heappush(heap, (cost - math.log(p),
+                                      _Prefix(t, aid, prefix), prob * p, done))
 
 
 def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,

@@ -272,8 +272,8 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
     cause score at the target, and causes within a transition by score;
     all remaining ties fall back to state id, action label, then
     proposition name, so reports are deterministic. When a source map is
-    given (models built from guarded-command programs), each transition
-    carries the (module, line) commands it elaborates.
+    given (the mapping build_mdp returns for a guarded-command program),
+    each transition carries the (module, line) commands it elaborates.
 
     Ranking by responsibility times absolute mass orders causes exactly as
     the normalized variant would: normalization divides every score by the
@@ -315,7 +315,7 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
             db += best_dr.get(v, 0.0) * m
             commands = ()
             if source_map is not None:
-                commands = tuple(source_map.lookup(u, a, v))
+                commands = source_map.get((u, a, v), ())
             trans.append(TransitionDiagnosis(u, a, v, m,
                                              tuple(by_state.get(v, ())),
                                              commands))

@@ -166,7 +166,8 @@ def validate_mdp(m: Mdp) -> list[Violation]:
     Checked: init and every transition endpoint in range, strictly positive
     probabilities, no duplicated (state, action, successor) entry, every
     listed distribution summing to one within PROB_SUM_TOL, every state
-    having at least one enabled action, and label states in range.
+    having at least one enabled action, and label states in range. A NaN
+    probability fails both probability checks.
     """
     out = []
     if not 0 <= m.init < m.num_states:
@@ -182,7 +183,7 @@ def validate_mdp(m: Mdp) -> list[Violation]:
             if not 0 <= t < m.num_states:
                 out.append(Violation("bad-state-id", f"successor {t} out of range",
                                      state=s, action=name))
-            if p <= 0.0:
+            if not p > 0.0:
                 out.append(Violation("nonpositive-probability",
                                      f"probability {p!r} to successor {t}",
                                      state=s, action=name))
@@ -192,12 +193,13 @@ def validate_mdp(m: Mdp) -> list[Violation]:
                                      state=s, action=name))
             seen.add(t)
             total += p
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             out.append(Violation("distribution-sum",
                                  f"probabilities sum to {total!r}",
                                  state=s, action=name))
+    table = m.choice_table()
     for s in m.states:
-        if not m.enabled_actions(s):
+        if not table[s]:
             out.append(Violation("no-enabled-action", "state has no enabled action",
                                  state=s))
     for s in m._labels:
@@ -294,15 +296,15 @@ class Dtmc:
 
     Keeps the original MDP state ids so that paths and diagnoses refer back
     to the source model; states lists the states reachable from init in
-    ascending order, and only they have entries. transitions[s] holds the
-    (successor, probability) pairs of action[s], the action id the
-    scheduler picks at s; labels[s] is the labelling of s.
+    ascending order, and only they have entries. choices[s] is a row of
+    Mdp.choice_table() cut to the one (action id, distribution) pair the
+    scheduler picks at s, each successor listed once; labels[s] is the
+    labelling of s.
     """
 
     states: tuple[int, ...]
     init: int
-    transitions: Mapping[int, Distribution]
-    action: Mapping[int, int]
+    choices: Mapping[int, tuple[tuple[int, Distribution], ...]]
     labels: Mapping[int, frozenset[str]]
 
 
@@ -312,29 +314,31 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
     Raises DomainError if sched misses a reachable state or picks a
     disabled action there.
     """
+    table = m.choice_table()
     reachable = []
     seen = {m.init}
     queue = deque([m.init])
-    transitions: dict[int, Distribution] = {}
-    action: dict[int, int] = {}
+    choices: dict[int, tuple[tuple[int, Distribution], ...]] = {}
     while queue:
         s = queue.popleft()
         reachable.append(s)
         aid = sched.action_for(s)
-        if aid not in m.enabled_actions(s):
+        for a, dist in table[m._check_state(s)]:
+            if a == aid:
+                break
+        else:
             raise DomainError(
                 f"scheduler picks disabled action id {aid} at state {s}")
         merged: dict[int, float] = {}
-        for t, p in m.distribution(s, aid):
+        for t, p in dist:
             merged[t] = merged.get(t, 0.0) + p
-        transitions[s] = tuple(merged.items())
-        action[s] = aid
+        choices[s] = ((aid, tuple(merged.items())),)
         for t in merged:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
     labels = {s: m.labels_of(s) for s in reachable}
-    return Dtmc(tuple(sorted(reachable)), m.init, transitions, action, labels)
+    return Dtmc(tuple(sorted(reachable)), m.init, choices, labels)
 
 
 def backward_reachable(preds: Mapping[int, Iterable[int]],
@@ -355,7 +359,7 @@ def backward_reachable(preds: Mapping[int, Iterable[int]],
 # -- external text format --------------------------------------------------
 
 
-def _content_lines(text):
+def content_lines(text):
     """Yield (line number, stripped content) skipping blanks and # comments."""
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -373,7 +377,7 @@ def parse_explicit_model(text: str, labels_text: Optional[str] = None,
     '#' starts a comment; blank lines are ignored. The optional labels text
     holds "<state>: <ap> <ap> ..." lines.
     """
-    lines = list(_content_lines(text))
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty model file", filename=filename)
 
@@ -432,7 +436,7 @@ def parse_explicit_model(text: str, labels_text: Optional[str] = None,
 def parse_labels_text(text: str, num_states: int,
                       filename: Optional[str] = None) -> dict[int, set[str]]:
     labels: dict[int, set[str]] = {}
-    for no, line in _content_lines(text):
+    for no, line in content_lines(text):
         head, sep, rest = line.partition(":")
         if not sep:
             raise ParseError(f"expected '<state>: <ap> ...', got {line!r}",

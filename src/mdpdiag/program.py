@@ -656,7 +656,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                     raise ParseError("branch probability must be numeric",
                                      line=cmd.line, filename=fn)
                 p = float(p)
-                if p <= 0.0:
+                if not p > 0.0:
                     raise ParseError(f"branch probability {p!r} must be "
                                      "positive", line=cmd.line, filename=fn)
                 assigned = set()
@@ -681,7 +681,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                            f"update of {a.var!r} must be an integer"),
                      *bounds[a.var]) for a in upd.assignments)))
             total = sum(p for p, _ in probs)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ParseError(f"update probabilities sum to {total!r}, "
                                  "expected 1", line=cmd.line, filename=fn)
             guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn).fn
@@ -726,27 +726,14 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
 # -- elaboration -------------------------------------------------------------
 
 
-class SourceMap:
-    """Transition provenance: (state, action id, successor) to the set of
-    guarded commands, as (module name, line) pairs, that produced it."""
-
-    def __init__(self, mapping: dict):
-        self._map = mapping
-
-    def lookup(self, s: int, aid: int, t: int) -> tuple[tuple[str, int], ...]:
-        return self._map.get((s, aid, t), ())
-
-    def __len__(self):
-        return len(self._map)
-
-    def items(self):
-        return self._map.items()
-
-
 def build_mdp(program: Program,
               constants: Optional[Mapping[str, object]] = None,
-              state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, SourceMap]:
+              state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, dict]:
     """Explore the program's reachable state space into an explicit MDP.
+
+    Returns the MDP and its source map: (state, action id, successor) to
+    the guarded commands, as (module name, line) pairs, that produced the
+    transition.
 
     Nondeterministic alternatives arising from several enabled commands
     (or command combinations under synchronization) with the same label
@@ -848,4 +835,4 @@ def build_mdp(program: Program,
     src_by_id: dict[tuple[int, int, int], tuple[tuple[str, int], ...]] = {}
     for (s, action, t), cmds in sources.items():
         src_by_id[(s, m.action_id(action), t)] = cmds
-    return m, SourceMap(src_by_id)
+    return m, src_by_id

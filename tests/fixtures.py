@@ -1,0 +1,54 @@
+"""Small models shared by the tests, each tiny enough to verify by hand.
+
+demo_mdp and demo_property read the bundled models/demo.* files, the same
+inputs the command-line examples use: an eight-state model whose single
+maximizing scheduler admits six paths into the bad region. blame_gap_mdp
+separates "action reaching the most responsible cause" from "action
+carrying the most blame".
+"""
+
+from pathlib import Path
+
+from mdpdiag import Mdp, PropertySpec, parse_explicit_model, parse_property
+from mdpdiag.mdp import content_lines
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def demo_mdp() -> Mdp:
+    """Eight states, one action each, four probabilistic branch points.
+
+    With demo_property, the reachable bad region is the three
+    c&d-labelled sinks; satisfying path masses are 0.25, 0.2, 0.15, 0.12,
+    0.09 and 0.072, so the maximal violation probability is 0.882.
+    """
+    return parse_explicit_model((MODELS / "demo.tra").read_text(),
+                                (MODELS / "demo.lab").read_text())
+
+
+def demo_property() -> PropertySpec:
+    (_, text), = content_lines((MODELS / "demo.props").read_text())
+    return parse_property(text)
+
+
+def blame_gap_mdp() -> Mdp:
+    """Fan-out model where blame and responsibility disagree.
+
+    The initial split sends 0.4 towards a single bad sink and 0.6 towards
+    two bad sinks of 0.3 each. The heaviest single cause sits behind the
+    0.4 branch, yet the 0.6 branch's action accumulates more blame.
+    """
+    transitions = {
+        (0, "choose"): [(1, 0.4), (2, 0.6)],
+        (1, "narrow"): [(3, 1.0)],
+        (2, "wide"): [(4, 0.5), (5, 0.5)],
+        (3, "stay"): [(3, 1.0)],
+        (4, "stay"): [(4, 1.0)],
+        (5, "stay"): [(5, 1.0)],
+    }
+    labels = {3: {"bad"}, 4: {"bad"}, 5: {"bad"}}
+    return Mdp(6, 0, transitions, labels)
+
+
+def blame_gap_property() -> PropertySpec:
+    return parse_property("P<=0.9 [ true U bad ]")

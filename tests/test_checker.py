@@ -9,10 +9,10 @@ import pytest
 
 from mdpdiag import (Atom, BudgetError, DomainError, Mdp, PathFormula,
                      PropertySpec, Scheduler, check_property, compute_pmax,
-                     demo_mdp, demo_property, eval_state_formula,
-                     build_mipcx, extract_max_scheduler, induce_dtmc,
-                     mass_exceeds, parse_property)
+                     eval_state_formula, build_mipcx, extract_max_scheduler,
+                     induce_dtmc, mass_exceeds, parse_property)
 
+from fixtures import demo_mdp, demo_property
 from oracles import (bounded_pmax_exact, dtmc_reach_exact, exhaustive_pmax,
                      random_mdp)
 
@@ -111,9 +111,10 @@ class TestComputePmax:
             compute_pmax(demo_mdp(), PathFormula(Atom("a"), Atom("c"), op="W"))
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.inf, -math.inf,
-                                     math.nan])
+                                     math.nan, 1.0, 2.0])
     def test_bad_epsilon_rejected(self, eps):
-        # inf would stop after one sweep, nan would never stop
+        # inf, 1 and 2 would stop after one sweep (a residual of
+        # probabilities never exceeds 1), nan would never stop
         with pytest.raises(DomainError, match="epsilon"):
             compute_pmax(demo_mdp(), demo_property().path, epsilon=eps)
         with pytest.raises(DomainError, match="epsilon"):
@@ -227,7 +228,7 @@ class TestSchedulerExtraction:
         sched = extract_max_scheduler(m, vv)
         assert sched.action_for(0) == m.action_id("go")
         d = induce_dtmc(m, sched)
-        assert dict(d.transitions[0]) == {1: 1.0}
+        assert d.choices[0] == ((m.action_id("go"), ((1, 1.0),)),)
 
     def test_tie_breaks_to_lowest_action_id(self):
         m = Mdp(2, 0, {
@@ -255,7 +256,7 @@ class TestSchedulerExtraction:
             vv = compute_pmax(m, PQ, epsilon=1e-9)
             sched = extract_max_scheduler(m, vv)
             d = induce_dtmc(m, sched)
-            trans = {s: d.transitions[s] for s in d.states}
+            trans = {s: dist for s in d.states for _, dist in d.choices[s]}
             exact = dtmc_reach_exact(trans, targets, interior, m.num_states)
             assert exact[m.init] == pytest.approx(vv.values[m.init], abs=1e-6)
 

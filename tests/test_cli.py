@@ -88,6 +88,17 @@ class TestCheck:
         assert code == 2
         assert "invalid model" in err and "failed validation" in err
 
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    def test_nan_probability_rejected(self, capsys, tmp_path, command):
+        bad = tmp_path / "nan.tra"
+        bad.write_text("STATES 3\nINIT 0\n0 a 1 nan\n0 a 2 0.5\n"
+                       "1 a 1 1.0\n2 a 2 1.0\n")
+        code, out, err = run(capsys, command, "--model", str(bad),
+                             "--prop", "P<=0.5 [ true U x ]")
+        assert code == 2 and out == ""
+        assert "probability nan to successor 1" in err
+        assert "probabilities sum to nan" in err
+
     def test_undefined_quoted_label(self, capsys):
         code, _, err = run(capsys, "check",
                            *demo_args(prop='P<=0.5 [ true U "nope" ]'))
@@ -106,9 +117,11 @@ class TestCheck:
         assert code == 2 and "epsilon" in err
 
     @pytest.mark.parametrize("command", ["check", "diagnose"])
-    @pytest.mark.parametrize("eps", ["0", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("eps", ["0", "inf", "-inf", "nan", "1", "2"])
     def test_epsilon_must_be_positive_and_finite(self, capsys, command, eps):
-        # inf once printed Pmax = 0 and HOLDS; nan ran out of sweeps
+        # inf, 1 and 2 once printed Pmax = 0 and HOLDS: a residual never
+        # exceeds 1, so one sweep stopped the iteration; nan ran out of
+        # sweeps
         code, out, err = run(capsys, command, f"--epsilon={eps}",
                              *demo_args())
         assert code == 2 and "epsilon must be positive and finite" in err
@@ -143,6 +156,18 @@ class TestProgramModels:
                            str(MODELS / "csma.pm"), "--props-file",
                            str(MODELS / "csma.props"), "--const", "Z=1")
         assert code == 2 and "undeclared" in err
+
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    def test_nan_probability_rejected(self, capsys, tmp_path, command):
+        bad = tmp_path / "nan.pm"
+        bad.write_text("module m\n s:[0..2];\n"
+                       " [go] s=0 -> 1e999*0:(s'=1) + 0.5:(s'=2);\n"
+                       " [] s>0 -> (s'=s);\nendmodule\n"
+                       'label "q" = s=1;\n')
+        code, out, err = run(capsys, command, "--model", str(bad),
+                             "--prop", "P<=0.5 [ true U q ]")
+        assert code == 2 and out == ""
+        assert "branch probability nan must be positive" in err
 
     @pytest.mark.parametrize("pair,needle", [
         ("K", "NAME=VALUE"),

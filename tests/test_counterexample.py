@@ -12,10 +12,11 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
                      FinitePath, Mdp, ParseError, PathFormula, Scheduler,
                      WeightedPath, build_mipcx, counterexample_from_dict,
                      counterexample_from_json, counterexample_to_dict,
-                     counterexample_to_json, demo_mdp, demo_property,
-                     enumerate_satisfying_paths, eval_state_formula,
-                     induce_dtmc, parse_property, verify_counterexample)
+                     counterexample_to_json, enumerate_satisfying_paths,
+                     eval_state_formula, induce_dtmc, parse_property,
+                     verify_counterexample)
 
+from fixtures import demo_mdp, demo_property
 from oracles import list_satisfying_paths, random_layered_mdp
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -147,7 +148,7 @@ class TestEnumeration:
                     if eval_state_formula(d.labels, s, psi.left)}
             sat2 = {s for s in d.states
                     if eval_state_formula(d.labels, s, psi.right)}
-            trans = {s: d.transitions[s] for s in d.states}
+            trans = {s: dist for s in d.states for _, dist in d.choices[s]}
             want = {tuple(states): p
                     for states, p in list_satisfying_paths(trans, d.init,
                                                            sat1, sat2, 20)}
@@ -179,14 +180,16 @@ class TestEnumeration:
             sat1 = {s for s in d.states if "p" in d.labels[s]}
             sat2 = {s for s in d.states if "g" in d.labels[s]}
 
+            trans = {s: dist for s in d.states for _, dist in d.choices[s]}
+
             def cost(states):
                 c = 0.0
                 for u, t in zip(states, states[1:]):
-                    c -= math.log(dict(d.transitions[u])[t])
+                    c -= math.log(dict(trans[u])[t])
                 return c
 
-            listed = list_satisfying_paths(d.transitions, d.init, sat1,
-                                           sat2, psi.bound)
+            listed = list_satisfying_paths(trans, d.init, sat1, sat2,
+                                           psi.bound)
             want = sorted((states for states, _ in listed),
                           key=lambda states: (cost(states), states))
             got = [wp.path.states

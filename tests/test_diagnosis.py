@@ -6,9 +6,10 @@ from dataclasses import replace
 
 from mdpdiag import (TRUE, And, Atom, BudgetError, Counterexample,
                      DomainError, FinitePath, Not, Or, WeightedPath,
-                     blame_gap_mdp, blame_gap_property, build_mipcx,
-                     collect_causes, demo_mdp, demo_property, find_causes,
+                     build_mipcx, collect_causes, find_causes,
                      generate_diagnoses, parse_property)
+from fixtures import (blame_gap_mdp, blame_gap_property, demo_mdp,
+                      demo_property)
 from oracles import (blame, check_prop1, check_prop2, is_critical,
                      responsibility_oracle, state_mass, transition_mass)
 

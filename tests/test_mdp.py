@@ -5,10 +5,11 @@ import random
 import pytest
 
 from mdpdiag import (DomainError, FinitePath, Mdp, ParseError, Scheduler,
-                     demo_mdp, induce_dtmc, parse_explicit_model,
-                     parse_labels_text, path_probability,
-                     serialize_explicit_model, serialize_labels, validate_mdp)
+                     induce_dtmc, parse_explicit_model, parse_labels_text,
+                     path_probability, serialize_explicit_model,
+                     serialize_labels, validate_mdp)
 
+from fixtures import demo_mdp
 from oracles import random_mdp
 
 
@@ -102,6 +103,12 @@ class TestValidation:
         kinds = {v.kind for v in validate_mdp(m)}
         assert "nonpositive-probability" in kinds
 
+    def test_nan_probability(self):
+        m = Mdp(3, 0, {(0, "a"): [(1, float("nan")), (2, 0.5)],
+                       (1, "a"): [(1, 1.0)], (2, "a"): [(2, 1.0)]})
+        assert [(v.kind, v.state) for v in validate_mdp(m)] == [
+            ("nonpositive-probability", 0), ("distribution-sum", 0)]
+
     def test_duplicate_successor(self):
         m = Mdp(1, 0, {(0, "a"): [(0, 0.5), (0, 0.5)]})
         kinds = {v.kind for v in validate_mdp(m)}
@@ -184,9 +191,10 @@ class TestScheduler:
         d = induce_dtmc(m, sched)
         assert d.states == (0, 1, 2)
         assert d.init == 0
-        assert dict(d.transitions[0]) == {1: 0.5, 2: 0.5}
-        assert d.action == {0: m.action_id("go"), 1: m.action_id("stay"),
-                            2: m.action_id("stay")}
+        go, stay = m.action_id("go"), m.action_id("stay")
+        assert d.choices == {0: ((go, ((1, 0.5), (2, 0.5))),),
+                             1: ((stay, ((1, 1.0),)),),
+                             2: ((stay, ((2, 1.0),)),)}
         assert d.labels[1] == frozenset({"goal"})
 
     def test_induce_only_reachable_states(self):

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mdpdiag import (BudgetError, DomainError, ParseError, SourceMap,
-                     build_mdp, fold_constants, parse_program, validate_mdp)
+from mdpdiag import (BudgetError, DomainError, ParseError, build_mdp,
+                     fold_constants, parse_program, validate_mdp)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -212,6 +212,12 @@ class TestValidationErrors:
                    " [a] true -> 0.5:(x'=0) + 0.6:(x'=1);\nendmodule\n",
                    "expected 1")
 
+    def test_nan_probability_rejected(self):
+        # every comparison with nan is false, so "p <= 0" let it through
+        self.check("module m\n x:[0..1];\n"
+                   " [a] true -> 1e999*0:(x'=0) + 0.5:(x'=1);\nendmodule\n",
+                   "branch probability nan must be positive")
+
     def test_assignment_to_foreign_variable(self):
         self.check("module a\n x:[0..1];\n [go] true -> (y'=1);\nendmodule\n"
                    "module b\n y:[0..1];\n [go] true -> true;\nendmodule\n",
@@ -375,20 +381,20 @@ class TestSourceMap:
     def test_synchronized_transition_names_both_modules(self):
         m, smap = build(SYNC)
         go = m.action_id("go")
-        assert smap.lookup(0, go, 1) == (("left", 3), ("right", 8))
+        assert smap.get((0, go, 1), ()) == (("left", 3), ("right", 8))
 
     def test_lookup_covers_every_transition(self):
         m, smap = build(SYNC)
         for (s, aid), dist in m.transition_items():
             for t, _ in dist:
-                cmds = smap.lookup(s, aid, t)
+                cmds = smap.get((s, aid, t), ())
                 assert cmds, (s, aid, t)
                 assert all(isinstance(mod, str) and isinstance(line, int)
                            for mod, line in cmds)
 
     def test_unknown_transition_is_empty(self):
         _, smap = build(SYNC)
-        assert smap.lookup(99, 0, 99) == ()
+        assert smap.get((99, 0, 99), ()) == ()
 
 
 class TestShippedModels:

@@ -22,8 +22,8 @@ import pytest
 from mdpdiag import (BudgetError, DomainError, Mdp, ParseError, build_mdp,
                      parse_program)
 from mdpdiag.program import (DEFAULT_STATE_CAP, Assignment, Binary, BoolLit,
-                             Call, Expr, LabelDef, Name, Num, Program,
-                             SourceMap, Unary, _names_in)
+                             Call, Expr, LabelDef, Name, Num, Program, Unary,
+                             _names_in)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -290,7 +290,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
 
 def reference_build_mdp(program: Program,
                         constants: Optional[Mapping[str, object]] = None,
-                        state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, SourceMap]:
+                        state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, dict]:
     """Explore the program's reachable state space into an explicit MDP.
 
     Nondeterministic alternatives arising from several enabled commands
@@ -417,13 +417,13 @@ def reference_build_mdp(program: Program,
     src_by_id: dict[tuple[int, int, int], tuple[tuple[str, int], ...]] = {}
     for (s, action, t), cmds in sources.items():
         src_by_id[(s, m.action_id(action), t)] = tuple(sorted(cmds))
-    return m, SourceMap(src_by_id)
+    return m, src_by_id
 
 
 # -- comparison ---------------------------------------------------------------
 
 
-def snapshot(m: Mdp, smap: SourceMap):
+def snapshot(m: Mdp, smap: dict):
     return (m.num_states, m.init, list(m.transition_items()), m.label_map(),
             m.state_names, m.ap_names, list(m.action_names),
             list(smap.items()))
