@@ -10,7 +10,7 @@ actions that carry the violation.
 from .checker import (DEFAULT_EPSILON, ValueVector, Verdict, check_property,
                       compute_pmax, extract_max_scheduler, mass_exceeds)
 from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
-                             Counterexample, build_mipcx,
+                             Counterexample, PathForest, build_mipcx,
                              counterexample_from_dict,
                              counterexample_from_json, counterexample_to_dict,
                              counterexample_to_json,
@@ -37,11 +37,11 @@ __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_MAX_PATHS", "DEFAULT_MIN_PROB",
     "DEFAULT_STATE_CAP", "DiagnosisReport", "DomainError", "Dtmc", "FALSE",
     "FalseFormula", "FinitePath", "Mdp", "MdpDiagError", "Not", "Or",
-    "PROB_SUM_TOL", "ParseError", "PathFormula", "Program", "PropertySpec",
-    "Scheduler", "TRUE", "TransitionDiagnosis", "TrueFormula", "ValueVector",
-    "Verdict", "Violation", "WeightedPath", "atoms_of", "build_mdp",
-    "build_mipcx", "check_property", "collect_causes", "compute_pmax",
-    "counterexample_from_dict", "counterexample_from_json",
+    "PROB_SUM_TOL", "ParseError", "PathForest", "PathFormula", "Program",
+    "PropertySpec", "Scheduler", "TRUE", "TransitionDiagnosis", "TrueFormula",
+    "ValueVector", "Verdict", "Violation", "WeightedPath", "atoms_of",
+    "build_mdp", "build_mipcx", "check_property", "collect_causes",
+    "compute_pmax", "counterexample_from_dict", "counterexample_from_json",
     "counterexample_to_dict", "counterexample_to_json",
     "enumerate_satisfying_paths", "eval_path_formula", "eval_state_formula",
     "extract_max_scheduler", "find_causes", "fold_constants",

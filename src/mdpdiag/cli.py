@@ -88,6 +88,9 @@ def _detect_format(path: str, text: str) -> str:
 
 def _load_model(args):
     """Returns (mdp, source map or None)."""
+    if args.state_cap < 1:
+        raise _UsageError(f"--state-cap must be at least 1, got "
+                          f"{args.state_cap}")
     text = _read_text(args.model)
     fmt = args.model_format
     if fmt == "auto":
@@ -123,14 +126,17 @@ def _property_text(args) -> str:
     return found[0]
 
 
-def _load_property(args, m):
-    """Parse the property; every atom it names must be in m's alphabet."""
-    alphabet = set(m.ap_names)
-    spec = parse_property(_property_text(args), defined_labels=alphabet)
+def _parse_known(text: str, alphabet: set[str]):
+    """Parse a property; every atom it names must be in alphabet."""
+    spec = parse_property(text, defined_labels=alphabet)
     unknown = sorted(path_atoms(spec.path) - alphabet)
     if unknown:
         raise DomainError(f"unknown atomic proposition {unknown[0]!r}")
     return spec
+
+
+def _load_property(args, m):
+    return _parse_known(_property_text(args), set(m.ap_names))
 
 
 def _validated(m):
@@ -184,6 +190,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.max_paths < 1:
+        raise _UsageError(f"--max-paths must be at least 1, got "
+                          f"{args.max_paths}")
+    # a NaN floor passes this test; build_mipcx rejects it by name
+    if args.min_prob < 0.0 or args.min_prob > 1.0:
+        raise _UsageError(f"--min-prob must lie in [0, 1], got "
+                          f"{args.min_prob:g}")
     m, smap = _load_model(args)
     _validated(m)
     spec = _load_property(args, m)
@@ -203,9 +216,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_diagnose_trace(args) -> int:
     cx = counterexample_from_json(_read_text(args.trace))
     if args.prop:
-        defined = set().union(*cx.labels.values())
-        cx = replace(cx, spec=parse_property(args.prop,
-                                             defined_labels=defined))
+        cx = replace(cx, spec=_parse_known(args.prop, cx.alphabet()))
     problems = verify_counterexample(cx)
     if problems:
         for p in problems:

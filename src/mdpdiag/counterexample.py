@@ -12,8 +12,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .checker import DEFAULT_EPSILON, check_property, mass_exceeds
 from .errors import BudgetError, DomainError, ParseError
@@ -28,34 +30,217 @@ DEFAULT_MIN_PROB = 1e-15
 CX_FORMAT_VERSION = 1
 
 
+@dataclass
+class PathForest:
+    """Paths stored as the forest of their distinct prefixes.
+
+    Node n is one prefix: its last state states[n], the action id
+    actions[n] of its last step and the node parents[n] of the prefix one
+    step shorter; a root is a one-state prefix, with parent and action -1.
+    A parent is numbered before its children, and no two nodes agree in
+    parent, action and state. Path i is the prefix of node leaves[i] and
+    has probability probabilities[i]; a node may end several paths and
+    lie inside others. A forest is grown with add_node and add_path, and
+    treated as immutable once built: distinct_on_paths is kept.
+    """
+
+    parents: list[int] = field(default_factory=list)
+    actions: list[int] = field(default_factory=list)
+    states: list[int] = field(default_factory=list)
+    leaves: list[int] = field(default_factory=list)
+    probabilities: list[float] = field(default_factory=list)
+
+    def add_node(self, parent: int, action: int, state: int) -> int:
+        self.parents.append(parent)
+        self.actions.append(action)
+        self.states.append(state)
+        return len(self.states) - 1
+
+    def add_path(self, leaf: int, probability: float) -> None:
+        self.leaves.append(leaf)
+        self.probabilities.append(probability)
+
+    @classmethod
+    def of_paths(cls, paths: Iterable[WeightedPath]) -> PathForest:
+        """The forest of paths, in their order; repeated paths keep their
+        own entries.
+
+        The steps a path shares with the path before it are not looked up
+        again: its node there is found by walking up from the leaf of that
+        path."""
+        forest = cls()
+        index: dict[tuple[int, int, int], int] = {}
+        node = -1
+        last_states: tuple[int, ...] = ()
+        last_actions: tuple[int, ...] = ()
+        for wp in paths:
+            states, actions = wp.path.states, wp.path.actions
+            k = min(_common_prefix(states, last_states),
+                    _common_prefix(actions, last_actions) + 1)
+            for _ in range(len(last_states) - k):
+                node = forest.parents[node]
+            for action, state in zip(actions[k - 1:] if k else (-1, *actions),
+                                     states[k:]):
+                key = (node, action, state)
+                node = index.get(key, -1)
+                if node < 0:
+                    node = index[key] = forest.add_node(*key)
+            forest.add_path(node, wp.probability)
+            last_states, last_actions = states, actions
+        return forest
+
+    def _walk(self) -> list[int]:
+        """Every node depth first, children in node order: n on entering
+        node n and ~n, which is negative, on leaving it."""
+        children: list[list[int]] = [[] for _ in self.states]
+        todo: list[int] = []
+        for n, p in enumerate(self.parents):
+            (todo if p < 0 else children[p]).append(n)
+        todo.reverse()
+        walk = []
+        while todo:
+            n = todo.pop()
+            walk.append(n)
+            if n >= 0:
+                todo.append(~n)
+                todo.extend(reversed(children[n]))
+        return walk
+
+    def along_paths(self, values: Sequence, collect: Callable) -> dict:
+        """collect(the values[m] of the nodes m from a root down to n), for
+        every node n that ends a path."""
+        ends = set(self.leaves)
+        stack: list = []
+        out = {}
+        for n in self._walk():
+            if n < 0:
+                stack.pop()
+                continue
+            stack.append(values[n])
+            if n in ends:
+                out[n] = collect(stack)
+        return out
+
+    @cached_property
+    def distinct_on_paths(self) -> dict[int, tuple[list[int], list]]:
+        """For every node n that ends a path: the distinct states of the
+        nodes above n, and the distinct steps (state, action id,
+        successor) from its root down to n, each in order of first
+        occurrence. Computed on first use and kept.
+
+        The walk keeps visit counts of the states and steps between the
+        root and the current node, so a node costs a constant and an end
+        node the size of what it gets.
+        """
+        ends = set(self.leaves)
+        states = self.states
+        steps = [None if p < 0 else (states[p], a, s)
+                 for p, a, s in zip(self.parents, self.actions, states)]
+        seen: dict = {}
+        taken: dict = {}
+        out = {}
+        for n in self._walk():
+            if n < 0:
+                s, step = states[~n], steps[~n]
+                if seen[s] == 1:
+                    del seen[s]
+                else:
+                    seen[s] -= 1
+                if step is None:
+                    continue
+                if taken[step] == 1:
+                    del taken[step]
+                else:
+                    taken[step] -= 1
+                continue
+            s, step, end = states[n], steps[n], n in ends
+            if end:
+                above = list(seen)
+            seen[s] = seen.get(s, 0) + 1
+            if step is not None:
+                taken[step] = taken.get(step, 0) + 1
+            if end:
+                out[n] = (above, list(taken))
+        return out
+
+    def sequences(self, steps: Sequence) -> dict[int, tuple[tuple, tuple]]:
+        """For every node n that ends a path: the states of the nodes from
+        its root down to n, and steps[m] of those nodes m but the root."""
+        states = self.along_paths(self.states, tuple)
+        taken = self.along_paths(steps, lambda s: tuple(islice(s, 1, None)))
+        return {n: (states[n], taken[n]) for n in states}
+
+    def flatten(self) -> tuple[WeightedPath, ...]:
+        """The paths, each as its own WeightedPath."""
+        flat = {n: FinitePath(*seq)
+                for n, seq in self.sequences(self.actions).items()}
+        return tuple(WeightedPath(flat[n], p)
+                     for n, p in zip(self.leaves, self.probabilities))
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of a and b, searched down
+    from the shorter length: a path mostly shares all but its last few
+    steps with the path before it."""
+    lo = hi = min(len(a), len(b))
+    step = 1
+    while lo > 0 and a[:lo] != b[:lo]:
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    # a[:lo] == b[:lo], and a[:hi] != b[:hi] unless lo == hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass(frozen=True)
 class Counterexample:
     """Paths plus the context needed to diagnose them without the model.
 
+    The paths are a prefix forest (see PathForest): the most probable
+    paths around a slow cycle are long and share almost all their steps,
+    so the forest has far fewer nodes than the paths have steps.
+    verify_counterexample, collect_causes and the masses of
+    generate_diagnoses each walk the nodes once, plus per path its
+    distinct states and steps; the path lines of render_text_report and
+    counterexample_to_dict walk them once plus the text or lists they
+    write. paths is the flat view, a tuple of WeightedPath, built on
+    first use in time proportional to the steps and kept.
+
     labels carries the labelling of every state that occurs on some path,
     and state_names, when the model has names, the name of each such
     state; action_names maps the action ids appearing in paths and
-    scheduler back to their labels.
+    scheduler back to their labels. ap_names is the model's alphabet,
+    which may hold atoms that label no state on the paths.
     """
 
-    paths: tuple[WeightedPath, ...]
+    forest: PathForest
     total_mass: float
     scheduler: Optional[Scheduler]
     spec: PropertySpec
     labels: Mapping[int, frozenset[str]]
     action_names: tuple[str, ...]
     state_names: Optional[Mapping[int, str]] = None
+    ap_names: frozenset[str] = frozenset()
+
+    @cached_property
+    def paths(self) -> tuple[WeightedPath, ...]:
+        return self.forest.flatten()
 
     def action_name(self, aid: int) -> str:
         if not 0 <= aid < len(self.action_names):
             raise DomainError(f"unknown action id {aid}")
         return self.action_names[aid]
 
+    def alphabet(self) -> set[str]:
+        """The atoms a property of this counterexample may name."""
+        return set(self.ap_names).union(*self.labels.values())
+
     def states_on_paths(self) -> set[int]:
-        out: set[int] = set()
-        for wp in self.paths:
-            out.update(wp.path.states)
-        return out
+        return set(self.forest.states)
 
     def state_name(self, s: int) -> str:
         if self.state_names is not None and s in self.state_names:
@@ -65,7 +250,9 @@ class Counterexample:
 
 class _Prefix:
     """A path prefix as a linked list: its last state, the action taken
-    into it, and the prefix before it, which all its extensions share.
+    into it (-1 at the start), the prefix before it, which all its
+    extensions share, and its node once it is in a PathForest (-1 until
+    then).
 
     Prefixes order as their state sequences do, which is how enumeration
     breaks probability ties. Siblings end in distinct states (a chain lists
@@ -74,13 +261,14 @@ class _Prefix:
     exist, so the queue never compares a prefix with its own extension.
     """
 
-    __slots__ = ("state", "action", "parent", "length")
+    __slots__ = ("state", "action", "parent", "length", "node")
 
     def __init__(self, state, action, parent):
         self.state = state
         self.action = action
         self.parent = parent
         self.length = 0 if parent is None else parent.length + 1
+        self.node = -1
 
     def path(self) -> FinitePath:
         states, actions = [], []
@@ -91,6 +279,20 @@ class _Prefix:
             node = node.parent
         states.append(node.state)
         return FinitePath(tuple(reversed(states)), tuple(reversed(actions)))
+
+    def add_to(self, forest: PathForest) -> int:
+        """This prefix's node in forest, adding it and the ancestors
+        missing there."""
+        missing = []
+        prefix = self
+        while prefix is not None and prefix.node < 0:
+            missing.append(prefix)
+            prefix = prefix.parent
+        node = -1 if prefix is None else prefix.node
+        for prefix in reversed(missing):
+            node = prefix.node = forest.add_node(node, prefix.action,
+                                                 prefix.state)
+        return node
 
     def __lt__(self, other):
         a, b = self, other
@@ -119,6 +321,14 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     An atom that labels no state of d is false everywhere, so a target
     named by such an atom yields no path.
     """
+    for prefix, prob in _satisfying_prefixes(d, psi, max_paths, min_prob):
+        yield WeightedPath(prefix.path(), prob)
+
+
+def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
+                         min_prob: float) -> Iterator[tuple[_Prefix, float]]:
+    """The prefixes enumerate_satisfying_paths yields as paths, with their
+    probabilities."""
     if psi.op != "U":
         raise DomainError("path enumeration handles until formulas only")
     if math.isnan(min_prob):
@@ -131,7 +341,7 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     if d.init in sat2:
         # The only path cut at its first target state is the empty one.
         if 1.0 >= min_prob:
-            yield WeightedPath(FinitePath((d.init,), ()), 1.0)
+            yield _Prefix(d.init, -1, None), 1.0
         return
     if d.init not in sat1:
         return
@@ -147,17 +357,17 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
 
     bound = psi.bound
     # Heap entries: (cost, prefix, probability, complete). A prefix shares
-    # its ancestors with every other path through them; states and actions
-    # are materialised only for emitted paths. (cost, prefix) orders the
-    # entries totally, so the order of pushes never shows in the pops.
-    heap = [(0.0, _Prefix(d.init, None, None), 1.0, False)]
+    # its ancestors with every other path through them. (cost, prefix)
+    # orders the entries totally, so the order of pushes never shows in
+    # the pops.
+    heap = [(0.0, _Prefix(d.init, -1, None), 1.0, False)]
     emitted = 0
     while heap:
         cost, prefix, prob, complete = heapq.heappop(heap)
         if prob < min_prob:
             return
         if complete:
-            yield WeightedPath(prefix.path(), prob)
+            yield prefix, prob
             emitted += 1
             if max_paths is not None and emitted >= max_paths:
                 return
@@ -185,7 +395,8 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
     of an earlier check of the same m, formula and epsilon is reused, see
     compute_pmax), induces the chain of the witness scheduler, and keeps
     accumulating the most probable satisfying paths until their mass
-    witnesses the violation. If the path budget or probability floor cuts
+    witnesses the violation. The search's prefixes go straight into the
+    counterexample's forest. If the path budget or probability floor cuts
     the stream off first, a BudgetError carrying the gathered mass is
     raised.
     """
@@ -194,26 +405,24 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
         raise DomainError(f"property {spec} holds; "
                           "there is no counterexample to build")
     dtmc = induce_dtmc(m, verdict.witness)
-    gathered: list[WeightedPath] = []
+    forest = PathForest()
     total = 0.0
-    for wp in enumerate_satisfying_paths(dtmc, spec.path,
-                                         max_paths=max_paths, min_prob=min_prob):
-        gathered.append(wp)
-        total += wp.probability
+    for prefix, prob in _satisfying_prefixes(dtmc, spec.path, max_paths,
+                                             min_prob):
+        forest.add_path(prefix.add_to(forest), prob)
+        total += prob
         if mass_exceeds(spec, total):
-            states: set[int] = set()
-            for g in gathered:
-                states.update(g.path.states)
-            on_paths = sorted(states)
+            on_paths = sorted(set(forest.states))
             labels = {s: m.labels_of(s) for s in on_paths}
             names = None
             if m.state_names is not None:
                 names = {s: m.state_name(s) for s in on_paths}
-            return Counterexample(tuple(gathered), total, verdict.witness,
-                                  spec, labels, tuple(m.action_names), names)
+            return Counterexample(forest, total, verdict.witness,
+                                  spec, labels, tuple(m.action_names), names,
+                                  frozenset(m.ap_names))
     raise BudgetError(
         f"counterexample incomplete: gathered mass {total!r} from "
-        f"{len(gathered)} paths does not witness violation of "
+        f"{len(forest.leaves)} paths does not witness violation of "
         f"{spec}", partial=total)
 
 
@@ -222,50 +431,57 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     failures as human-readable strings (empty list: all good).
 
     The until guard and target are evaluated once per distinct state on
-    the paths; only a path with an interior state outside the guard-only
-    set is walked position by position to name its first bad state.
+    the paths, and one pass over the forest finds for every node its
+    depth and the first node from its root on whose state is outside the
+    guard-only set; a path is then checked in constant time.
     """
     if cx.spec.path.op != "U":
         raise DomainError("counterexamples are defined for until formulas only")
     phi1, phi2 = cx.spec.path.left, cx.spec.path.right
     bound = cx.spec.path.bound
+    forest = cx.forest
+    parents, states = forest.parents, forest.states
     out: list[str] = []
-    if not cx.paths:
+    if not forest.leaves:
         out.append("counterexample contains no paths")
     on_paths = cx.states_on_paths()
     sat2 = {s for s in on_paths if eval_state_formula(cx.labels, s, phi2)}
     guard_only = {s for s in on_paths - sat2
                   if eval_state_formula(cx.labels, s, phi1)}
-    seen: dict[tuple, int] = {}
+    depth: list[int] = []
+    first_bad: list[int] = []
+    for n, (p, s) in enumerate(zip(parents, states)):
+        d, bad = (0, -1) if p < 0 else (depth[p] + 1, first_bad[p])
+        depth.append(d)
+        first_bad.append(n if bad < 0 and s not in guard_only else bad)
+    seen: dict[int, int] = {}
     mass = 0.0
-    for i, wp in enumerate(cx.paths):
+    for i, (leaf, prob) in enumerate(zip(forest.leaves,
+                                         forest.probabilities)):
         tag = f"path {i}"
-        key = (wp.path.states, wp.path.actions)
-        if key in seen:
-            out.append(f"{tag} duplicates path {seen[key]}")
+        if leaf in seen:
+            out.append(f"{tag} duplicates path {seen[leaf]}")
         else:
-            seen[key] = i
-        if not 0.0 < wp.probability <= 1.0:
-            out.append(f"{tag}: probability {wp.probability!r} outside (0, 1]")
-        mass += wp.probability
-        states = wp.path.states
-        if bound is not None and len(wp.path) > bound:
-            out.append(f"{tag}: {len(wp.path)} steps exceed the bound {bound}")
-        if states[-1] not in sat2:
-            out.append(f"{tag}: final state {states[-1]} does not satisfy "
+            seen[leaf] = i
+        if not 0.0 < prob <= 1.0:
+            out.append(f"{tag}: probability {prob!r} outside (0, 1]")
+        mass += prob
+        if bound is not None and depth[leaf] > bound:
+            out.append(f"{tag}: {depth[leaf]} steps exceed the bound {bound}")
+        if states[leaf] not in sat2:
+            out.append(f"{tag}: final state {states[leaf]} does not satisfy "
                        "the until target")
-        if guard_only.issuperset(states[:-1]):
+        bad = first_bad[parents[leaf]] if parents[leaf] >= 0 else -1
+        if bad < 0:
             continue
-        for j, s in enumerate(states[:-1]):
-            if s in sat2:
-                out.append(f"{tag}: state {s} at position {j} already "
-                           "satisfies the until target; paths must stop at "
-                           "their first such state")
-                break
-            if s not in guard_only:
-                out.append(f"{tag}: state {s} at position {j} fails the "
-                           "until guard")
-                break
+        s, j = states[bad], depth[bad]
+        if s in sat2:
+            out.append(f"{tag}: state {s} at position {j} already "
+                       "satisfies the until target; paths must stop at "
+                       "their first such state")
+        else:
+            out.append(f"{tag}: state {s} at position {j} fails the "
+                       "until guard")
     if abs(mass - cx.total_mass) > 1e-9:
         out.append(f"total_mass {cx.total_mass!r} disagrees with the path "
                    f"probability sum {mass!r}")
@@ -292,16 +508,23 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
         "scheduler": sched,
         "labels": {str(s): sorted(cx.labels[s]) for s in sorted(cx.labels)},
     }
+    alphabet = cx.alphabet()
+    if alphabet != set().union(*cx.labels.values()):
+        out["ap_names"] = sorted(alphabet)
     if cx.state_names is not None:
         out["state_names"] = {str(s): cx.state_names[s]
                               for s in sorted(cx.state_names)}
+    forest = cx.forest
+    # one name per node (DomainError for an unknown id), sliced per path
+    named = forest.sequences([cx.action_name(a) if p >= 0 else None
+                              for p, a in zip(forest.parents, forest.actions)])
     out["paths"] = [
         {
-            "states": list(wp.path.states),
-            "actions": [cx.action_name(a) for a in wp.path.actions],
-            "probability": wp.probability,
+            "states": list(named[leaf][0]),
+            "actions": list(named[leaf][1]),
+            "probability": prob,
         }
-        for wp in cx.paths
+        for leaf, prob in zip(forest.leaves, forest.probabilities)
     ]
     return out
 
@@ -359,7 +582,10 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     """Rebuild a counterexample from its JSON form.
 
     Action labels are re-interned in sorted order, so ids are deterministic
-    regardless of the original model's interning order.
+    regardless of the original model's interning order. The paths are
+    interned into one forest; paths that start at different states, repeat
+    one another or run on through one another's ends each keep their own
+    entry.
     """
     if not isinstance(data, dict):
         raise ParseError("counterexample JSON must be an object")
@@ -374,8 +600,16 @@ def counterexample_from_dict(data: dict) -> Counterexample:
         state_names = _state_keyed(data["state_names"], _name, "state_names",
                                    "names")
 
+    ap_names: frozenset[str] = frozenset()
+    if "ap_names" in data:
+        try:
+            ap_names = _name_set(data["ap_names"])
+        except TypeError:
+            raise ParseError("counterexample ap_names must be a list of "
+                             "names") from None
+
     spec = parse_property(str(_require(data, "property")),
-                          defined_labels=set().union(*labels.values(), set()))
+                          defined_labels=set(ap_names).union(*labels.values()))
 
     names: set[str] = set()
     raw_paths = _require(data, "paths")
@@ -425,8 +659,8 @@ def counterexample_from_dict(data: dict) -> Counterexample:
         total = _number(_require(data, "total_mass"))
     except (ValueError, TypeError, OverflowError):
         raise ParseError("total_mass must be a number") from None
-    return Counterexample(tuple(paths), total, scheduler, spec, labels,
-                          action_names, state_names)
+    return Counterexample(PathForest.of_paths(paths), total, scheduler, spec,
+                          labels, action_names, state_names, ap_names)
 
 
 def counterexample_from_json(text: str) -> Counterexample:

@@ -37,16 +37,19 @@ MASS_EQ_TOL = 1e-12
 
 def _all_masses(cx: Counterexample, counter: list[int]):
     """State and step masses: the probability of the paths that visit a
-    state, or take a (state, action id, successor) step, at least once."""
+    state, or take a (state, action id, successor) step, at least once.
+    Each mass is summed path by path, in path order."""
+    forest = cx.forest
+    on_path = forest.distinct_on_paths
     smass: dict[int, float] = {}
     tmass: dict[tuple[int, int, int], float] = {}
-    for wp in cx.paths:
-        states = wp.path.states
-        for s in sorted(set(states)):
-            smass[s] = smass.get(s, 0.0) + wp.probability
+    for leaf, prob in zip(forest.leaves, forest.probabilities):
+        above, steps = on_path[leaf]
+        for s in sorted({*above, forest.states[leaf]}):
+            smass[s] = smass.get(s, 0.0) + prob
             counter[0] += 1
-        for key in sorted(set(zip(states, wp.path.actions, states[1:]))):
-            tmass[key] = tmass.get(key, 0.0) + wp.probability
+        for key in sorted(steps):
+            tmass[key] = tmass.get(key, 0.0) + prob
             counter[0] += 1
     return smass, tmass
 
@@ -151,12 +154,13 @@ def collect_causes(cx: Counterexample,
     counter = _counter if _counter is not None else [0]
     phi1 = to_nnf(cx.spec.path.left)
     phi2 = to_nnf(cx.spec.path.right)
+    forest = cx.forest
+    on_path = forest.distinct_on_paths
     per_state: dict[tuple[int, str], dict] = {}
     out: dict[tuple[int, str, bool], Cause] = {}
-    for wp in cx.paths:
-        states = wp.path.states
-        visits = [(s, "guard") for s in dict.fromkeys(states[:-1])]
-        visits.append((states[-1], "target"))
+    for leaf in forest.leaves:
+        visits = [(s, "guard") for s in on_path[leaf][0]]
+        visits.append((forest.states[leaf], "target"))
         for cache_key in visits:
             s, role = cache_key
             found = per_state.get(cache_key)
@@ -341,17 +345,22 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
 # -- text rendering ----------------------------------------------------------
 
 
-def _format_path(cx: Counterexample, wp,
-                 pieces: dict[tuple[int, int], str]) -> str:
-    """The path as text; pieces caches each "-action-> state" step text
-    across the paths of one report."""
-    states = wp.path.states
-    steps = list(zip(wp.path.actions, states[1:]))
-    for step in dict.fromkeys(steps):
-        if step not in pieces:
-            a, v = step
-            pieces[step] = f"-{cx.action_name(a)}-> {cx.state_name(v)}"
-    return " ".join([cx.state_name(states[0]), *map(pieces.__getitem__, steps)])
+def _path_texts(cx: Counterexample) -> list[str]:
+    """Each path as text, "s0 -a0-> s1 ...", in path order; the text of
+    a step is made once per distinct (action id, successor)."""
+    forest = cx.forest
+    pieces: dict[tuple[int, int], str] = {}
+    node_text = []
+    for p, a, s in zip(forest.parents, forest.actions, forest.states):
+        if p < 0:
+            node_text.append(cx.state_name(s))
+            continue
+        piece = pieces.get((a, s))
+        if piece is None:
+            piece = pieces[a, s] = f"-{cx.action_name(a)}-> {cx.state_name(s)}"
+        node_text.append(piece)
+    texts = forest.along_paths(node_text, " ".join)
+    return [texts[leaf] for leaf in forest.leaves]
 
 
 def _pct(x: float) -> str:
@@ -364,12 +373,11 @@ def render_text_report(report: DiagnosisReport, normalize: bool = False) -> str:
     if report.pmax is not None:
         lines.append(f"verdict: VIOLATED (Pmax = {report.pmax:.6g}, "
                      f"threshold {report.spec.threshold:g})")
-    lines.append(f"counterexample: {len(cx.paths)} paths, "
+    lines.append(f"counterexample: {len(cx.forest.leaves)} paths, "
                  f"total probability {cx.total_mass:.6g}")
-    pieces: dict[tuple[int, int], str] = {}
-    for i, wp in enumerate(cx.paths, start=1):
-        lines.append(f"  {i}) {_format_path(cx, wp, pieces)}   "
-                     f"p={wp.probability:.6g}")
+    for i, (text, prob) in enumerate(zip(_path_texts(cx),
+                                         cx.forest.probabilities), start=1):
+        lines.append(f"  {i}) {text}   p={prob:.6g}")
     lines.append("ranked actions by blame:")
     for rank, e in enumerate(report.entries, start=1):
         lines.append(f"  {rank}. action {e.action_label} at state "

@@ -4,7 +4,9 @@ demo_mdp and demo_property read the bundled models/demo.* files, the same
 inputs the command-line examples use: an eight-state model whose single
 maximizing scheduler admits six paths into the bad region. blame_gap_mdp
 separates "action reaching the most responsible cause" from "action
-carrying the most blame".
+carrying the most blame". slow_exit_mdp is the shape of the slow-exit
+benchmark workload: a cycle left rarely, whose counterexample is hundreds
+of long paths sharing almost all their prefixes.
 """
 
 from pathlib import Path
@@ -52,3 +54,23 @@ def blame_gap_mdp() -> Mdp:
 
 def blame_gap_property() -> PropertySpec:
     return parse_property("P<=0.9 [ true U bad ]")
+
+
+def slow_exit_mdp(q: float = 2e-3) -> Mdp:
+    """The hub 0 moves to the loop state 1 or idles; the loop state
+    returns to the hub, or exits to the goal 2 or to the sink 3 with q
+    each. Pmax of `ok U goal` is 1/2, so at q = 2e-3 the counterexample
+    of slow_exit_property takes 575 paths of up to 1,150 steps.
+    """
+    transitions = {
+        (0, "go"): [(1, 1.0)],
+        (0, "idle"): [(0, 1.0)],
+        (1, "back"): [(0, 1.0 - 2 * q), (2, q), (3, q)],
+        (2, "done"): [(2, 1.0)],
+        (3, "stuck"): [(3, 1.0)],
+    }
+    return Mdp(4, 0, transitions, {0: {"ok"}, 1: {"ok"}, 2: {"goal"}})
+
+
+def slow_exit_property() -> PropertySpec:
+    return parse_property("P<=0.45 [ ok U goal ]")

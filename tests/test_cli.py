@@ -189,6 +189,17 @@ class TestProgramModels:
                            "--props-file", str(MODELS / "zeroconf.props"))
         assert code == 2 and "explicit models" in err
 
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_state_cap_below_one_is_a_usage_error(self, capsys, command,
+                                                  cap):
+        code, out, err = run(capsys, command, "--model",
+                             str(MODELS / "zeroconf.pm"), "--props-file",
+                             str(MODELS / "zeroconf.props"),
+                             "--state-cap", cap)
+        assert code == 2 and out == ""
+        assert f"--state-cap must be at least 1, got {cap}" in err
+
     def test_state_cap_budget(self, capsys):
         code, _, err = run(capsys, "check", "--model",
                            str(MODELS / "zeroconf.pm"), "--props-file",
@@ -257,11 +268,25 @@ class TestDiagnose:
         assert code == 3 and "incomplete" in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_path_cap_of_zero_or_less_gathers_nothing(self, capsys, cap):
-        code, _, err = run(capsys, "diagnose", "--max-paths", cap,
+    def test_path_cap_below_one_is_a_usage_error(self, capsys, cap):
+        code, out, err = run(capsys, "diagnose", "--max-paths", cap,
+                             *demo_args())
+        assert code == 2 and out == ""
+        assert f"--max-paths must be at least 1, got {cap}" in err
+
+    @pytest.mark.parametrize("floor", ["-0.5", "2", "inf"])
+    def test_min_prob_outside_the_unit_interval_is_a_usage_error(
+            self, capsys, floor):
+        code, out, err = run(capsys, "diagnose", "--min-prob", floor,
+                             *demo_args())
+        assert code == 2 and out == ""
+        assert f"--min-prob must lie in [0, 1], got {float(floor):g}" in err
+
+    @pytest.mark.parametrize("floor", ["0", "1"])
+    def test_min_prob_bounds_are_allowed(self, capsys, floor):
+        code, _, err = run(capsys, "diagnose", "--min-prob", floor,
                            *demo_args())
-        assert code == 3
-        assert "gathered mass 0.0 from 0 paths" in err
+        assert code in (1, 3) and "--min-prob" not in err
 
     def test_nan_min_prob_rejected(self, capsys):
         code, out, err = run(capsys, "diagnose", "--min-prob", "nan",
@@ -348,6 +373,30 @@ class TestDiagnoseTrace:
         assert len(path_lines(direct)) == 3
         assert path_lines(traced) == path_lines(direct)
         assert "busy=0,s1=0,r1=0,s2=0,r2=0 -start1->" in path_lines(traced)[0]
+
+    def test_misspelled_bare_atom(self, capsys, tmp_path):
+        path, _ = self.export(capsys, tmp_path)
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(path),
+                             "--prop", "P<=0.5 [ (a|b) U (c&dd) ]")
+        assert code == 2 and out == ""
+        assert "unknown atomic proposition 'dd'" in err
+        assert "invalid counterexample" not in err
+
+    def test_atoms_off_the_paths_travel_with_the_trace(self, capsys,
+                                                      tmp_path):
+        # csma's gave_up labels no state on the counterexample's paths
+        path = tmp_path / "cx.json"
+        code, _, _ = run(capsys, "diagnose", "--export-cx", str(path),
+                         "--model", str(MODELS / "csma.pm"), "--props-file",
+                         str(MODELS / "csma.props"))
+        assert code == 1
+        assert "gave_up" in json.loads(path.read_text())["ap_names"]
+        code, out, _ = run(capsys, "diagnose-trace", "--trace", str(path),
+                           "--prop", 'P<=0.5 [ !"gave_up" U delivered_all ]')
+        assert code == 1 and "property: P<=0.5" in out
+        code, _, err = run(capsys, "diagnose-trace", "--trace", str(path),
+                           "--prop", "P<=0.5 [ !gave_upp U delivered_all ]")
+        assert code == 2 and "unknown atomic proposition 'gave_upp'" in err
 
     def test_normalize(self, capsys, tmp_path):
         path, _ = self.export(capsys, tmp_path)

@@ -3,20 +3,23 @@
 import json
 import math
 import random
+from itertools import islice
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
-                     FinitePath, Mdp, ParseError, PathFormula, Scheduler,
-                     WeightedPath, build_mipcx, counterexample_from_dict,
-                     counterexample_from_json, counterexample_to_dict,
-                     counterexample_to_json, enumerate_satisfying_paths,
-                     eval_state_formula, induce_dtmc, parse_property,
+                     FinitePath, Mdp, ParseError, PathForest, PathFormula,
+                     Scheduler, WeightedPath, build_mipcx, check_property,
+                     counterexample_from_dict, counterexample_from_json,
+                     counterexample_to_dict, counterexample_to_json,
+                     enumerate_satisfying_paths, eval_state_formula,
+                     generate_diagnoses, induce_dtmc, parse_property,
                      verify_counterexample)
 
-from fixtures import demo_mdp, demo_property
+from fixtures import (demo_mdp, demo_property, slow_exit_mdp,
+                      slow_exit_property)
 from oracles import list_satisfying_paths, random_layered_mdp
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -260,12 +263,83 @@ GT_LABELS = {0: frozenset({"g"}), 1: frozenset({"g"}), 2: frozenset({"t"}),
 
 def make_cx(paths, total, spec_text="P<=0.1 [ g U t ]"):
     spec = parse_property(spec_text)
-    return Counterexample(tuple(paths), total, None, spec, GT_LABELS, ("a",))
+    return Counterexample(PathForest.of_paths(paths), total, None, spec,
+                          GT_LABELS, ("a",))
 
 
 def wp(states, prob):
     return WeightedPath(FinitePath(tuple(states), (0,) * (len(states) - 1)),
                         prob)
+
+
+def distinct_prefixes(paths) -> int:
+    """The number of distinct prefixes of paths, counted in a trie of
+    nested dicts keyed by (action into the state, state)."""
+    root, count = {}, 0
+    for wp in paths:
+        level = root
+        for key in zip((-1, *wp.path.actions), wp.path.states):
+            if key not in level:
+                level[key] = {}
+                count += 1
+            level = level[key]
+    return count
+
+
+@pytest.fixture(scope="module")
+def slow_exit_cx():
+    return build_mipcx(slow_exit_mdp(), slow_exit_property())
+
+
+class TestPathForest:
+    def test_repeated_paths_share_one_leaf(self):
+        p, q = wp((0, 1, 2), 0.25), wp((0, 2), 0.125)
+        forest = PathForest.of_paths([p, q, p])
+        assert forest.leaves[0] == forest.leaves[2] != forest.leaves[1]
+        assert forest.probabilities == [0.25, 0.125, 0.25]
+        assert len(forest.states) == 4
+
+    def test_a_path_may_run_on_through_another_leaf(self):
+        short, long = wp((0, 1), 0.25), wp((0, 1, 0, 1, 2), 0.125)
+        forest = PathForest.of_paths([long, short])
+        assert len(forest.states) == 5
+        node = forest.leaves[0]
+        for _ in range(3):
+            node = forest.parents[node]
+        assert node == forest.leaves[1]
+
+    def test_paths_may_start_at_different_states(self):
+        paths = [wp((0, 2), 0.25), wp((1, 2), 0.25), wp((0, 1, 2), 0.125)]
+        forest = PathForest.of_paths(paths)
+        roots = [n for n, p in enumerate(forest.parents) if p < 0]
+        assert [forest.states[n] for n in roots] == [0, 1]
+        assert forest.flatten() == tuple(paths)
+
+    def test_nodes_number_parents_first(self, slow_exit_cx):
+        forest = slow_exit_cx.forest
+        assert all(p < n for n, p in enumerate(forest.parents))
+        assert all(a == -1 for a, p in zip(forest.actions, forest.parents)
+                   if p < 0)
+
+    def test_slow_exit_has_one_node_per_distinct_prefix(self, slow_exit_cx):
+        forest = slow_exit_cx.forest
+        steps = sum(len(w.path) for w in slow_exit_cx.paths)
+        assert (len(forest.leaves), steps) == (575, 331_200)
+        assert len(forest.states) == distinct_prefixes(slow_exit_cx.paths)
+        assert len(forest.states) == 1725
+
+    def test_slow_exit_paths_are_the_enumerated_stream(self, slow_exit_cx):
+        m = slow_exit_mdp()
+        chain = induce_dtmc(m, check_property(m, slow_exit_property()).witness)
+        stream = islice(enumerate_satisfying_paths(
+            chain, slow_exit_property().path), 575)
+        assert slow_exit_cx.paths == tuple(stream)
+
+    def test_slow_exit_operation_count(self, slow_exit_cx):
+        assert generate_diagnoses(slow_exit_cx).operation_count == 3455
+
+    def test_flat_view_is_built_once(self, slow_exit_cx):
+        assert slow_exit_cx.paths is slow_exit_cx.paths
 
 
 class TestVerification:
@@ -367,6 +441,31 @@ class TestJsonInterchange:
         again = counterexample_from_json(counterexample_to_json(cx))
         assert again.state_names == cx.state_names
         assert counterexample_to_dict(again) == data
+
+    def spare_atom_cx(self):
+        m = Mdp(3, 0, {(0, "a"): [(1, 0.5), (2, 0.5)],
+                       (1, "a"): [(1, 1.0)], (2, "a"): [(2, 1.0)]},
+                labels={0: {"g"}, 1: {"t"}}, ap_names=["z"])
+        return build_mipcx(m, parse_property("P<=0.4 [ g U t ]"))
+
+    def test_alphabet_beyond_the_path_labels_round_trips(self):
+        data = counterexample_to_dict(self.spare_atom_cx())
+        assert data["ap_names"] == ["g", "t", "z"]
+        again = counterexample_from_json(json.dumps(data))
+        assert again.alphabet() == {"g", "t", "z"}
+        assert counterexample_to_dict(again) == data
+
+    def test_alphabet_of_the_path_labels_is_not_written(self):
+        assert "ap_names" not in self.base()
+        assert counterexample_from_dict(self.base()).alphabet() == set("abcd")
+
+    @pytest.mark.parametrize("names", ["z", [1], {"z": "z"}, [["z"]]],
+                             ids=["string", "number", "object", "nested"])
+    def test_bad_ap_names_rejected(self, names):
+        data = counterexample_to_dict(self.spare_atom_cx())
+        data["ap_names"] = names
+        with pytest.raises(ParseError, match="ap_names"):
+            counterexample_from_dict(data)
 
     def test_unnamed_export_has_no_state_names(self):
         assert "state_names" not in self.base()

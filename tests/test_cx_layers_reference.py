@@ -1,13 +1,16 @@
 """The counterexample layers against their earlier per-position loops.
 
 verify_counterexample, collect_causes, _all_masses and the path text of
-the report work once per distinct state, (state, role) pair or step. The
-loops below are the earlier versions, unchanged, which did the same work
-at every position of every path; they are the reference. Every problem
-list, cause (with its degree, origin and insertion order), mass index,
-operation count and rendered report must come out exactly equal, on
-counterexamples enumerated from seeded random cyclic chains and on
-corrupted copies of them.
+the report walk the counterexample's prefix forest once, plus per path
+its distinct states and steps. The loops below are the earlier versions,
+which did the same work at every position of every path of the flat
+view; they are the reference. Every problem list, cause (with its
+degree, origin and insertion order), mass index, operation count and
+rendered report must come out exactly equal, on counterexamples
+enumerated from seeded random cyclic chains, on corrupted copies of
+them, and on forests of hand-picked shapes: repeated paths, paths
+running on through another's end, paths from several start states, a
+20,000-state simple path and a slow cycle of a few hundred paths.
 """
 
 import random
@@ -16,10 +19,11 @@ from dataclasses import replace
 import pytest
 
 from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
-                     PathFormula, PropertySpec, Scheduler, WeightedPath,
-                     collect_causes, diagnosis, enumerate_satisfying_paths,
-                     eval_state_formula, find_causes, generate_diagnoses,
-                     induce_dtmc, mass_exceeds, parse_state_formula, to_nnf,
+                     PathForest, PathFormula, PropertySpec, Scheduler,
+                     WeightedPath, collect_causes, diagnosis,
+                     enumerate_satisfying_paths, eval_state_formula,
+                     find_causes, generate_diagnoses, induce_dtmc,
+                     mass_exceeds, parse_state_formula, to_nnf,
                      verify_counterexample)
 
 # -- the reference: earlier per-position versions ----------------------------
@@ -156,24 +160,33 @@ def random_chain_cx(rng: random.Random):
     total = sum(wp.probability for wp in paths)
     spec = PropertySpec("<=", total * rng.choice((0.5, 0.9, 0.999)), psi)
     on_paths = {s for wp in paths for s in wp.path.states}
-    return Counterexample(paths, total, sched, spec,
+    return Counterexample(PathForest.of_paths(paths), total, sched, spec,
                           {s: m.labels_of(s) for s in sorted(on_paths)},
                           tuple(m.action_names))
 
 
-def slow_exit_cx(passes: int = 60):
+SLOW_EXIT = Mdp(3, 0, {(0, "go"): [(1, 1.0)],
+                       (1, "back"): [(0, 0.99), (2, 0.01)],
+                       (2, "stay"): [(2, 1.0)]},
+                {0: {"g"}, 1: {"g", "h"}, 2: {"t"}})
+SLOW_EXIT_SCHEDULER = Scheduler({0: 0, 1: 1, 2: 2})
+
+
+def slow_exit_paths(passes: int):
     """Two guard states in a cycle that leaves to the target with 1/100
     per pass: paths of up to 2*passes steps over three states."""
-    m = Mdp(3, 0, {(0, "go"): [(1, 1.0)],
-                   (1, "back"): [(0, 0.99), (2, 0.01)],
-                   (2, "stay"): [(2, 1.0)]},
-            {0: {"g"}, 1: {"g", "h"}, 2: {"t"}})
-    sched = Scheduler({0: 0, 1: 1, 2: 2})
     psi = PathFormula(parse_state_formula("g"), parse_state_formula("t"))
-    paths = tuple(enumerate_satisfying_paths(induce_dtmc(m, sched), psi,
-                                             max_paths=passes))
+    return tuple(enumerate_satisfying_paths(
+        induce_dtmc(SLOW_EXIT, SLOW_EXIT_SCHEDULER), psi, max_paths=passes))
+
+
+def slow_exit_cx(passes: int = 60):
+    m, sched = SLOW_EXIT, SLOW_EXIT_SCHEDULER
+    psi = PathFormula(parse_state_formula("g"), parse_state_formula("t"))
+    paths = slow_exit_paths(passes)
     total = sum(wp.probability for wp in paths)
-    return Counterexample(paths, total, sched, PropertySpec("<=", 0.1, psi),
+    return Counterexample(PathForest.of_paths(paths), total, sched,
+                          PropertySpec("<=", 0.1, psi),
                           {s: m.labels_of(s) for s in m.states},
                           tuple(m.action_names))
 
@@ -196,7 +209,7 @@ CXS = seeded_cxs()
 
 def _with_paths(cx, paths):
     paths = tuple(paths)
-    return replace(cx, paths=paths,
+    return replace(cx, forest=PathForest.of_paths(paths),
                    total_mass=sum(wp.probability for wp in paths))
 
 
@@ -271,6 +284,50 @@ def corrupted_cxs():
 CORRUPTED = corrupted_cxs()
 
 
+# -- forest shapes -----------------------------------------------------------
+
+
+def _shaped(paths, labels):
+    """A counterexample of `g U t` over paths, labelled by labels."""
+    psi = PathFormula(parse_state_formula("g"), parse_state_formula("t"))
+    total = sum(wp.probability for wp in paths)
+    return Counterexample(PathForest.of_paths(paths), total, None,
+                          PropertySpec("<=", total / 2, psi),
+                          {s: frozenset(aps) for s, aps in labels.items()},
+                          ACTIONS)
+
+
+def forest_shapes():
+    """(label, flat paths, counterexample) of hand-picked forest shapes."""
+    small = {0: {"g"}, 1: {"g", "h"}, 2: {"t"}, 3: {"g", "t"}}
+    n = 20_000
+    steps = [s % 2 for s in range(n - 1)]
+    line = {s: {"g"} for s in range(n)}
+    line.update({n - 1: {"t"}, n: {"t", "h"}})
+    shapes = {
+        "repeated": [_wp((0, 1, 2), (0, 1), 0.25),
+                     _wp((0, 1, 2), (0, 2), 0.25), _wp((0, 2), (1,), 0.125),
+                     _wp((0, 1, 2), (0, 1), 0.25)],
+        "runs-on": [_wp((0, 1), (0,), 0.25), _wp((0, 1, 2), (0, 1), 0.125),
+                    _wp((0, 1, 2, 1, 0, 2), (0, 1, 2, 2, 0), 0.0625),
+                    _wp((0,), (), 0.5)],
+        "many-starts": [_wp((0, 1, 2), (0, 1), 0.25),
+                        _wp((1, 0, 2), (1, 0), 0.25), _wp((3, 2), (2,), 0.125),
+                        _wp((1, 0, 1, 2), (1, 0, 1), 0.0625)],
+        "long-line": [_wp(range(n), steps, 0.25),
+                      _wp([*range(n // 2), n], steps[:n // 2 - 1] + [0],
+                          0.125)],
+    }
+    out = [(label, tuple(paths), _shaped(paths, line if label == "long-line"
+                                         else small))
+           for label, paths in shapes.items()]
+    out.append(("slow-cycle", slow_exit_paths(300), slow_exit_cx(300)))
+    return out
+
+
+SHAPES = forest_shapes()
+
+
 # -- comparisons -------------------------------------------------------------
 
 
@@ -288,8 +345,9 @@ def reference_report(monkeypatch, cx):
     with monkeypatch.context() as mp:
         mp.setattr(diagnosis, "collect_causes", reference_collect_causes)
         mp.setattr(diagnosis, "_all_masses", reference_all_masses)
-        mp.setattr(diagnosis, "_format_path",
-                   lambda cx, wp, pieces: reference_format_path(cx, wp))
+        mp.setattr(diagnosis, "_path_texts",
+                   lambda cx: [reference_format_path(cx, wp)
+                               for wp in cx.paths])
         report = generate_diagnoses(cx)
         return (report.to_json(), report.render_text(),
                 report.render_text(normalize=True), report.operation_count)
@@ -328,6 +386,23 @@ def test_corrupted_counterexamples(monkeypatch):
     for label, cx in CORRUPTED:
         assert verify_counterexample(cx) != [], label
         assert_layers_match(monkeypatch, label, cx)
+
+
+def test_forest_shapes(monkeypatch):
+    for label, paths, cx in SHAPES:
+        assert cx.paths == paths, label
+        assert_layers_match(monkeypatch, label, cx)
+
+
+def test_forest_shapes_share_prefixes():
+    forests = {label: cx.forest for label, _, cx in SHAPES}
+    repeated = forests["repeated"]
+    assert repeated.leaves[0] == repeated.leaves[3] != repeated.leaves[1]
+    assert len(forests["long-line"].states) == 20_001
+    assert sum(p < 0 for p in forests["many-starts"].parents) == 3
+    cycle = forests["slow-cycle"]
+    assert len(cycle.leaves) == 300
+    assert len(cycle.states) < sum(len(wp.path) for wp in SHAPES[-1][1]) / 50
 
 
 def test_seeded_paths_are_long_and_revisit_states():

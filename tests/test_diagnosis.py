@@ -5,7 +5,8 @@ import pytest
 from dataclasses import replace
 
 from mdpdiag import (TRUE, And, Atom, BudgetError, Counterexample,
-                     DomainError, FinitePath, Not, Or, WeightedPath,
+                     DomainError, FinitePath, Not, Or, PathForest,
+                     WeightedPath,
                      build_mipcx, collect_causes, find_causes,
                      generate_diagnoses, parse_property)
 from fixtures import (blame_gap_mdp, blame_gap_property, demo_mdp,
@@ -20,7 +21,7 @@ def demo_cx():
 
 def make_cx(paths, total, spec_text, labels, action_names=("a",)):
     labels = {s: frozenset(v) for s, v in labels.items()}
-    return Counterexample(tuple(paths), total, None,
+    return Counterexample(PathForest.of_paths(paths), total, None,
                           parse_property(spec_text), labels, action_names)
 
 
