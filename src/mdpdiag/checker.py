@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, compress, repeat
+from operator import add, mul, ne, sub
 from typing import Optional
 
 from .errors import BudgetError, DomainError
@@ -19,6 +21,9 @@ from .pctl import PathFormula, PropertySpec, eval_state_formula
 DEFAULT_EPSILON = 1e-6
 # Extraction treats one-step backups within this of the best one as tied.
 SCHEDULER_TIE_TOL = 1e-9
+# A sweep backs up whole shape groups from this many dirty states on; below
+# it the per-state loop is cheaper (see _sweep).
+GROUPED_SWEEP_MIN = 32
 
 # model -> {(path formula, epsilon, max_iterations): ValueVector}. An entry
 # dies with its model; models are immutable after construction.
@@ -65,31 +70,110 @@ def _sweep(choices, preds, values, pending, max_sweeps: int,
            epsilon: float) -> tuple[int, float]:
     """Jacobi sweeps updating values in place; returns (sweeps, residual).
 
-    The first sweep backs up every pending state, a later one only the
-    predecessors of the states that changed value in the sweep before; any
-    other state would reproduce its value exactly. Stops after max_sweeps,
-    when nothing changes, or when the residual (largest change) is below
-    epsilon. The residual is inf when no sweep ran.
+    The first sweep backs up every pending state, a later one at least the
+    predecessors of the states that changed value in the sweep before (the
+    dirty states); any other state would reproduce its value exactly.
+    Stops after max_sweeps, when nothing changes, or when the residual
+    (largest change) is below epsilon. The residual is inf when no sweep
+    ran. Pending states must have at least one choice.
+
+    A sweep with fewer than GROUPED_SWEEP_MIN dirty states backs them up
+    one at a time. A larger one backs up, with list-level operations, every
+    shape group (pending states whose choices have the same successor
+    counts, in action order) that holds a dirty state; the groups are
+    formed once per call. Either way a choice's value is its products
+    p * values[t] added left to right, so it does not depend on the Python
+    version's sum().
     """
     dirty = pending
+    grouped = None
     sweeps = 0
     residual = math.inf
     while sweeps < max_sweeps:
         sweeps += 1
-        residual = 0.0
-        changed = []
-        for s in dirty:
-            best = max([sum([p * values[t] for t, p in dist])
-                        for _, dist in choices[s]])
-            if best != values[s]:
-                residual = max(residual, abs(best - values[s]))
-                changed.append((s, best))
-        for s, best in changed:
-            values[s] = best
+        if len(dirty) >= GROUPED_SWEEP_MIN:
+            if grouped is None:
+                grouped = _shape_groups(choices, pending)
+            changed, best, residual = _grouped_backups(grouped, values, dirty)
+        else:
+            changed = []
+            best = []
+            residual = 0.0
+            for s in dirty:
+                top = -math.inf
+                for _, dist in choices[s]:
+                    total = 0.0
+                    for t, p in dist:
+                        total += p * values[t]
+                    if total > top:
+                        top = total
+                if top != values[s]:
+                    residual = max(residual, abs(top - values[s]))
+                    changed.append(s)
+                    best.append(top)
+        for s, top in zip(changed, best):
+            values[s] = top
         if not changed or residual < epsilon:
             break
-        dirty = {u for s, _ in changed for u in preds.get(s, ())}
+        dirty = set(chain.from_iterable(map(preds.get, changed, repeat(()))))
     return sweeps, residual
+
+
+def _shape_groups(choices, pending):
+    """Pending states grouped by the successor counts of their choices.
+
+    Each group is (states, targets, probabilities, stride, columns): the
+    successors of every state of the group, flattened state after state
+    with stride entries per state, and per choice the (first, end) offsets
+    of its successors within one state's entries.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for s in pending:
+        shape = tuple([len(dist) for _, dist in choices[s]])
+        by_shape.setdefault(shape, []).append(s)
+    groups = []
+    group_of = {}
+    for shape, states in by_shape.items():
+        targets = []
+        probs = []
+        for s in states:
+            group_of[s] = len(groups)
+            for _, dist in choices[s]:
+                for t, p in dist:
+                    targets.append(t)
+                    probs.append(p)
+        ends = list(accumulate(shape))
+        columns = list(zip([0] + ends, ends))
+        groups.append((states, targets, probs, sum(shape), columns))
+    return groups, group_of
+
+
+def _grouped_backups(grouped, values, dirty):
+    """Back up every group holding a dirty state; return the states whose
+    value changes, their new values and the largest change."""
+    groups, group_of = grouped
+    changed = []
+    best = []
+    residual = 0.0
+    for g in set(map(group_of.__getitem__, dirty)):
+        states, targets, probs, stride, columns = groups[g]
+        prods = list(map(mul, probs, map(values.__getitem__, targets)))
+        sums = []
+        for first, end in columns:
+            if first == end:
+                sums.append([0.0] * len(states))
+                continue
+            total = prods[first::stride]
+            for i in range(first + 1, end):
+                total = list(map(add, total, prods[i::stride]))
+            sums.append(total)
+        top = list(map(max, *sums)) if len(sums) > 1 else sums[0]
+        old = list(map(values.__getitem__, states))
+        residual = max(residual, max(map(abs, map(sub, top, old))))
+        moved = list(map(ne, top, old))
+        changed.extend(compress(states, moved))
+        best.extend(compress(top, moved))
+    return changed, best, residual
 
 
 def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
@@ -106,10 +190,16 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
 
-    Each sweep after the first backs up only the states whose successors
-    changed value, with the same values, iterations and residual as full
-    Jacobi sweeps. Running out of max_iterations sweeps raises BudgetError;
-    its message and partial give the residual reached (inf for no sweep).
+    Each sweep after the first backs up the states whose successors
+    changed value and, once there are GROUPED_SWEEP_MIN or more of them,
+    every other state whose choices have the same successor counts as one
+    of them, with the same values, iterations and residual as full Jacobi
+    sweeps. A choice's products p * values[t] are added left to right, as
+    sum() did before Python 3.12, so the values are the same on every
+    Python version. A choice with an empty distribution backs up to 0, and
+    a left-operand state without enabled actions keeps 0. Running out of
+    max_iterations sweeps raises BudgetError; its message and partial give
+    the residual reached (inf for no sweep).
     A successor outside the states of an interior state, one validate_mdp
     reports, raises DomainError.
 
@@ -138,7 +228,9 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
     """compute_pmax on a memo miss, with its arguments already checked."""
     sat1, sat2 = _sat_sets(m, psi)
     choices = m.choice_table()
-    interior = [s for s in m.states if s in sat1 and s not in sat2]
+    # a left-operand state without choices keeps the value 0
+    interior = [s for s in m.states
+                if s in sat1 and s not in sat2 and choices[s]]
     preds: dict[int, list[int]] = {}
     n = m.num_states
     for s in interior:
@@ -201,7 +293,12 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
         if s in vv.target_states or s in vv.zero_states:
             continue
         row = choices[s]
-        backups = [sum([p * values[t] for t, p in dist]) for _, dist in row]
+        backups = []
+        for _, dist in row:
+            total = 0.0
+            for t, p in dist:
+                total += p * values[t]
+            backups.append(total)
         best = max(backups)
         fallback[s] = row[backups.index(best)][0]
         for (aid, dist), q in zip(row, backups):

@@ -106,6 +106,35 @@ class TestComputePmax:
         assert compute_pmax(demo_mdp(), psi).values[0] == pytest.approx(
             0.882, abs=1e-12)
 
+    def test_bounded_state_without_actions_gets_zero(self):
+        # state 1 is a `p` state with no enabled action: the bounded
+        # sweep used to take max() of no backups
+        m = Mdp(3, 0, {(0, "a"): [(1, .5), (2, .5)]},
+                {0: {"p"}, 1: {"p"}, 2: {"q"}})
+        unbounded = compute_pmax(m, PQ)
+        assert unbounded.values == [0.5, 0.0, 1.0]
+        for bound in (1, 3):
+            vv = compute_pmax(m, PathFormula(Atom("p"), Atom("q"),
+                                             bound=bound))
+            assert vv.values == unbounded.values
+            assert vv.zero_states == unbounded.zero_states == {1}
+        verdict = check_property(m, parse_property("P<=0.4 [ p U<=3 q ]"))
+        assert not verdict.holds and verdict.pmax == 0.5
+        assert verdict.witness.action_for(0) == m.action_id("a")
+
+    def test_empty_distribution_backs_up_to_zero(self):
+        m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, .5), (2, .5)],
+                       (1, "none"): []},
+                {0: {"p"}, 1: {"p"}, 2: {"q"}})
+        unbounded = compute_pmax(m, PQ)
+        assert unbounded.values == [0.5, 0.0, 1.0]
+        for bound in (1, 3):
+            vv = compute_pmax(m, PathFormula(Atom("p"), Atom("q"),
+                                             bound=bound))
+            assert vv.values == unbounded.values
+        assert extract_max_scheduler(m, unbounded).action_for(0) == (
+            m.action_id("a"))
+
     def test_weak_until_rejected(self):
         with pytest.raises(DomainError, match="weak until"):
             compute_pmax(demo_mdp(), PathFormula(Atom("a"), Atom("c"), op="W"))

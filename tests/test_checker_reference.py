@@ -3,21 +3,31 @@
 compute_pmax backs up only the states whose successors changed value, and
 extract_max_scheduler places states in one backward pass. Both must give
 exactly what full Jacobi sweeps and the layer-by-layer rescan give. The
-reference copies below are those earlier algorithms, kept unchanged; they
-are not independent oracles (see oracles.py for those) but the definition
-of the numbers the faster code must reproduce.
+reference copies below are those earlier algorithms, kept unchanged apart
+from adding each backup's products left to right; they are not
+independent oracles (see oracles.py for those) but the definition of the
+numbers the faster code must reproduce. Every value-iteration comparison
+runs with every sweep grouped, with the shipped size rule, and with no
+sweep grouped.
 """
 
 import random
+import weakref
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from mdpdiag import (DEFAULT_EPSILON, Atom, BudgetError, DomainError, Mdp,
                      PathFormula, Scheduler, ValueVector, compute_pmax,
                      eval_state_formula, extract_max_scheduler)
+from mdpdiag import checker
 from mdpdiag.checker import SCHEDULER_TIE_TOL
 
 PQ = PathFormula(Atom("p"), Atom("q"))
+# checker.GROUPED_SWEEP_MIN values: every sweep grouped, the shipped size
+# rule, and no sweep grouped
+SWEEP_PATHS = (1, checker.GROUPED_SWEEP_MIN, 10**9)
 
 
 # -- reference: full Jacobi sweeps and the layer-by-layer rescan ----------
@@ -51,7 +61,11 @@ def _backward_reach(m: Mdp, sat1, sat2) -> frozenset[int]:
 
 
 def _backup(m: Mdp, s: int, aid: int, values) -> float:
-    return sum(p * values[t] for t, p in m.distribution(s, aid))
+    # left to right, as sum() adds floats before Python 3.12
+    total = 0.0
+    for t, p in m.distribution(s, aid):
+        total += p * values[t]
+    return total
 
 
 def reference_compute_pmax(m: Mdp, psi: PathFormula,
@@ -147,25 +161,36 @@ def reference_extract_max_scheduler(m: Mdp, vv: ValueVector,
 # -- models full of value ties ------------------------------------------
 
 
-def tied_mdp(rng: random.Random) -> Mdp:
+def tied_mdp(rng: random.Random, sizes=(2, 10), gaps=False,
+             p_without_actions=True) -> Mdp:
     """Random MDP whose states often hold several value-tied actions.
 
     Besides random actions, a state may get a copy of one of its actions
     (an exact tie, or a near tie when the successors are listed in another
-    order) and a value-preserving self-loop.
+    order) and a value-preserving self-loop. With gaps, some states have
+    no action and some actions an empty distribution; a state without
+    actions is labelled `p` alone only if p_without_actions (the bounded
+    reference has no value for such a state).
     """
-    n = rng.randint(2, 10)
+    n = rng.randint(*sizes)
     transitions = {}
+    idle = set()
     for s in range(n):
+        if gaps and rng.random() < 0.1:
+            idle.add(s)
+            continue
         acts = []
         for a in range(rng.randint(1, 3)):
+            if gaps and rng.random() < 0.05:
+                transitions[(s, f"a{a}")] = []
+                continue
             succs = rng.sample(range(n), rng.randint(1, min(4, n)))
             weights = [rng.randint(1, 7) for _ in succs]
             total = sum(weights)
             dist = [(t, w / total) for t, w in zip(succs, weights)]
             transitions[(s, f"a{a}")] = dist
             acts.append(dist)
-        if rng.random() < 0.5:
+        if acts and rng.random() < 0.5:
             copy = list(rng.choice(acts))
             if rng.random() < 0.5:
                 copy.reverse()
@@ -179,6 +204,8 @@ def tied_mdp(rng: random.Random) -> Mdp:
             here.add("p")
         if rng.random() < 0.25:
             here.add("q")
+        if s in idle and here == {"p"} and not p_without_actions:
+            here = set()
         if here:
             labels[s] = here
     return Mdp(n, rng.randrange(n), transitions, labels)
@@ -203,16 +230,27 @@ def tied_chain(rng: random.Random, n: int) -> Mdp:
     return Mdp(n + 2, ids[0], transitions, labels)
 
 
+@contextmanager
+def sweep_path(grouped_min: int):
+    """compute_pmax with another grouped-sweep size rule and an empty memo."""
+    with mock.patch.object(checker, "GROUPED_SWEEP_MIN", grouped_min), \
+            mock.patch.object(checker, "_PMAX_MEMO",
+                              weakref.WeakKeyDictionary()):
+        yield
+
+
 def assert_same(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON):
     want = reference_compute_pmax(m, psi, epsilon)
-    got = compute_pmax(m, psi, epsilon)
-    assert got.values == want.values
-    assert got.iterations == want.iterations
-    assert got.residual == want.residual
-    assert got.target_states == want.target_states
-    assert got.zero_states == want.zero_states
-    assert (extract_max_scheduler(m, got).choice
-            == reference_extract_max_scheduler(m, want).choice)
+    for grouped_min in SWEEP_PATHS:
+        with sweep_path(grouped_min):
+            got = compute_pmax(m, psi, epsilon)
+        assert got.values == want.values
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        assert got.target_states == want.target_states
+        assert got.zero_states == want.zero_states
+        assert (extract_max_scheduler(m, got).choice
+                == reference_extract_max_scheduler(m, want).choice)
 
 
 class TestMatchesFullSweeps:
@@ -257,13 +295,40 @@ class TestMatchesFullSweeps:
             assert (extract_max_scheduler(m, vv).choice
                     == reference_extract_max_scheduler(m, vv).choice)
 
+    def test_large_models_of_mixed_shapes_unbounded(self):
+        rng = random.Random(40200)
+        for _ in range(25):
+            m = tied_mdp(rng, sizes=(40, 200), gaps=True)
+            assert_same(m, PQ, rng.choice((1e-3, DEFAULT_EPSILON, 1e-12)))
+
+    def test_large_models_of_mixed_shapes_bounded(self):
+        rng = random.Random(20040)
+        for _ in range(25):
+            m = tied_mdp(rng, sizes=(40, 200), gaps=True,
+                         p_without_actions=False)
+            psi = PathFormula(Atom("p"), Atom("q"), bound=rng.randint(0, 12))
+            assert_same(m, psi)
+
     def test_budget_runs_out_at_the_same_sweep(self):
-        m = tied_chain(random.Random(302), 40)
-        for cap in (0, 1, 20, 40):
-            with pytest.raises(BudgetError):
-                reference_compute_pmax(m, PQ, max_iterations=cap)
-            with pytest.raises(BudgetError):
-                compute_pmax(m, PQ, max_iterations=cap)
+        rng = random.Random(302)
+        m = tied_chain(rng, 40)
+        # each of its first ten sweeps has over 80 dirty states
+        wide = tied_mdp(rng, sizes=(200, 200), gaps=True)
+        for model, caps in ((m, (0, 1, 20, 40)), (wide, (0, 1, 3, 10))):
+            for cap in caps:
+                with pytest.raises(BudgetError):
+                    reference_compute_pmax(model, PQ, epsilon=1e-15,
+                                           max_iterations=cap)
+                raised = []
+                for grouped_min in SWEEP_PATHS:
+                    with sweep_path(grouped_min), \
+                            pytest.raises(BudgetError) as info:
+                        compute_pmax(model, PQ, epsilon=1e-15,
+                                     max_iterations=cap)
+                    raised.append((str(info.value), info.value.partial))
+                assert raised == [raised[-1]] * len(SWEEP_PATHS)
         want = reference_compute_pmax(m, PQ, max_iterations=41)
-        got = compute_pmax(m, PQ, max_iterations=41)
-        assert got.values == want.values and got.iterations == 41
+        for grouped_min in SWEEP_PATHS:
+            with sweep_path(grouped_min):
+                got = compute_pmax(m, PQ, max_iterations=41)
+            assert got.values == want.values and got.iterations == 41
