@@ -21,12 +21,10 @@ from .diagnosis import (BlameEntry, Cause, DiagnosisReport,
 from .errors import BudgetError, DomainError, MdpDiagError, ParseError
 from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler, Violation,
                   WeightedPath, induce_dtmc, parse_explicit_model,
-                  parse_labels_text, path_probability,
-                  serialize_explicit_model, serialize_labels, validate_mdp)
+                  parse_labels_text, path_probability, validate_mdp)
 from .pctl import (FALSE, TRUE, And, Atom, FalseFormula, Not, Or, PathFormula,
-                   PropertySpec, TrueFormula, atoms_of, eval_path_formula,
-                   eval_state_formula, is_nnf, parse_property,
-                   parse_state_formula, path_atoms, to_nnf)
+                   PropertySpec, TrueFormula, atoms_of, eval_state_formula,
+                   parse_property, path_atoms, to_nnf)
 from .program import (DEFAULT_STATE_CAP, Program, build_mdp, fold_constants,
                       parse_program)
 
@@ -43,11 +41,10 @@ __all__ = [
     "build_mdp", "build_mipcx", "check_property", "collect_causes",
     "compute_pmax", "counterexample_from_dict", "counterexample_from_json",
     "counterexample_to_dict", "counterexample_to_json",
-    "enumerate_satisfying_paths", "eval_path_formula", "eval_state_formula",
+    "enumerate_satisfying_paths", "eval_state_formula",
     "extract_max_scheduler", "find_causes", "fold_constants",
-    "generate_diagnoses", "induce_dtmc", "is_nnf", "mass_exceeds",
+    "generate_diagnoses", "induce_dtmc", "mass_exceeds",
     "parse_explicit_model", "parse_labels_text", "parse_program",
-    "parse_property", "parse_state_formula", "path_atoms", "path_probability",
-    "render_text_report", "serialize_explicit_model", "serialize_labels",
+    "parse_property", "path_atoms", "path_probability", "render_text_report",
     "to_nnf", "validate_mdp", "verify_counterexample",
 ]

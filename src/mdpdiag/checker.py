@@ -1,9 +1,4 @@
-"""Maximal until probabilities and threshold verdicts for MDPs.
-
-Only upper-threshold properties (P<=p, P<p) are checked directly; a lower
-threshold on a path formula is the complement of an upper threshold on the
-negated formula and callers are expected to rewrite it that way.
-"""
+"""Maximal until probabilities and threshold verdicts for MDPs."""
 
 from __future__ import annotations
 
@@ -185,7 +180,7 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     iteration until the sup-norm residual drops below epsilon, which must
     lie strictly between 0 and 1. A step bound runs exactly that many
     backward steps instead (the result then is the optimum over
-    step-dependent choices). Weak until is not supported here.
+    step-dependent choices).
     Atoms are evaluated against the labels alone: an atom that labels no
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
@@ -208,9 +203,6 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     be mutated after its first check. Every call returns its own copy of
     the values; errors are not memoized.
     """
-    if psi.op != "U":
-        raise DomainError("only until path formulas have a checked maximal "
-                          "probability; weak until is not supported")
     if not 0 < epsilon < 1:
         # a residual never exceeds 1, so epsilon >= 1 stops after one sweep
         raise DomainError(f"epsilon must be positive and finite and below 1, "
@@ -274,7 +266,8 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
     promised probability mass. A state in layer k takes the lowest tied
     action id with a successor in layer k-1. States no layer reaches take
     the lowest action id of maximal backup. Target and zero-value states
-    take their lowest enabled action id.
+    take their lowest enabled action id, and a state without enabled
+    actions gets none (induce_dtmc rejects it if it is reachable).
 
     Each backup is computed once, and the layers come from one backward
     breadth-first pass over the tied actions, so the work is linear in the
@@ -290,9 +283,9 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
     tied_into: dict[int, list[tuple[int, int]]] = {}
     fallback: dict[int, int] = {}
     for s in m.states:
-        if s in vv.target_states or s in vv.zero_states:
-            continue
         row = choices[s]
+        if not row or s in vv.target_states or s in vv.zero_states:
+            continue
         backups = []
         for _, dist in row:
             total = 0.0
@@ -328,16 +321,9 @@ def check_property(m: Mdp, spec: PropertySpec,
     formula, epsilon and iteration budget, so build_mipcx on the same model
     and property reuses it; the model must not be mutated in between.
     """
-    if spec.comparison not in ("<=", "<"):
-        raise DomainError(
-            f"only upper-threshold comparisons are checked, got "
-            f"{spec.comparison!r}; rewrite lower thresholds by complementation")
     vv = compute_pmax(m, spec.path, epsilon)
     pmax = vv.values[m.init]
-    if spec.comparison == "<=":
-        holds = pmax <= spec.threshold
-    else:
-        holds = pmax < spec.threshold
+    holds = not mass_exceeds(spec, pmax)
     witness = None if holds else extract_max_scheduler(m, vv)
     return Verdict(holds, pmax, spec.threshold, spec.comparison, witness, vv)
 
@@ -346,6 +332,4 @@ def mass_exceeds(spec: PropertySpec, mass: float) -> bool:
     """Does this much path probability witness the property's violation?"""
     if spec.comparison == "<=":
         return mass > spec.threshold
-    if spec.comparison == "<":
-        return mass >= spec.threshold
-    raise DomainError(f"not an upper-threshold comparison: {spec.comparison!r}")
+    return mass >= spec.threshold

@@ -246,7 +246,8 @@ def _add_model_flags(sub):
     sub.add_argument("--const", action="append", metavar="NAME=VALUE",
                      help="set a program constant; repeatable")
     sub.add_argument("--prop", metavar="PROPERTY",
-                     help="property to check, e.g. 'P<=0.1 [ a U b ]'")
+                     help="property P<=p or P<p [ phi U phi ], U<=k for a "
+                          "step bound, e.g. 'P<=0.1 [ a U<=5 !b ]'")
     sub.add_argument("--props-file", metavar="PATH",
                      help="file holding exactly one property")
     sub.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,

@@ -329,8 +329,6 @@ def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
                          min_prob: float) -> Iterator[tuple[_Prefix, float]]:
     """The prefixes enumerate_satisfying_paths yields as paths, with their
     probabilities."""
-    if psi.op != "U":
-        raise DomainError("path enumeration handles until formulas only")
     if math.isnan(min_prob):
         raise DomainError("min_prob must be a number, got nan")
     if max_paths is not None and max_paths <= 0:
@@ -435,8 +433,6 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     depth and the first node from its root on whose state is outside the
     guard-only set; a path is then checked in constant time.
     """
-    if cx.spec.path.op != "U":
-        raise DomainError("counterexamples are defined for until formulas only")
     phi1, phi2 = cx.spec.path.left, cx.spec.path.right
     bound = cx.spec.path.bound
     forest = cx.forest

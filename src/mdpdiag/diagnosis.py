@@ -284,8 +284,6 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
     same total. To rank under another property, pass
     dataclasses.replace(cx, spec=...).
     """
-    if cx.spec.path.op != "U":
-        raise DomainError("diagnosis handles until properties only")
     counter = [0]
     causes = collect_causes(cx, _counter=counter)
     smass, tmass = _all_masses(cx, counter)

@@ -110,7 +110,8 @@ class Mdp:
         return self._choices
 
     def enabled_actions(self, s: int) -> tuple[int, ...]:
-        """Action ids with at least one listed successor at s, ascending."""
+        """Action ids listed at s, ascending, including an action with an
+        empty distribution (validate_mdp reports that as distribution-sum)."""
         self._check_state(s)
         return tuple(aid for aid, _ in self._choices[s])
 
@@ -451,22 +452,3 @@ def parse_labels_text(text: str, num_states: int,
                              line=no, filename=filename)
         labels.setdefault(s, set()).update(rest.split())
     return labels
-
-
-def serialize_explicit_model(m: Mdp) -> str:
-    """Canonical text for m; parsing it back reproduces the same structure."""
-    out = [f"STATES {m.num_states}", f"INIT {m.init}"]
-    for (s, aid), dist in m.transition_items():
-        name = m.action_names[aid]
-        for t, p in dist:
-            out.append(f"{s} {name} {t} {p!r}")
-    return "\n".join(out) + "\n"
-
-
-def serialize_labels(m: Mdp) -> str:
-    out = []
-    for s in m.states:
-        aps = m.labels_of(s)
-        if aps:
-            out.append(f"{s}: " + " ".join(sorted(aps)))
-    return "\n".join(out) + "\n"

@@ -1,14 +1,22 @@
 """State and path formulas for probabilistic safety checking.
 
-The surface grammar covers an upper/lower-threshold probability operator
-around a single (weak) until path formula over propositional state
-formulas:
+A property bounds from above the probability of an until path formula
+over propositional state formulas; only such a property is violated by a
+finite set of paths, its counterexample. The grammar:
 
-    P<=0.5 [ (a|b) U (c&d) ]      P<0.1 [ x U<=12 y ]      P<=0 [ a W b ]
+    property := 'P' ('<=' | '<') p '[' state 'U' ['<=' k] state ']'
+    state    := state '|' state | state '&' state | '!' state | '(' state ')'
+              | 'true' | 'false' | atom | '"' label '"'
 
-Disjunction is part of the state-formula grammar here even though minimal
-presentations derive it from negation and conjunction; cause extraction
-treats it as a first-class connective.
+with p a number in [0, 1], k a nonnegative integer, '&' binding tighter
+than '|', and atom any identifier but U, true and false. For example
+
+    P<=0.5 [ (a|b) U (c&d) ]      P<0.1 [ x U<=12 y ]
+
+Lower thresholds (P>=, P>) and weak until (W) are parse errors; W is an
+ordinary atom name. Disjunction is part of the state-formula grammar
+even though minimal presentations derive it from negation and
+conjunction; cause extraction treats it as a first-class connective.
 """
 
 from __future__ import annotations
@@ -88,21 +96,18 @@ def _wrap(phi: StateFormula, tight: bool = False) -> str:
 
 @dataclass(frozen=True)
 class PathFormula:
-    """left U right, optionally step-bounded; op is 'U' or 'W'."""
+    """left U right, optionally step-bounded."""
 
     left: StateFormula
     right: StateFormula
-    op: str = "U"
     bound: Optional[int] = None
 
     def __post_init__(self):
-        if self.op not in ("U", "W"):
-            raise DomainError(f"path operator must be 'U' or 'W', got {self.op!r}")
         if self.bound is not None and self.bound < 0:
             raise DomainError(f"step bound must be nonnegative, got {self.bound}")
 
     def __str__(self):
-        op = self.op if self.bound is None else f"{self.op}<={self.bound}"
+        op = "U" if self.bound is None else f"U<={self.bound}"
         return f"{_until_operand(self.left)} {op} {_until_operand(self.right)}"
 
 
@@ -114,14 +119,15 @@ def _until_operand(phi: StateFormula) -> str:
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """P <comparison> <threshold> [ <path formula> ]."""
+    """P <comparison> <threshold> [ <path formula> ]; the comparison is
+    '<=' or '<'."""
 
     comparison: str
     threshold: float
     path: PathFormula
 
     def __post_init__(self):
-        if self.comparison not in ("<", "<=", ">", ">="):
+        if self.comparison not in ("<=", "<"):
             raise DomainError(f"unsupported comparison {self.comparison!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise DomainError(f"threshold must lie in [0, 1], got {self.threshold}")
@@ -172,26 +178,6 @@ def eval_state_formula(labels: Mapping[int, AbstractSet[str]], s: int,
     raise DomainError(f"not a state formula: {phi!r}")
 
 
-def eval_path_formula(labels: Mapping[int, AbstractSet[str]],
-                      states: tuple[int, ...], psi: PathFormula) -> bool:
-    """Evaluate psi on a finite state sequence.
-
-    Until holds iff some position within the bound satisfies the right
-    operand with all earlier positions satisfying the left one. Weak until
-    additionally holds when every inspected position satisfies the left
-    operand; it is judged on the finite sequence only.
-    """
-    limit = len(states) - 1
-    if psi.bound is not None:
-        limit = min(limit, psi.bound)
-    for j in range(limit + 1):
-        if eval_state_formula(labels, states[j], psi.right):
-            return True
-        if not eval_state_formula(labels, states[j], psi.left):
-            return False
-    return psi.op == "W"
-
-
 # -- negation normal form --------------------------------------------------
 
 
@@ -218,14 +204,6 @@ def to_nnf(phi: StateFormula) -> StateFormula:
         if isinstance(child, Or):
             return And(to_nnf(Not(child.left)), to_nnf(Not(child.right)))
     raise DomainError(f"not a state formula: {phi!r}")
-
-
-def is_nnf(phi: StateFormula) -> bool:
-    if isinstance(phi, Not):
-        return isinstance(phi.child, Atom)
-    if isinstance(phi, (And, Or)):
-        return is_nnf(phi.left) and is_nnf(phi.right)
-    return isinstance(phi, (TrueFormula, FalseFormula, Atom))
 
 
 # -- parsing ---------------------------------------------------------------
@@ -318,8 +296,8 @@ class _PropertyParser(TokenCursor):
             self.error("a property starts with 'P'")
         self.advance()
         cmp_tok = self.peek()
-        if cmp_tok.kind != "cmp":
-            self.error("expected a comparison after 'P'")
+        if cmp_tok.text not in ("<=", "<"):
+            self.error("expected the comparison '<=' or '<' after 'P'")
         self.advance()
         num_tok = self.peek()
         if num_tok.kind != "num":
@@ -339,8 +317,8 @@ class _PropertyParser(TokenCursor):
     def parse_path(self) -> PathFormula:
         left = self.parse_or()
         op_tok = self.peek()
-        if op_tok.kind != "ident" or op_tok.text not in ("U", "W"):
-            self.error("expected 'U' or 'W' between state formulas")
+        if op_tok.kind != "ident" or op_tok.text != "U":
+            self.error("expected 'U' between state formulas")
         self.advance()
         bound = None
         if self.peek().text == "<=":
@@ -351,7 +329,7 @@ class _PropertyParser(TokenCursor):
             self.advance()
             bound = int(num_tok.text)
         right = self.parse_or()
-        return PathFormula(left, right, op_tok.text, bound)
+        return PathFormula(left, right, bound)
 
     def parse_or(self) -> StateFormula:
         phi = self.parse_and()
@@ -395,8 +373,8 @@ class _PropertyParser(TokenCursor):
             if tok.text == "false":
                 self.advance()
                 return FALSE
-            if tok.text in ("U", "W"):
-                self.error(f"{tok.text!r} is reserved for path operators", tok)
+            if tok.text == "U":
+                self.error("'U' is reserved for the until operator", tok)
             if tok.text == "P" and self.tokens[self.pos + 1].kind == "cmp":
                 self.error("nested probability operators are not supported", tok)
             self.advance()
@@ -415,13 +393,3 @@ def parse_property(text: str,
     """
     return _PropertyParser(tokenize(_TOKEN_RE, text),
                            defined_labels).parse_property()
-
-
-def parse_state_formula(text: str,
-                        defined_labels: Optional[Collection[str]] = None) -> StateFormula:
-    parser = _PropertyParser(tokenize(_TOKEN_RE, text), defined_labels)
-    phi = parser.parse_or()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"trailing input {tok.text!r}")
-    return phi

@@ -6,13 +6,16 @@ maximizing scheduler admits six paths into the bad region. blame_gap_mdp
 separates "action reaching the most responsible cause" from "action
 carrying the most blame". slow_exit_mdp is the shape of the slow-exit
 benchmark workload: a cycle left rarely, whose counterexample is hundreds
-of long paths sharing almost all their prefixes.
+of long paths sharing almost all their prefixes. The remaining helpers
+parse a lone state formula and write a model back to the explicit text
+format.
 """
 
 from pathlib import Path
 
 from mdpdiag import Mdp, PropertySpec, parse_explicit_model, parse_property
 from mdpdiag.mdp import content_lines
+from mdpdiag.pctl import StateFormula
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -74,3 +77,28 @@ def slow_exit_mdp(q: float = 2e-3) -> Mdp:
 
 def slow_exit_property() -> PropertySpec:
     return parse_property("P<=0.45 [ ok U goal ]")
+
+
+def parse_state_formula(text: str, defined_labels=None) -> StateFormula:
+    """The state formula text, parsed as the target of a property."""
+    return parse_property(f"P<=1 [ false U ({text}) ]",
+                          defined_labels).path.right
+
+
+def serialize_explicit_model(m: Mdp) -> str:
+    """Canonical text for m; parsing it back reproduces the same structure."""
+    out = [f"STATES {m.num_states}", f"INIT {m.init}"]
+    for (s, aid), dist in m.transition_items():
+        name = m.action_names[aid]
+        for t, p in dist:
+            out.append(f"{s} {name} {t} {p!r}")
+    return "\n".join(out) + "\n"
+
+
+def serialize_labels(m: Mdp) -> str:
+    out = []
+    for s in m.states:
+        aps = m.labels_of(s)
+        if aps:
+            out.append(f"{s}: " + " ".join(sorted(aps)))
+    return "\n".join(out) + "\n"

@@ -6,8 +6,9 @@ scheduler enumeration instead of greedy extraction, depth-first path
 listing instead of best-first search, and brute-force label flips instead
 of syntactic cause extraction. The flip oracles (is_critical,
 responsibility_oracle) and the structural propositions of the diagnosis
-(check_prop1, check_prop2) are built on the public functions of the
-package: path formula evaluation, the mass threshold test and causes.
+(check_prop1, check_prop2) are built on eval_path_formula below and on
+the public functions of the package: state formula evaluation, the mass
+threshold test and causes.
 State mass, transition mass and blame are rescanned here path by path,
 as references for the one mass index inside generate_diagnoses. Keep
 this module free of imports from the package internals beyond those
@@ -23,8 +24,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from mdpdiag import (BudgetError, Cause, Counterexample, DomainError, Mdp,
-                     collect_causes, eval_path_formula, mass_exceeds,
-                     path_atoms)
+                     PathFormula, collect_causes, eval_state_formula,
+                     mass_exceeds, path_atoms)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 
 DEFAULT_ORACLE_VAR_CAP = 20
@@ -194,6 +195,22 @@ def star_mdp(branches: int) -> Mdp:
 
 
 # -- label-flip oracles ------------------------------------------------------
+
+
+def eval_path_formula(labels: Mapping[int, frozenset[str]],
+                      states: tuple[int, ...], psi: PathFormula) -> bool:
+    """Does psi hold on a finite state sequence? Until holds iff some
+    position within the bound satisfies the right operand with all
+    earlier positions satisfying the left one."""
+    limit = len(states) - 1
+    if psi.bound is not None:
+        limit = min(limit, psi.bound)
+    for j in range(limit + 1):
+        if eval_state_formula(labels, states[j], psi.right):
+            return True
+        if not eval_state_formula(labels, states[j], psi.left):
+            return False
+    return False
 
 
 def _flip_labels(labels: Mapping[int, frozenset[str]], s: int,

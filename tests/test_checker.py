@@ -7,10 +7,11 @@ import weakref
 
 import pytest
 
-from mdpdiag import (Atom, BudgetError, DomainError, Mdp, PathFormula,
-                     PropertySpec, Scheduler, check_property, compute_pmax,
-                     eval_state_formula, build_mipcx, extract_max_scheduler,
-                     induce_dtmc, mass_exceeds, parse_property)
+from mdpdiag import (Atom, BudgetError, DomainError, Mdp, ParseError,
+                     PathFormula, PropertySpec, Scheduler, ValueVector,
+                     check_property, compute_pmax, eval_state_formula,
+                     build_mipcx, extract_max_scheduler, induce_dtmc,
+                     mass_exceeds, parse_property)
 
 from fixtures import demo_mdp, demo_property
 from oracles import (bounded_pmax_exact, dtmc_reach_exact, exhaustive_pmax,
@@ -136,8 +137,9 @@ class TestComputePmax:
             m.action_id("a"))
 
     def test_weak_until_rejected(self):
-        with pytest.raises(DomainError, match="weak until"):
-            compute_pmax(demo_mdp(), PathFormula(Atom("a"), Atom("c"), op="W"))
+        # a path formula is an until; weak until does not parse
+        with pytest.raises(ParseError, match="column 12: expected 'U'"):
+            parse_property("P<=0.5 [ a W c ]")
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.inf, -math.inf,
                                      math.nan, 1.0, 2.0])
@@ -289,6 +291,16 @@ class TestSchedulerExtraction:
             exact = dtmc_reach_exact(trans, targets, interior, m.num_states)
             assert exact[m.init] == pytest.approx(vv.values[m.init], abs=1e-6)
 
+    def test_state_without_actions_gets_no_choice(self):
+        m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, 0.5), (2, 0.5)]},
+                {0: {"p"}, 1: {"p"}, 2: {"q"}})
+        vv = ValueVector([0.5, 0.25, 1.0], 0, 0.0, PQ, frozenset({2}),
+                         frozenset())
+        sched = extract_max_scheduler(m, vv)
+        assert sched.choice == {0: m.action_id("a")}
+        with pytest.raises(DomainError, match="undefined at state 1"):
+            induce_dtmc(m, sched)
+
 
 class TestCheckProperty:
     def test_demo_violated(self):
@@ -316,8 +328,10 @@ class TestCheckProperty:
         assert not lt.holds
 
     def test_lower_threshold_comparison_rejected(self):
-        with pytest.raises(DomainError, match="complementation"):
-            check_property(coin_mdp(), PropertySpec(">=", 0.5, PQ))
+        with pytest.raises(DomainError, match="comparison"):
+            PropertySpec(">=", 0.5, PQ)
+        with pytest.raises(ParseError, match="column 2: .* after 'P'"):
+            parse_property("P>=0.5 [ p U q ]")
 
 
 class TestMassExceeds:
@@ -332,5 +346,6 @@ class TestMassExceeds:
         assert not mass_exceeds(spec, 0.5 - 1e-9)
 
     def test_lower_comparison_rejected(self):
+        # so mass_exceeds never sees one
         with pytest.raises(DomainError):
-            mass_exceeds(PropertySpec(">", 0.5, PQ), 0.9)
+            PropertySpec(">", 0.5, PQ)

@@ -71,9 +71,6 @@ def _backup(m: Mdp, s: int, aid: int, values) -> float:
 def reference_compute_pmax(m: Mdp, psi: PathFormula,
                            epsilon: float = DEFAULT_EPSILON,
                            max_iterations: int = 1_000_000) -> ValueVector:
-    if psi.op != "U":
-        raise DomainError("only until path formulas have a checked maximal "
-                          "probability; weak until is not supported")
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     sat1, sat2 = _sat_sets(m, psi)

@@ -112,6 +112,19 @@ class TestCheck:
         assert "unknown atomic proposition 'dd'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    @pytest.mark.parametrize("prop,where", [
+        ("P>=0.5 [ (a|b) U (c&d) ]", "column 2: expected the comparison"),
+        ("P>0.5 [ (a|b) U (c&d) ]", "column 2: expected the comparison"),
+        ("P<=0.5 [ (a|b) W (c&d) ]", "column 16: expected 'U'"),
+    ])
+    def test_lower_threshold_and_weak_until_do_not_parse(self, capsys,
+                                                          command, prop,
+                                                          where):
+        code, out, err = run(capsys, command, *demo_args(prop=prop))
+        assert code == 2 and out == ""
+        assert f"error: line 1, {where}" in err
+
     def test_bad_epsilon(self, capsys):
         code, _, err = run(capsys, "check", "--epsilon", "-1", *demo_args())
         assert code == 2 and "epsilon" in err
@@ -349,6 +362,23 @@ class TestDiagnoseTrace:
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, "diagnose-trace", "--trace", str(path))
         assert code == 2 and "disagrees" in err
+
+    def test_lower_threshold_override_does_not_parse(self, capsys, tmp_path):
+        path, _ = self.export(capsys, tmp_path)
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(path),
+                             "--prop", "P>0.1 [ (a|b) U (c&d) ]")
+        assert code == 2 and out == ""
+        assert "error: line 1, column 2: expected the comparison" in err
+
+    def test_weak_until_in_stored_property_rejected(self, capsys, tmp_path):
+        path, _ = self.export(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        assert data["property"] == "P<=0.5 [ (a | b) U (c & d) ]"
+        data["property"] = "P<=0.5 [ (a | b) W (c & d) ]"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(path))
+        assert code == 2 and out == ""
+        assert "error: line 1, column 18: expected 'U'" in err
 
     def test_invalid_trace_json(self, capsys, tmp_path):
         path = tmp_path / "cx.json"

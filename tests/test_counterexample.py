@@ -124,9 +124,8 @@ class TestEnumeration:
         assert list(enumerate_satisfying_paths(demo_chain(), psi)) == []
 
     def test_weak_until_rejected(self):
-        psi = PathFormula(Atom("a"), Atom("c"), op="W")
-        with pytest.raises(DomainError):
-            list(enumerate_satisfying_paths(demo_chain(), psi))
+        with pytest.raises(ParseError, match="column 12: expected 'U'"):
+            parse_property("P<=0.5 [ a W c ]")
 
     def test_equal_probabilities_order_lexicographically(self):
         m = Mdp(3, 0, {
@@ -390,9 +389,10 @@ class TestVerification:
         assert any("until target" in p for p in problems)
 
     def test_weak_until_spec_rejected(self):
-        cx = make_cx([wp((0, 2), 0.5)], 0.5, "P<=0.1 [ g W t ]")
-        with pytest.raises(DomainError):
-            verify_counterexample(cx)
+        data = counterexample_to_dict(make_cx([wp((0, 2), 0.5)], 0.5))
+        data["property"] = "P<=0.1 [ g W t ]"
+        with pytest.raises(ParseError, match="column 12: expected 'U'"):
+            counterexample_from_dict(data)
 
 
 class TestJsonInterchange:

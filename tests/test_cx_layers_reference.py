@@ -23,15 +23,14 @@ from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
                      WeightedPath, collect_causes, diagnosis,
                      enumerate_satisfying_paths, eval_state_formula,
                      find_causes, generate_diagnoses, induce_dtmc,
-                     mass_exceeds, parse_state_formula, to_nnf,
-                     verify_counterexample)
+                     mass_exceeds, to_nnf, verify_counterexample)
+
+from fixtures import parse_state_formula
 
 # -- the reference: earlier per-position versions ----------------------------
 
 
 def reference_verify_counterexample(cx, labels=None):
-    if cx.spec.path.op != "U":
-        raise DomainError("counterexamples are defined for until formulas only")
     labels = cx.labels if labels is None else labels
     phi1, phi2 = cx.spec.path.left, cx.spec.path.right
     bound = cx.spec.path.bound

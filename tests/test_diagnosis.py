@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from mdpdiag import (TRUE, And, Atom, BudgetError, Counterexample,
-                     DomainError, FinitePath, Not, Or, PathForest,
+                     DomainError, FinitePath, Not, Or, ParseError, PathForest,
                      WeightedPath,
                      build_mipcx, collect_causes, find_causes,
                      generate_diagnoses, parse_property)
@@ -322,9 +322,8 @@ class TestReport:
         assert cx.spec.threshold == 0.5  # input untouched
 
     def test_weak_until_rejected(self):
-        cx = replace(demo_cx(), spec=parse_property("P<=0.5 [ a W c ]"))
-        with pytest.raises(DomainError, match="until"):
-            generate_diagnoses(cx)
+        with pytest.raises(ParseError, match="column 12: expected 'U'"):
+            parse_property("P<=0.5 [ a W c ]")
 
     def test_dict_shape(self):
         report = generate_diagnoses(demo_cx(), pmax=0.882)

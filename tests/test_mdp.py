@@ -6,10 +6,9 @@ import pytest
 
 from mdpdiag import (DomainError, FinitePath, Mdp, ParseError, Scheduler,
                      induce_dtmc, parse_explicit_model, parse_labels_text,
-                     path_probability, serialize_explicit_model,
-                     serialize_labels, validate_mdp)
+                     path_probability, validate_mdp)
 
-from fixtures import demo_mdp
+from fixtures import demo_mdp, serialize_explicit_model, serialize_labels
 from oracles import random_mdp
 
 
@@ -36,6 +35,13 @@ class TestConstruction:
         })
         # ids follow encounter order, the enabled list is sorted by id
         assert m.enabled_actions(0) == (0, 1)
+
+    def test_enabled_actions_include_empty_distribution(self):
+        m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, 0.5), (2, 0.5)]})
+        assert m.enabled_actions(0) == (0, 1)
+        assert m.distribution(0, m.action_id("none")) == ()
+        assert [(v.kind, v.state) for v in validate_mdp(m)
+                if v.kind == "distribution-sum"] == [("distribution-sum", 0)]
 
     def test_distribution_and_successors(self):
         m = two_action_mdp()

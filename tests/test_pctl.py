@@ -2,12 +2,23 @@
 
 import pytest
 
-from mdpdiag import (FALSE, TRUE, And, Atom, DomainError, Not, Or, ParseError,
-                     PathFormula, PropertySpec, atoms_of, eval_path_formula,
-                     eval_state_formula, is_nnf, parse_property,
-                     parse_state_formula, path_atoms, to_nnf)
+from mdpdiag import (FALSE, TRUE, And, Atom, DomainError, FalseFormula, Not,
+                     Or, ParseError, PathFormula, PropertySpec, TrueFormula,
+                     atoms_of, eval_state_formula, parse_property, path_atoms,
+                     to_nnf)
+
+from fixtures import parse_state_formula
+from oracles import eval_path_formula
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
+
+
+def is_nnf(phi) -> bool:
+    if isinstance(phi, Not):
+        return isinstance(phi.child, Atom)
+    if isinstance(phi, (And, Or)):
+        return is_nnf(phi.left) and is_nnf(phi.right)
+    return isinstance(phi, (TrueFormula, FalseFormula, Atom))
 
 
 class TestParsing:
@@ -15,23 +26,32 @@ class TestParsing:
         spec = parse_property("P<=0.5 [ (a|b) U (c&d) ]")
         assert spec.comparison == "<="
         assert spec.threshold == 0.5
-        assert spec.path == PathFormula(Or(A, B), And(C, D), "U", None)
+        assert spec.path == PathFormula(Or(A, B), And(C, D))
 
     def test_all_comparisons_accepted_by_parser(self):
-        for cmp in ("<", "<=", ">", ">="):
+        for cmp in ("<", "<="):
             spec = parse_property(f"P{cmp}0.3 [ a U b ]")
             assert spec.comparison == cmp
 
     def test_step_bound(self):
         spec = parse_property("P<0.1 [ x U<=12 y ]")
         assert spec.path.bound == 12
-        assert spec.path.op == "U"
         assert spec.threshold == 0.1
 
     def test_weak_until(self):
-        spec = parse_property("P<=0 [ a W b ]")
-        assert spec.path.op == "W"
-        assert spec.threshold == 0.0
+        with pytest.raises(ParseError,
+                           match="^line 1, column 10: expected 'U' between"):
+            parse_property("P<=0 [ a W b ]")
+
+    @pytest.mark.parametrize("cmp", [">", ">="])
+    def test_lower_threshold(self, cmp):
+        with pytest.raises(ParseError,
+                           match="^line 1, column 2: .* '<=' or '<' after 'P'"):
+            parse_property(f"P{cmp}0.5 [ a U b ]")
+
+    def test_w_is_an_atom(self):
+        spec = parse_property("P<=0.5 [ W U !W ]")
+        assert spec.path == PathFormula(Atom("W"), Not(Atom("W")))
 
     def test_precedence_or_binds_loosest(self):
         assert parse_state_formula("a|b&c") == Or(A, And(B, C))
@@ -73,7 +93,7 @@ class TestParsing:
         ("P<=1.5 [ a U b ]", "outside"),
         ("P<=0.5 a U b", "expected '\\['"),
         ("P<=0.5 [ a U b ] extra", "trailing"),
-        ("P<=0.5 [ a b ]", "'U' or 'W'"),
+        ("P<=0.5 [ a b ]", "expected 'U'"),
         ("P<=0.5 [ a U ]", "state formula"),
         ("P<=0.5 [ (a U b ]", "expected '\\)'"),
         ("P<=0.5 [ a U<=2.5 b ]", "nonnegative integer"),
@@ -94,15 +114,11 @@ class TestParsing:
             pytest.fail("expected ParseError")
 
     def test_state_formula_trailing_input(self):
-        with pytest.raises(ParseError, match="trailing"):
-            parse_state_formula("a b")
+        with pytest.raises(ParseError, match="^line 1, column 12: expected 'U'"):
+            parse_property("P<=0.5 [ a b U c ]")
 
 
 class TestAstValidation:
-    def test_bad_path_operator(self):
-        with pytest.raises(DomainError):
-            PathFormula(A, B, op="X")
-
     def test_negative_bound(self):
         with pytest.raises(DomainError):
             PathFormula(A, B, bound=-1)
@@ -134,8 +150,8 @@ class TestFormatting:
     @pytest.mark.parametrize("text", [
         "P<=0.5 [ (a|b) U (c&d) ]",
         "P<0.25 [ !a&b U<=3 c|d&a ]",
-        "P<=1 [ true W false ]",
-        "P>=0.75 [ !(a|b) U !!c ]",
+        "P<=1 [ true U false ]",
+        "P<0.75 [ !(a|b) U !!c ]",
         "P<=0.5 [ (a&b|c)&d U a ]",
     ])
     def test_round_trip(self, text):
@@ -185,11 +201,6 @@ class TestEvaluation:
         psi = PathFormula(A, C)
         assert not eval_path_formula(self.labels, (0, 1), psi)
 
-    def test_weak_until_unresolved_prefix_is_true(self):
-        psi = PathFormula(A, C, op="W")
-        assert eval_path_formula(self.labels, (0, 1), psi)
-        assert not eval_path_formula(self.labels, (0, 2), PathFormula(B, D, op="W"))
-
     def test_bound_cuts_off_late_target(self):
         psi = PathFormula(A, C, bound=1)
         assert not eval_path_formula(self.labels, (0, 1, 2), psi)
@@ -200,11 +211,6 @@ class TestEvaluation:
         assert eval_path_formula(self.labels, (2, 0), PathFormula(A, C, bound=0))
         assert not eval_path_formula(self.labels, (0, 2),
                                      PathFormula(A, C, bound=0))
-
-    def test_weak_until_with_bound_holds_on_good_prefix(self):
-        psi = PathFormula(A, C, op="W", bound=1)
-        assert eval_path_formula(self.labels, (0, 1, 2), psi)
-
 
 class TestNormalForm:
     def test_push_through_and(self):

@@ -369,7 +369,7 @@ class TestElaboration:
         assert kinds == {"no-enabled-action"}
 
     def test_rebuild_is_deterministic(self):
-        from mdpdiag import serialize_explicit_model
+        from fixtures import serialize_explicit_model
         one, _ = build(SYNC)
         two, _ = build(SYNC)
         assert serialize_explicit_model(one) == serialize_explicit_model(two)
