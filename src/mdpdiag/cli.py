@@ -5,7 +5,8 @@ property (optionally exporting the counterexample), and diagnose-trace to
 re-rank a previously exported counterexample without the model.
 
 Exit codes: 0 the property holds, 1 it is violated (and was diagnosed),
-2 usage, parse or validation trouble, 3 a resource budget was exhausted.
+2 usage, parse or validation trouble (input that is not UTF-8 or nests
+past the recursion limit included), 3 a resource budget was exhausted.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text "
+                          f"(byte {exc.start})") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -320,6 +324,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_BUDGET
     except (_UsageError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # every recursion in the package walks a tree read from the input
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

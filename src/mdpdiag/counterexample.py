@@ -239,9 +239,6 @@ class Counterexample:
         """The atoms a property of this counterexample may name."""
         return set(self.ap_names).union(*self.labels.values())
 
-    def states_on_paths(self) -> set[int]:
-        return set(self.forest.states)
-
     def state_name(self, s: int) -> str:
         if self.state_names is not None and s in self.state_names:
             return self.state_names[s]
@@ -335,15 +332,6 @@ def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
         return
     sat1 = {s for s in d.states if eval_state_formula(d.labels, s, psi.left)}
     sat2 = {s for s in d.states if eval_state_formula(d.labels, s, psi.right)}
-
-    if d.init in sat2:
-        # The only path cut at its first target state is the empty one.
-        if 1.0 >= min_prob:
-            yield _Prefix(d.init, -1, None), 1.0
-        return
-    if d.init not in sat1:
-        return
-
     preds: dict[int, list[int]] = {}
     for s in sat1 - sat2:
         for _, dist in d.choices[s]:
@@ -357,8 +345,8 @@ def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
     # Heap entries: (cost, prefix, probability, complete). A prefix shares
     # its ancestors with every other path through them. (cost, prefix)
     # orders the entries totally, so the order of pushes never shows in
-    # the pops.
-    heap = [(0.0, _Prefix(d.init, -1, None), 1.0, False)]
+    # the pops. A target initial state is the one complete path.
+    heap = [(0.0, _Prefix(d.init, -1, None), 1.0, d.init in sat2)]
     emitted = 0
     while heap:
         cost, prefix, prob, complete = heapq.heappop(heap)
@@ -440,7 +428,7 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     out: list[str] = []
     if not forest.leaves:
         out.append("counterexample contains no paths")
-    on_paths = cx.states_on_paths()
+    on_paths = set(forest.states)
     sat2 = {s for s in on_paths if eval_state_formula(cx.labels, s, phi2)}
     guard_only = {s for s in on_paths - sat2
                   if eval_state_formula(cx.labels, s, phi1)}
@@ -586,7 +574,7 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     if not isinstance(data, dict):
         raise ParseError("counterexample JSON must be an object")
     version = _require(data, "format_version")
-    if version != CX_FORMAT_VERSION:
+    if type(version) is not int or version != CX_FORMAT_VERSION:
         raise ParseError(f"unsupported counterexample format_version {version!r}")
 
     labels = _state_keyed(_require(data, "labels"), _name_set,
@@ -618,7 +606,7 @@ def counterexample_from_dict(data: dict) -> Counterexample:
                 and set(map(type, actions)) <= {str}):
             raise ParseError(f"malformed path entry {i}")
         names.update(actions)
-    raw_sched = data.get("scheduler") or {}
+    raw_sched = data.get("scheduler", {})
     if not (isinstance(raw_sched, dict)
             and set(map(type, raw_sched.values())) <= {str}):
         raise ParseError("counterexample scheduler must map states to labels")

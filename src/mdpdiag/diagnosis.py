@@ -12,7 +12,13 @@ mass crossing that transition.
 Cause extraction itself is syntactic and cheap: it walks the negation
 normal form of the guard/target formulas once per state, granting full
 responsibility through conjunctions and splitting it at disjunctions whose
-two sides both hold.
+two sides both hold. Every cause it finds is a semantic cause of the same
+degree, but it keeps each state in its role (guard, target or neither), so
+it misses causes whose smallest contingency changes that role. On 268
+counterexamples of seeded random models over four atoms it missed 37 of
+569 semantic causes, 29 of degree 1/3 and 8 of degree 1/4, all of this
+kind (tests/test_diagnosis.py::TestAgainstOracle). Finding them would take
+a search over subsets of the alphabet, exponential in its size.
 """
 
 from __future__ import annotations

@@ -228,14 +228,6 @@ class FinitePath:
                 f"{len(self.states)} states need {len(self.states) - 1} actions, "
                 f"got {len(self.actions)}")
 
-    @property
-    def first(self) -> int:
-        return self.states[0]
-
-    @property
-    def last(self) -> int:
-        return self.states[-1]
-
     def __len__(self):
         return len(self.actions)
 

@@ -284,6 +284,21 @@ class TokenCursor:
             self.error(f"expected {text!r}, got {shown!r}")
         return self.advance()
 
+    def parse_binary(self, ops, operand, make, min_level=0):
+        """Parse operands joined by left-associative binary operators.
+
+        ops maps each operator to its level, higher binding tighter, and
+        make(op, left, right) builds a node. By precedence climbing, an
+        operand costs one frame for all levels, two behind an operator, so
+        the recursion limit allows nesting as deep as one method per level
+        would."""
+        left = operand()
+        while ops.get(self.peek().text, -1) >= min_level:
+            op = self.advance().text
+            left = make(op, left,
+                        self.parse_binary(ops, operand, make, ops[op] + 1))
+        return left
+
 
 class _PropertyParser(TokenCursor):
     def __init__(self, tokens, defined_labels=None):
@@ -332,18 +347,9 @@ class _PropertyParser(TokenCursor):
         return PathFormula(left, right, bound)
 
     def parse_or(self) -> StateFormula:
-        phi = self.parse_and()
-        while self.peek().text == "|":
-            self.advance()
-            phi = Or(phi, self.parse_and())
-        return phi
-
-    def parse_and(self) -> StateFormula:
-        phi = self.parse_not()
-        while self.peek().text == "&":
-            self.advance()
-            phi = And(phi, self.parse_not())
-        return phi
+        return self.parse_binary(
+            {"|": 0, "&": 1}, self.parse_not,
+            lambda op, l, r: Or(l, r) if op == "|" else And(l, r))
 
     def parse_not(self) -> StateFormula:
         if self.peek().text == "!":

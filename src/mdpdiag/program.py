@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError, ParseError
-from .mdp import Mdp
+from .mdp import PROB_SUM_TOL, Mdp
 from .pctl import TokenCursor, tokenize
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -418,21 +418,7 @@ class _ProgramParser(TokenCursor):
     # expressions, loosest binding first
 
     def parse_expr(self) -> Expr:
-        return self.parse_bool_or()
-
-    def parse_bool_or(self) -> Expr:
-        e = self.parse_bool_and()
-        while self.peek().text == "|":
-            self.advance()
-            e = Binary("|", e, self.parse_bool_and())
-        return e
-
-    def parse_bool_and(self) -> Expr:
-        e = self.parse_bool_not()
-        while self.peek().text == "&":
-            self.advance()
-            e = Binary("&", e, self.parse_bool_not())
-        return e
+        return self.parse_binary({"|": 0, "&": 1}, self.parse_bool_not, Binary)
 
     def parse_bool_not(self) -> Expr:
         if self.peek().text == "!":
@@ -449,24 +435,14 @@ class _ProgramParser(TokenCursor):
         return e
 
     def parse_arith(self) -> Expr:
-        e = self.parse_term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            e = Binary(op, e, self.parse_term())
-        return e
-
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while self.peek().text == "*":
-            self.advance()
-            e = Binary("*", e, self.parse_factor())
-        return e
+        return self.parse_binary({"+": 0, "-": 0, "*": 1}, self.parse_factor,
+                                 Binary)
 
     def parse_factor(self) -> Expr:
         t = self.peek()
         if t.text == "(":
             self.advance()
-            e = self.parse_bool_or()
+            e = self.parse_expr()
             self.expect(")")
             return e
         if t.text == "-":
@@ -534,7 +510,7 @@ def fold_constants(program: Program,
                              line=c.line, filename=program.filename)
         if c.kind == "int":
             if isinstance(value, float):
-                if value != int(value):
+                if not value.is_integer():  # False for nan and inf too
                     raise DomainError(
                         f"constant {c.name!r} is declared int, got {value!r}")
                 value = int(value)
@@ -550,29 +526,27 @@ def fold_constants(program: Program,
 @dataclass(frozen=True)
 class _ReadyCommand:
     module: str
-    label: str
     label_index: int  # position among same-label commands of the module
     guard: Callable  # state tuple -> value; enabled where it is True
     # (probability, ((variable, slot, value of, low, high), ...)) per branch
     updates: tuple[tuple[float, tuple[tuple], ...], ...]
     line: int
-    action: Optional[str]  # fixed action name for unlabelled commands
 
 
 @dataclass
 class _ReadyProgram:
     var_order: tuple[str, ...]
     init: tuple[int, ...]
-    # label -> the commands of each module in its alphabet, in module order
+    # action name -> the commands of each module in its alphabet, in module
+    # order; an unlabelled command is a group of its own, named module:line
+    # (module:line#k for the k-th more on one line), after every label
     syncs: tuple[tuple[str, tuple[tuple[_ReadyCommand, ...], ...]], ...]
-    internal: tuple[_ReadyCommand, ...]
     labels: tuple[tuple[str, Callable], ...]  # name, state tuple -> bool
 
 
 def _prepare(program: Program, consts: dict) -> _ReadyProgram:
     fn = program.filename
     seen_modules = set()
-    var_order: list[str] = []
     bounds: dict[str, tuple[int, int]] = {}
     init: dict[str, int] = {}
     owner: dict[str, str] = {}
@@ -605,12 +579,11 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                                  f"escapes [{low}..{high}]",
                                  line=decl.line, filename=fn)
             owner[decl.name] = mod.name
-            var_order.append(decl.name)
             bounds[decl.name] = (low, high)
             init[decl.name] = start
 
     scope = set(owner) | set(consts)
-    slots = {v: i for i, v in enumerate(var_order)}
+    slots = {v: i for i, v in enumerate(owner)}
 
     def typed(expr, kind, line, msg):
         """The closure of expr, raising ParseError(msg) on a value not of
@@ -634,9 +607,8 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                                  line=line, filename=fn)
 
     by_label: dict[str, dict[str, list[_ReadyCommand]]] = {}
-    label_order: list[str] = []
-    internal: list[_ReadyCommand] = []
-    internal_line_counts: dict[tuple[str, int], int] = {}
+    internal: list = []  # (action, ((command,),)) per unlabelled command
+    line_counts: dict[str, int] = {}
     for mod in program.modules:
         group_counts: dict[str, int] = {}
         for cmd in mod.commands:
@@ -681,28 +653,21 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                            f"update of {a.var!r} must be an integer"),
                      *bounds[a.var]) for a in upd.assignments)))
             total = sum(p for p, _ in probs)
-            if not abs(total - 1.0) <= 1e-9:
+            if not abs(total - 1.0) <= PROB_SUM_TOL:
                 raise ParseError(f"update probabilities sum to {total!r}, "
                                  "expected 1", line=cmd.line, filename=fn)
             guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn).fn
+            idx = group_counts.get(cmd.label, 0)  # 0 for unlabelled
+            ready = _ReadyCommand(mod.name, idx, guard, tuple(probs), cmd.line)
             if cmd.label:
-                idx = group_counts.get(cmd.label, 0)
                 group_counts[cmd.label] = idx + 1
-                ready = _ReadyCommand(mod.name, cmd.label, idx, guard,
-                                      tuple(probs), cmd.line, None)
-                if cmd.label not in by_label:
-                    by_label[cmd.label] = {}
-                    label_order.append(cmd.label)
-                by_label[cmd.label].setdefault(mod.name, []).append(ready)
+                by_label.setdefault(cmd.label, {}).setdefault(
+                    mod.name, []).append(ready)
             else:
-                key = (mod.name, cmd.line)
-                k = internal_line_counts.get(key, 0)
-                internal_line_counts[key] = k + 1
                 action = f"{mod.name}:{cmd.line}"
-                if k:
-                    action = f"{action}#{k}"
-                internal.append(_ReadyCommand(mod.name, "", 0, guard,
-                                              tuple(probs), cmd.line, action))
+                k = line_counts.get(action, 0)
+                line_counts[action] = k + 1
+                internal.append((action + (f"#{k}" if k else ""), ((ready,),)))
 
     seen_labels = set()
     for ldef in program.labels:
@@ -712,15 +677,14 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
         seen_labels.add(ldef.name)
         check_scope(ldef.expr, ldef.line)
 
-    syncs = tuple((label, tuple(tuple(by_label[label][m.name])
-                                for m in program.modules
-                                if m.name in by_label[label]))
-                  for label in label_order)
+    syncs = [(label, tuple(tuple(mods[m.name]) for m in program.modules
+                           if m.name in mods))
+             for label, mods in by_label.items()]
     labels = tuple((l.name, typed(l.expr, "bool", l.line,
                                   f"label {l.name!r} must be boolean"))
                    for l in program.labels)
-    return _ReadyProgram(tuple(var_order), tuple(init[v] for v in var_order),
-                         syncs, tuple(internal), labels)
+    return _ReadyProgram(tuple(owner), tuple(init.values()),
+                         tuple(syncs + internal), labels)
 
 
 # -- elaboration -------------------------------------------------------------
@@ -817,9 +781,6 @@ def build_mdp(program: Program,
                     else:
                         action = label
                     fire(sid, state, action, combo)
-        for cmd in ready.internal:
-            if cmd.guard(state) is True:
-                fire(sid, state, cmd.action, (cmd,))
         sid += 1
 
     labels: dict[int, set[str]] = {}

@@ -185,6 +185,9 @@ class TestProgramModels:
     @pytest.mark.parametrize("pair,needle", [
         ("K", "NAME=VALUE"),
         ("K=abc", "not a number"),
+        ("K=nan", "constant 'K' is declared int, got nan"),
+        ("K=inf", "constant 'K' is declared int, got inf"),
+        ("K=1e400", "constant 'K' is declared int, got inf"),
     ])
     def test_bad_const_syntax(self, capsys, pair, needle):
         code, _, err = run(capsys, "check", "--model",
@@ -433,6 +436,56 @@ class TestDiagnoseTrace:
         code, out, _ = run(capsys, "diagnose-trace", "--normalize",
                            "--trace", str(path))
         assert code == 1 and "share" in out
+
+
+class TestUnreadableInput:
+    """Input that cannot be read or is nested past the recursion limit is
+    an error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("which", ["model", "labels", "props", "trace"])
+    def test_file_not_utf8(self, capsys, tmp_path, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"STATES 2\n\xff\xfe\n")
+        files = {"model": DEMO, "labels": DEMO_LAB,
+                 "props": str(MODELS / "demo.props"), which: str(bad)}
+        if which == "trace":
+            argv = ("diagnose-trace", "--trace", files["trace"])
+        else:
+            argv = ("check", "--model", files["model"], "--labels",
+                    files["labels"], "--props-file", files["props"])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"cannot read {bad}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("phi", ["(" * 3000 + "a" + ")" * 3000,
+                                     "!" * 5000 + "a"],
+                             ids=["parentheses", "negations"])
+    def test_deep_property(self, capsys, phi):
+        code, out, err = run(capsys, "check",
+                             *demo_args(prop=f"P<=0.5 [ {phi} U c ]"))
+        assert code == 2 and out == ""
+        assert "error: input nested too deeply" in err
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "s=1" + ")" * 3000,
+                                      "s=1" + "+0" * 5000],
+                             ids=["parentheses", "long-sum"])
+    def test_deep_program_expression(self, capsys, tmp_path, expr):
+        model = tmp_path / "deep.pm"
+        model.write_text("module m\n  s : [0..1];\n"
+                         "  [go] s=0 -> (s'=1);\nendmodule\n"
+                         f'label "q" = {expr};\n')
+        code, out, err = run(capsys, "check", "--model", str(model),
+                             "--prop", "P<=0.5 [ true U q ]")
+        assert code == 2 and out == ""
+        assert "error: input nested too deeply" in err
+
+    def test_deep_trace_json(self, capsys, tmp_path):
+        trace = tmp_path / "cx.json"
+        trace.write_text('{"format_version": 1, "labels": '
+                         + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(trace))
+        assert code == 2 and out == ""
+        assert "error: input nested too deeply" in err
 
 
 class TestArgparseBehavior:

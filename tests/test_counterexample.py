@@ -212,7 +212,7 @@ class TestBuildMipcx:
 
     def test_labels_cover_exactly_the_path_states(self):
         cx = build_mipcx(demo_mdp(), demo_property())
-        assert set(cx.labels) == cx.states_on_paths() == {0, 1, 2, 3, 4, 5, 7}
+        assert set(cx.labels) == set(cx.forest.states) == {0, 1, 2, 3, 4, 5, 7}
         assert cx.labels[3] == {"c", "d"}
 
     def test_holding_property_has_no_counterexample(self):
@@ -603,11 +603,20 @@ class TestJsonInterchange:
         lambda d: d.update({"total_mass": 10 ** 400}),
         lambda d: d["paths"][0].update({"actions": [0, 1]}),
         lambda d: d["scheduler"].update({"0": 0}),
+        lambda d: d.update({"scheduler": []}),
+        lambda d: d.update({"scheduler": 0}),
+        lambda d: d.update({"scheduler": False}),
+        lambda d: d.update({"scheduler": ""}),
+        lambda d: d.update({"scheduler": None}),
+        lambda d: d.update({"format_version": True}),
+        lambda d: d.update({"format_version": 1.0}),
     ], ids=["labels-string", "labels-number", "label-key-space",
             "label-key-plus", "scheduler-key-space", "scheduler-key-plus",
             "probability-string", "probability-bool", "probability-huge",
             "total-mass-string", "total-mass-bool", "total-mass-huge",
-            "actions-numbers", "scheduler-number"])
+            "actions-numbers", "scheduler-number", "scheduler-list",
+            "scheduler-zero", "scheduler-false", "scheduler-empty-string",
+            "scheduler-null", "version-true", "version-float"])
     def test_ill_typed_fields_rejected(self, edit):
         data = json.loads((GOLDEN / "demo.cx.json").read_text())
         edit(data)

@@ -149,7 +149,7 @@ class TestPaths:
     def test_step_iteration(self):
         p = FinitePath((0, 2, 1), (4, 7))
         assert list(p.steps()) == [(0, 0, 4, 2), (1, 2, 7, 1)]
-        assert p.first == 0 and p.last == 1 and len(p) == 2
+        assert len(p) == 2
 
     def test_single_state_path(self):
         p = FinitePath((3,), ())
