@@ -7,7 +7,6 @@ import weakref
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, ne, sub
-from typing import Optional
 
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, backward_reachable
@@ -43,7 +42,6 @@ class Verdict:
     pmax: float
     threshold: float
     comparison: str
-    witness: Optional[Scheduler]
     value_vector: ValueVector
 
     def __str__(self):
@@ -195,8 +193,6 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     a left-operand state without enabled actions keeps 0. Running out of
     max_iterations sweeps raises BudgetError; its message and partial give
     the residual reached (inf for no sweep).
-    A successor outside the states of an interior state, one validate_mdp
-    reports, raises DomainError.
 
     Results are memoized per model, path formula, epsilon and
     max_iterations, for as long as the model lives, so the model must not
@@ -224,13 +220,9 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
     interior = [s for s in m.states
                 if s in sat1 and s not in sat2 and choices[s]]
     preds: dict[int, list[int]] = {}
-    n = m.num_states
     for s in interior:
         for _, dist in choices[s]:
             for t, _ in dist:
-                if not 0 <= t < n:
-                    raise DomainError(f"state {s} has successor {t} outside "
-                                      f"the states 0..{n - 1}")
                 preds.setdefault(t, []).append(s)
     values = [1.0 if s in sat2 else 0.0 for s in m.states]
 
@@ -314,8 +306,8 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
 
 def check_property(m: Mdp, spec: PropertySpec,
                    epsilon: float = DEFAULT_EPSILON) -> Verdict:
-    """Decide an upper-threshold property and, when violated, attach a
-    probability-maximizing scheduler as witness.
+    """Decide an upper-threshold property; extract_max_scheduler takes a
+    witness from the verdict's value vector.
 
     The value vector comes from compute_pmax, memoized per model, path
     formula, epsilon and iteration budget, so build_mipcx on the same model
@@ -324,8 +316,7 @@ def check_property(m: Mdp, spec: PropertySpec,
     vv = compute_pmax(m, spec.path, epsilon)
     pmax = vv.values[m.init]
     holds = not mass_exceeds(spec, pmax)
-    witness = None if holds else extract_max_scheduler(m, vv)
-    return Verdict(holds, pmax, spec.threshold, spec.comparison, witness, vv)
+    return Verdict(holds, pmax, spec.threshold, spec.comparison, vv)
 
 
 def mass_exceeds(spec: PropertySpec, mass: float) -> bool:

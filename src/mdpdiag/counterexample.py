@@ -17,10 +17,11 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .checker import DEFAULT_EPSILON, check_property, mass_exceeds
+from .checker import (DEFAULT_EPSILON, check_property, extract_max_scheduler,
+                      mass_exceeds)
 from .errors import BudgetError, DomainError, ParseError
-from .mdp import (Dtmc, FinitePath, Mdp, Scheduler, WeightedPath,
-                  backward_reachable, induce_dtmc)
+from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler,
+                  WeightedPath, backward_reachable, induce_dtmc)
 from .pctl import (PathFormula, PropertySpec, eval_state_formula,
                    parse_property)
 
@@ -379,18 +380,19 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
 
     Checks the property first (DomainError if it holds; the value vector
     of an earlier check of the same m, formula and epsilon is reused, see
-    compute_pmax), induces the chain of the witness scheduler, and keeps
-    accumulating the most probable satisfying paths until their mass
-    witnesses the violation. The search's prefixes go straight into the
-    counterexample's forest. If the path budget or probability floor cuts
-    the stream off first, a BudgetError carrying the gathered mass is
-    raised.
+    compute_pmax), extracts the witness scheduler from the verdict's
+    value vector, and keeps accumulating the most probable satisfying
+    paths of its chain until their mass witnesses the violation. The
+    search's prefixes go straight into the counterexample's forest. If the
+    path budget or probability floor cuts the stream off first, a
+    BudgetError carrying the gathered mass is raised.
     """
     verdict = check_property(m, spec, epsilon)
     if verdict.holds:
         raise DomainError(f"property {spec} holds; "
                           "there is no counterexample to build")
-    dtmc = induce_dtmc(m, verdict.witness)
+    witness = extract_max_scheduler(m, verdict.value_vector)
+    dtmc = induce_dtmc(m, witness)
     forest = PathForest()
     total = 0.0
     for prefix, prob in _satisfying_prefixes(dtmc, spec.path, max_paths,
@@ -403,8 +405,8 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
             names = None
             if m.state_names is not None:
                 names = {s: m.state_name(s) for s in on_paths}
-            return Counterexample(forest, total, verdict.witness,
-                                  spec, labels, tuple(m.action_names), names,
+            return Counterexample(forest, total, witness, spec, labels,
+                                  tuple(m.action_names), names,
                                   frozenset(m.ap_names))
     raise BudgetError(
         f"counterexample incomplete: gathered mass {total!r} from "
@@ -466,7 +468,7 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
         else:
             out.append(f"{tag}: state {s} at position {j} fails the "
                        "until guard")
-    if abs(mass - cx.total_mass) > 1e-9:
+    if abs(mass - cx.total_mass) > PROB_SUM_TOL:
         out.append(f"total_mass {cx.total_mass!r} disagrees with the path "
                    f"probability sum {mass!r}")
     if not mass_exceeds(cx.spec, cx.total_mass):
@@ -525,9 +527,10 @@ def _require(data: dict, key: str):
 
 def _state_id(key: str) -> int:
     """The state id a JSON object key spells; ValueError unless the key is
-    its canonical decimal form (int() alone also takes " 1" and "+0")."""
+    the canonical decimal form of a state id (int() alone also takes " 1",
+    "+0" and "-5")."""
     s = int(key)
-    if str(s) != key:
+    if str(s) != key or s < 0:
         raise ValueError(f"non-canonical state key {key!r}")
     return s
 
@@ -594,6 +597,11 @@ def counterexample_from_dict(data: dict) -> Counterexample:
 
     spec = parse_property(str(_require(data, "property")),
                           defined_labels=set(ap_names).union(*labels.values()))
+    for key in ("comparison", "threshold"):
+        given = data.get(key, getattr(spec, key))
+        if isinstance(given, bool) or given != getattr(spec, key):
+            raise ParseError(f"counterexample {key} {given!r} disagrees with "
+                             f"its property {str(spec)!r}")
 
     names: set[str] = set()
     raw_paths = _require(data, "paths")
@@ -623,7 +631,8 @@ def counterexample_from_dict(data: dict) -> Counterexample:
         except (KeyError, ValueError, TypeError, OverflowError):
             raise ParseError(f"malformed path entry {i}") from None
         # JSON integers only: int() would also accept "7", 7.9 and true
-        if not isinstance(states, list) or not set(map(type, states)) <= {int}:
+        if not (isinstance(states, list) and set(map(type, states)) <= {int}
+                and min(states, default=0) >= 0):
             raise ParseError(f"malformed path entry {i}")
         try:
             paths.append(WeightedPath(FinitePath(tuple(states), actions),

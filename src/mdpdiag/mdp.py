@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -30,10 +30,8 @@ class Mdp:
         state_names is an optional display table used only for reports.
 
         The transitions are compiled once into the choice table (see
-        choice_table): state -> ((action id, distribution), ...) in
-        ascending action id, with an entry for every state. A source
-        outside 0..num_states-1 keeps its own entry, so that validate_mdp
-        can report it.
+        choice_table). An initial, source, successor or labelled state
+        outside 0..num_states-1 raises DomainError.
 
         ap_names declares the alphabet of atomic propositions; it defaults
         to the atoms occurring in labels. The attribute ap_names lists the
@@ -43,28 +41,30 @@ class Mdp:
         state.
         """
         self.num_states = int(num_states)
-        self.init = int(init)
+        self.init = self._check_state(int(init), "initial state")
         self.action_names: list[str] = []
         self._action_ids: dict[str, int] = {}
 
-        rows: dict[int, dict[int, Distribution]] = {}
+        rows: list[dict[int, Distribution]] = [{} for _ in self.states]
         for (s, act), dist in transitions.items():
             aid = self._intern_action(str(act))
-            row = rows.setdefault(int(s), {})
+            row = rows[self._check_state(int(s), "source state")]
             if aid in row:
                 raise DomainError(
                     f"transitions listed twice for state {s} action {act!r}")
-            row[aid] = tuple((int(t), float(p)) for t, p in dist)
-        self._choices = {s: tuple(sorted(rows.get(s, {}).items()))
-                         for s in sorted(rows.keys() | self.states)}
+            role = f"state {s} has successor"
+            row[aid] = tuple((self._check_state(int(t), role), float(p))
+                             for t, p in dist)
+        self._choices = [tuple(sorted(row.items())) for row in rows]
 
         atoms: dict[str, None] = {}
         self._labels: dict[int, frozenset[str]] = {}
         for s, aps in (labels or {}).items():
+            s = self._check_state(int(s), "labelled state")
             names = frozenset(str(a) for a in aps)
             atoms.update(dict.fromkeys(sorted(names)))
             if names:
-                self._labels[int(s)] = names
+                self._labels[s] = names
         atoms.update(dict.fromkeys(str(a) for a in ap_names or ()))
         self.ap_names: list[str] = list(atoms)
 
@@ -84,9 +84,10 @@ class Mdp:
     def states(self) -> range:
         return range(self.num_states)
 
-    def _check_state(self, s: int) -> int:
+    def _check_state(self, s: int, role: str = "state") -> int:
         if not 0 <= s < self.num_states:
-            raise DomainError(f"unknown state id {s}")
+            raise DomainError(f"{role} {s} outside the states "
+                              f"0..{self.num_states - 1}")
         return s
 
     def action_id(self, name: str) -> int:
@@ -100,7 +101,7 @@ class Mdp:
             raise DomainError(f"unknown action id {aid}")
         return self.action_names[aid]
 
-    def choice_table(self) -> Mapping[int, tuple[tuple[int, Distribution], ...]]:
+    def choice_table(self) -> Sequence[tuple[tuple[int, Distribution], ...]]:
         """The compiled choices: state -> ((action id, distribution), ...).
 
         Every state 0..n-1 has an entry, empty when no action is enabled;
@@ -133,7 +134,7 @@ class Mdp:
 
     def transition_items(self):
         """Iterate ((state, action id), distribution) in ascending order."""
-        return (((s, aid), dist) for s, row in self._choices.items()
+        return (((s, aid), dist) for s, row in enumerate(self._choices)
                 for aid, dist in row)
 
     def state_name(self, s: int) -> str:
@@ -148,42 +149,31 @@ class Violation:
 
     kind: str
     detail: str
-    state: Optional[int] = None
+    state: int
     action: Optional[str] = None
 
     def __str__(self):
-        where = []
-        if self.state is not None:
-            where.append(f"state {self.state}")
+        where = f"state {self.state}"
         if self.action is not None:
-            where.append(f"action {self.action!r}")
-        prefix = " ".join(where)
-        return f"[{self.kind}] {prefix}: {self.detail}" if prefix else f"[{self.kind}] {self.detail}"
+            where += f" action {self.action!r}"
+        return f"[{self.kind}] {where}: {self.detail}"
 
 
 def validate_mdp(m: Mdp) -> list[Violation]:
     """Report every breach of the MDP shape; an empty list means valid.
 
-    Checked: init and every transition endpoint in range, strictly positive
-    probabilities, no duplicated (state, action, successor) entry, every
-    listed distribution summing to one within PROB_SUM_TOL, every state
-    having at least one enabled action, and label states in range. A NaN
-    probability fails both probability checks.
+    Checked: strictly positive probabilities, no duplicated (state,
+    action, successor) entry, every listed distribution summing to one
+    within PROB_SUM_TOL, and every state having at least one enabled
+    action. A NaN probability fails both probability checks. State ids
+    need no check: the Mdp constructor rejects those out of range.
     """
     out = []
-    if not 0 <= m.init < m.num_states:
-        out.append(Violation("bad-init", f"initial state {m.init} out of range"))
     for (s, aid), dist in m.transition_items():
         name = m.action_names[aid]
-        if not 0 <= s < m.num_states:
-            out.append(Violation("bad-state-id", f"source {s} out of range",
-                                 state=s, action=name))
         seen = set()
         total = 0.0
         for t, p in dist:
-            if not 0 <= t < m.num_states:
-                out.append(Violation("bad-state-id", f"successor {t} out of range",
-                                     state=s, action=name))
             if not p > 0.0:
                 out.append(Violation("nonpositive-probability",
                                      f"probability {p!r} to successor {t}",
@@ -202,10 +192,6 @@ def validate_mdp(m: Mdp) -> list[Violation]:
     for s in m.states:
         if not table[s]:
             out.append(Violation("no-enabled-action", "state has no enabled action",
-                                 state=s))
-    for s in m._labels:
-        if not 0 <= s < m.num_states:
-            out.append(Violation("bad-label-state", f"labelled state {s} out of range",
                                  state=s))
     return out
 
@@ -316,7 +302,7 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
         s = queue.popleft()
         reachable.append(s)
         aid = sched.action_for(s)
-        for a, dist in table[m._check_state(s)]:
+        for a, dist in table[s]:
             if a == aid:
                 break
         else:

@@ -121,7 +121,8 @@ class TestComputePmax:
             assert vv.zero_states == unbounded.zero_states == {1}
         verdict = check_property(m, parse_property("P<=0.4 [ p U<=3 q ]"))
         assert not verdict.holds and verdict.pmax == 0.5
-        assert verdict.witness.action_for(0) == m.action_id("a")
+        witness = extract_max_scheduler(m, verdict.value_vector)
+        assert witness.action_for(0) == m.action_id("a")
 
     def test_empty_distribution_backs_up_to_zero(self):
         m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, .5), (2, .5)],
@@ -173,18 +174,13 @@ class TestComputePmax:
 
     @pytest.mark.parametrize("bad", [5, -1])
     def test_successor_out_of_range_is_a_domain_error(self, bad):
-        # -1 would silently read the last state's value and report Pmax = 1
-        m = Mdp(2, 0, {(0, "a"): [(1, 0.5), (bad, 0.5)],
+        # -1 once read the last state's value and reported Pmax = 1; the
+        # Mdp constructor now rejects it before any value iteration
+        needle = f"^state 0 has successor {bad} outside the states 0..1$"
+        with pytest.raises(DomainError, match=needle):
+            Mdp(2, 0, {(0, "a"): [(1, 0.5), (bad, 0.5)],
                        (1, "b"): [(1, 1.0)]},
                 labels={0: {"p"}, 1: {"q"}})
-        needle = f"state 0 has successor {bad} outside the states 0..1"
-        with pytest.raises(DomainError, match=needle):
-            compute_pmax(m, PQ)
-        with pytest.raises(DomainError, match=needle):
-            check_property(m, parse_property("P<=0.1 [ p U q ]"))
-        bounded = PathFormula(Atom("p"), Atom("q"), bound=3)
-        with pytest.raises(DomainError, match=needle):
-            compute_pmax(m, bounded)
 
     def test_zero_sweep_budget_still_raises(self):
         with pytest.raises(BudgetError) as info:
@@ -304,20 +300,24 @@ class TestSchedulerExtraction:
 
 class TestCheckProperty:
     def test_demo_violated(self):
-        verdict = check_property(demo_mdp(), demo_property())
+        m = demo_mdp()
+        verdict = check_property(m, demo_property())
         assert not verdict.holds
         assert verdict.pmax == pytest.approx(0.882, abs=1e-9)
         assert verdict.threshold == 0.5
         assert verdict.comparison == "<="
-        assert isinstance(verdict.witness, Scheduler)
+        assert isinstance(extract_max_scheduler(m, verdict.value_vector),
+                          Scheduler)
         assert "violated" in str(verdict)
 
     def test_holds_leaves_no_witness(self):
-        verdict = check_property(demo_mdp(),
-                                 parse_property("P<=0.9 [ (a|b) U (c&d) ]"))
+        m = demo_mdp()
+        spec = parse_property("P<=0.9 [ (a|b) U (c&d) ]")
+        verdict = check_property(m, spec)
         assert verdict.holds
-        assert verdict.witness is None
         assert "holds" in str(verdict)
+        with pytest.raises(DomainError, match="no counterexample to build"):
+            build_mipcx(m, spec)
 
     def test_exact_threshold_boundary(self):
         m = coin_mdp()

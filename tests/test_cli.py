@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,22 @@ class TestDiagnose:
         assert "ranked actions by blame:" in out
         assert "1. action alpha0 at state 0: dB = 0.6" in out
         assert "most blamed action: alpha0 at 0" in out
+
+    def test_witness_scheduler_extracted_once(self, capsys, monkeypatch):
+        import mdpdiag.checker as checker
+        original = checker.extract_max_scheduler
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        # patch every module of the package that holds the function
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("mdpdiag") and
+                    getattr(module, "extract_max_scheduler", None) is original):
+                monkeypatch.setattr(module, "extract_max_scheduler", counted)
+        code, _, _ = run(capsys, "diagnose", *demo_args())
+        assert code == 1 and len(calls) == 1
 
     def test_holding_property_reports_verdict_only(self, capsys):
         code, out, _ = run(capsys, "diagnose",

@@ -15,7 +15,7 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
                      counterexample_from_dict, counterexample_from_json,
                      counterexample_to_dict, counterexample_to_json,
                      enumerate_satisfying_paths, eval_state_formula,
-                     generate_diagnoses, induce_dtmc, parse_property,
+                     extract_max_scheduler, generate_diagnoses, induce_dtmc, parse_property,
                      verify_counterexample)
 
 from fixtures import (demo_mdp, demo_property, slow_exit_mdp,
@@ -329,7 +329,8 @@ class TestPathForest:
 
     def test_slow_exit_paths_are_the_enumerated_stream(self, slow_exit_cx):
         m = slow_exit_mdp()
-        chain = induce_dtmc(m, check_property(m, slow_exit_property()).witness)
+        verdict = check_property(m, slow_exit_property())
+        chain = induce_dtmc(m, extract_max_scheduler(m, verdict.value_vector))
         stream = islice(enumerate_satisfying_paths(
             chain, slow_exit_property().path), 575)
         assert slow_exit_cx.paths == tuple(stream)
@@ -610,18 +611,38 @@ class TestJsonInterchange:
         lambda d: d.update({"scheduler": None}),
         lambda d: d.update({"format_version": True}),
         lambda d: d.update({"format_version": 1.0}),
+        lambda d: d["paths"][0].update({"states": [0, -5, 7]}),
+        lambda d: d["labels"].update({"-5": ["a"]}),
+        lambda d: d.update({"state_names": {"0": "s0", "-5": "s"}}),
+        lambda d: d["scheduler"].update({"-5": "alpha0"}),
     ], ids=["labels-string", "labels-number", "label-key-space",
             "label-key-plus", "scheduler-key-space", "scheduler-key-plus",
             "probability-string", "probability-bool", "probability-huge",
             "total-mass-string", "total-mass-bool", "total-mass-huge",
             "actions-numbers", "scheduler-number", "scheduler-list",
             "scheduler-zero", "scheduler-false", "scheduler-empty-string",
-            "scheduler-null", "version-true", "version-float"])
+            "scheduler-null", "version-true", "version-float",
+            "path-state-negative", "label-key-negative",
+            "state-name-key-negative", "scheduler-key-negative"])
     def test_ill_typed_fields_rejected(self, edit):
         data = json.loads((GOLDEN / "demo.cx.json").read_text())
         edit(data)
         with pytest.raises(ParseError):
             counterexample_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("field, value", [
+        ("threshold", 0.99), ("threshold", "0.5"), ("threshold", True),
+        ("comparison", "<"), ("comparison", ">="), ("comparison", None),
+    ])
+    def test_fields_contradicting_the_property_rejected(self, field, value):
+        # the demo trace's property is P<=0.5; the fields once were ignored
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        data[field] = value
+        with pytest.raises(ParseError, match=f"counterexample {field} .* "
+                           "disagrees with its property"):
+            counterexample_from_json(json.dumps(data))
+        del data[field]
+        assert counterexample_from_dict(data).spec.threshold == 0.5
 
     @pytest.mark.parametrize("aid", [-1, 8])
     @pytest.mark.parametrize("owner", ["mdp", "counterexample"])

@@ -65,6 +65,18 @@ class TestConstruction:
         with pytest.raises(DomainError):
             m.action_id("nope")
 
+    @pytest.mark.parametrize("init, transitions, labels, needle", [
+        (5, {}, {}, "initial state 5"),
+        (0, {(2, "a"): [(0, 1.0)]}, {}, "source state 2"),
+        (0, {}, {3: {"x"}}, "labelled state 3"),
+    ], ids=["init", "source", "label"])
+    def test_state_id_out_of_range_rejected(self, init, transitions, labels,
+                                            needle):
+        rows = {(0, "a"): [(1, 1.0)], (1, "a"): [(1, 1.0)]}
+        with pytest.raises(DomainError,
+                           match=f"^{needle} outside the states 0..1$"):
+            Mdp(2, init, {**rows, **transitions}, labels)
+
     def test_duplicate_state_action_pair_rejected(self):
         with pytest.raises(DomainError):
             Mdp(1, 0, {(0, "a"): [(0, 1.0)], ("0", "a"): [(0, 1.0)]})
@@ -94,15 +106,11 @@ class TestValidation:
     def test_demo_fixture_is_valid(self):
         assert validate_mdp(demo_mdp()) == []
 
-    def test_bad_init(self):
-        m = Mdp(2, 5, {(0, "a"): [(0, 1.0)], (1, "a"): [(1, 1.0)]})
-        kinds = {v.kind for v in validate_mdp(m)}
-        assert "bad-init" in kinds
-
     def test_successor_out_of_range(self):
-        m = Mdp(2, 0, {(0, "a"): [(5, 1.0)], (1, "a"): [(1, 1.0)]})
-        kinds = {v.kind for v in validate_mdp(m)}
-        assert "bad-state-id" in kinds
+        # the constructor rejects the model, so validate_mdp never sees it
+        with pytest.raises(DomainError, match="^state 0 has successor 5 "
+                                              "outside the states 0..1$"):
+            Mdp(2, 0, {(0, "a"): [(5, 1.0)], (1, "a"): [(1, 1.0)]})
 
     def test_nonpositive_probability(self):
         m = Mdp(2, 0, {(0, "a"): [(0, 0.0), (1, 1.0)], (1, "a"): [(1, 1.0)]})
@@ -133,11 +141,6 @@ class TestValidation:
         m = Mdp(2, 0, {(0, "a"): [(1, 1.0)]})
         out = [v for v in validate_mdp(m) if v.kind == "no-enabled-action"]
         assert [v.state for v in out] == [1]
-
-    def test_label_on_missing_state(self):
-        m = Mdp(1, 0, {(0, "a"): [(0, 1.0)]}, labels={3: {"x"}})
-        kinds = {v.kind for v in validate_mdp(m)}
-        assert "bad-label-state" in kinds
 
     def test_violation_str_mentions_location(self):
         m = Mdp(2, 0, {(0, "a"): [(1, 0.7)], (1, "a"): [(1, 1.0)]})

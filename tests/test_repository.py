@@ -1,6 +1,7 @@
 """Properties of the source tree and its documentation: no module of the
-package imports a private name of another, and every python example in
-README.md runs."""
+package imports a private name of another or reads a private attribute of
+an object other than self or cls, and every python example in README.md
+runs."""
 
 import ast
 import re
@@ -20,6 +21,19 @@ def test_no_private_import_from_a_sibling(path):
                if isinstance(node, ast.ImportFrom)
                and (node.level > 0 or (node.module or "").startswith("mdpdiag"))
                for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_attribute_read_on_another_object(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = [f"line {node.lineno}: {ast.unparse(node)}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)
+               and node.attr.startswith("_") and not node.attr.startswith("__")
+               and not (isinstance(node.value, ast.Name)
+                        and node.value.id in ("self", "cls"))]
     assert private == []
 
 
