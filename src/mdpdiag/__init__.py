@@ -23,8 +23,8 @@ from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler, Violation,
                   WeightedPath, induce_dtmc, parse_explicit_model,
                   parse_labels_text, path_probability, validate_mdp)
 from .pctl import (FALSE, TRUE, And, Atom, FalseFormula, Not, Or, PathFormula,
-                   PropertySpec, TrueFormula, atoms_of, eval_state_formula,
-                   parse_property, path_atoms, to_nnf)
+                   PropertySpec, TrueFormula, eval_state_formula,
+                   parse_property, to_nnf)
 from .program import (DEFAULT_STATE_CAP, Program, build_mdp, fold_constants,
                       parse_program)
 
@@ -37,7 +37,7 @@ __all__ = [
     "FalseFormula", "FinitePath", "Mdp", "MdpDiagError", "Not", "Or",
     "PROB_SUM_TOL", "ParseError", "PathForest", "PathFormula", "Program",
     "PropertySpec", "Scheduler", "TRUE", "TransitionDiagnosis", "TrueFormula",
-    "ValueVector", "Verdict", "Violation", "WeightedPath", "atoms_of",
+    "ValueVector", "Verdict", "Violation", "WeightedPath",
     "build_mdp", "build_mipcx", "check_property", "collect_causes",
     "compute_pmax", "counterexample_from_dict", "counterexample_from_json",
     "counterexample_to_dict", "counterexample_to_json",
@@ -45,6 +45,6 @@ __all__ = [
     "extract_max_scheduler", "find_causes", "fold_constants",
     "generate_diagnoses", "induce_dtmc", "mass_exceeds",
     "parse_explicit_model", "parse_labels_text", "parse_program",
-    "parse_property", "path_atoms", "path_probability", "render_text_report",
+    "parse_property", "path_probability", "render_text_report",
     "to_nnf", "validate_mdp", "verify_counterexample",
 ]

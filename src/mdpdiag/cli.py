@@ -26,7 +26,7 @@ from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
 from .diagnosis import generate_diagnoses
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import content_lines, parse_explicit_model, validate_mdp
-from .pctl import parse_property, path_atoms
+from .pctl import parse_property
 from .program import DEFAULT_STATE_CAP, build_mdp, parse_program
 
 EXIT_HOLDS = 0
@@ -130,17 +130,8 @@ def _property_text(args) -> str:
     return found[0]
 
 
-def _parse_known(text: str, alphabet: set[str]):
-    """Parse a property; every atom it names must be in alphabet."""
-    spec = parse_property(text, defined_labels=alphabet)
-    unknown = sorted(path_atoms(spec.path) - alphabet)
-    if unknown:
-        raise DomainError(f"unknown atomic proposition {unknown[0]!r}")
-    return spec
-
-
 def _load_property(args, m):
-    return _parse_known(_property_text(args), set(m.ap_names))
+    return parse_property(_property_text(args), defined_labels=m.ap_names)
 
 
 def _validated(m):
@@ -220,7 +211,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_diagnose_trace(args) -> int:
     cx = counterexample_from_json(_read_text(args.trace))
     if args.prop:
-        cx = replace(cx, spec=_parse_known(args.prop, cx.alphabet()))
+        cx = replace(cx, spec=parse_property(
+            args.prop, defined_labels=cx.alphabet()))
     problems = verify_counterexample(cx)
     if problems:
         for p in problems:

@@ -418,15 +418,20 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     """Check every structural claim a counterexample makes; return the
     failures as human-readable strings (empty list: all good).
 
+    Every step must take the choice of the scheduler, if there is one; a
+    path is reported once, at its first step that does not.
+
     The until guard and target are evaluated once per distinct state on
     the paths, and one pass over the forest finds for every node its
-    depth and the first node from its root on whose state is outside the
-    guard-only set; a path is then checked in constant time.
+    depth, the first node from its root on whose state is outside the
+    guard-only set and the first whose step leaves the scheduler; a path
+    is then checked in constant time.
     """
     phi1, phi2 = cx.spec.path.left, cx.spec.path.right
     bound = cx.spec.path.bound
     forest = cx.forest
-    parents, states = forest.parents, forest.states
+    parents, actions, states = forest.parents, forest.actions, forest.states
+    choice = {} if cx.scheduler is None else cx.scheduler.choice
     out: list[str] = []
     if not forest.leaves:
         out.append("counterexample contains no paths")
@@ -436,10 +441,15 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
                   if eval_state_formula(cx.labels, s, phi1)}
     depth: list[int] = []
     first_bad: list[int] = []
-    for n, (p, s) in enumerate(zip(parents, states)):
-        d, bad = (0, -1) if p < 0 else (depth[p] + 1, first_bad[p])
+    first_off: list[int] = []  # the first step off the scheduler
+    for n, (p, a, s) in enumerate(zip(parents, actions, states)):
+        d, bad, off = ((0, -1, -1) if p < 0 else
+                       (depth[p] + 1, first_bad[p], first_off[p]))
+        if off < 0 <= p and cx.scheduler and choice.get(states[p]) != a:
+            off = n
         depth.append(d)
         first_bad.append(n if bad < 0 and s not in guard_only else bad)
+        first_off.append(off)
     seen: dict[int, int] = {}
     mass = 0.0
     for i, (leaf, prob) in enumerate(zip(forest.leaves,
@@ -457,6 +467,14 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
         if states[leaf] not in sat2:
             out.append(f"{tag}: final state {states[leaf]} does not satisfy "
                        "the until target")
+        off = first_off[leaf]
+        if off >= 0:
+            s = states[parents[off]]
+            out.append(f"{tag}: at state {s}, position {depth[off] - 1}, the "
+                       f"path takes action {cx.action_name(actions[off])}, "
+                       "where the scheduler " + (
+                           f"chooses {cx.action_name(choice[s])}"
+                           if s in choice else "makes no choice"))
         bad = first_bad[parents[leaf]] if parents[leaf] >= 0 else -1
         if bad < 0:
             continue
@@ -572,7 +590,8 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     regardless of the original model's interning order. The paths are
     interned into one forest; paths that start at different states, repeat
     one another or run on through one another's ends each keep their own
-    entry.
+    entry. labels and state_names may name only the states on the paths;
+    the scheduler may cover others, as the export writes the whole witness.
     """
     if not isinstance(data, dict):
         raise ParseError("counterexample JSON must be an object")
@@ -652,8 +671,15 @@ def counterexample_from_dict(data: dict) -> Counterexample:
         total = _number(_require(data, "total_mass"))
     except (ValueError, TypeError, OverflowError):
         raise ParseError("total_mass must be a number") from None
-    return Counterexample(PathForest.of_paths(paths), total, scheduler, spec,
-                          labels, action_names, state_names, ap_names)
+    forest = PathForest.of_paths(paths)
+    on_paths = set(forest.states)
+    for key, table in (("labels", labels), ("state_names", state_names)):
+        off = sorted(set(table or ()) - on_paths)
+        if off:
+            raise ParseError(f"counterexample {key} name state {off[0]}, "
+                             "which lies on no path")
+    return Counterexample(forest, total, scheduler, spec, labels,
+                          action_names, state_names, ap_names)
 
 
 def counterexample_from_json(text: str) -> Counterexample:

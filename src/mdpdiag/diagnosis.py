@@ -282,8 +282,9 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
     cause score at the target, and causes within a transition by score;
     all remaining ties fall back to state id, action label, then
     proposition name, so reports are deterministic. When a source map is
-    given (the mapping build_mdp returns for a guarded-command program),
-    each transition carries the (module, line) commands it elaborates.
+    given (the {action id: commands} mapping build_mdp returns for a
+    guarded-command program), each transition carries the (module, line)
+    commands of its action.
 
     Ranking by responsibility times absolute mass orders causes exactly as
     the normalized variant would: normalization divides every score by the
@@ -318,12 +319,10 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
     for (u, a), succs in grouped.items():
         db = 0.0
         trans = []
+        commands = () if source_map is None else source_map.get(a, ())
         for v, m in succs:
             counter[0] += 1
             db += best_dr.get(v, 0.0) * m
-            commands = ()
-            if source_map is not None:
-                commands = source_map.get((u, a, v), ())
             trans.append(TransitionDiagnosis(u, a, v, m,
                                              tuple(by_state.get(v, ())),
                                              commands))

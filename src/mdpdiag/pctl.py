@@ -140,20 +140,6 @@ def _fmt_number(x: float) -> str:
     return repr(x) if x != int(x) else repr(int(x))
 
 
-def atoms_of(phi: StateFormula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset((phi.name,))
-    if isinstance(phi, Not):
-        return atoms_of(phi.child)
-    if isinstance(phi, (And, Or)):
-        return atoms_of(phi.left) | atoms_of(phi.right)
-    return frozenset()
-
-
-def path_atoms(psi: PathFormula) -> frozenset[str]:
-    return atoms_of(psi.left) | atoms_of(psi.right)
-
-
 # -- evaluation ------------------------------------------------------------
 
 
@@ -383,6 +369,9 @@ class _PropertyParser(TokenCursor):
                 self.error("'U' is reserved for the until operator", tok)
             if tok.text == "P" and self.tokens[self.pos + 1].kind == "cmp":
                 self.error("nested probability operators are not supported", tok)
+            if (self.defined_labels is not None
+                    and tok.text not in self.defined_labels):
+                self.error(f"unknown atomic proposition {tok.text!r}", tok)
             self.advance()
             return Atom(tok.text)
         shown = tok.text or "end of input"
@@ -393,9 +382,9 @@ def parse_property(text: str,
                    defined_labels: Optional[Collection[str]] = None) -> PropertySpec:
     """Parse a property string; see the module docstring for the grammar.
 
-    defined_labels lists the names quoted labels may resolve to (for models
-    built from guarded-command programs, their label definitions; for
-    explicit models, the atomic propositions of the labelling).
+    defined_labels, when given, is the alphabet (a model's or a trace's
+    atomic propositions): every atom named, quoted or bare, must be in it,
+    or ParseError names the atom at its column. Quoted labels need it.
     """
     return _PropertyParser(tokenize(_TOKEN_RE, text),
                            defined_labels).parse_property()

@@ -15,8 +15,8 @@ module whose alphabet contains the label (one enabled command per such
 module fires jointly, probabilities multiply); unlabelled commands
 interleave on their own. Elaboration explores the reachable valuations
 breadth-first, so building the same program twice yields identical state
-numbering, and records for every transition the source commands it came
-from. Every guard, update and label expression is compiled once, before
+numbering, and records for every action the source commands it fires.
+Every guard, update and label expression is compiled once, before
 exploration, into a statically typed closure over state tuples (variable
 values in declaration order), so no expression tree is walked per state.
 """
@@ -695,9 +695,10 @@ def build_mdp(program: Program,
               state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, dict]:
     """Explore the program's reachable state space into an explicit MDP.
 
-    Returns the MDP and its source map: (state, action id, successor) to
-    the guarded commands, as (module name, line) pairs, that produced the
-    transition.
+    Returns the MDP and its source map: action id to the guarded
+    commands, as sorted (module name, line) pairs, that the action fires,
+    one entry per action. An action is one command combination, so every
+    transition of the action comes from those commands.
 
     Nondeterministic alternatives arising from several enabled commands
     (or command combinations under synchronization) with the same label
@@ -722,7 +723,7 @@ def build_mdp(program: Program,
     ids: dict[tuple[int, ...], int] = {ready.init: 0}
     valuations: list[tuple[int, ...]] = [ready.init]
     transitions: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    sources: dict[tuple[int, str, int], tuple[tuple[str, int], ...]] = {}
+    commands: dict[str, tuple[tuple[str, int], ...]] = {}  # per action
 
     def intern_state(state: tuple) -> int:
         sid = ids.get(state)
@@ -751,17 +752,12 @@ def build_mdp(program: Program,
                             f"[{low}..{high}] at state {describe(state)}")
                     target[slot] = value
             key = tuple(target)
-            if key in dist:
-                dist[key] += prob
-            else:
-                dist[key] = prob
-        provenance = tuple(sorted({(c.module, c.line) for c in combo}))
-        out = []
-        for key, prob in dist.items():
-            tid = intern_state(key)
-            out.append((tid, prob))
-            sources[(sid, action, tid)] = provenance
-        transitions[(sid, action)] = out
+            dist[key] = dist.get(key, 0.0) + prob
+        if action not in commands:
+            commands[action] = tuple(sorted({(c.module, c.line)
+                                             for c in combo}))
+        transitions[(sid, action)] = [(intern_state(key), prob)
+                                      for key, prob in dist.items()]
 
     sid = 0
     while sid < len(valuations):
@@ -792,8 +788,4 @@ def build_mdp(program: Program,
     state_names = tuple(describe(v) for v in valuations)
     m = Mdp(len(valuations), 0, transitions, labels, state_names,
             ap_names=[name for name, _ in ready.labels])
-
-    src_by_id: dict[tuple[int, int, int], tuple[tuple[str, int], ...]] = {}
-    for (s, action, t), cmds in sources.items():
-        src_by_id[(s, m.action_id(action), t)] = cmds
-    return m, src_by_id
+    return m, {m.action_id(a): cmds for a, cmds in commands.items()}

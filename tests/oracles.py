@@ -23,9 +23,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from mdpdiag import (BudgetError, Cause, Counterexample, DomainError, Mdp,
-                     PathFormula, collect_causes, eval_state_formula,
-                     mass_exceeds, path_atoms)
+from mdpdiag import (And, Atom, BudgetError, Cause, Counterexample,
+                     DomainError, Mdp, Not, Or, PathFormula, collect_causes,
+                     eval_state_formula, mass_exceeds)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 
 DEFAULT_ORACLE_VAR_CAP = 20
@@ -195,6 +195,22 @@ def star_mdp(branches: int) -> Mdp:
 
 
 # -- label-flip oracles ------------------------------------------------------
+
+
+def atoms_of(phi) -> frozenset[str]:
+    """The atoms a state formula names."""
+    if isinstance(phi, Atom):
+        return frozenset((phi.name,))
+    if isinstance(phi, Not):
+        return atoms_of(phi.child)
+    if isinstance(phi, (And, Or)):
+        return atoms_of(phi.left) | atoms_of(phi.right)
+    return frozenset()
+
+
+def path_atoms(psi: PathFormula) -> frozenset[str]:
+    """The atoms an until formula names."""
+    return atoms_of(psi.left) | atoms_of(psi.right)
 
 
 def eval_path_formula(labels: Mapping[int, frozenset[str]],

@@ -400,6 +400,19 @@ class TestDiagnoseTrace:
         assert code == 2 and out == ""
         assert "error: line 1, column 18: expected 'U'" in err
 
+    def test_stored_property_keeps_to_the_alphabet(self, capsys, tmp_path):
+        # the same text is rejected as --prop and as the trace's property
+        prop = "P<=0.5 [ (a | b) & !zz U (c & d) ]"
+        want = "error: line 1, column 21: unknown atomic proposition 'zz'\n"
+        code, out, err = run(capsys, "check", *demo_args(prop=prop))
+        assert (code, out, err) == (2, "", want)
+        path, _ = self.export(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["property"] = prop
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(path))
+        assert (code, out, err) == (2, "", want)
+
     def test_invalid_trace_json(self, capsys, tmp_path):
         path = tmp_path / "cx.json"
         path.write_text("{broken")

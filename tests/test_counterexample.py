@@ -389,6 +389,26 @@ class TestVerification:
                                                              2: {"g"}}))
         assert any("until target" in p for p in problems)
 
+    def test_paths_follow_the_scheduler(self):
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        assert verify_counterexample(counterexample_from_dict(data)) == []
+        data["scheduler"]["1"] = "alpha5"
+        assert verify_counterexample(counterexample_from_dict(data)) == [
+            "path 0: at state 1, position 1, the path takes action alpha1, "
+            "where the scheduler chooses alpha5"]
+        del data["scheduler"]["1"]
+        assert verify_counterexample(counterexample_from_dict(data)) == [
+            "path 0: at state 1, position 1, the path takes action alpha1, "
+            "where the scheduler makes no choice"]
+
+    def test_path_leaving_the_scheduler_twice_is_reported_once(self):
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        data["scheduler"].update({"0": "alpha7", "2": "alpha7"})
+        problems = verify_counterexample(counterexample_from_dict(data))
+        assert problems == [
+            f"path {i}: at state 0, position 0, the path takes action "
+            "alpha0, where the scheduler chooses alpha7" for i in range(3)]
+
     def test_weak_until_spec_rejected(self):
         data = counterexample_to_dict(make_cx([wp((0, 2), 0.5)], 0.5))
         data["property"] = "P<=0.1 [ g W t ]"
@@ -487,6 +507,24 @@ class TestJsonInterchange:
         data["state_names"] = names
         with pytest.raises(ParseError, match="state_names"):
             counterexample_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("key, value", [("labels", ["zz"]),
+                                            ("state_names", "zz")])
+    def test_states_off_the_paths_rejected(self, key, value):
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        data.setdefault(key, {})["99"] = value
+        with pytest.raises(ParseError, match=f"counterexample {key} name "
+                                             "state 99, which lies on no path"):
+            counterexample_from_dict(data)
+
+    def test_scheduler_off_the_paths_allowed(self):
+        # the export writes the whole witness; state 6 lies on no path
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        assert "6" in data["scheduler"] and "6" not in data["labels"]
+        data["scheduler"]["99"] = "alpha0"
+        cx = counterexample_from_dict(data)
+        assert cx.scheduler.choice[99] == cx.scheduler.choice[0]
+        assert verify_counterexample(cx) == []
 
     def test_invalid_json_text(self):
         with pytest.raises(ParseError, match="invalid JSON"):

@@ -4,13 +4,15 @@ verify_counterexample, collect_causes, _all_masses and the path text of
 the report walk the counterexample's prefix forest once, plus per path
 its distinct states and steps. The loops below are the earlier versions,
 which did the same work at every position of every path of the flat
-view; they are the reference. Every problem list, cause (with its
-degree, origin and insertion order), mass index, operation count and
-rendered report must come out exactly equal, on counterexamples
-enumerated from seeded random cyclic chains, on corrupted copies of
-them, and on forests of hand-picked shapes: repeated paths, paths
-running on through another's end, paths from several start states, a
-20,000-state simple path and a slow cycle of a few hundred paths.
+view; they are the reference. The check that the paths follow the
+counterexample's scheduler came later and is written in the same
+per-position style. Every problem list, cause (with its degree, origin
+and insertion order), mass index, operation count and rendered report
+must come out exactly equal, on counterexamples enumerated from seeded
+random cyclic chains, on corrupted copies of them, and on forests of
+hand-picked shapes: repeated paths, paths running on through another's
+end, paths from several start states, a 20,000-state simple path and a
+slow cycle of a few hundred paths.
 """
 
 import random
@@ -55,6 +57,17 @@ def reference_verify_counterexample(cx, labels=None):
         if not eval_state_formula(labels, states[-1], phi2):
             out.append(f"{tag}: final state {states[-1]} does not satisfy "
                        "the until target")
+        choice = {} if cx.scheduler is None else cx.scheduler.choice
+        for j, (s, a) in enumerate(zip(states, wp.path.actions)):
+            if cx.scheduler is None or choice.get(s) == a:
+                continue
+            took = (f"{tag}: at state {s}, position {j}, the path takes "
+                    f"action {cx.action_name(a)}, where the scheduler ")
+            if s in choice:
+                out.append(took + f"chooses {cx.action_name(choice[s])}")
+            else:
+                out.append(took + "makes no choice")
+            break
         for j, s in enumerate(states[:-1]):
             if eval_state_formula(labels, s, phi2):
                 out.append(f"{tag}: state {s} at position {j} already "
@@ -254,6 +267,14 @@ def corruptions(cx, rng):
             cx, paths[:i] + [_wp(states + list(other.states[1:]),
                                  actions + list(other.actions),
                                  wp.probability)] + paths[i + 1:])
+    if actions and cx.scheduler is not None:
+        # the scheduler picks another action, or none, where a path steps
+        choice = dict(cx.scheduler.choice)
+        choice[states[0]] = (actions[0] + 1) % len(cx.action_names)
+        if choice[states[0]] != actions[0]:
+            out["off_scheduler"] = replace(cx, scheduler=Scheduler(choice))
+        del choice[states[0]]
+        out["no_choice"] = replace(cx, scheduler=Scheduler(choice))
     for name, guard, target in (("early_target", True, True),
                                 ("early_target_only", False, True),
                                 ("guard_failure", False, False)):

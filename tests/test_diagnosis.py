@@ -6,17 +6,18 @@ from dataclasses import replace
 
 import pytest
 
-from mdpdiag import (TRUE, And, Atom, BudgetError, Counterexample,
+from mdpdiag import (TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      DomainError, FinitePath, Not, Or, ParseError, PathForest,
-                     WeightedPath,
-                     build_mipcx, check_property, collect_causes,
-                     find_causes, generate_diagnoses, parse_property,
-                     path_atoms)
-from fixtures import (blame_gap_mdp, blame_gap_property, demo_mdp,
+                     WeightedPath, build_mdp, build_mipcx, check_property,
+                     collect_causes, find_causes, generate_diagnoses,
+                     parse_program, parse_property)
+from mdpdiag.diagnosis import MASS_EQ_TOL
+from mdpdiag.mdp import content_lines
+from fixtures import (MODELS, blame_gap_mdp, blame_gap_property, demo_mdp,
                       demo_property)
 from oracles import (blame, check_prop1, check_prop2, is_critical,
-                     random_mdp, responsibility_oracle, state_mass,
-                     transition_mass)
+                     path_atoms, random_mdp, responsibility_oracle,
+                     state_mass, transition_mass)
 
 
 def demo_cx():
@@ -200,8 +201,45 @@ def random_counterexamples(seed=7, models=400):
             yield build_mipcx(m, props[i % 4])
 
 
+def bundled_model(name):
+    """The bundled model and property; csma with K=20, as benchmarked."""
+    if name == "demo":
+        return demo_mdp(), demo_property()
+    program = parse_program((MODELS / f"{name}.pm").read_text(), name)
+    m, _ = build_mdp(program, {"K": 20} if name == "csma" else None)
+    (_, text), = content_lines((MODELS / f"{name}.props").read_text())
+    return m, parse_property(text, defined_labels=m.ap_names)
+
+
 class TestAgainstOracle:
     """Syntactic cause extraction against the semantic definition."""
+
+    @pytest.mark.parametrize("name, count", [("demo", 11), ("zeroconf", 13),
+                                             ("csma", 13)])
+    def test_bundled_models_rank_as_the_oracle(self, name, count):
+        report = generate_diagnoses(build_mipcx(*bundled_model(name)))
+        cx = report.counterexample
+        semantic = {}
+        for s in sorted(set(cx.forest.states)):
+            for ap in sorted(path_atoms(cx.spec.path)):
+                literal = (ap, ap in cx.labels.get(s, ()))
+                dr = responsibility_oracle(cx, s, literal)
+                if dr is not None:
+                    semantic[(s, *literal)] = dr
+        assert len(semantic) == count
+        assert semantic == {(c.state, c.ap, c.value): c.dr
+                            for c in report.causes}
+        # hence the same most responsible causes and blame ranking
+        scores = {key: dr * state_mass(cx, key[0])
+                  for key, dr in semantic.items()}
+        top = max(scores.values())
+        assert ({key for key, v in scores.items() if top - v <= MASS_EQ_TOL}
+                == {(c.state, c.ap, c.value)
+                    for c in report.most_responsible})
+        causes = {key: Cause(*key, dr, "") for key, dr in semantic.items()}
+        for e in report.entries:
+            assert blame(cx, e.state, e.action, causes) == pytest.approx(
+                e.db, abs=MASS_EQ_TOL)
 
     def test_every_syntactic_cause_is_semantic(self):
         seen = Counter()

@@ -4,11 +4,10 @@ import pytest
 
 from mdpdiag import (FALSE, TRUE, And, Atom, DomainError, FalseFormula, Not,
                      Or, ParseError, PathFormula, PropertySpec, TrueFormula,
-                     atoms_of, eval_state_formula, parse_property, path_atoms,
-                     to_nnf)
+                     eval_state_formula, parse_property, to_nnf)
 
 from fixtures import parse_state_formula
-from oracles import eval_path_formula
+from oracles import atoms_of, eval_path_formula, path_atoms
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
 
@@ -81,9 +80,14 @@ class TestParsing:
         with pytest.raises(ParseError, match="undefined label"):
             parse_property('P<=0.5 [ "cfg" U b ]', defined_labels={"other"})
 
-    def test_bare_atoms_not_checked_against_table(self):
-        spec = parse_property("P<=0.5 [ a U b ]", defined_labels={"other"})
-        assert spec.path.right == B
+    def test_bare_atoms_checked_against_table(self):
+        spec = parse_property('P<=0.5 [ a U "b" ]', defined_labels={"a", "b"})
+        assert spec.path == PathFormula(A, B)
+        with pytest.raises(ParseError) as exc:
+            parse_property("P<=0.5 [ (a | b) & !zz U b ]",
+                           defined_labels={"a", "b"})
+        assert str(exc.value) == ("line 1, column 21: unknown atomic "
+                                  "proposition 'zz'")
 
     @pytest.mark.parametrize("text,needle", [
         ("", "starts with 'P'"),

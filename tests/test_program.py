@@ -380,21 +380,35 @@ class TestElaboration:
 class TestSourceMap:
     def test_synchronized_transition_names_both_modules(self):
         m, smap = build(SYNC)
-        go = m.action_id("go")
-        assert smap.get((0, go, 1), ()) == (("left", 3), ("right", 8))
+        assert smap[m.action_id("go")] == (("left", 3), ("right", 8))
 
     def test_lookup_covers_every_transition(self):
         m, smap = build(SYNC)
+        assert set(smap) == set(range(len(m.action_names)))
         for (s, aid), dist in m.transition_items():
-            for t, _ in dist:
-                cmds = smap.get((s, aid, t), ())
-                assert cmds, (s, aid, t)
-                assert all(isinstance(mod, str) and isinstance(line, int)
-                           for mod, line in cmds)
+            cmds = smap[aid]
+            assert cmds, (s, aid)
+            assert all(isinstance(mod, str) and isinstance(line, int)
+                       for mod, line in cmds)
 
-    def test_unknown_transition_is_empty(self):
+    def test_transitions_of_an_action_share_its_commands(self):
+        # go#i.j fires the i-th go command of left and the j-th of right,
+        # wherever it is enabled; csma has 7,610 transitions of 7 actions
+        m, smap = build(SYNC)
+        assert {m.action_name(a): cmds for a, cmds in smap.items()} == {
+            "go": (("left", 3), ("right", 8)),
+            "go#0.1": (("left", 3), ("right", 9)),
+            "go#1.0": (("left", 4), ("right", 8)),
+            "go#1.1": (("left", 4), ("right", 9)),
+        }
+        csma = parse_program((MODELS / "csma.pm").read_text(), "csma.pm")
+        m, smap = build_mdp(csma, {"K": 20})
+        assert sum(len(d) for _, d in m.transition_items()) == 7_610
+        assert len(smap) == len(m.action_names) == 7
+
+    def test_unknown_action_is_empty(self):
         _, smap = build(SYNC)
-        assert smap.get((99, 0, 99), ()) == ()
+        assert smap.get(99, ()) == ()
 
 
 class TestShippedModels:

@@ -6,7 +6,9 @@ expression tree for every state gave: the same states, names, actions,
 transitions, labels and source map, and the same error (type, message,
 line and filename) wherever a program is rejected. The reference copies
 below are that earlier interpreter and elaborator, kept unchanged but for
-the name reference_build_mdp; the parser and Mdp are shared.
+the name reference_build_mdp; the parser and Mdp are shared. build_mdp
+maps each action, not each transition, to its commands; its map is
+spread over the action's transitions before the comparison.
 """
 
 from __future__ import annotations
@@ -423,10 +425,17 @@ def reference_build_mdp(program: Program,
 # -- comparison ---------------------------------------------------------------
 
 
-def snapshot(m: Mdp, smap: dict):
+def snapshot(m: Mdp, sources: dict):
     return (m.num_states, m.init, list(m.transition_items()), m.label_map(),
-            m.state_names, m.ap_names, list(m.action_names),
-            list(smap.items()))
+            m.state_names, m.ap_names, list(m.action_names), sources)
+
+
+def build_mdp_per_transition(program, constants=None, **kw):
+    """build_mdp, with its {action id: commands} source map spread over
+    every transition of each action, as the reference keys it."""
+    m, commands = build_mdp(program, constants, **kw)
+    return m, {(s, a, t): commands[a]
+               for (s, a), dist in m.transition_items() for t, _ in dist}
 
 
 def outcome(builder, text: str, constants=None, **kw):
@@ -441,7 +450,7 @@ def outcome(builder, text: str, constants=None, **kw):
 
 def assert_same(text: str, constants=None, **kw):
     want = outcome(reference_build_mdp, text, constants, **kw)
-    assert outcome(build_mdp, text, constants, **kw) == want
+    assert outcome(build_mdp_per_transition, text, constants, **kw) == want
     return want
 
 
