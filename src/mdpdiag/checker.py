@@ -9,8 +9,8 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, ne, sub
 
 from .errors import BudgetError, DomainError
-from .mdp import Mdp, Scheduler, backward_reachable
-from .pctl import PathFormula, PropertySpec, eval_state_formula
+from .mdp import Mdp, Scheduler, live_states
+from .pctl import PathFormula, PropertySpec, until_sets
 
 DEFAULT_EPSILON = 1e-6
 # Extraction treats one-step backups within this of the best one as tied.
@@ -48,15 +48,6 @@ class Verdict:
         word = "holds" if self.holds else "violated"
         return (f"{word}: Pmax = {self.pmax:.10g} vs "
                 f"{self.comparison} {self.threshold:.10g}")
-
-
-def _sat_sets(m: Mdp, psi: PathFormula):
-    labels = m.label_map()
-    sat1 = frozenset(s for s in m.states
-                     if eval_state_formula(labels, s, psi.left))
-    sat2 = frozenset(s for s in m.states
-                     if eval_state_formula(labels, s, psi.right))
-    return sat1, sat2
 
 
 def _sweep(choices, preds, values, pending, max_sweeps: int,
@@ -153,9 +144,6 @@ def _grouped_backups(grouped, values, dirty):
         prods = list(map(mul, probs, map(values.__getitem__, targets)))
         sums = []
         for first, end in columns:
-            if first == end:
-                sums.append([0.0] * len(states))
-                continue
             total = prods[first::stride]
             for i in range(first + 1, end):
                 total = list(map(add, total, prods[i::stride]))
@@ -189,8 +177,8 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     of them, with the same values, iterations and residual as full Jacobi
     sweeps. A choice's products p * values[t] are added left to right, as
     sum() did before Python 3.12, so the values are the same on every
-    Python version. A choice with an empty distribution backs up to 0, and
-    a left-operand state without enabled actions keeps 0. Running out of
+    Python version. A left-operand state that reaches no right-operand
+    state, one without enabled actions included, keeps 0. Running out of
     max_iterations sweeps raises BudgetError; its message and partial give
     the residual reached (inf for no sweep).
 
@@ -214,29 +202,22 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
 def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
                      max_iterations: int) -> ValueVector:
     """compute_pmax on a memo miss, with its arguments already checked."""
-    sat1, sat2 = _sat_sets(m, psi)
+    targets, guard = until_sets(m.label_map(), m.states, psi)
     choices = m.choice_table()
-    # a left-operand state without choices keeps the value 0
-    interior = [s for s in m.states
-                if s in sat1 and s not in sat2 and choices[s]]
-    preds: dict[int, list[int]] = {}
-    for s in interior:
-        for _, dist in choices[s]:
-            for t, _ in dist:
-                preds.setdefault(t, []).append(s)
-    values = [1.0 if s in sat2 else 0.0 for s in m.states]
+    preds, live = live_states(choices, guard, targets)
+    # every other state keeps its value: 1 at a target, else 0
+    pending = [s for s in m.states if s in guard and s in live]
+    values = [1.0 if s in targets else 0.0 for s in m.states]
 
     if psi.bound is not None:
         # epsilon 0: run all psi.bound sweeps, or until nothing changes
-        sweeps, residual = _sweep(choices, preds, values, interior,
+        sweeps, residual = _sweep(choices, preds, values, pending,
                                   psi.bound, 0.0)
         zero = frozenset(s for s in m.states if values[s] == 0.0)
         return ValueVector(values, psi.bound, residual if sweeps else 0.0,
-                           psi, sat2, zero)
+                           psi, targets, zero)
 
-    reach = backward_reachable(preds, sat2)
-    zero = frozenset(s for s in m.states if s not in reach)
-    pending = [s for s in interior if s in reach]
+    zero = frozenset(s for s in m.states if s not in live)
     sweeps, residual = _sweep(choices, preds, values, pending,
                               max_iterations, epsilon)
     if not residual < epsilon:
@@ -244,7 +225,7 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
             f"value iteration did not reach residual {epsilon} within "
             f"{max_iterations} sweeps (residual reached: {residual:.6g})",
             partial=residual)
-    return ValueVector(values, sweeps, residual, psi, sat2, zero)
+    return ValueVector(values, sweeps, residual, psi, targets, zero)
 
 
 def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import replace
@@ -79,27 +78,16 @@ def _parse_const_overrides(pairs) -> dict:
     return out
 
 
-def _detect_format(path: str, text: str) -> str:
-    ext = os.path.splitext(path)[1].lower()
-    if ext in (".tra", ".txt"):
-        return "explicit"
-    if ext in (".pm", ".nm", ".prism"):
-        return "program"
-    for _, line in content_lines(text):
-        return "explicit" if line.split()[0] == "STATES" else "program"
-    return "explicit"
-
-
 def _load_model(args):
     """Returns (mdp, source map or None)."""
     if args.state_cap < 1:
         raise _UsageError(f"--state-cap must be at least 1, got "
                           f"{args.state_cap}")
     text = _read_text(args.model)
-    fmt = args.model_format
-    if fmt == "auto":
-        fmt = _detect_format(args.model, text)
-    if fmt == "explicit":
+    # every explicit model starts with 'STATES <n>', and no program can; an
+    # empty file goes to the explicit parser, which says so
+    first = next(content_lines(text), (0, "STATES"))[1]
+    if first.split()[0] == "STATES":
         if args.const:
             raise _UsageError("--const only applies to guarded-command models")
         labels_text = None
@@ -116,22 +104,27 @@ def _load_model(args):
     return build_mdp(program, overrides, state_cap=args.state_cap)
 
 
-def _property_text(args) -> str:
+def _load_property(args, m):
     if args.prop and args.props_file:
         raise _UsageError("give either --prop or --props-file, not both")
     if args.prop:
-        return args.prop
+        return parse_property(args.prop, defined_labels=m.ap_names)
     if not args.props_file:
         raise _UsageError("a property is required: --prop or --props-file")
-    found = [line for _, line in content_lines(_read_text(args.props_file))]
+    text = _read_text(args.props_file)
+    found = list(content_lines(text))
     if len(found) != 1:
         raise _UsageError(f"{args.props_file}: expected exactly one property, "
                           f"found {len(found)}")
-    return found[0]
-
-
-def _load_property(args, m):
-    return parse_property(_property_text(args), defined_labels=m.ap_names)
+    no, line = found[0]
+    try:
+        return parse_property(line, defined_labels=m.ap_names)
+    except ParseError as exc:
+        # the property is one stripped line of the file
+        raw = text.splitlines()[no - 1]
+        raise ParseError(exc.message, line=no, filename=args.props_file,
+                         column=exc.column + len(raw) - len(raw.lstrip())
+                         ) from None
 
 
 def _validated(m):
@@ -209,7 +202,11 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_diagnose_trace(args) -> int:
-    cx = counterexample_from_json(_read_text(args.trace))
+    text = _read_text(args.trace)
+    try:
+        cx = counterexample_from_json(text)
+    except ParseError as exc:
+        raise ParseError(str(exc), filename=args.trace) from None
     if args.prop:
         cx = replace(cx, spec=parse_property(
             args.prop, defined_labels=cx.alphabet()))
@@ -232,11 +229,8 @@ def _add_output_flags(sub):
 
 def _add_model_flags(sub):
     sub.add_argument("--model", required=True, metavar="PATH",
-                     help="model file: explicit transitions or a "
-                          "guarded-command program")
-    sub.add_argument("--model-format", choices=("auto", "explicit", "program"),
-                     default="auto",
-                     help="override model format detection (default: auto)")
+                     help="model file: explicit transitions (first line "
+                          "'STATES <n>') or a guarded-command program")
     sub.add_argument("--labels", metavar="PATH",
                      help="label file for explicit models")
     sub.add_argument("--const", action="append", metavar="NAME=VALUE",

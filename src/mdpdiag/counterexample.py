@@ -21,9 +21,8 @@ from .checker import (DEFAULT_EPSILON, check_property, extract_max_scheduler,
                       mass_exceeds)
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler,
-                  WeightedPath, backward_reachable, induce_dtmc)
-from .pctl import (PathFormula, PropertySpec, eval_state_formula,
-                   parse_property)
+                  WeightedPath, induce_dtmc, live_states)
+from .pctl import PathFormula, PropertySpec, parse_property, until_sets
 
 DEFAULT_MAX_PATHS = 10_000
 DEFAULT_MIN_PROB = 1e-15
@@ -331,15 +330,9 @@ def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
         raise DomainError("min_prob must be a number, got nan")
     if max_paths is not None and max_paths <= 0:
         return
-    sat1 = {s for s in d.states if eval_state_formula(d.labels, s, psi.left)}
-    sat2 = {s for s in d.states if eval_state_formula(d.labels, s, psi.right)}
-    preds: dict[int, list[int]] = {}
-    for s in sat1 - sat2:
-        for _, dist in d.choices[s]:
-            for t, _ in dist:
-                preds.setdefault(t, []).append(s)
-    alive = backward_reachable(preds, sat2)
-    if d.init not in alive:
+    targets, guard = until_sets(d.labels, d.states, psi)
+    _, live = live_states(d.choices, guard, targets)
+    if d.init not in live:
         return
 
     bound = psi.bound
@@ -347,7 +340,7 @@ def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
     # its ancestors with every other path through them. (cost, prefix)
     # orders the entries totally, so the order of pushes never shows in
     # the pops. A target initial state is the one complete path.
-    heap = [(0.0, _Prefix(d.init, -1, None), 1.0, d.init in sat2)]
+    heap = [(0.0, _Prefix(d.init, -1, None), 1.0, d.init in targets)]
     emitted = 0
     while heap:
         cost, prefix, prob, complete = heapq.heappop(heap)
@@ -363,9 +356,9 @@ def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
             continue
         for aid, dist in d.choices[prefix.state]:
             for t, p in dist:
-                if t in sat2:
+                if t in targets:
                     done = True
-                elif t in alive:
+                elif t in live:
                     done = False
                 else:
                     continue
@@ -427,7 +420,6 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     guard-only set and the first whose step leaves the scheduler; a path
     is then checked in constant time.
     """
-    phi1, phi2 = cx.spec.path.left, cx.spec.path.right
     bound = cx.spec.path.bound
     forest = cx.forest
     parents, actions, states = forest.parents, forest.actions, forest.states
@@ -435,10 +427,8 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     out: list[str] = []
     if not forest.leaves:
         out.append("counterexample contains no paths")
-    on_paths = set(forest.states)
-    sat2 = {s for s in on_paths if eval_state_formula(cx.labels, s, phi2)}
-    guard_only = {s for s in on_paths - sat2
-                  if eval_state_formula(cx.labels, s, phi1)}
+    targets, guard_only = until_sets(cx.labels, set(forest.states),
+                                     cx.spec.path)
     depth: list[int] = []
     first_bad: list[int] = []
     first_off: list[int] = []  # the first step off the scheduler
@@ -464,7 +454,7 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
         mass += prob
         if bound is not None and depth[leaf] > bound:
             out.append(f"{tag}: {depth[leaf]} steps exceed the bound {bound}")
-        if states[leaf] not in sat2:
+        if states[leaf] not in targets:
             out.append(f"{tag}: final state {states[leaf]} does not satisfy "
                        "the until target")
         off = first_off[leaf]
@@ -479,7 +469,7 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
         if bad < 0:
             continue
         s, j = states[bad], depth[bad]
-        if s in sat2:
+        if s in targets:
             out.append(f"{tag}: state {s} at position {j} already "
                        "satisfies the until target; paths must stop at "
                        "their first such state")
@@ -614,8 +604,11 @@ def counterexample_from_dict(data: dict) -> Counterexample:
             raise ParseError("counterexample ap_names must be a list of "
                              "names") from None
 
-    spec = parse_property(str(_require(data, "property")),
-                          defined_labels=set(ap_names).union(*labels.values()))
+    prop = str(_require(data, "property"))
+    try:
+        spec = parse_property(prop, set(ap_names).union(*labels.values()))
+    except ParseError as exc:
+        raise ParseError(f"property field, {exc}") from None
     for key in ("comparison", "threshold"):
         given = data.get(key, getattr(spec, key))
         if isinstance(given, bool) or given != getattr(spec, key):

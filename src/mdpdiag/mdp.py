@@ -31,7 +31,8 @@ class Mdp:
 
         The transitions are compiled once into the choice table (see
         choice_table). An initial, source, successor or labelled state
-        outside 0..num_states-1 raises DomainError.
+        outside 0..num_states-1 raises DomainError, and so does an empty
+        distribution: every action carries a probability distribution.
 
         ap_names declares the alphabet of atomic propositions; it defaults
         to the atoms occurring in labels. The attribute ap_names lists the
@@ -55,6 +56,9 @@ class Mdp:
             role = f"state {s} has successor"
             row[aid] = tuple((self._check_state(int(t), role), float(p))
                              for t, p in dist)
+            if not row[aid]:
+                raise DomainError(
+                    f"empty distribution for state {s} action {act!r}")
         self._choices = [tuple(sorted(row.items())) for row in rows]
 
         atoms: dict[str, None] = {}
@@ -111,8 +115,7 @@ class Mdp:
         return self._choices
 
     def enabled_actions(self, s: int) -> tuple[int, ...]:
-        """Action ids listed at s, ascending, including an action with an
-        empty distribution (validate_mdp reports that as distribution-sum)."""
+        """Action ids listed at s, ascending."""
         self._check_state(s)
         return tuple(aid for aid, _ in self._choices[s])
 
@@ -277,8 +280,10 @@ class Dtmc:
     to the source model; states lists the states reachable from init in
     ascending order, and only they have entries. choices[s] is a row of
     Mdp.choice_table() cut to the one (action id, distribution) pair the
-    scheduler picks at s, each successor listed once; labels[s] is the
-    labelling of s.
+    scheduler picks at s, each successor listed once with its merged
+    probability; a successor whose merged probability is not positive is
+    left out, as no path of positive probability takes it. labels[s] is
+    the labelling of s.
     """
 
     states: tuple[int, ...]
@@ -311,6 +316,7 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
         merged: dict[int, float] = {}
         for t, p in dist:
             merged[t] = merged.get(t, 0.0) + p
+        merged = {t: p for t, p in merged.items() if p > 0.0}
         choices[s] = ((aid, tuple(merged.items())),)
         for t in merged:
             if t not in seen:
@@ -320,19 +326,28 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
     return Dtmc(tuple(sorted(reachable)), m.init, choices, labels)
 
 
-def backward_reachable(preds: Mapping[int, Iterable[int]],
-                       targets: Iterable[int]) -> set[int]:
-    """The targets and every state that reaches one of them backward along
-    preds, which maps a state to the states with a step into it."""
-    reach = set(targets)
-    stack = list(reach)
+def live_states(choices, guard: Iterable[int], targets: Iterable[int]
+                ) -> tuple[dict[int, list[int]], set[int]]:
+    """The guard-only predecessor map and the live states of an until.
+
+    choices is a choice table indexed by state, Mdp.choice_table() or
+    Dtmc.choices. preds maps a state to the guard states with a step into
+    it; live holds the targets and every state that reaches one through
+    guard states alone.
+    """
+    preds: dict[int, list[int]] = {}
+    for s in guard:
+        for _, dist in choices[s]:
+            for t, _ in dist:
+                preds.setdefault(t, []).append(s)
+    live = set(targets)
+    stack = list(live)
     while stack:
-        t = stack.pop()
-        for s in preds.get(t, ()):
-            if s not in reach:
-                reach.add(s)
+        for s in preds.get(stack.pop(), ()):
+            if s not in live:
+                live.add(s)
                 stack.append(s)
-    return reach
+    return preds, live
 
 
 # -- external text format --------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, AbstractSet, Collection
+from typing import AbstractSet, Collection, Iterable, Mapping, Optional
 
 from .errors import DomainError, ParseError
 
@@ -162,6 +162,21 @@ def eval_state_formula(labels: Mapping[int, AbstractSet[str]], s: int,
         return (eval_state_formula(labels, s, phi.left)
                 or eval_state_formula(labels, s, phi.right))
     raise DomainError(f"not a state formula: {phi!r}")
+
+
+def until_sets(labels: Mapping[int, AbstractSet[str]], states: Iterable[int],
+               path: PathFormula) -> tuple[frozenset[int], frozenset[int]]:
+    """The targets (right operand holds) and the guard-only states (left
+    operand holds, right one fails) among states, under labels. The left
+    operand is evaluated only where the right one fails."""
+    targets = []
+    guard_only = []
+    for s in states:
+        if eval_state_formula(labels, s, path.right):
+            targets.append(s)
+        elif eval_state_formula(labels, s, path.left):
+            guard_only.append(s)
+    return frozenset(targets), frozenset(guard_only)
 
 
 # -- negation normal form --------------------------------------------------

@@ -124,19 +124,6 @@ class TestComputePmax:
         witness = extract_max_scheduler(m, verdict.value_vector)
         assert witness.action_for(0) == m.action_id("a")
 
-    def test_empty_distribution_backs_up_to_zero(self):
-        m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, .5), (2, .5)],
-                       (1, "none"): []},
-                {0: {"p"}, 1: {"p"}, 2: {"q"}})
-        unbounded = compute_pmax(m, PQ)
-        assert unbounded.values == [0.5, 0.0, 1.0]
-        for bound in (1, 3):
-            vv = compute_pmax(m, PathFormula(Atom("p"), Atom("q"),
-                                             bound=bound))
-            assert vv.values == unbounded.values
-        assert extract_max_scheduler(m, unbounded).action_for(0) == (
-            m.action_id("a"))
-
     def test_weak_until_rejected(self):
         # a path formula is an until; weak until does not parse
         with pytest.raises(ParseError, match="column 12: expected 'U'"):
@@ -288,7 +275,7 @@ class TestSchedulerExtraction:
             assert exact[m.init] == pytest.approx(vv.values[m.init], abs=1e-6)
 
     def test_state_without_actions_gets_no_choice(self):
-        m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, 0.5), (2, 0.5)]},
+        m = Mdp(3, 0, {(0, "a"): [(1, 0.5), (2, 0.5)]},
                 {0: {"p"}, 1: {"p"}, 2: {"q"}})
         vv = ValueVector([0.5, 0.25, 1.0], 0, 0.0, PQ, frozenset({2}),
                          frozenset())

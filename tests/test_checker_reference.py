@@ -165,21 +165,18 @@ def tied_mdp(rng: random.Random, sizes=(2, 10), gaps=False,
     Besides random actions, a state may get a copy of one of its actions
     (an exact tie, or a near tie when the successors are listed in another
     order) and a value-preserving self-loop. With gaps, some states have
-    no action and some actions an empty distribution; a state without
+    no action and some actions are left out; a state left without
     actions is labelled `p` alone only if p_without_actions (the bounded
     reference has no value for such a state).
     """
     n = rng.randint(*sizes)
     transitions = {}
-    idle = set()
     for s in range(n):
         if gaps and rng.random() < 0.1:
-            idle.add(s)
             continue
         acts = []
         for a in range(rng.randint(1, 3)):
             if gaps and rng.random() < 0.05:
-                transitions[(s, f"a{a}")] = []
                 continue
             succs = rng.sample(range(n), rng.randint(1, min(4, n)))
             weights = [rng.randint(1, 7) for _ in succs]
@@ -194,6 +191,7 @@ def tied_mdp(rng: random.Random, sizes=(2, 10), gaps=False,
             transitions[(s, "dup")] = copy
         if rng.random() < 0.4:
             transitions[(s, "stay")] = [(s, 1.0)]
+    idle = set(range(n)).difference(s for s, _ in transitions)
     labels = {}
     for s in range(n):
         here = set()

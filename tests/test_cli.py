@@ -76,6 +76,15 @@ class TestCheck:
                            DEMO_LAB, "--props-file", str(f))
         assert code == 2 and "exactly one" in err
 
+    def test_props_file_error_names_the_file_and_line(self, capsys, tmp_path):
+        f = tmp_path / "p.props"
+        f.write_text("# the demo property\n\n  P<=0.5 [ (a | b) & !zz U c ]\n")
+        code, out, err = run(capsys, "check", "--model", DEMO, "--labels",
+                             DEMO_LAB, "--props-file", str(f))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {f}, line 3, column 23: unknown atomic "
+                       "proposition 'zz'\n")
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "check", "--model", "/no/such.tra",
                            "--prop", DEMO_PROP)
@@ -238,12 +247,21 @@ class TestProgramModels:
         assert code == 0, err
         assert "Pmax = 0\n" in out
 
-    def test_format_override_mismatch(self, capsys):
-        code, _, err = run(capsys, "check", "--model",
-                           str(MODELS / "zeroconf.pm"), "--model-format",
-                           "explicit", "--props-file",
-                           str(MODELS / "zeroconf.props"))
-        assert code == 2 and "error" in err
+    def test_program_read_off_the_content_not_the_extension(self, capsys,
+                                                            tmp_path):
+        model = tmp_path / "zeroconf.tra"
+        model.write_text((MODELS / "zeroconf.pm").read_text())
+        code, out, _ = run(capsys, "check", "--model", str(model),
+                           "--props-file", str(MODELS / "zeroconf.props"))
+        assert code == 1 and "Pmax = 0.48" in out
+
+    def test_explicit_read_off_the_content_not_the_extension(self, capsys,
+                                                             tmp_path):
+        model = tmp_path / "demo.pm"
+        model.write_text((MODELS / "demo.tra").read_text())
+        code, out, _ = run(capsys, "check", "--model", str(model),
+                           "--labels", DEMO_LAB, "--prop", DEMO_PROP)
+        assert code == 1 and "VIOLATED" in out
 
 
 class TestDiagnose:
@@ -398,20 +416,35 @@ class TestDiagnoseTrace:
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "diagnose-trace", "--trace", str(path))
         assert code == 2 and out == ""
-        assert "error: line 1, column 18: expected 'U'" in err
+        assert (f"error: {path}: property field, line 1, column 18: "
+                "expected 'U'") in err
 
     def test_stored_property_keeps_to_the_alphabet(self, capsys, tmp_path):
         # the same text is rejected as --prop and as the trace's property
         prop = "P<=0.5 [ (a | b) & !zz U (c & d) ]"
-        want = "error: line 1, column 21: unknown atomic proposition 'zz'\n"
+        want = "line 1, column 21: unknown atomic proposition 'zz'\n"
         code, out, err = run(capsys, "check", *demo_args(prop=prop))
-        assert (code, out, err) == (2, "", want)
+        assert (code, out, err) == (2, "", "error: " + want)
         path, _ = self.export(capsys, tmp_path)
         data = json.loads(path.read_text())
         data["property"] = prop
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "diagnose-trace", "--trace", str(path))
-        assert (code, out, err) == (2, "", want)
+        assert (code, out, err) == (
+            2, "", f"error: {path}: property field, " + want)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text.replace('"states": [', '"states": ["0", ', 1),
+         "malformed path entry 0"),
+        (lambda text: text[:len(text) // 2], "invalid JSON: "),
+    ], ids=["malformed-entry", "truncated"])
+    def test_trace_errors_name_the_trace(self, capsys, tmp_path, damage,
+                                         message):
+        path, _ = self.export(capsys, tmp_path)
+        path.write_text(damage(path.read_text()))
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {message}")
 
     def test_invalid_trace_json(self, capsys, tmp_path):
         path = tmp_path / "cx.json"

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from mdpdiag import (DomainError, FinitePath, Mdp, ParseError, Scheduler,
-                     induce_dtmc, parse_explicit_model, parse_labels_text,
-                     path_probability, validate_mdp)
+                     eval_state_formula, induce_dtmc, parse_explicit_model,
+                     parse_labels_text, parse_property, path_probability,
+                     validate_mdp)
+from mdpdiag.mdp import live_states
+from mdpdiag.pctl import until_sets
 
 from fixtures import demo_mdp, serialize_explicit_model, serialize_labels
 from oracles import random_mdp
@@ -36,12 +39,13 @@ class TestConstruction:
         # ids follow encounter order, the enabled list is sorted by id
         assert m.enabled_actions(0) == (0, 1)
 
-    def test_enabled_actions_include_empty_distribution(self):
-        m = Mdp(3, 0, {(0, "none"): [], (0, "a"): [(1, 0.5), (2, 0.5)]})
-        assert m.enabled_actions(0) == (0, 1)
-        assert m.distribution(0, m.action_id("none")) == ()
-        assert [(v.kind, v.state) for v in validate_mdp(m)
-                if v.kind == "distribution-sum"] == [("distribution-sum", 0)]
+    def test_empty_distribution_rejected(self):
+        # every action carries a distribution, so an empty one is no choice
+        with pytest.raises(DomainError,
+                           match="empty distribution for state 1 action 'none'"):
+            Mdp(3, 0, {(0, "a"): [(1, 0.5), (2, 0.5)], (1, "none"): []})
+        with pytest.raises(DomainError, match="state 0 action 'none'"):
+            Mdp(1, 0, {(0, "none"): iter(())})
 
     def test_distribution_and_successors(self):
         m = two_action_mdp()
@@ -222,6 +226,81 @@ class TestScheduler:
         sched = Scheduler({0: m.action_id("stay")})
         with pytest.raises(DomainError, match="disabled"):
             induce_dtmc(m, sched)
+
+    def test_induce_leaves_out_zero_probability_successors(self):
+        m = Mdp(3, 0, {(0, "a"): [(1, 0.0), (2, 0.5), (2, 0.5)],
+                       (1, "a"): [(1, 1.0)], (2, "a"): [(2, 1.0)]})
+        d = induce_dtmc(m, Scheduler({0: 0, 2: 0}))
+        assert d.states == (0, 2)
+        assert d.choices[0] == ((0, ((2, 1.0),)),)
+
+
+# until operands of random properties over p, q and zz, which labels no state
+UNTILS = [parse_property(f"P<=0.5 [ {text} ]").path for text in (
+    "p U q", "true U q", "!p U (p & q)", "(p | q) U !q", "p U<=3 (q | zz)",
+    "!zz U p", "(p & !q) U false")]
+
+
+class TestUntilSets:
+    def brute_force(self, m, psi):
+        labels = m.label_map()
+        right = {s for s in m.states if eval_state_formula(labels, s, psi.right)}
+        left = {s for s in m.states if eval_state_formula(labels, s, psi.left)}
+        live = set(right)
+        grew = True
+        while grew:
+            grew = False
+            for (s, _), dist in m.transition_items():
+                if (s in left - right and s not in live
+                        and any(t in live for t, _ in dist)):
+                    live.add(s)
+                    grew = True
+        return right, left - right, live
+
+    def test_match_brute_force_on_random_models(self):
+        rng = random.Random(1608)
+        for _ in range(300):
+            m = random_mdp(rng, max_states=8, max_actions=3)
+            psi = rng.choice(UNTILS)
+            want_targets, want_guard, want_live = self.brute_force(m, psi)
+            targets, guard = until_sets(m.label_map(), m.states, psi)
+            assert (targets, guard) == (want_targets, want_guard)
+            preds, live = live_states(m.choice_table(), guard, targets)
+            assert live == want_live
+            steps = {(s, t) for (s, _), dist in m.transition_items()
+                     if s in guard for t, _ in dist}
+            assert {(s, t) for t, ss in preds.items() for s in ss} == steps
+
+    def test_over_a_subset_and_an_induced_chain(self):
+        rng = random.Random(7881)
+        for _ in range(100):
+            m = random_mdp(rng, max_states=8, max_actions=3)
+            psi = rng.choice(UNTILS)
+            sched = Scheduler({s: rng.choice(m.enabled_actions(s))
+                               for s in m.states})
+            d = induce_dtmc(m, sched)
+            targets, guard = until_sets(d.labels, d.states, psi)
+            full_targets, full_guard = until_sets(m.label_map(), m.states, psi)
+            assert targets == full_targets & set(d.states)
+            assert guard == full_guard & set(d.states)
+            _, live = live_states(d.choices, guard, targets)
+            chain = Mdp(m.num_states, m.init,
+                        {(s, "x"): dist for s in d.states
+                         for _, dist in d.choices[s]}, m.label_map())
+            assert live == self.brute_force(chain, psi)[2] & set(d.states)
+
+    def test_left_operand_only_where_the_right_one_fails(self):
+        looked_up = []
+
+        class Recording(dict):
+            def get(self, s, default=None):
+                looked_up.append(s)
+                return super().get(s, default)
+
+        labels = Recording({0: {"q"}, 1: {"p"}})
+        psi = parse_property("P<=0.5 [ p U q ]").path
+        assert until_sets(labels, range(3), psi) == ({0}, {1})
+        assert looked_up == [0, 1, 1, 2, 2]
 
 
 def structure(m):
