@@ -267,16 +267,6 @@ class _Prefix:
         self.length = 0 if parent is None else parent.length + 1
         self.node = -1
 
-    def path(self) -> FinitePath:
-        states, actions = [], []
-        node = self
-        while node.parent is not None:
-            states.append(node.state)
-            actions.append(node.action)
-            node = node.parent
-        states.append(node.state)
-        return FinitePath(tuple(reversed(states)), tuple(reversed(actions)))
-
     def add_to(self, forest: PathForest) -> int:
         """This prefix's node in forest, adding it and the ancestors
         missing there."""
@@ -304,8 +294,12 @@ class _Prefix:
 
 def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
                                max_paths: Optional[int] = None,
-                               min_prob: float = 0.0) -> Iterator[WeightedPath]:
-    """Yield the satisfying paths of d in nonincreasing probability order.
+                               min_prob: float = 0.0
+                               ) -> Iterator[tuple[_Prefix, float]]:
+    """Yield the satisfying paths of d in nonincreasing probability order,
+    each as (prefix, probability): the prefix's state, action and parent
+    links spell the path backwards, and prefix.add_to(forest) adds the
+    path to a PathForest.
 
     Every yielded path ends at its first right-operand state; earlier
     states satisfy the left operand. Best-first search over negative log
@@ -318,14 +312,6 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     An atom that labels no state of d is false everywhere, so a target
     named by such an atom yields no path.
     """
-    for prefix, prob in _satisfying_prefixes(d, psi, max_paths, min_prob):
-        yield WeightedPath(prefix.path(), prob)
-
-
-def _satisfying_prefixes(d: Dtmc, psi: PathFormula, max_paths: Optional[int],
-                         min_prob: float) -> Iterator[tuple[_Prefix, float]]:
-    """The prefixes enumerate_satisfying_paths yields as paths, with their
-    probabilities."""
     if math.isnan(min_prob):
         raise DomainError("min_prob must be a number, got nan")
     if max_paths is not None and max_paths <= 0:
@@ -388,8 +374,8 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
     dtmc = induce_dtmc(m, witness)
     forest = PathForest()
     total = 0.0
-    for prefix, prob in _satisfying_prefixes(dtmc, spec.path, max_paths,
-                                             min_prob):
+    for prefix, prob in enumerate_satisfying_paths(dtmc, spec.path, max_paths,
+                                                   min_prob):
         forest.add_path(prefix.add_to(forest), prob)
         total += prob
         if mass_exceeds(spec, total):

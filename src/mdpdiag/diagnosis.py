@@ -85,9 +85,6 @@ class Cause:
         """Ranking weight: responsibility times absolute mass."""
         return self.dr * self.mass
 
-    def describe(self) -> str:
-        return f"({self.state}, {self.literal})"
-
 
 def find_causes(s: int, labels: Mapping[int, frozenset[str]],
                 phi: StateFormula, w: int = 0,
@@ -120,27 +117,22 @@ def find_causes(s: int, labels: Mapping[int, frozenset[str]],
             return {(phi.child.name, False): 1.0 / (w + 1)}
         raise DomainError(f"formula does not hold at state {s}: "
                           f"{phi.child.name} is true there")
-    if isinstance(phi, And):
-        out = find_causes(s, labels, phi.left, w, _counter)
-        for lit, dr in find_causes(s, labels, phi.right, w, _counter).items():
-            if dr > out.get(lit, 0.0):
-                out[lit] = dr
-        return out
     if isinstance(phi, Or):
         left_holds = eval_state_formula(labels, s, phi.left)
         right_holds = eval_state_formula(labels, s, phi.right)
-        if left_holds and right_holds:
-            out = find_causes(s, labels, phi.left, w + 1, _counter)
-            for lit, dr in find_causes(s, labels, phi.right, w + 1, _counter).items():
-                if dr > out.get(lit, 0.0):
-                    out[lit] = dr
-            return out
-        if left_holds:
-            return find_causes(s, labels, phi.left, w, _counter)
-        if right_holds:
-            return find_causes(s, labels, phi.right, w, _counter)
-        raise DomainError(f"formula does not hold at state {s}")
-    raise DomainError(f"not a state formula: {phi!r}")
+        if not (left_holds or right_holds):
+            raise DomainError(f"formula does not hold at state {s}")
+        if not (left_holds and right_holds):
+            side = phi.left if left_holds else phi.right
+            return find_causes(s, labels, side, w, _counter)
+        w += 1  # both sides hold: they split the responsibility
+    elif not isinstance(phi, And):
+        raise DomainError(f"not a state formula: {phi!r}")
+    out = find_causes(s, labels, phi.left, w, _counter)
+    for lit, dr in find_causes(s, labels, phi.right, w, _counter).items():
+        if dr > out.get(lit, 0.0):
+            out[lit] = dr
+    return out
 
 
 def collect_causes(cx: Counterexample,
@@ -394,12 +386,13 @@ def render_text_report(report: DiagnosisReport, normalize: bool = False) -> str:
                              f"share {_pct(c.dr * c.normalized_mass)}")
                 else:
                     shown = f"mass {c.mass:.6g}, score {c.score:.6g}"
-                lines.append(f"          cause {c.describe()}: "
-                             f"dR = {c.dr:g}, {shown}")
+                lines.append(f"          cause ({cx.state_name(c.state)}, "
+                             f"{c.literal}): dR = {c.dr:g}, {shown}")
             for mod, line_no in t.commands:
                 lines.append(f"          command: module {mod} line {line_no}")
     if report.most_responsible:
-        best = ", ".join(c.describe() for c in report.most_responsible)
+        best = ", ".join(f"({cx.state_name(c.state)}, {c.literal})"
+                         for c in report.most_responsible)
         lines.append(f"most responsible cause: {best}")
     if report.most_blamed:
         best = ", ".join(f"{e.action_label} at {cx.state_name(e.state)}"

@@ -8,8 +8,10 @@ finite set of paths, its counterexample. The grammar:
     state    := state '|' state | state '&' state | '!' state | '(' state ')'
               | 'true' | 'false' | atom | '"' label '"'
 
-with p a number in [0, 1], k a nonnegative integer, '&' binding tighter
-than '|', and atom any identifier but U, true and false. For example
+with p a number in [0, 1], above 0 after '<', k a nonnegative integer,
+'&' binding tighter than '|', and atom any identifier but U, true and
+false. P<0 is rejected: it holds in no model, so it would be violated
+even at Pmax 0, where no path witnesses the violation. For example
 
     P<=0.5 [ (a|b) U (c&d) ]      P<0.1 [ x U<=12 y ]
 
@@ -131,6 +133,9 @@ class PropertySpec:
             raise DomainError(f"unsupported comparison {self.comparison!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise DomainError(f"threshold must lie in [0, 1], got {self.threshold}")
+        if self.threshold == 0.0 and self.comparison == "<":
+            raise DomainError("P<0 holds in no model; a threshold after '<' "
+                              "must be above 0")
 
     def __str__(self):
         return f"P{self.comparison}{_fmt_number(self.threshold)} [ {self.path} ]"
@@ -322,6 +327,9 @@ class _PropertyParser(TokenCursor):
         threshold = float(num_tok.text)
         if not 0.0 <= threshold <= 1.0:
             self.error(f"threshold {num_tok.text} outside [0, 1]", num_tok)
+        if threshold == 0.0 and cmp_tok.text == "<":
+            self.error("P<0 holds in no model; a threshold after '<' must "
+                       "be above 0", num_tok)
         self.expect("[")
         path = self.parse_path()
         self.expect("]")

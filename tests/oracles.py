@@ -24,8 +24,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from mdpdiag import (And, Atom, BudgetError, Cause, Counterexample,
-                     DomainError, Mdp, Not, Or, PathFormula, collect_causes,
-                     eval_state_formula, mass_exceeds)
+                     DomainError, FinitePath, Mdp, Not, Or, PathFormula,
+                     WeightedPath, collect_causes, eval_state_formula,
+                     mass_exceeds)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 
 DEFAULT_ORACLE_VAR_CAP = 20
@@ -119,6 +120,22 @@ def list_satisfying_paths(trans, init, interior, targets, max_len):
     if init in targets:
         return [((init,), 1.0)]
     walk([init], 1.0)
+    return out
+
+
+def prefix_paths(stream) -> list[WeightedPath]:
+    """The (prefix, probability) pairs of enumerate_satisfying_paths as
+    flat paths, each spelled by walking its prefix's parent links back to
+    the start (not through PathForest.flatten)."""
+    out = []
+    for prefix, prob in stream:
+        states, actions = [prefix.state], []
+        while prefix.parent is not None:
+            actions.append(prefix.action)
+            prefix = prefix.parent
+            states.append(prefix.state)
+        out.append(WeightedPath(FinitePath(tuple(reversed(states)),
+                                           tuple(reversed(actions))), prob))
     return out
 
 

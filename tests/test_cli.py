@@ -135,6 +135,15 @@ class TestCheck:
         assert code == 2 and out == ""
         assert f"error: line 1, {where}" in err
 
+    @pytest.mark.parametrize("command", ["check", "diagnose"])
+    def test_strict_zero_threshold_is_a_usage_error(self, capsys, command):
+        # P<0 holds nowhere, and diagnose would find no path to show
+        code, out, err = run(capsys, command,
+                             *demo_args(prop="P<0 [ a U false ]"))
+        assert code == 2 and out == ""
+        assert ("error: line 1, column 3: P<0 holds in no model; a "
+                "threshold after '<' must be above 0") in err
+
     def test_bad_epsilon(self, capsys):
         code, _, err = run(capsys, "check", "--epsilon", "-1", *demo_args())
         assert code == 2 and "epsilon" in err

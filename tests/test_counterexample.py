@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mdpdiag.counterexample as counterexample
 from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
                      FinitePath, Mdp, ParseError, PathForest, PathFormula,
                      Scheduler, WeightedPath, build_mipcx, check_property,
@@ -20,7 +21,7 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
 
 from fixtures import (demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property)
-from oracles import list_satisfying_paths, random_layered_mdp
+from oracles import list_satisfying_paths, prefix_paths, random_layered_mdp
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -49,8 +50,8 @@ NAMED_PROP = "P<=0.4 [ g U t ]"
 
 class TestEnumeration:
     def test_demo_order_and_values(self):
-        got = list(enumerate_satisfying_paths(demo_chain(),
-                                              demo_property().path))
+        got = prefix_paths(enumerate_satisfying_paths(
+            demo_chain(), demo_property().path))
         states = [wp.path.states for wp in got]
         assert states == [(0, 1, 7), (0, 2, 3), (0, 2, 4, 5), (0, 4, 5),
                           (0, 2, 4, 3), (0, 4, 3)]
@@ -58,14 +59,13 @@ class TestEnumeration:
             [0.25, 0.2, 0.15, 0.12, 0.09, 0.072], abs=1e-12)
 
     def test_demo_paths_exhaust_pmax(self):
-        got = list(enumerate_satisfying_paths(demo_chain(),
-                                              demo_property().path))
+        got = prefix_paths(enumerate_satisfying_paths(
+            demo_chain(), demo_property().path))
         assert sum(probs(got)) == pytest.approx(0.882, abs=1e-12)
 
     def test_max_paths_truncates(self):
-        got = list(enumerate_satisfying_paths(demo_chain(),
-                                              demo_property().path,
-                                              max_paths=2))
+        got = prefix_paths(enumerate_satisfying_paths(
+            demo_chain(), demo_property().path, max_paths=2))
         assert probs(got) == pytest.approx([0.25, 0.2])
 
     @pytest.mark.parametrize("cap", [0, -1])
@@ -90,15 +90,14 @@ class TestEnumeration:
             build_mipcx(demo_mdp(), demo_property(), min_prob=math.nan)
 
     def test_min_prob_cuts_the_stream(self):
-        got = list(enumerate_satisfying_paths(demo_chain(),
-                                              demo_property().path,
-                                              min_prob=0.1))
+        got = prefix_paths(enumerate_satisfying_paths(
+            demo_chain(), demo_property().path, min_prob=0.1))
         assert probs(got) == pytest.approx([0.25, 0.2, 0.15, 0.12])
 
     def test_step_bound_filters_long_paths(self):
         psi = PathFormula(demo_property().path.left,
                           demo_property().path.right, bound=2)
-        got = list(enumerate_satisfying_paths(demo_chain(), psi))
+        got = prefix_paths(enumerate_satisfying_paths(demo_chain(), psi))
         assert probs(got) == pytest.approx([0.25, 0.2, 0.12, 0.072])
         assert all(len(wp.path) <= 2 for wp in got)
 
@@ -109,7 +108,7 @@ class TestEnumeration:
 
     def test_init_satisfying_target_gives_empty_path(self):
         psi = PathFormula(Atom("b"), Atom("a"))
-        got = list(enumerate_satisfying_paths(demo_chain(), psi))
+        got = prefix_paths(enumerate_satisfying_paths(demo_chain(), psi))
         assert len(got) == 1
         assert got[0].path.states == (0,)
         assert got[0].path.actions == ()
@@ -134,8 +133,8 @@ class TestEnumeration:
             (2, "b"): [(2, 1.0)],
         }, labels={0: {"g"}, 1: {"t"}, 2: {"t"}})
         d = induce_dtmc(m, Scheduler({0: 0, 1: 1, 2: 1}))
-        got = list(enumerate_satisfying_paths(d, PathFormula(Atom("g"),
-                                                             Atom("t"))))
+        got = prefix_paths(enumerate_satisfying_paths(
+            d, PathFormula(Atom("g"), Atom("t"))))
         assert [wp.path.states for wp in got] == [(0, 1), (0, 2)]
 
     def test_matches_exhaustive_listing_on_layered_chains(self):
@@ -154,7 +153,7 @@ class TestEnumeration:
             want = {tuple(states): p
                     for states, p in list_satisfying_paths(trans, d.init,
                                                            sat1, sat2, 20)}
-            got = list(enumerate_satisfying_paths(d, psi))
+            got = prefix_paths(enumerate_satisfying_paths(d, psi))
             got_map = {wp.path.states: wp.probability for wp in got}
             assert set(got_map) == set(want)
             for key, p in want.items():
@@ -194,8 +193,8 @@ class TestEnumeration:
                                            psi.bound)
             want = sorted((states for states, _ in listed),
                           key=lambda states: (cost(states), states))
-            got = [wp.path.states
-                   for wp in enumerate_satisfying_paths(d, psi)]
+            got = [wp.path.states for wp in
+                   prefix_paths(enumerate_satisfying_paths(d, psi))]
             assert got == want
             ties += sum(cost(a) == cost(b) for a, b in zip(want, want[1:]))
         assert ties >= 20
@@ -214,6 +213,23 @@ class TestBuildMipcx:
         cx = build_mipcx(demo_mdp(), demo_property())
         assert set(cx.labels) == set(cx.forest.states) == {0, 1, 2, 3, 4, 5, 7}
         assert cx.labels[3] == {"c", "d"}
+
+    def test_builds_through_the_public_search(self, monkeypatch):
+        # perfbench's counterexample.enumerate span wraps this name
+        calls, items = [], []
+        search = counterexample.enumerate_satisfying_paths
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            for item in search(*args, **kwargs):
+                items.append(item)
+                yield item
+
+        monkeypatch.setattr(counterexample, "enumerate_satisfying_paths",
+                            counting)
+        cx = build_mipcx(demo_mdp(), demo_property())
+        assert len(calls) == 1
+        assert len(items) == len(cx.forest.leaves) == 3
 
     def test_holding_property_has_no_counterexample(self):
         with pytest.raises(DomainError, match="holds"):
@@ -345,7 +361,7 @@ class TestPathForest:
         chain = induce_dtmc(m, extract_max_scheduler(m, verdict.value_vector))
         stream = islice(enumerate_satisfying_paths(
             chain, slow_exit_property().path), 575)
-        assert slow_exit_cx.paths == tuple(stream)
+        assert slow_exit_cx.paths == tuple(prefix_paths(stream))
 
     def test_slow_exit_operation_count(self, slow_exit_cx):
         assert generate_diagnoses(slow_exit_cx).operation_count == 3455

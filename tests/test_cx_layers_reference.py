@@ -28,6 +28,7 @@ from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
                      mass_exceeds, to_nnf, verify_counterexample)
 
 from fixtures import parse_state_formula
+from oracles import prefix_paths
 
 # -- the reference: earlier per-position versions ----------------------------
 
@@ -164,9 +165,9 @@ def random_chain_cx(rng: random.Random):
     sched = Scheduler({s: rng.choice(m.enabled_actions(s)) for s in m.states})
     psi = PathFormula(parse_state_formula(rng.choice(GUARDS)),
                       parse_state_formula(rng.choice(TARGETS)))
-    paths = tuple(enumerate_satisfying_paths(
+    paths = tuple(prefix_paths(enumerate_satisfying_paths(
         induce_dtmc(m, sched), psi, max_paths=rng.randint(1, 40),
-        min_prob=1e-12))
+        min_prob=1e-12)))
     if not paths:
         return None
     total = sum(wp.probability for wp in paths)
@@ -188,8 +189,8 @@ def slow_exit_paths(passes: int):
     """Two guard states in a cycle that leaves to the target with 1/100
     per pass: paths of up to 2*passes steps over three states."""
     psi = PathFormula(parse_state_formula("g"), parse_state_formula("t"))
-    return tuple(enumerate_satisfying_paths(
-        induce_dtmc(SLOW_EXIT, SLOW_EXIT_SCHEDULER), psi, max_paths=passes))
+    return tuple(prefix_paths(enumerate_satisfying_paths(
+        induce_dtmc(SLOW_EXIT, SLOW_EXIT_SCHEDULER), psi, max_paths=passes)))
 
 
 def slow_exit_cx(passes: int = 60):

@@ -95,6 +95,8 @@ class TestParsing:
         ("P 0.5 [ a U b ]", "comparison"),
         ("P<= [ a U b ]", "threshold"),
         ("P<=1.5 [ a U b ]", "outside"),
+        ("P<0 [ a U b ]", "column 3: P<0 holds in no model"),
+        ("P<0.000 [ a U b ]", "column 3: P<0 holds in no model"),
         ("P<=0.5 a U b", "expected '\\['"),
         ("P<=0.5 [ a U b ] extra", "trailing"),
         ("P<=0.5 [ a b ]", "expected 'U'"),
@@ -136,6 +138,9 @@ class TestAstValidation:
             PropertySpec("<=", 1.2, PathFormula(A, B))
         with pytest.raises(DomainError):
             PropertySpec("<=", -0.1, PathFormula(A, B))
+        with pytest.raises(DomainError, match="P<0 holds in no model"):
+            PropertySpec("<", 0.0, PathFormula(A, B))
+        assert PropertySpec("<=", 0.0, PathFormula(A, B)).threshold == 0.0
 
 
 class TestFormatting:
