@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .checker import DEFAULT_EPSILON, check_property
 from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
                              build_mipcx, counterexample_from_json,
                              counterexample_to_json, verify_counterexample)
-from .diagnosis import generate_diagnoses
+from .diagnosis import generate_diagnoses, render_text_report
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import content_lines, parse_explicit_model, validate_mdp
 from .pctl import parse_property
@@ -51,10 +52,10 @@ def _read_text(path: str) -> str:
                           f"(byte {exc.start})") from None
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -137,11 +138,19 @@ def _validated(m):
     return m
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the chunks to the --out file or to stdout as they come."""
     if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+        _write_text(args.out, chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: stop, and send the flush at exit to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _verdict_output(args, spec, verdict) -> None:
@@ -153,19 +162,19 @@ def _verdict_output(args, spec, verdict) -> None:
             "pmax": verdict.pmax,
             "holds": verdict.holds,
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, [json.dumps(payload, indent=2) + "\n"])
         return
     word = "HOLDS" if verdict.holds else "VIOLATED"
-    _emit(args, f"property: {spec}\n"
-                f"Pmax = {verdict.pmax:.6g}\n"
-                f"verdict: {word} (threshold {spec.threshold:g})\n")
+    _emit(args, [f"property: {spec}\n"
+                 f"Pmax = {verdict.pmax:.6g}\n"
+                 f"verdict: {word} (threshold {spec.threshold:g})\n"])
 
 
 def _report_output(args, report) -> None:
     if args.format == "json":
-        _emit(args, report.to_json())
+        _emit(args, [report.to_json()])
     else:
-        _emit(args, report.render_text(normalize=args.normalize))
+        _emit(args, render_text_report(report, normalize=args.normalize))
 
 
 def _cmd_check(args) -> int:
@@ -195,7 +204,7 @@ def _cmd_diagnose(args) -> int:
     cx = build_mipcx(m, spec, epsilon=args.epsilon, max_paths=args.max_paths,
                      min_prob=args.min_prob)
     if args.export_cx:
-        _write_text(args.export_cx, counterexample_to_json(cx))
+        _write_text(args.export_cx, [counterexample_to_json(cx)])
     _report_output(args, generate_diagnoses(cx, source_map=smap,
                                             pmax=verdict.pmax))
     return EXIT_VIOLATED

@@ -106,20 +106,30 @@ class PathForest:
                 todo.extend(reversed(children[n]))
         return walk
 
-    def along_paths(self, values: Sequence, collect: Callable) -> dict:
-        """collect(the values[m] of the nodes m from a root down to n), for
-        every node n that ends a path."""
-        ends = set(self.leaves)
-        stack: list = []
-        out = {}
-        for n in self._walk():
-            if n < 0:
-                stack.pop()
-                continue
-            stack.append(values[n])
-            if n in ends:
-                out[n] = collect(stack)
-        return out
+    def along_paths(self, values: Sequence, collect: Callable) -> Iterator:
+        """collect(list of the values[m] of the nodes m from a root down to
+        the leaf; the walk reuses it), for each path in path order, one at a
+        time. Only the current chain is kept: cut back to the deepest node
+        the next path shares, then extended. A path costs the nodes it and
+        the path before do not share: at worst, when the two part at their
+        roots, both lengths, which collect pays anyway."""
+        parents = self.parents
+        depth: dict[int, int] = {}  # node on the chain -> its depth
+        chain, picked = [], []  # the chain's nodes and their values
+        for leaf in self.leaves:
+            missing, n = [], leaf
+            while n >= 0 and n not in depth:
+                missing.append(n)
+                n = parents[n]
+            k = depth[n] + 1 if n >= 0 else 0
+            for m in chain[k:]:
+                del depth[m]
+            del chain[k:], picked[k:]
+            for m in reversed(missing):
+                depth[m] = len(chain)
+                chain.append(m)
+                picked.append(values[m])
+            yield collect(picked)
 
     @cached_property
     def distinct_on_paths(self) -> dict[int, tuple[list[int], list]]:
@@ -163,19 +173,17 @@ class PathForest:
                 out[n] = (above, list(taken))
         return out
 
-    def sequences(self, steps: Sequence) -> dict[int, tuple[tuple, tuple]]:
-        """For every node n that ends a path: the states of the nodes from
-        its root down to n, and steps[m] of those nodes m but the root."""
-        states = self.along_paths(self.states, tuple)
-        taken = self.along_paths(steps, lambda s: tuple(islice(s, 1, None)))
-        return {n: (states[n], taken[n]) for n in states}
+    def sequences(self, steps: Sequence) -> Iterator[tuple[tuple, tuple]]:
+        """For each path in path order: the states of its nodes from the
+        root down, and steps[m] of those nodes m but the root."""
+        return zip(self.along_paths(self.states, tuple),
+                   self.along_paths(steps,
+                                    lambda s: tuple(islice(s, 1, None))))
 
     def flatten(self) -> tuple[WeightedPath, ...]:
         """The paths, each as its own WeightedPath."""
-        flat = {n: FinitePath(*seq)
-                for n, seq in self.sequences(self.actions).items()}
-        return tuple(WeightedPath(flat[n], p)
-                     for n, p in zip(self.leaves, self.probabilities))
+        return tuple(WeightedPath(FinitePath(*seq), p) for seq, p in
+                     zip(self.sequences(self.actions), self.probabilities))
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -206,9 +214,11 @@ class Counterexample:
     verify_counterexample, collect_causes and the masses of
     generate_diagnoses each walk the nodes once, plus per path its
     distinct states and steps; the path lines of render_text_report and
-    counterexample_to_dict walk them once plus the text or lists they
-    write. paths is the flat view, a tuple of WeightedPath, built on
-    first use in time proportional to the steps and kept.
+    counterexample_to_dict follow the paths one by one along a chain of
+    nodes (PathForest.along_paths), and the report yields each path's
+    line before it makes the next. paths is the flat view, a tuple of
+    WeightedPath, built on first use in time proportional to the steps
+    and kept.
 
     labels carries the labelling of every state that occurs on some path,
     and state_names, when the model has names, the name of each such
@@ -500,11 +510,11 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
                               for p, a in zip(forest.parents, forest.actions)])
     out["paths"] = [
         {
-            "states": list(named[leaf][0]),
-            "actions": list(named[leaf][1]),
+            "states": list(states),
+            "actions": list(actions),
             "probability": prob,
         }
-        for leaf, prob in zip(forest.leaves, forest.probabilities)
+        for (states, actions), prob in zip(named, forest.probabilities)
     ]
     return out
 

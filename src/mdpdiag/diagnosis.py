@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .counterexample import Counterexample, counterexample_to_dict
 from .errors import DomainError
@@ -251,7 +251,7 @@ class DiagnosisReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def render_text(self, normalize: bool = False) -> str:
-        return render_text_report(self, normalize=normalize)
+        return "".join(render_text_report(self, normalize=normalize))
 
 
 def _cause_dict(c: Cause) -> dict:
@@ -340,9 +340,9 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
 # -- text rendering ----------------------------------------------------------
 
 
-def _path_texts(cx: Counterexample) -> list[str]:
-    """Each path as text, "s0 -a0-> s1 ...", in path order; the text of
-    a step is made once per distinct (action id, successor)."""
+def _path_texts(cx: Counterexample) -> Iterator[str]:
+    """Each path as text, "s0 -a0-> s1 ...", one at a time in path order;
+    the text of a step is made once per distinct (action id, successor)."""
     forest = cx.forest
     pieces: dict[tuple[int, int], str] = {}
     node_text = []
@@ -354,48 +354,49 @@ def _path_texts(cx: Counterexample) -> list[str]:
         if piece is None:
             piece = pieces[a, s] = f"-{cx.action_name(a)}-> {cx.state_name(s)}"
         node_text.append(piece)
-    texts = forest.along_paths(node_text, " ".join)
-    return [texts[leaf] for leaf in forest.leaves]
+    return forest.along_paths(node_text, " ".join)
 
 
 def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}%"
 
 
-def render_text_report(report: DiagnosisReport, normalize: bool = False) -> str:
+def render_text_report(report: DiagnosisReport,
+                       normalize: bool = False) -> Iterator[str]:
+    """The report's text lines, each ending in a newline. A path line is
+    made as it is yielded: one path text is alive at a time."""
     cx = report.counterexample
-    lines = [f"property: {report.spec}"]
+    yield f"property: {report.spec}\n"
     if report.pmax is not None:
-        lines.append(f"verdict: VIOLATED (Pmax = {report.pmax:.6g}, "
-                     f"threshold {report.spec.threshold:g})")
-    lines.append(f"counterexample: {len(cx.forest.leaves)} paths, "
-                 f"total probability {cx.total_mass:.6g}")
+        yield (f"verdict: VIOLATED (Pmax = {report.pmax:.6g}, "
+               f"threshold {report.spec.threshold:g})\n")
+    yield (f"counterexample: {len(cx.forest.leaves)} paths, "
+           f"total probability {cx.total_mass:.6g}\n")
     for i, (text, prob) in enumerate(zip(_path_texts(cx),
                                          cx.forest.probabilities), start=1):
-        lines.append(f"  {i}) {text}   p={prob:.6g}")
-    lines.append("ranked actions by blame:")
+        yield f"  {i}) {text}   p={prob:.6g}\n"
+    yield "ranked actions by blame:\n"
     for rank, e in enumerate(report.entries, start=1):
-        lines.append(f"  {rank}. action {e.action_label} at state "
-                     f"{cx.state_name(e.state)}: dB = {e.db:.6g}")
+        yield (f"  {rank}. action {e.action_label} at state "
+               f"{cx.state_name(e.state)}: dB = {e.db:.6g}\n")
         for t in e.transitions:
-            lines.append(f"       -> {cx.state_name(t.target)}  "
-                         f"(mass {t.mass:.6g})")
+            yield (f"       -> {cx.state_name(t.target)}  "
+                   f"(mass {t.mass:.6g})\n")
             for c in t.causes:
                 if normalize:
                     shown = (f"normalized mass {c.normalized_mass:.6g}, "
                              f"share {_pct(c.dr * c.normalized_mass)}")
                 else:
                     shown = f"mass {c.mass:.6g}, score {c.score:.6g}"
-                lines.append(f"          cause ({cx.state_name(c.state)}, "
-                             f"{c.literal}): dR = {c.dr:g}, {shown}")
+                yield (f"          cause ({cx.state_name(c.state)}, "
+                       f"{c.literal}): dR = {c.dr:g}, {shown}\n")
             for mod, line_no in t.commands:
-                lines.append(f"          command: module {mod} line {line_no}")
+                yield f"          command: module {mod} line {line_no}\n"
     if report.most_responsible:
         best = ", ".join(f"({cx.state_name(c.state)}, {c.literal})"
                          for c in report.most_responsible)
-        lines.append(f"most responsible cause: {best}")
+        yield f"most responsible cause: {best}\n"
     if report.most_blamed:
         best = ", ".join(f"{e.action_label} at {cx.state_name(e.state)}"
                          for e in report.most_blamed)
-        lines.append(f"most blamed action: {best}")
-    return "\n".join(lines) + "\n"
+        yield f"most blamed action: {best}\n"

@@ -1,15 +1,22 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mdpdiag
+from mdpdiag import build_mipcx, generate_diagnoses
 from mdpdiag.cli import main
+from fixtures import (serialize_explicit_model, serialize_labels,
+                      slow_exit_mdp, slow_exit_property)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = str(MODELS / "demo.tra")
 DEMO_LAB = str(MODELS / "demo.lab")
 DEMO_PROP = "P<=0.5 [ (a|b) U (c&d) ]"
@@ -508,6 +515,65 @@ class TestDiagnoseTrace:
         code, out, _ = run(capsys, "diagnose-trace", "--normalize",
                            "--trace", str(path))
         assert code == 1 and "share" in out
+
+
+class TestReportOutput:
+    """diagnose and diagnose-trace write the report as it is made, to the
+    --out file or to stdout."""
+
+    COMMANDS = {"diagnose": ("diagnose", *demo_args()),
+                "diagnose-trace": ("diagnose-trace", "--trace",
+                                   str(GOLDEN / "demo.cx.json"))}
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path,
+                                             command, fmt):
+        argv = (*self.COMMANDS[command], "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(target)) == (1, "", "")
+        assert code == 1
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unwritable_out(self, capsys, tmp_path, command, fmt):
+        target = tmp_path / "missing" / "report"
+        code, out, err = run(capsys, *self.COMMANDS[command], "--format",
+                             fmt, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert f"cannot write {target}" in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    def test_reader_closing_the_pipe_early(self, tmp_path, unbuffered):
+        """A reader that stops after one line (`| head -n 1`) ends the
+        report quietly, and the exit code stays the verdict's."""
+        m, spec = slow_exit_mdp(), slow_exit_property()
+        # larger than any pipe buffer (at most 1 MiB by default on Linux),
+        # so the write after the reader left is certain to fail
+        report = generate_diagnoses(build_mipcx(m, spec)).render_text()
+        assert len(report) > 2 << 20
+        model, labels = tmp_path / "slow.tra", tmp_path / "slow.lab"
+        model.write_text(serialize_explicit_model(m))
+        labels.write_text(serialize_labels(m))
+        env = dict(os.environ, PYTHONWARNINGS="error",
+                   PYTHONPATH=str(Path(mdpdiag.__file__).parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mdpdiag.cli", "diagnose", "--model",
+             str(model), "--labels", str(labels), "--prop", str(spec)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first == report.splitlines(keepends=True)[0].encode()
+        assert err == b""
 
 
 class TestUnreadableInput:

@@ -1,18 +1,22 @@
 """The counterexample layers against their earlier per-position loops.
 
-verify_counterexample, collect_causes, _all_masses and the path text of
-the report walk the counterexample's prefix forest once, plus per path
-its distinct states and steps. The loops below are the earlier versions,
-which did the same work at every position of every path of the flat
-view; they are the reference. The check that the paths follow the
-counterexample's scheduler came later and is written in the same
-per-position style. Every problem list, cause (with its degree, origin
-and insertion order), mass index, operation count and rendered report
-must come out exactly equal, on counterexamples enumerated from seeded
-random cyclic chains, on corrupted copies of them, and on forests of
-hand-picked shapes: repeated paths, paths running on through another's
-end, paths from several start states, a 20,000-state simple path and a
-slow cycle of a few hundred paths.
+verify_counterexample, collect_causes and _all_masses walk the
+counterexample's prefix forest once, plus per path its distinct states
+and steps; the path text of the report and the paths of the export and
+of the flat view follow the paths in path order along one chain of
+nodes. The loops below are the earlier versions, which did the same work
+at every position of every path of the flat view; they are the
+reference. The check that the paths follow the counterexample's
+scheduler came later and is written in the same per-position style.
+Every problem list, cause (with its degree, origin and insertion order),
+mass index, operation count and rendered report must come out exactly
+equal, on counterexamples enumerated from seeded random cyclic chains,
+on corrupted copies of them, and on forests of hand-picked shapes:
+repeated paths, paths running on through another's end, paths from
+several start states, paths whose order is not the forest's depth-first
+order, a 20,000-state simple path and a slow cycle of a few hundred
+paths. The export and the flat view are compared with the paths the
+forest was built from.
 """
 
 import random
@@ -22,10 +26,11 @@ import pytest
 
 from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
                      PathForest, PathFormula, PropertySpec, Scheduler,
-                     WeightedPath, collect_causes, diagnosis,
-                     enumerate_satisfying_paths, eval_state_formula,
-                     find_causes, generate_diagnoses, induce_dtmc,
-                     mass_exceeds, to_nnf, verify_counterexample)
+                     WeightedPath, collect_causes, counterexample_to_dict,
+                     diagnosis, enumerate_satisfying_paths,
+                     eval_state_formula, find_causes, generate_diagnoses,
+                     induce_dtmc, mass_exceeds, to_nnf,
+                     verify_counterexample)
 
 from fixtures import parse_state_formula
 from oracles import prefix_paths
@@ -335,6 +340,12 @@ def forest_shapes():
         "many-starts": [_wp((0, 1, 2), (0, 1), 0.25),
                         _wp((1, 0, 2), (1, 0), 0.25), _wp((3, 2), (2,), 0.125),
                         _wp((1, 0, 1, 2), (1, 0, 1), 0.0625)],
+        # a depth-first walk reaches 0 -> 1 -> 3 before 0 -> 3, which
+        # comes first in path order; the last path repeats the first
+        "not-depth-first": [_wp((0, 1, 2), (0, 1), 0.25),
+                            _wp((0, 3), (1,), 0.125),
+                            _wp((0, 1, 3), (0, 1), 0.0625),
+                            _wp((0, 1, 2), (0, 1), 0.25)],
         "long-line": [_wp(range(n), steps, 0.25),
                       _wp([*range(n // 2), n], steps[:n // 2 - 1] + [0],
                           0.125)],
@@ -412,6 +423,10 @@ def test_corrupted_counterexamples(monkeypatch):
 def test_forest_shapes(monkeypatch):
     for label, paths, cx in SHAPES:
         assert cx.paths == paths, label
+        assert counterexample_to_dict(cx)["paths"] == [
+            {"states": list(wp.path.states),
+             "actions": [cx.action_name(a) for a in wp.path.actions],
+             "probability": wp.probability} for wp in paths], label
         assert_layers_match(monkeypatch, label, cx)
 
 
@@ -419,6 +434,10 @@ def test_forest_shapes_share_prefixes():
     forests = {label: cx.forest for label, _, cx in SHAPES}
     repeated = forests["repeated"]
     assert repeated.leaves[0] == repeated.leaves[3] != repeated.leaves[1]
+    # node order: 0, 0-1, 0-1-2, 0-3, 0-1-3; the leaves out of walk order
+    assert forests["not-depth-first"].leaves == [2, 3, 4, 2]
+    assert [n for n in forests["not-depth-first"]._walk() if n >= 0] == [
+        0, 1, 2, 4, 3]
     assert len(forests["long-line"].states) == 20_001
     assert sum(p < 0 for p in forests["many-starts"].parents) == 3
     cycle = forests["slow-cycle"]

@@ -1,6 +1,7 @@
 """Cause extraction, responsibility, blame, and the diagnosis report."""
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -10,11 +11,11 @@ from mdpdiag import (TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      DomainError, FinitePath, Not, Or, ParseError, PathForest,
                      WeightedPath, build_mdp, build_mipcx, check_property,
                      collect_causes, find_causes, generate_diagnoses,
-                     parse_program, parse_property)
+                     parse_program, parse_property, render_text_report)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 from mdpdiag.mdp import content_lines
 from fixtures import (MODELS, blame_gap_mdp, blame_gap_property, demo_mdp,
-                      demo_property)
+                      demo_property, slow_exit_mdp, slow_exit_property)
 from oracles import (blame, check_prop1, check_prop2, is_critical,
                      path_atoms, random_mdp, responsibility_oracle,
                      state_mass, transition_mass)
@@ -444,3 +445,28 @@ class TestReport:
         text = generate_diagnoses(demo_cx()).render_text(normalize=True)
         assert "normalized mass" in text and "share" in text
         assert "score" not in text
+
+    def test_lines_end_in_newlines_and_join_to_the_text(self):
+        report = generate_diagnoses(demo_cx(), pmax=0.882)
+        lines = list(render_text_report(report, normalize=True))
+        assert all(line.endswith("\n") and "\n" not in line[:-1]
+                   for line in lines)
+        assert "".join(lines) == report.render_text(normalize=True)
+
+    def test_rendering_holds_one_path_text_at_a_time(self):
+        # 575 paths of up to 1,150 steps: a report of about 3 MB, whose
+        # longest line is about 10 kB
+        report = generate_diagnoses(build_mipcx(slow_exit_mdp(),
+                                                slow_exit_property()))
+        size = 0
+        tracemalloc.start()
+        try:
+            for line in render_text_report(report):
+                size += len(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = "".join(render_text_report(report))
+        assert text == report.render_text()
+        assert size == len(text) > 2_000_000
+        assert peak < len(text) / 4
