@@ -41,7 +41,8 @@ class PathForest:
     parent, action and state. Path i is the prefix of node leaves[i] and
     has probability probabilities[i]; a node may end several paths and
     lie inside others. A forest is grown with add_node and add_path, and
-    treated as immutable once built: distinct_on_paths is kept.
+    treated as immutable once built: distinct_on_paths is kept. It is
+    walked one way only, along its paths in path order (_chain_moves).
     """
 
     parents: list[int] = field(default_factory=list)
@@ -89,46 +90,39 @@ class PathForest:
             last_states, last_actions = states, actions
         return forest
 
-    def _walk(self) -> list[int]:
-        """Every node depth first, children in node order: n on entering
-        node n and ~n, which is negative, on leaving it."""
-        children: list[list[int]] = [[] for _ in self.states]
-        todo: list[int] = []
-        for n, p in enumerate(self.parents):
-            (todo if p < 0 else children[p]).append(n)
-        todo.reverse()
-        walk = []
-        while todo:
-            n = todo.pop()
-            walk.append(n)
-            if n >= 0:
-                todo.append(~n)
-                todo.extend(reversed(children[n]))
-        return walk
+    def _chain_moves(self) -> Iterator[tuple[list[int], list[int]]]:
+        """For each path in path order, how the chain of nodes from a root
+        down to its leaf comes from the chain of the path before: the nodes
+        cut from its end, then the nodes appended, each list root first. A
+        path costs the nodes it and the path before do not share: at worst,
+        when the two part at their roots, both lengths."""
+        parents = self.parents
+        depth: dict[int, int] = {}  # node on the chain -> its depth
+        chain: list[int] = []
+        for leaf in self.leaves:
+            added, n = [], leaf
+            while n >= 0 and n not in depth:
+                added.append(n)
+                n = parents[n]
+            k = depth[n] + 1 if n >= 0 else 0
+            cut = chain[k:]
+            for m in cut:
+                del depth[m]
+            del chain[k:]
+            added.reverse()
+            for m in added:
+                depth[m] = len(chain)
+                chain.append(m)
+            yield cut, added
 
     def along_paths(self, values: Sequence, collect: Callable) -> Iterator:
         """collect(list of the values[m] of the nodes m from a root down to
         the leaf; the walk reuses it), for each path in path order, one at a
-        time. Only the current chain is kept: cut back to the deepest node
-        the next path shares, then extended. A path costs the nodes it and
-        the path before do not share: at worst, when the two part at their
-        roots, both lengths, which collect pays anyway."""
-        parents = self.parents
-        depth: dict[int, int] = {}  # node on the chain -> its depth
-        chain, picked = [], []  # the chain's nodes and their values
-        for leaf in self.leaves:
-            missing, n = [], leaf
-            while n >= 0 and n not in depth:
-                missing.append(n)
-                n = parents[n]
-            k = depth[n] + 1 if n >= 0 else 0
-            for m in chain[k:]:
-                del depth[m]
-            del chain[k:], picked[k:]
-            for m in reversed(missing):
-                depth[m] = len(chain)
-                chain.append(m)
-                picked.append(values[m])
+        time, along one chain of nodes (_chain_moves)."""
+        picked: list = []
+        for cut, added in self._chain_moves():
+            del picked[len(picked) - len(cut):]
+            picked.extend(map(values.__getitem__, added))
             yield collect(picked)
 
     @cached_property
@@ -138,47 +132,44 @@ class PathForest:
         successor) from its root down to n, each in order of first
         occurrence. Computed on first use and kept.
 
-        The walk keeps visit counts of the states and steps between the
-        root and the current node, so a node costs a constant and an end
-        node the size of what it gets.
+        Visit counts of the states and steps on the chain follow the
+        path-order walk (_chain_moves), so a path costs what it costs
+        along_paths plus the size of what it gets: not a constant per
+        node, but what the report and the export pay anyway.
         """
-        ends = set(self.leaves)
         states = self.states
+        # the root's step None is first on every chain; it is dropped
         steps = [None if p < 0 else (states[p], a, s)
                  for p, a, s in zip(self.parents, self.actions, states)]
-        seen: dict = {}
+        seen: dict = {}  # visit counts on the chain
         taken: dict = {}
         out = {}
-        for n in self._walk():
-            if n < 0:
-                s, step = states[~n], steps[~n]
-                if seen[s] == 1:
-                    del seen[s]
-                else:
-                    seen[s] -= 1
-                if step is None:
-                    continue
-                if taken[step] == 1:
-                    del taken[step]
-                else:
-                    taken[step] -= 1
-                continue
-            s, step, end = states[n], steps[n], n in ends
-            if end:
-                above = list(seen)
-            seen[s] = seen.get(s, 0) + 1
-            if step is not None:
-                taken[step] = taken.get(step, 0) + 1
-            if end:
-                out[n] = (above, list(taken))
+        for leaf, (cut, added) in zip(self.leaves, self._chain_moves()):
+            for m in cut:
+                for counts, key in ((seen, states[m]), (taken, steps[m])):
+                    counts[key] -= 1
+                    if not counts[key]:
+                        del counts[key]
+            for m in added:
+                seen[states[m]] = seen.get(states[m], 0) + 1
+                taken[steps[m]] = taken.get(steps[m], 0) + 1
+            above = list(seen)
+            if seen[states[leaf]] == 1:  # the leaf's state, first met there
+                above.pop()
+            out[leaf] = (above, list(islice(taken, 1, None)))
         return out
 
     def sequences(self, steps: Sequence) -> Iterator[tuple[tuple, tuple]]:
         """For each path in path order: the states of its nodes from the
         root down, and steps[m] of those nodes m but the root."""
-        return zip(self.along_paths(self.states, tuple),
-                   self.along_paths(steps,
-                                    lambda s: tuple(islice(s, 1, None))))
+        states: list[int] = []
+        taken: list = []
+        for cut, added in self._chain_moves():
+            k = len(states) - len(cut)
+            del states[k:], taken[k:]
+            states.extend(map(self.states.__getitem__, added))
+            taken.extend(map(steps.__getitem__, added))
+            yield tuple(states), tuple(islice(taken, 1, None))
 
     def flatten(self) -> tuple[WeightedPath, ...]:
         """The paths, each as its own WeightedPath."""
@@ -211,14 +202,15 @@ class Counterexample:
     The paths are a prefix forest (see PathForest): the most probable
     paths around a slow cycle are long and share almost all their steps,
     so the forest has far fewer nodes than the paths have steps.
-    verify_counterexample, collect_causes and the masses of
-    generate_diagnoses each walk the nodes once, plus per path its
-    distinct states and steps; the path lines of render_text_report and
-    counterexample_to_dict follow the paths one by one along a chain of
-    nodes (PathForest.along_paths), and the report yields each path's
-    line before it makes the next. paths is the flat view, a tuple of
-    WeightedPath, built on first use in time proportional to the steps
-    and kept.
+    verify_counterexample runs once over the nodes. Everything else
+    follows the paths one by one along one chain of nodes, the forest's
+    only walk: collect_causes and the masses of generate_diagnoses take
+    each path's distinct states and steps (PathForest.distinct_on_paths),
+    the path lines of render_text_report and counterexample_to_dict the
+    path itself (PathForest.along_paths), and the report yields each
+    path's line before it makes the next. paths is the flat view, a tuple
+    of WeightedPath, built on first use in time proportional to the
+    steps and kept.
 
     labels carries the labelling of every state that occurs on some path,
     and state_names, when the model has names, the name of each such

@@ -6,6 +6,7 @@ id table at construction; instances are treated as immutable afterwards.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -19,6 +20,13 @@ PROB_SUM_TOL = 1e-9
 Distribution = tuple[tuple[int, float], ...]
 
 
+def _state_id(s, role: str) -> int:
+    try:
+        return operator.index(s)  # int() would take 1.7 and "1"
+    except TypeError:
+        raise DomainError(f"{role} {s!r}, not an integer") from None
+
+
 class Mdp:
     def __init__(self, num_states, init, transitions, labels=None, state_names=None,
                  ap_names=None):
@@ -30,8 +38,9 @@ class Mdp:
         state_names is an optional display table used only for reports.
 
         The transitions are compiled once into the choice table (see
-        choice_table). An initial, source, successor or labelled state
-        outside 0..num_states-1 raises DomainError, and so does an empty
+        choice_table). DomainError is raised for a num_states, or an
+        initial, source, successor or labelled state, that is not an
+        integer, for a state outside 0..num_states-1 and for an empty
         distribution: every action carries a probability distribution.
 
         ap_names declares the alphabet of atomic propositions; it defaults
@@ -41,20 +50,20 @@ class Mdp:
         CLI rejects others); an atom that labels no state is false at every
         state.
         """
-        self.num_states = int(num_states)
-        self.init = self._check_state(int(init), "initial state")
+        self.num_states = _state_id(num_states, "state count")
+        self.init = self._check_state(init, "initial state")
         self.action_names: list[str] = []
         self._action_ids: dict[str, int] = {}
 
         rows: list[dict[int, Distribution]] = [{} for _ in self.states]
         for (s, act), dist in transitions.items():
             aid = self._intern_action(str(act))
-            row = rows[self._check_state(int(s), "source state")]
+            row = rows[self._check_state(s, "source state")]
             if aid in row:
                 raise DomainError(
                     f"transitions listed twice for state {s} action {act!r}")
             role = f"state {s} has successor"
-            row[aid] = tuple((self._check_state(int(t), role), float(p))
+            row[aid] = tuple((self._check_state(t, role), float(p))
                              for t, p in dist)
             if not row[aid]:
                 raise DomainError(
@@ -64,7 +73,7 @@ class Mdp:
         atoms: dict[str, None] = {}
         self._labels: dict[int, frozenset[str]] = {}
         for s, aps in (labels or {}).items():
-            s = self._check_state(int(s), "labelled state")
+            s = self._check_state(s, "labelled state")
             names = frozenset(str(a) for a in aps)
             atoms.update(dict.fromkeys(sorted(names)))
             if names:
@@ -88,7 +97,8 @@ class Mdp:
     def states(self) -> range:
         return range(self.num_states)
 
-    def _check_state(self, s: int, role: str = "state") -> int:
+    def _check_state(self, s, role: str = "state") -> int:
+        s = _state_id(s, role)
         if not 0 <= s < self.num_states:
             raise DomainError(f"{role} {s} outside the states "
                               f"0..{self.num_states - 1}")

@@ -83,21 +83,6 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
-def _names_in(expr: Expr) -> set[str]:
-    if isinstance(expr, Name):
-        return {expr.ident}
-    if isinstance(expr, Unary):
-        return _names_in(expr.child)
-    if isinstance(expr, Binary):
-        return _names_in(expr.left) | _names_in(expr.right)
-    if isinstance(expr, Call):
-        out: set[str] = set()
-        for a in expr.args:
-            out |= _names_in(a)
-        return out
-    return set()
-
-
 class _Code(NamedTuple):
     """A compiled expression.
 
@@ -120,13 +105,15 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 def compile_expr(expr: Expr, consts: Mapping[str, object],
                  slots: Optional[Mapping[str, int]] = None,
                  line: Optional[int] = None,
-                 filename: Optional[str] = None) -> _Code:
+                 filename: Optional[str] = None,
+                 unknown: str = "unknown identifier") -> _Code:
     """Compile expr once into a closure over state tuples.
 
     Names resolve to constants, folded in as literals, or to slots, the
-    index of an integer variable in the state tuple. Integers and booleans
-    stay distinct types, and as every type is known here, the closure
-    checks none: an ill-typed expression compiles to a closure raising the
+    index of an integer variable in the state tuple; the leftmost other
+    name raises ParseError(f"{unknown} {name!r}") here, at compile time.
+    Types are static, integers and booleans distinct, so the closure checks
+    none: an ill-typed expression compiles to a closure raising the
     ParseError that evaluating left to right meets first, once called.
     """
     slots = slots or {}
@@ -170,7 +157,8 @@ def compile_expr(expr: Expr, consts: Mapping[str, object],
                 return _Code(itemgetter(slots[e.ident]), "int")
             if e.ident in consts:
                 return literal(consts[e.ident])
-            return fail(f"unknown identifier {e.ident!r}")
+            raise ParseError(f"{unknown} {e.ident!r}", line=line,
+                             filename=filename)
         if isinstance(e, Unary) and e.op == "-":
             c = operand(e.child, False)
             return apply(operator.neg, c.kind, [c])
@@ -197,9 +185,9 @@ def compile_expr(expr: Expr, consts: Mapping[str, object],
     return rec(expr)
 
 
-def _constant(expr, consts, line, filename):
+def _constant(expr, consts, line, filename, unknown="unknown identifier"):
     """The value of an expression that reads no variable."""
-    return compile_expr(expr, consts, None, line, filename).fn(())
+    return compile_expr(expr, consts, None, line, filename, unknown).fn(())
 
 
 # -- program syntax ----------------------------------------------------------
@@ -582,7 +570,6 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
             bounds[decl.name] = (low, high)
             init[decl.name] = start
 
-    scope = set(owner) | set(consts)
     slots = {v: i for i, v in enumerate(owner)}
 
     def typed(expr, kind, line, msg):
@@ -600,30 +587,20 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
             return value
         return checked
 
-    def check_scope(expr, line):
-        for ident in sorted(_names_in(expr)):
-            if ident not in scope:
-                raise ParseError(f"unknown identifier {ident!r}",
-                                 line=line, filename=fn)
-
     by_label: dict[str, dict[str, list[_ReadyCommand]]] = {}
     internal: list = []  # (action, ((command,),)) per unlabelled command
     line_counts: dict[str, int] = {}
     for mod in program.modules:
         group_counts: dict[str, int] = {}
         for cmd in mod.commands:
-            check_scope(cmd.guard, cmd.line)
+            guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn).fn
             probs = []
             for upd in cmd.updates:
                 if upd.prob is None:
                     p = 1.0
                 else:
-                    for ident in sorted(_names_in(upd.prob)):
-                        if ident not in consts:
-                            raise ParseError(
-                                f"branch probability must be constant, "
-                                f"found {ident!r}", line=cmd.line, filename=fn)
-                    p = _constant(upd.prob, consts, cmd.line, fn)
+                    p = _constant(upd.prob, consts, cmd.line, fn,
+                                  "branch probability must be constant, found")
                 if isinstance(p, bool) or not isinstance(p, (int, float)):
                     raise ParseError("branch probability must be numeric",
                                      line=cmd.line, filename=fn)
@@ -631,7 +608,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                 if not p > 0.0:
                     raise ParseError(f"branch probability {p!r} must be "
                                      "positive", line=cmd.line, filename=fn)
-                assigned = set()
+                assigned: dict[str, tuple] = {}
                 for a in upd.assignments:
                     if a.var not in owner:
                         raise ParseError(f"assignment to unknown variable "
@@ -645,18 +622,16 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                         raise ParseError(f"variable {a.var!r} assigned twice "
                                          "in one update", line=cmd.line,
                                          filename=fn)
-                    assigned.add(a.var)
-                    check_scope(a.expr, cmd.line)
-                probs.append((p, tuple(
-                    (a.var, slots[a.var],
-                     typed(a.expr, "int", cmd.line,
-                           f"update of {a.var!r} must be an integer"),
-                     *bounds[a.var]) for a in upd.assignments)))
+                    assigned[a.var] = (
+                        a.var, slots[a.var],
+                        typed(a.expr, "int", cmd.line,
+                              f"update of {a.var!r} must be an integer"),
+                        *bounds[a.var])
+                probs.append((p, tuple(assigned.values())))
             total = sum(p for p, _ in probs)
             if not abs(total - 1.0) <= PROB_SUM_TOL:
                 raise ParseError(f"update probabilities sum to {total!r}, "
                                  "expected 1", line=cmd.line, filename=fn)
-            guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn).fn
             idx = group_counts.get(cmd.label, 0)  # 0 for unlabelled
             ready = _ReadyCommand(mod.name, idx, guard, tuple(probs), cmd.line)
             if cmd.label:
@@ -669,22 +644,19 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                 line_counts[action] = k + 1
                 internal.append((action + (f"#{k}" if k else ""), ((ready,),)))
 
-    seen_labels = set()
+    labels: dict[str, Callable] = {}
     for ldef in program.labels:
-        if ldef.name in seen_labels:
+        if ldef.name in labels:
             raise ParseError(f"label {ldef.name!r} defined twice",
                              line=ldef.line, filename=fn)
-        seen_labels.add(ldef.name)
-        check_scope(ldef.expr, ldef.line)
+        labels[ldef.name] = typed(ldef.expr, "bool", ldef.line,
+                                  f"label {ldef.name!r} must be boolean")
 
     syncs = [(label, tuple(tuple(mods[m.name]) for m in program.modules
                            if m.name in mods))
              for label, mods in by_label.items()]
-    labels = tuple((l.name, typed(l.expr, "bool", l.line,
-                                  f"label {l.name!r} must be boolean"))
-                   for l in program.labels)
     return _ReadyProgram(tuple(owner), tuple(init.values()),
-                         tuple(syncs + internal), labels)
+                         tuple(syncs + internal), tuple(labels.items()))
 
 
 # -- elaboration -------------------------------------------------------------
@@ -709,9 +681,10 @@ def build_mdp(program: Program,
     offending valuation.
 
     Each valuation is a tuple in variable declaration order. Guards,
-    updates and labels are compiled once by compile_expr, with their types
-    checked statically; an ill-typed expression raises its ParseError only
-    where it is evaluated, so a guard that is never evaluated never raises.
+    updates and labels are compiled once by compile_expr, which rejects
+    an unknown name at compile time, leftmost first, and checks types
+    statically; an ill-typed expression raises its ParseError only where
+    it is evaluated, so a guard that is never evaluated never raises.
     """
     consts = fold_constants(program, constants)
     ready = _prepare(program, consts)

@@ -1,13 +1,14 @@
 """The counterexample layers against their earlier per-position loops.
 
-verify_counterexample, collect_causes and _all_masses walk the
-counterexample's prefix forest once, plus per path its distinct states
-and steps; the path text of the report and the paths of the export and
-of the flat view follow the paths in path order along one chain of
-nodes. The loops below are the earlier versions, which did the same work
-at every position of every path of the flat view; they are the
-reference. The check that the paths follow the counterexample's
-scheduler came later and is written in the same per-position style.
+verify_counterexample runs once over the nodes of the counterexample's
+prefix forest. collect_causes and _all_masses (through each path's
+distinct states and steps), the path text of the report and the paths
+of the export and of the flat view follow the paths in path order along
+one chain of nodes. The loops below are the earlier versions, which
+did the same work at every position of every path of the flat view;
+they are the reference. The check that the paths follow the
+counterexample's scheduler came later and is written in the same
+per-position style.
 Every problem list, cause (with its degree, origin and insertion order),
 mass index, operation count and rendered report must come out exactly
 equal, on counterexamples enumerated from seeded random cyclic chains,
@@ -434,15 +435,21 @@ def test_forest_shapes_share_prefixes():
     forests = {label: cx.forest for label, _, cx in SHAPES}
     repeated = forests["repeated"]
     assert repeated.leaves[0] == repeated.leaves[3] != repeated.leaves[1]
-    # node order: 0, 0-1, 0-1-2, 0-3, 0-1-3; the leaves out of walk order
+    # node order: 0, 0-1, 0-1-2, 0-3, 0-1-3; the leaves out of depth-first
+    # order, so the path-order walk cuts back to the root twice and
+    # appends 0-1 and 0-1-2 again
     assert forests["not-depth-first"].leaves == [2, 3, 4, 2]
-    assert [n for n in forests["not-depth-first"]._walk() if n >= 0] == [
-        0, 1, 2, 4, 3]
+    assert list(forests["not-depth-first"]._chain_moves()) == [
+        ([], [0, 1, 2]), ([1, 2], [3]), ([3], [1, 4]), ([4], [2])]
     assert len(forests["long-line"].states) == 20_001
     assert sum(p < 0 for p in forests["many-starts"].parents) == 3
     cycle = forests["slow-cycle"]
     assert len(cycle.leaves) == 300
     assert len(cycle.states) < sum(len(wp.path) for wp in SHAPES[-1][1]) / 50
+    # each path runs on from the one before: the walk appends every node
+    # once and never rebuilds the chain of a path from its root
+    appended = [n for _, added in cycle._chain_moves() for n in added]
+    assert sorted(appended) == list(range(len(cycle.states)))
 
 
 def test_seeded_paths_are_long_and_revisit_states():

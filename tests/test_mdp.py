@@ -1,6 +1,7 @@
 """Model container, validation, paths, schedulers, and the text format."""
 
 import random
+import re
 
 import pytest
 
@@ -81,9 +82,27 @@ class TestConstruction:
                            match=f"^{needle} outside the states 0..1$"):
             Mdp(2, init, {**rows, **transitions}, labels)
 
+    # int() would take these, truncating 1.7 to 1 and reading "1" as 1
+    @pytest.mark.parametrize("num_states, init, transitions, labels, needle", [
+        (2, 0.9, {}, {}, "initial state 0.9"),
+        (2, 0, {("1", "b"): [(1, 1.0)]}, {}, "source state '1'"),
+        (2, 0, {(0, "b"): [(1.7, 1.0)]}, {}, "state 0 has successor 1.7"),
+        (2, 0, {}, {1.2: {"p"}}, "labelled state 1.2"),
+        (2.5, 0, {}, {}, "state count 2.5"),
+    ], ids=["init", "source", "successor", "label", "count"])
+    def test_state_id_not_an_integer_rejected(self, num_states, init,
+                                              transitions, labels, needle):
+        rows = {(0, "a"): [(1, 1.0)], (1, "a"): [(1, 1.0)]}
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(needle)}, not an integer$"):
+            Mdp(num_states, init, {**rows, **transitions}, labels)
+
     def test_duplicate_state_action_pair_rejected(self):
-        with pytest.raises(DomainError):
-            Mdp(1, 0, {(0, "a"): [(0, 1.0)], ("0", "a"): [(0, 1.0)]})
+        class Zero:  # a second key for state 0
+            def __index__(self):
+                return 0
+        with pytest.raises(DomainError, match="listed twice"):
+            Mdp(1, 0, {(0, "a"): [(0, 1.0)], (Zero(), "a"): [(0, 1.0)]})
 
     def test_labels_and_label_map(self):
         m = two_action_mdp()

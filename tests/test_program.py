@@ -197,6 +197,20 @@ class TestValidationErrors:
         self.check("module m\n x:[0..1];\n [a] z = 0 -> true;\nendmodule\n",
                    "unknown identifier 'z'")
 
+    # of two unknown names the leftmost is reported, not the first in
+    # alphabetical order
+    @pytest.mark.parametrize("command, label, needle", [
+        ("[a] zz = 0 & aa = 0 -> true;", "", "unknown identifier 'zz'"),
+        ("[a] true -> (x'=zz+aa);", "", "unknown identifier 'zz'"),
+        ("[a] true -> true;", 'label "l" = zz = 0 | aa = 1;\n',
+         "unknown identifier 'zz'"),
+        ("[a] true -> zz + x:(x'=0);", "",
+         "branch probability must be constant, found 'zz'"),
+    ], ids=["guard", "update", "label", "probability"])
+    def test_leftmost_unknown_name(self, command, label, needle):
+        self.check(f"module m\n x:[0..1];\n {command}\nendmodule\n{label}",
+                   needle)
+
     def test_probability_must_be_constant(self):
         self.check("module m\n x:[0..1];\n"
                    " [a] true -> x:(x'=0) + 1:(x'=1);\nendmodule\n",

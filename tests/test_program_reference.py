@@ -9,6 +9,15 @@ below are that earlier interpreter and elaborator, kept unchanged but for
 the name reference_build_mdp; the parser and Mdp are shared. build_mdp
 maps each action, not each transition, to its commands; its map is
 spread over the action's transitions before the comparison.
+
+The one deliberate divergence, which no case here compares, is how an
+unknown identifier is reported: build_mdp rejects it as compile_expr
+meets it. So of two or more it reports the leftmost, where the
+reference reports the alphabetically first (tests/test_program.py pins
+the leftmost), and in a constant or a variable's range it reports one
+before a type error further left, which the reference's evaluation
+meets first. The reference keeps its own copy of its name scan,
+_names_in.
 """
 
 from __future__ import annotations
@@ -24,13 +33,27 @@ import pytest
 from mdpdiag import (BudgetError, DomainError, Mdp, ParseError, build_mdp,
                      parse_program)
 from mdpdiag.program import (DEFAULT_STATE_CAP, Assignment, Binary, BoolLit,
-                             Call, Expr, LabelDef, Name, Num, Program, Unary,
-                             _names_in)
+                             Call, Expr, LabelDef, Name, Num, Program, Unary)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 # -- reference: the tree-walking interpreter and its elaborator -------------
+
+
+def _names_in(expr: Expr) -> set[str]:
+    if isinstance(expr, Name):
+        return {expr.ident}
+    if isinstance(expr, Unary):
+        return _names_in(expr.child)
+    if isinstance(expr, Binary):
+        return _names_in(expr.left) | _names_in(expr.right)
+    if isinstance(expr, Call):
+        out: set[str] = set()
+        for a in expr.args:
+            out |= _names_in(a)
+        return out
+    return set()
 
 
 def eval_expr(expr: Expr, env: Mapping[str, object], line: Optional[int] = None,
