@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, compress, repeat
-from operator import add, mul, ne, sub
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mul, ne, sub
 
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
@@ -56,33 +56,31 @@ def _sweep(choices, preds, values, pending, max_sweeps: int,
 
     The first sweep backs up every pending state, a later one at least the
     predecessors of the states that changed value in the sweep before (the
-    dirty states); any other state would reproduce its value exactly.
-    Stops after max_sweeps, when nothing changes, or when the residual
-    (largest change) is below epsilon. The residual is inf when no sweep
-    ran. Pending states must have at least one choice.
+    dirty states); any other state would reproduce its value exactly, so
+    the results are those of full Jacobi sweeps, bit for bit. Stops after
+    max_sweeps, when nothing changes, or when the residual (largest
+    change) is below epsilon. The residual is inf when no sweep ran.
+    Pending states must have at least one choice; no other entry of values
+    changes, which the constant columns of _compile_groups rely on.
 
-    A sweep with fewer than GROUPED_SWEEP_MIN dirty states backs them up
-    one at a time. A larger one backs up, with list-level operations, every
-    shape group (pending states whose choices have the same successor
-    counts, in action order) that holds a dirty state; the groups are
-    formed once per call. Either way a choice's value is its products
-    p * values[t] added left to right, so it does not depend on the Python
-    version's sum().
+    Fewer than GROUPED_SWEEP_MIN dirty states are backed up one at a time,
+    more a column at a time in every group of _compile_groups holding one.
+    After a sweep that changes GROUPED_SWEEP_MIN states or more, the next
+    backs up every group that feeds a changed group, with no dirty states
+    listed. Either way a choice's value is its products p * values[t]
+    added left to right, so it does not depend on the Python version's
+    sum(), and the first maximal choice wins.
     """
     dirty = pending
-    grouped = None
+    hot = groups = None
     sweeps = 0
     residual = math.inf
     while sweeps < max_sweeps:
         sweeps += 1
-        if len(dirty) >= GROUPED_SWEEP_MIN:
-            if grouped is None:
-                grouped = _shape_groups(choices, pending)
-            changed, best, residual = _grouped_backups(grouped, values, dirty)
-        else:
-            changed = []
+        changed = []
+        residual = 0.0
+        if hot is None and len(dirty) < GROUPED_SWEEP_MIN:
             best = []
-            residual = 0.0
             for s in dirty:
                 top = -math.inf
                 for _, dist in choices[s]:
@@ -95,66 +93,86 @@ def _sweep(choices, preds, values, pending, max_sweeps: int,
                     residual = max(residual, abs(top - values[s]))
                     changed.append(s)
                     best.append(top)
-        for s, top in zip(changed, best):
-            values[s] = top
+            for s, top in zip(changed, best):
+                values[s] = top
+        else:
+            if groups is None:
+                groups, group_of, feeds = _compile_groups(choices, preds,
+                                                          values, pending)
+            if hot is None:
+                hot = set(map(group_of.__getitem__, dirty))
+            moved = []
+            for g in hot:
+                states, gather, table = groups[g]
+                top = None
+                for columns in table:
+                    total = None
+                    for probs, get in columns:
+                        prods = (probs if get is None
+                                 else map(mul, probs, get(values)))
+                        total = (prods if total is None
+                                 else map(add, total, prods))
+                    top = (list(total) if top is None
+                           else [y if y > x else x for x, y in zip(top, total)])
+                old = gather(values)
+                delta = max(map(abs, map(sub, top, old)))
+                if delta:
+                    residual = max(residual, delta)
+                    moved.append((g, states, top, old))
+            for g, states, top, old in moved:
+                changed.extend(compress(states, map(ne, top, old)))
+                for s, v in zip(states, top):
+                    values[s] = v
         if not changed or residual < epsilon:
             break
-        dirty = set(chain.from_iterable(map(preds.get, changed, repeat(()))))
+        if len(changed) >= GROUPED_SWEEP_MIN:
+            # only a grouped sweep changes that many states
+            hot = set().union(*[feeds[g] for g, *_ in moved])
+        else:
+            hot = None
+            dirty = set(chain.from_iterable(map(preds.get, changed, repeat(()))))
     return sweeps, residual
 
 
-def _shape_groups(choices, pending):
-    """Pending states grouped by the successor counts of their choices.
+def _compile_groups(choices, preds, values, pending):
+    """Pending states grouped by the successor counts of their choices, in
+    action order; returns (groups, group_of, feeds).
 
-    Each group is (states, targets, probabilities, stride, columns): the
-    successors of every state of the group, flattened state after state
-    with stride entries per state, and per choice the (first, end) offsets
-    of its successors within one state's entries.
+    A group is (states, gather, table): gather gets the group's values,
+    and table holds per choice, per successor position, a column (probs,
+    get) with that position's probabilities for every state of the group
+    and a getter of their successors' values. A column whose successors
+    all lie outside pending, whose values _sweep never changes, is stored
+    as (products, None) instead, multiplied out once. feeds[g] holds the
+    groups with a predecessor of a state of group g. Every getter returns
+    a tuple: itemgetter of one index would return the item alone, so the
+    last index is repeated, and each map or zip over it stops at len(ids).
     """
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for s in pending:
         shape = tuple([len(dist) for _, dist in choices[s]])
         by_shape.setdefault(shape, []).append(s)
+    varies = set(pending)
     groups = []
     group_of = {}
     for shape, states in by_shape.items():
-        targets = []
-        probs = []
-        for s in states:
-            group_of[s] = len(groups)
-            for _, dist in choices[s]:
-                for t, p in dist:
-                    targets.append(t)
-                    probs.append(p)
-        ends = list(accumulate(shape))
-        columns = list(zip([0] + ends, ends))
-        groups.append((states, targets, probs, sum(shape), columns))
-    return groups, group_of
-
-
-def _grouped_backups(grouped, values, dirty):
-    """Back up every group holding a dirty state; return the states whose
-    value changes, their new values and the largest change."""
-    groups, group_of = grouped
-    changed = []
-    best = []
-    residual = 0.0
-    for g in set(map(group_of.__getitem__, dirty)):
-        states, targets, probs, stride, columns = groups[g]
-        prods = list(map(mul, probs, map(values.__getitem__, targets)))
-        sums = []
-        for first, end in columns:
-            total = prods[first::stride]
-            for i in range(first + 1, end):
-                total = list(map(add, total, prods[i::stride]))
-            sums.append(total)
-        top = list(map(max, *sums)) if len(sums) > 1 else sums[0]
-        old = list(map(values.__getitem__, states))
-        residual = max(residual, max(map(abs, map(sub, top, old))))
-        moved = list(map(ne, top, old))
-        changed.extend(compress(states, moved))
-        best.extend(compress(top, moved))
-    return changed, best, residual
+        group_of.update(dict.fromkeys(states, len(groups)))
+        rows = [choices[s] for s in states]
+        table = []
+        for c, width in enumerate(shape):
+            columns = []
+            for i in range(width):
+                ids, probs = zip(*[row[c][1][i] for row in rows])
+                get = itemgetter(*ids, ids[-1])
+                if varies.isdisjoint(ids):
+                    columns.append((list(map(mul, probs, get(values))), None))
+                else:
+                    columns.append((probs, get))
+            table.append(columns)
+        groups.append((states, itemgetter(*states, states[-1]), table))
+    feeds = [{group_of[p] for s in states for p in preds.get(s, ())}
+             for states, _, _ in groups]
+    return groups, group_of, feeds
 
 
 def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
@@ -172,14 +190,17 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     alphabet (m.ap_names) is checked where properties are read, not here.
 
     Each sweep after the first backs up the states whose successors
-    changed value and, once there are GROUPED_SWEEP_MIN or more of them,
-    every other state whose choices have the same successor counts as one
-    of them, with the same values, iterations and residual as full Jacobi
-    sweeps. A choice's products p * values[t] are added left to right, as
-    sum() did before Python 3.12, so the values are the same on every
-    Python version. A left-operand state that reaches no right-operand
-    state, one without enabled actions included, keeps 0. Running out of
-    max_iterations sweeps raises BudgetError; its message and partial give
+    changed value. From GROUPED_SWEEP_MIN of them on, it backs up whole
+    groups of states whose choices have the same successor counts, one
+    successor position at a time, with the products of successors fixed
+    at 0 or 1 multiplied out once, and picks the next groups from the
+    groups that changed. The values, iterations and residual are those of
+    full Jacobi sweeps, bit for bit. A choice's products p * values[t] are
+    added left to right, as sum() did before Python 3.12, so the values
+    are the same on every Python version. A left-operand state that
+    reaches no right-operand state, one without enabled actions included,
+    keeps 0. max_iterations must be a nonnegative int; running out of
+    that many sweeps raises BudgetError, whose message and partial give
     the residual reached (inf for no sweep).
 
     Results are memoized per model, path formula, epsilon and
@@ -191,6 +212,10 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
         # a residual never exceeds 1, so epsilon >= 1 stops after one sweep
         raise DomainError(f"epsilon must be positive and finite and below 1, "
                           f"got {epsilon}")
+    if type(max_iterations) is not int or max_iterations < 0:
+        # bool is an int subclass, and 2.5 would run 3 sweeps
+        raise DomainError(f"max_iterations must be a nonnegative int, "
+                          f"got {max_iterations!r}")
     key = (psi, epsilon, max_iterations)
     vv = _PMAX_MEMO.get(m, {}).get(key)
     if vv is None:

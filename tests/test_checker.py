@@ -175,6 +175,19 @@ class TestComputePmax:
         assert info.value.partial == float("inf")
         assert "within 0 sweeps" in str(info.value)
 
+    @pytest.mark.parametrize("bad", [2.5, 5.0, True, False, -1, -3, None,
+                                     "5"])
+    def test_bad_iteration_budget_rejected(self, bad):
+        # 2.5 ran 3 sweeps and then blamed "within 2.5 sweeps"; True read
+        # "within True sweeps", -3 "within -3 sweeps"
+        m = coin_mdp()
+        with pytest.raises(DomainError, match="^max_iterations must be a "
+                           "nonnegative int, got "):
+            compute_pmax(m, PQ, max_iterations=bad)
+        with pytest.raises(DomainError, match="max_iterations"):
+            compute_pmax(m, PathFormula(Atom("p"), Atom("q"), bound=2),
+                         max_iterations=bad)
+
     def test_matches_exhaustive_oracle_on_random_models(self):
         rng = random.Random(411)
         for _ in range(20):

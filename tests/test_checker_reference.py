@@ -225,6 +225,62 @@ def tied_chain(rng: random.Random, n: int) -> Mdp:
     return Mdp(n + 2, ids[0], transitions, labels)
 
 
+def shaped_mdp(rng: random.Random, n: int, layouts) -> Mdp:
+    """n `p` states, each with one choice per layout, listing successors
+    in the layout's order: `c` a constant one, whose value never changes
+    (the `q` goal, an unlabelled dead end, or a `p` trap that reaches no
+    goal), `v` a `p` state, `m` a constant one at about half the states
+    and a `p` state at the rest. Every state then has the same shape, so
+    each position of a choice is one column of one group."""
+    goal, dead, trap = n, n + 1, n + 2
+    transitions = {(goal, "done"): [(goal, 1.0)],
+                   (dead, "stuck"): [(dead, 1.0)],
+                   (trap, "loop"): [(trap, 1.0)]}
+    for s in range(n):
+        for a, layout in enumerate(layouts):
+            consts = rng.sample((goal, dead, trap), 3)
+            ps = rng.choices(range(n), k=3)
+            succs = []
+            for kind in layout:
+                if kind == "m":
+                    kind = rng.choice("cv")
+                succs.append(consts.pop() if kind == "c" else ps.pop())
+            weights = [rng.randint(1, 7) for _ in succs]
+            total = sum(weights)
+            transitions[(s, f"a{a}")] = [(t, w / total)
+                                         for t, w in zip(succs, weights)]
+    labels = {s: {"p"} for s in range(n)}
+    labels[goal] = {"q"}
+    labels[trap] = {"p"}
+    return Mdp(n + 3, 0, transitions, labels)
+
+
+def wide_then_chain(rng: random.Random, width: int, length: int) -> Mdp:
+    """A random region of width `p` states, leaking to a sink, whose only
+    way to the `q` goal is a tied chain of length `p` states (see
+    tied_chain).
+
+    Only one chain state changes per sweep until the values reach the
+    region, which then changes at every state: under the shipped size
+    rule the first sweep is grouped, the next ones run per state, and
+    grouped sweeps take over again once the region moves."""
+    region, chain = list(range(width)), list(range(width, width + length))
+    goal, sink = width + length, width + length + 1
+    transitions = {(goal, "done"): [(goal, 1.0)],
+                   (sink, "stuck"): [(sink, 1.0)]}
+    for s in region:
+        a, b = rng.sample(region, 2)
+        transitions[(s, "a")] = [(a, 0.5), (b, 0.45), (sink, 0.05)]
+        if rng.random() < 0.2:
+            transitions[(s, "out")] = [(chain[0], 0.3), (a, 0.7)]
+    for s, nxt in zip(chain, chain[1:] + [goal]):
+        transitions[(s, "stay")] = [(s, 1.0)]
+        transitions[(s, "fwd")] = [(nxt, 0.99), (sink, 0.01)]
+    labels = {s: {"p"} for s in region + chain}
+    labels[goal] = {"q"}
+    return Mdp(width + length + 2, 0, transitions, labels)
+
+
 @contextmanager
 def sweep_path(grouped_min: int):
     """compute_pmax with another grouped-sweep size rule and an empty memo."""
@@ -327,3 +383,75 @@ class TestMatchesFullSweeps:
             with sweep_path(grouped_min):
                 got = compute_pmax(m, PQ, max_iterations=41)
             assert got.values == want.values and got.iterations == 41
+
+
+class TestShapedModels:
+    """Models whose groups have constant columns (successors that value
+    iteration never changes), mixed ones, and sweeps that switch between
+    the grouped and the per-state backups."""
+
+    @pytest.mark.parametrize("layouts", [
+        ("cvv",), ("vcv",), ("vvc",), ("cvv", "vcv", "vvc"),
+        ("vmv",), ("mvv", "vvm"), ("mcm",),
+        ("cc", "vvv"), ("c",), ("vv", "c", "cvc")])
+    def test_constant_and_mixed_columns(self, layouts):
+        rng = random.Random(repr(layouts))
+        for n in (1, 2, 5, 45):
+            m = shaped_mdp(rng, n, layouts)
+            assert_same(m, PQ, rng.choice((1e-3, DEFAULT_EPSILON, 1e-12)))
+            for bound in (0, 1, 2, 7):
+                assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
+
+    def test_grouped_then_per_state_then_grouped(self):
+        m = wide_then_chain(random.Random(7), 80, 60)
+        assert_same(m, PQ)
+        assert_same(m, PQ, 1e-12)
+        for bound in (1, 59, 61, 75, 200):
+            assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
+
+    def test_budget_runs_out_inside_a_grouped_run(self):
+        m = wide_then_chain(random.Random(8), 80, 30)
+        # under the shipped size rule sweep 1 is grouped, sweeps 2 to 32
+        # run per state, and every sweep from 33 on is grouped
+        for cap in (1, 33, 40, 60):
+            with pytest.raises(BudgetError):
+                reference_compute_pmax(m, PQ, epsilon=1e-15,
+                                       max_iterations=cap)
+            raised = []
+            for grouped_min in SWEEP_PATHS:
+                with sweep_path(grouped_min), \
+                        pytest.raises(BudgetError) as info:
+                    compute_pmax(m, PQ, epsilon=1e-15, max_iterations=cap)
+                raised.append((str(info.value), info.value.partial))
+            assert raised == [raised[-1]] * len(SWEEP_PATHS)
+
+    def test_sweep_keeps_every_other_entry(self):
+        # targets stay at 1.0 and states that cannot reach one at 0.0:
+        # the constant columns hold products of these values
+        rng = random.Random(4242)
+        models = [tied_mdp(rng, sizes=(40, 200), gaps=True)
+                  for _ in range(6)]
+        models += [shaped_mdp(rng, 45, ("mvc", "cc")),
+                   wide_then_chain(rng, 80, 40)]
+        sweep = checker._sweep
+        seen = []
+
+        def checking(choices, preds, values, pending, max_sweeps, epsilon):
+            moving = set(pending)
+            fixed = [(s, v.hex()) for s, v in enumerate(values)
+                     if s not in moving]
+            assert {v for _, v in fixed} <= {(0.0).hex(), (1.0).hex()}
+            result = sweep(choices, preds, values, pending, max_sweeps,
+                           epsilon)
+            assert [(s, values[s].hex()) for s, _ in fixed] == fixed
+            seen.append(len(fixed))
+            return result
+
+        for m in models:
+            for grouped_min in SWEEP_PATHS:
+                for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=9)):
+                    with sweep_path(grouped_min), \
+                            mock.patch.object(checker, "_sweep", checking):
+                        compute_pmax(m, psi)
+        assert len(seen) == len(models) * len(SWEEP_PATHS) * 2
+        assert min(seen) > 0
