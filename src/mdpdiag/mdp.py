@@ -9,6 +9,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError
@@ -35,7 +36,9 @@ class Mdp:
         transitions maps (state, action label) to an iterable of
         (successor, probability) pairs. labels maps a state to an iterable
         of atomic proposition names; unlisted states carry no labels.
-        state_names is an optional display table used only for reports.
+        state_names is an optional iterable of display names, used only for
+        reports; it is read into the tuple state_names on first use, so a
+        query that names no state never builds them.
 
         The transitions are compiled once into the choice table (see
         choice_table). DomainError is raised for a num_states, or an
@@ -56,15 +59,18 @@ class Mdp:
         self._action_ids: dict[str, int] = {}
 
         rows: list[dict[int, Distribution]] = [{} for _ in self.states]
+        n = self.num_states
         for (s, act), dist in transitions.items():
             aid = self._intern_action(str(act))
             row = rows[self._check_state(s, "source state")]
             if aid in row:
                 raise DomainError(
                     f"transitions listed twice for state {s} action {act!r}")
-            role = f"state {s} has successor"
-            row[aid] = tuple((self._check_state(t, role), float(p))
-                             for t, p in dist)
+            # a plain int in range needs no check, nor the role text
+            row[aid] = tuple(
+                (t if type(t) is int and 0 <= t < n else
+                 self._check_state(t, f"state {s} has successor"), float(p))
+                for t, p in dist)
             if not row[aid]:
                 raise DomainError(
                     f"empty distribution for state {s} action {act!r}")
@@ -81,7 +87,7 @@ class Mdp:
         atoms.update(dict.fromkeys(str(a) for a in ap_names or ()))
         self.ap_names: list[str] = list(atoms)
 
-        self.state_names = tuple(state_names) if state_names is not None else None
+        self._state_names = state_names
 
     def _intern_action(self, name: str) -> int:
         aid = self._action_ids.get(name)
@@ -96,6 +102,13 @@ class Mdp:
     @property
     def states(self) -> range:
         return range(self.num_states)
+
+    @cached_property
+    def state_names(self) -> Optional[tuple[str, ...]]:
+        """The display name of each state, or None; built on first use."""
+        if self._state_names is None:
+            return None
+        return tuple(self._state_names)
 
     def _check_state(self, s, role: str = "state") -> int:
         s = _state_id(s, role)

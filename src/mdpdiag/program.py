@@ -19,6 +19,10 @@ numbering, and records for every action the source commands it fires.
 Every guard, update and label expression is compiled once, before
 exploration, into a statically typed closure over state tuples (variable
 values in declaration order), so no expression tree is walked per state.
+Each closure knows the variables it reads, so a synchronization is
+evaluated once per distinct value of the variables its commands read, and
+the labels once per distinct value of theirs; every other state with those
+values replays the result.
 """
 
 from __future__ import annotations
@@ -89,10 +93,13 @@ class _Code(NamedTuple):
     fn maps a state tuple to the value. kind is the static type: 'bool',
     'int', 'float', 'num' (int or float, as min/max pick at run time) or
     'error', whose fn raises. value is the result when no variable is read.
+    reads holds the slots fn reads, so fn gives one result, or raises one
+    error, for every state alike in those slots.
     """
     fn: Callable
     kind: str
     value: object = None
+    reads: frozenset = frozenset()
 
 
 # & and | do not short-circuit: both sides are checked, as both are typed
@@ -142,19 +149,21 @@ def compile_expr(expr: Expr, consts: Mapping[str, object],
         if all(a.value is not None for a in args):
             return literal(f(*(a.value for a in args)))
         fns = [a.fn for a in args]
+        reads = frozenset().union(*(a.reads for a in args))
         if len(args) != 2:
-            return _Code(lambda s: f(*[g(s) for g in fns]), kind)
+            return _Code(lambda s: f(*[g(s) for g in fns]), kind, None, reads)
         (lf, rf), rv = fns, args[1].value
         if rv is not None:  # the common `variable op constant`
-            return _Code(lambda s: f(lf(s), rv), kind)
-        return _Code(lambda s: f(lf(s), rf(s)), kind)
+            return _Code(lambda s: f(lf(s), rv), kind, None, reads)
+        return _Code(lambda s: f(lf(s), rf(s)), kind, None, reads)
 
     def rec(e):
         if isinstance(e, (Num, BoolLit)):
             return literal(e.value)
         if isinstance(e, Name):
             if e.ident in slots:
-                return _Code(itemgetter(slots[e.ident]), "int")
+                slot = slots[e.ident]
+                return _Code(itemgetter(slot), "int", None, frozenset((slot,)))
             if e.ident in consts:
                 return literal(consts[e.ident])
             raise ParseError(f"{unknown} {e.ident!r}", line=line,
@@ -519,17 +528,30 @@ class _ReadyCommand:
     # (probability, ((variable, slot, value of, low, high), ...)) per branch
     updates: tuple[tuple[float, tuple[tuple], ...], ...]
     line: int
+    reads: frozenset  # the slots its guard and updates read
 
 
 @dataclass
 class _ReadyProgram:
     var_order: tuple[str, ...]
     init: tuple[int, ...]
-    # action name -> the commands of each module in its alphabet, in module
-    # order; an unlabelled command is a group of its own, named module:line
-    # (module:line#k for the k-th more on one line), after every label
-    syncs: tuple[tuple[str, tuple[tuple[_ReadyCommand, ...], ...]], ...]
+    # (action name, key, groups): the commands of each module in the
+    # action's alphabet, in module order, and key, which maps a state tuple
+    # to the values of the slots they read; an unlabelled command is a group
+    # of its own, named module:line (module:line#k for the k-th more on one
+    # line), after every label
+    syncs: tuple[tuple[str, Callable, tuple[tuple[_ReadyCommand, ...], ...]],
+                 ...]
     labels: tuple[tuple[str, Callable], ...]  # name, state tuple -> bool
+    label_key: Callable  # state tuple -> the values the labels read
+
+
+def _key_of(reads: frozenset) -> Callable:
+    """Map a state tuple to its values at the slots in reads, ascending
+    (the bare value for one slot)."""
+    if not reads:
+        return lambda state: ()
+    return itemgetter(*sorted(reads))
 
 
 def _prepare(program: Program, consts: dict) -> _ReadyProgram:
@@ -573,19 +595,19 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
     slots = {v: i for i, v in enumerate(owner)}
 
     def typed(expr, kind, line, msg):
-        """The closure of expr, raising ParseError(msg) on a value not of
+        """The code of expr, raising ParseError(msg) on a value not of
         kind ('bool' or 'int'); only a min/max mixing int and float needs
         the check at run time."""
         code = compile_expr(expr, consts, slots, line, fn)
         if code.kind in (kind, "error"):
-            return code.fn
+            return code
 
         def checked(state):
             value = code.fn(state)
             if kind == "bool" or type(value) is not int:
                 raise ParseError(msg, line=line, filename=fn)
             return value
-        return checked
+        return _Code(checked, kind, None, code.reads)
 
     by_label: dict[str, dict[str, list[_ReadyCommand]]] = {}
     internal: list = []  # (action, ((command,),)) per unlabelled command
@@ -593,7 +615,8 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
     for mod in program.modules:
         group_counts: dict[str, int] = {}
         for cmd in mod.commands:
-            guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn).fn
+            guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn)
+            reads = guard.reads
             probs = []
             for upd in cmd.updates:
                 if upd.prob is None:
@@ -622,18 +645,19 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                         raise ParseError(f"variable {a.var!r} assigned twice "
                                          "in one update", line=cmd.line,
                                          filename=fn)
-                    assigned[a.var] = (
-                        a.var, slots[a.var],
-                        typed(a.expr, "int", cmd.line,
-                              f"update of {a.var!r} must be an integer"),
-                        *bounds[a.var])
+                    value_of = typed(a.expr, "int", cmd.line,
+                                     f"update of {a.var!r} must be an integer")
+                    reads |= value_of.reads
+                    assigned[a.var] = (a.var, slots[a.var], value_of.fn,
+                                       *bounds[a.var])
                 probs.append((p, tuple(assigned.values())))
             total = sum(p for p, _ in probs)
             if not abs(total - 1.0) <= PROB_SUM_TOL:
                 raise ParseError(f"update probabilities sum to {total!r}, "
                                  "expected 1", line=cmd.line, filename=fn)
             idx = group_counts.get(cmd.label, 0)  # 0 for unlabelled
-            ready = _ReadyCommand(mod.name, idx, guard, tuple(probs), cmd.line)
+            ready = _ReadyCommand(mod.name, idx, guard.fn, tuple(probs),
+                                  cmd.line, reads)
             if cmd.label:
                 group_counts[cmd.label] = idx + 1
                 by_label.setdefault(cmd.label, {}).setdefault(
@@ -645,18 +669,24 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
                 internal.append((action + (f"#{k}" if k else ""), ((ready,),)))
 
     labels: dict[str, Callable] = {}
+    label_reads = frozenset()
     for ldef in program.labels:
         if ldef.name in labels:
             raise ParseError(f"label {ldef.name!r} defined twice",
                              line=ldef.line, filename=fn)
-        labels[ldef.name] = typed(ldef.expr, "bool", ldef.line,
-                                  f"label {ldef.name!r} must be boolean")
+        code = typed(ldef.expr, "bool", ldef.line,
+                     f"label {ldef.name!r} must be boolean")
+        labels[ldef.name] = code.fn
+        label_reads |= code.reads
 
     syncs = [(label, tuple(tuple(mods[m.name]) for m in program.modules
                            if m.name in mods))
              for label, mods in by_label.items()]
-    return _ReadyProgram(tuple(owner), tuple(init.values()),
-                         tuple(syncs + internal), tuple(labels.items()))
+    keyed = tuple((label, _key_of(frozenset().union(
+                       *(c.reads for group in groups for c in group))), groups)
+                  for label, groups in syncs + internal)
+    return _ReadyProgram(tuple(owner), tuple(init.values()), keyed,
+                         tuple(labels.items()), _key_of(label_reads))
 
 
 # -- elaboration -------------------------------------------------------------
@@ -685,6 +715,13 @@ def build_mdp(program: Program,
     an unknown name at compile time, leftmost first, and checks types
     statically; an ill-typed expression raises its ParseError only where
     it is evaluated, so a guard that is never evaluated never raises.
+
+    A synchronization is evaluated once per memo key, the values of the
+    variables its commands read, at the first state in breadth-first order
+    that has the key; later states replay the result. So every error is
+    raised at the state, and in the order, where evaluating each state in
+    turn meets it. Labels are memoized alike, and the MDP's state names
+    are formatted only when first read.
     """
     consts = fold_constants(program, constants)
     ready = _prepare(program, consts)
@@ -709,56 +746,83 @@ def build_mdp(program: Program,
             valuations.append(state)
         return sid
 
-    def fire(sid: int, state: tuple, action: str,
-             combo: tuple[_ReadyCommand, ...]):
-        dist: dict[tuple[int, ...], float] = {}  # insertion order is firing order
-        for branches in product(*(c.updates for c in combo)):
-            prob = 1.0
-            target = list(state)
-            for cmd, (p, assignments) in zip(combo, branches):
-                prob *= p
-                for var, slot, value_of, low, high in assignments:
-                    value = value_of(state)
-                    if not low <= value <= high:
-                        raise DomainError(
-                            f"line {cmd.line}: update {var}'={value} leaves "
-                            f"[{low}..{high}] at state {describe(state)}")
-                    target[slot] = value
-            key = tuple(target)
-            dist[key] = dist.get(key, 0.0) + prob
-        if action not in commands:
-            commands[action] = tuple(sorted({(c.module, c.line)
-                                             for c in combo}))
-        transitions[(sid, action)] = [(intern_state(key), prob)
-                                      for key, prob in dist.items()]
+    def evaluate(state: tuple, label: str, groups, entry: list):
+        """Yield, and append to entry, (action, branches) for each command
+        combination enabled at state; branches holds each branch's
+        probability and the (slot, value) pairs it assigns. Yielding one
+        combination at a time interns its successors before the next one is
+        evaluated, so a state cap met there is raised before a later
+        combination's error."""
+        enabled: list[list[_ReadyCommand]] = []
+        for group in groups:
+            here = [c for c in group if c.guard(state) is True]
+            if not here:
+                return
+            enabled.append(here)
+        for combo in product(*enabled):
+            sig = tuple(c.label_index for c in combo)
+            if any(sig):
+                action = label + "#" + ".".join(str(i) for i in sig)
+            else:
+                action = label
+            branches = []
+            for picked in product(*(c.updates for c in combo)):
+                prob = 1.0
+                assigned = []
+                for cmd, (p, assignments) in zip(combo, picked):
+                    prob *= p
+                    for var, slot, value_of, low, high in assignments:
+                        value = value_of(state)
+                        if not low <= value <= high:
+                            raise DomainError(
+                                f"line {cmd.line}: update {var}'={value} "
+                                f"leaves [{low}..{high}] at state "
+                                f"{describe(state)}")
+                        assigned.append((slot, value))
+                branches.append((prob, tuple(assigned)))
+            if action not in commands:
+                commands[action] = tuple(sorted({(c.module, c.line)
+                                                 for c in combo}))
+            entry.append((action, branches))
+            yield action, branches
 
+    # one memo per synchronization: the values its commands read -> what
+    # evaluate gives for them
+    syncs = [(key_of, {}, label, groups)
+             for label, key_of, groups in ready.syncs]
     sid = 0
     while sid < len(valuations):
         state = valuations[sid]
-        for label, groups in ready.syncs:
-            enabled: list[list[_ReadyCommand]] = []
-            for group in groups:
-                here = [c for c in group if c.guard(state) is True]
-                if not here:
-                    break
-                enabled.append(here)
-            else:
-                for combo in product(*enabled):
-                    sig = tuple(c.label_index for c in combo)
-                    if any(sig):
-                        action = label + "#" + ".".join(str(i) for i in sig)
-                    else:
-                        action = label
-                    fire(sid, state, action, combo)
+        for key_of, memo, label, groups in syncs:
+            key = key_of(state)
+            fired = memo.get(key)
+            if fired is None:
+                fired = evaluate(state, label, groups,
+                                 memo.setdefault(key, []))
+            for action, branches in fired:
+                dist: dict[tuple[int, ...], float] = {}  # in firing order
+                for prob, assigned in branches:
+                    target = list(state)
+                    for slot, value in assigned:
+                        target[slot] = value
+                    target = tuple(target)
+                    dist[target] = dist.get(target, 0.0) + prob
+                transitions[(sid, action)] = [(intern_state(t), p)
+                                              for t, p in dist.items()]
         sid += 1
 
     labels: dict[int, set[str]] = {}
+    label_sets: dict[object, set[str]] = {}  # the values labels read -> names
     for s, state in enumerate(valuations):
-        here = {name for name, holds in ready.labels if holds(state)}
+        key = ready.label_key(state)
+        here = label_sets.get(key)
+        if here is None:
+            here = label_sets[key] = {name for name, holds in ready.labels
+                                      if holds(state)}
         if here:
             labels[s] = here
 
-    state_names = tuple(describe(v) for v in valuations)
-    m = Mdp(len(valuations), 0, transitions, labels, state_names,
+    m = Mdp(len(valuations), 0, transitions, labels,
+            (describe(v) for v in valuations),
             ap_names=[name for name, _ in ready.labels])
     return m, {m.action_id(a): cmds for a, cmds in commands.items()}

@@ -1,14 +1,16 @@
 """Elaboration against its earlier tree-walking interpreter, exactly.
 
 build_mdp compiles every guard, update and label expression once into a
-closure over state tuples. It must give exactly what walking the
-expression tree for every state gave: the same states, names, actions,
-transitions, labels and source map, and the same error (type, message,
-line and filename) wherever a program is rejected. The reference copies
-below are that earlier interpreter and elaborator, kept unchanged but for
-the name reference_build_mdp; the parser and Mdp are shared. build_mdp
-maps each action, not each transition, to its commands; its map is
-spread over the action's transitions before the comparison.
+closure over state tuples, and evaluates each synchronization and the
+labels once per value of the variables they read. It must give exactly
+what walking the expression tree for every state gave: the same states,
+names, actions, transitions, labels and source map, and the same error
+(type, message, line and filename) wherever a program is rejected. The
+reference copies below are that earlier interpreter and elaborator, kept
+unchanged but for the name reference_build_mdp; the parser and Mdp are
+shared. build_mdp maps each action, not each transition, to its
+commands; its map is spread over the action's transitions before the
+comparison.
 
 The one deliberate divergence, which no case here compares, is how an
 unknown identifier is reported: build_mdp rejects it as compile_expr
@@ -30,8 +32,9 @@ from typing import Mapping, Optional
 
 import pytest
 
+import mdpdiag.program
 from mdpdiag import (BudgetError, DomainError, Mdp, ParseError, build_mdp,
-                     parse_program)
+                     check_property, parse_program, parse_property)
 from mdpdiag.program import (DEFAULT_STATE_CAP, Assignment, Binary, BoolLit,
                              Call, Expr, LabelDef, Name, Num, Program, Unary)
 
@@ -609,6 +612,53 @@ class TestBundledModels:
         assert assert_same(text, constants)[0] == "built"
 
 
+class TestMemo:
+    """build_mdp evaluates each synchronization once per distinct value of
+    the variables its commands read, and each label once per distinct value
+    of the variables the labels read."""
+
+    CSMA = (MODELS / "csma.pm").read_text(encoding="utf-8")
+
+    def test_closures_run_once_per_key_not_per_state(self, monkeypatch):
+        program = parse_program(self.CSMA, filename="case.pm")
+        guards = {id(c.guard) for mod in program.modules
+                  for c in mod.commands}
+        calls = {"guard": 0, "other": 0}
+        compile_expr = mdpdiag.program.compile_expr
+
+        def counting(expr, *args, **kw):
+            code = compile_expr(expr, *args, **kw)
+            kind = "guard" if id(expr) in guards else "other"
+
+            def fn(state, inner=code.fn):
+                calls[kind] += 1
+                return inner(state)
+            return code._replace(fn=fn)
+
+        monkeypatch.setattr(mdpdiag.program, "compile_expr", counting)
+        got = snapshot(*build_mdp_per_transition(program, {"K": 20}))
+        monkeypatch.undo()
+        assert got == snapshot(*reference_build_mdp(program, {"K": 20}))
+        # evaluated per state, the seven synchronizations ran 34,056 guards
+        # over 3,784 states, at least one each per state; memoized, 568 keys
+        # run 786 guards and every other closure 345 times
+        assert got[0] == 3784
+        assert 0 < calls["guard"] < 1000
+        assert calls["guard"] + calls["other"] < got[0]
+
+    def test_check_formats_no_state_name(self):
+        program = parse_program(self.CSMA, filename="case.pm")
+        m, _ = build_mdp(program, {"K": 20})
+        spec = parse_property('P<=0.8 [ !"gave_up" U "delivered_all" ]',
+                              m.ap_names)
+        assert not check_property(m, spec).holds
+        assert "state_names" not in vars(m)
+        eager, _ = reference_build_mdp(program, {"K": 20})
+        assert type(m.state_names) is tuple
+        assert m.state_names == eager.state_names
+        assert m.state_name(3783) == eager.state_names[3783]
+
+
 class TestRandomPrograms:
     def test_two_hundred_seeded_programs(self):
         built = states = 0
@@ -667,6 +717,20 @@ RAISES = [
     # ranges and budgets
     ("out-of-range", module("[a] true -> 0.5:(x'=x+1) + 0.5:(x'=x-1);"),
      DomainError, r"line 3: update x'=-1 leaves [0..2] at state x=0"),
+    # [add] fires at c,y = 0,0 1,0 2,0 1,1 and 3,0 before y+c leaves the
+    # range at the sixth state, under read values not met before
+    ("out-of-range-deep",
+     module("[tick] c < 4 -> (c'=c+1);", "[add] y < 3 -> (y'=y+c);",
+            var="c : [0..4] init 0;\n  y : [0..3] init 0;"),
+     DomainError, "line 5: update y'=4 leaves [0..3] at state c=2,y=2"),
+    # [go] stays blocked by m0 at y=0 and y=1 for both values of z, which
+    # [go] does not read, and m1's ill-typed guard runs only at y=2
+    ("guard-behind-recurring-block",
+     "module m0\n  y : [0..2] init 0;\n  z : [0..1] init 0;\n"
+     "  [go] y = 2 -> true;\n  [] y < 2 -> (y'=y+1);\n"
+     "  [] true -> (z'=1-z);\nendmodule\n"
+     "module m1\n  x : [0..1] init 0;\n  [go] x + true -> true;\nendmodule\n",
+     ParseError, "expected a numeric operand"),
     ("constant-ill-typed", "const int K = 1 + true;\n"
      + module("[a] true -> true;"), ParseError, "numeric operand"),
     ("constant-forward", "const int K = L;\nconst int L = 1;\n"
@@ -695,6 +759,14 @@ class TestErrorParity:
         assert result[0] == "raised" and result[1] is BudgetError
         assert "cap of 2 states" in result[2]
         assert assert_same(text, state_cap=3)[0] == "built"
+
+    def test_state_cap_met_before_a_later_combination_fails(self):
+        # a interns x=1 past the cap before a#1 computes x'=-1
+        text = module("[a] true -> (x'=1);", "[a] true -> (x'=x-1);")
+        result = assert_same(text, state_cap=1)
+        assert result[0] == "raised" and result[1] is BudgetError
+        result = assert_same(text, state_cap=2)
+        assert result[0] == "raised" and result[1] is DomainError
 
     def test_integer_guard_stays_disabled(self):
         result = assert_same(module("[a] x + 1 -> (x'=1);",
