@@ -64,30 +64,10 @@ class PathForest:
     @classmethod
     def of_paths(cls, paths: Iterable[WeightedPath]) -> PathForest:
         """The forest of paths, in their order; repeated paths keep their
-        own entries.
-
-        The steps a path shares with the path before it are not looked up
-        again: its node there is found by walking up from the leaf of that
-        path."""
+        own entries (see _intern)."""
         forest = cls()
-        index: dict[tuple[int, int, int], int] = {}
-        node = -1
-        last_states: tuple[int, ...] = ()
-        last_actions: tuple[int, ...] = ()
-        for wp in paths:
-            states, actions = wp.path.states, wp.path.actions
-            k = min(_common_prefix(states, last_states),
-                    _common_prefix(actions, last_actions) + 1)
-            for _ in range(len(last_states) - k):
-                node = forest.parents[node]
-            for action, state in zip(actions[k - 1:] if k else (-1, *actions),
-                                     states[k:]):
-                key = (node, action, state)
-                node = index.get(key, -1)
-                if node < 0:
-                    node = index[key] = forest.add_node(*key)
-            forest.add_path(node, wp.probability)
-            last_states, last_actions = states, actions
+        _intern(forest, ((wp.path.states, wp.path.actions, wp.probability)
+                         for wp in paths))
         return forest
 
     def _chain_moves(self) -> Iterator[tuple[list[int], list[int]]]:
@@ -177,7 +157,34 @@ class PathForest:
                      zip(self.sequences(self.actions), self.probabilities))
 
 
-def _common_prefix(a: tuple, b: tuple) -> int:
+def _intern(forest: PathForest,
+            paths: Iterable[tuple[Sequence, Sequence, float]]) -> None:
+    """Add paths, each (states, actions, probability), in their order to
+    the empty forest, keyed by the actions as given: ids, or names on
+    import. The steps a path shares with the path before it are found by
+    walking up from that path's leaf; only its later steps are looked up,
+    and added when new. Repeated paths keep their own entries."""
+    parents = forest.parents
+    index: dict[tuple, int] = {}
+    node = -1
+    last_states: Sequence = ()
+    last_actions: Sequence = ()
+    for states, actions, probability in paths:
+        k = min(_common_prefix(states, last_states),
+                _common_prefix(actions, last_actions) + 1)
+        for _ in range(len(last_states) - k):
+            node = parents[node]
+        for action, state in zip(actions[k - 1:] if k else (-1, *actions),
+                                 states[k:]):
+            key = (node, action, state)
+            node = index.get(key, -1)
+            if node < 0:
+                node = index[key] = forest.add_node(*key)
+        forest.add_path(node, probability)
+        last_states, last_actions = states, actions
+
+
+def _common_prefix(a: Sequence, b: Sequence) -> int:
     """The length of the longest common prefix of a and b, searched down
     from the shorter length: a path mostly shares all but its last few
     steps with the path before it."""
@@ -383,11 +390,8 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
         if mass_exceeds(spec, total):
             on_paths = sorted(set(forest.states))
             labels = {s: m.labels_of(s) for s in on_paths}
-            names = None
-            if m.state_names is not None:
-                names = {s: m.state_name(s) for s in on_paths}
             return Counterexample(forest, total, witness, spec, labels,
-                                  tuple(m.action_names), names,
+                                  tuple(m.action_names), m.names_of(on_paths),
                                   frozenset(m.ap_names))
     raise BudgetError(
         f"counterexample incomplete: gathered mass {total!r} from "
@@ -561,15 +565,81 @@ def _state_keyed(raw, value, field: str, what: str) -> dict:
                          f"{what}") from None
 
 
+def _is_scheduler(raw) -> bool:
+    # JSON strings only: str() would also accept 1 and true
+    return isinstance(raw, dict) and set(map(type, raw.values())) <= {str}
+
+
+def _path_entries(raw_paths: list) -> Iterator[tuple[list, list, float]]:
+    """(states, actions, probability) of each path entry, for _intern;
+    KeyError, TypeError, ValueError or OverflowError at the first entry
+    that is not an object with a list of JSON integers, a list one shorter
+    and a number. The states are checked in full, as 1.0 and true equal 1;
+    the actions' types and the states' signs are left to the nodes."""
+    for entry in raw_paths:
+        if not isinstance(entry, dict):
+            raise ValueError("malformed path entry")
+        states, actions = entry["states"], entry["actions"]
+        if not (isinstance(states, list) and isinstance(actions, list)
+                and len(states) == len(actions) + 1
+                and set(map(type, states)) <= {int}):
+            raise ValueError("malformed path entry")
+        yield states, actions, _number(entry["probability"])
+
+
+def _first_fault(raw_paths: list, raw_sched) -> Optional[ParseError]:
+    """The error for the first fault of the path entries and the
+    scheduler's shape, in counterexample_from_dict's order; None if there
+    is none."""
+    for i, entry in enumerate(raw_paths):
+        actions = entry.get("actions", []) if isinstance(entry, dict) else None
+        if not (isinstance(actions, list)
+                and set(map(type, actions)) <= {str}):
+            return ParseError(f"malformed path entry {i}")
+    if not _is_scheduler(raw_sched):
+        return ParseError("counterexample scheduler must map states to "
+                          "labels")
+    for i, entry in enumerate(raw_paths):
+        try:
+            states, actions = entry["states"], entry["actions"]
+            _number(entry["probability"])
+        except (KeyError, TypeError, OverflowError):
+            return ParseError(f"malformed path entry {i}")
+        # JSON integers only: int() would also accept "7", 7.9 and true
+        if not (isinstance(states, list) and set(map(type, states)) <= {int}
+                and min(states, default=0) >= 0):
+            return ParseError(f"malformed path entry {i}")
+        try:
+            FinitePath(tuple(states), tuple(actions))
+        except DomainError as exc:
+            return ParseError(f"path entry {i}: {exc}")
+    return None
+
+
 def counterexample_from_dict(data: dict) -> Counterexample:
     """Rebuild a counterexample from its JSON form.
 
     Action labels are re-interned in sorted order, so ids are deterministic
-    regardless of the original model's interning order. The paths are
-    interned into one forest; paths that start at different states, repeat
-    one another or run on through one another's ends each keep their own
-    entry. labels and state_names may name only the states on the paths;
-    the scheduler may cover others, as the export writes the whole witness.
+    regardless of the original model's interning order. labels and
+    state_names may name only the states on the paths; the scheduler may
+    cover others, as the export writes the whole witness.
+
+    The path entries are read in one pass straight into one forest
+    (_intern), keyed by action name: only the steps an entry does not
+    share with the entry before it are looked up. The names are mapped to
+    ids over the nodes once the pass ends. So the import costs about
+    json.loads plus the new steps.
+
+    The pass checks that each entry is an object with a list of states,
+    all JSON integers, a list of actions one shorter and a number. The
+    states are checked in full, as 1.0 and true equal 1; that the actions
+    are strings and the states not negative is checked on the nodes, since
+    every step equals its node's. Of several faults, the first in this
+    order is reported: an entry that is not an object or whose actions are
+    not strings, in all entries; the scheduler's shape; each entry's
+    states and probability, then its length; the scheduler's ids;
+    total_mass; labels or state_names off the paths. Only a failed pass
+    rescans the entries for that order (_first_fault).
     """
     if not isinstance(data, dict):
         raise ParseError("counterexample JSON must be an object")
@@ -603,42 +673,27 @@ def counterexample_from_dict(data: dict) -> Counterexample:
             raise ParseError(f"counterexample {key} {given!r} disagrees with "
                              f"its property {str(spec)!r}")
 
-    names: set[str] = set()
     raw_paths = _require(data, "paths")
     if not isinstance(raw_paths, list):
         raise ParseError("counterexample paths must form a list")
-    for i, entry in enumerate(raw_paths):
-        actions = entry.get("actions", []) if isinstance(entry, dict) else None
-        # JSON strings only: str() would also accept 1 and true
-        if not (isinstance(actions, list)
-                and set(map(type, actions)) <= {str}):
-            raise ParseError(f"malformed path entry {i}")
-        names.update(actions)
     raw_sched = data.get("scheduler", {})
-    if not (isinstance(raw_sched, dict)
-            and set(map(type, raw_sched.values())) <= {str}):
-        raise ParseError("counterexample scheduler must map states to labels")
-    names.update(raw_sched.values())
-    action_names = tuple(sorted(names))
+    forest = PathForest()
+    try:
+        _intern(forest, _path_entries(raw_paths))
+        names = {a for p, a in zip(forest.parents, forest.actions) if p >= 0}
+        if not (set(map(type, names)) <= {str}
+                and min(forest.states, default=0) >= 0
+                and _is_scheduler(raw_sched)):
+            raise ValueError("malformed paths or scheduler")
+    except (KeyError, TypeError, ValueError, OverflowError):
+        fault = _first_fault(raw_paths, raw_sched)
+        if fault is None:
+            raise
+        raise fault from None
+    action_names = tuple(sorted(names.union(raw_sched.values())))
     action_ids = {name: i for i, name in enumerate(action_names)}
-
-    paths = []
-    for i, entry in enumerate(raw_paths):
-        try:
-            states = entry["states"]
-            actions = tuple(map(action_ids.__getitem__, entry["actions"]))
-            prob = _number(entry["probability"])
-        except (KeyError, ValueError, TypeError, OverflowError):
-            raise ParseError(f"malformed path entry {i}") from None
-        # JSON integers only: int() would also accept "7", 7.9 and true
-        if not (isinstance(states, list) and set(map(type, states)) <= {int}
-                and min(states, default=0) >= 0):
-            raise ParseError(f"malformed path entry {i}")
-        try:
-            paths.append(WeightedPath(FinitePath(tuple(states), actions),
-                                      prob))
-        except DomainError as exc:
-            raise ParseError(f"path entry {i}: {exc}") from None
+    forest.actions = [action_ids[a] if p >= 0 else -1
+                      for p, a in zip(forest.parents, forest.actions)]
 
     scheduler = None
     if raw_sched:
@@ -652,7 +707,6 @@ def counterexample_from_dict(data: dict) -> Counterexample:
         total = _number(_require(data, "total_mass"))
     except (ValueError, TypeError, OverflowError):
         raise ParseError("total_mass must be a number") from None
-    forest = PathForest.of_paths(paths)
     on_paths = set(forest.states)
     for key, table in (("labels", labels), ("state_names", state_names)):
         off = sorted(set(table or ()) - on_paths)

@@ -38,7 +38,9 @@ class Mdp:
         of atomic proposition names; unlisted states carry no labels.
         state_names is an optional iterable of display names, used only for
         reports; it is read into the tuple state_names on first use, so a
-        query that names no state never builds them.
+        query that names no state never builds them. A sequence is also
+        read one state at a time (state_name, names_of), so a lazy one
+        formats only the names asked for.
 
         The transitions are compiled once into the choice table (see
         choice_table). DomainError is raised for a num_states, or an
@@ -164,9 +166,19 @@ class Mdp:
                 for aid, dist in row)
 
     def state_name(self, s: int) -> str:
-        if self.state_names is not None and 0 <= s < len(self.state_names):
-            return self.state_names[s]
+        names = self._state_names
+        if not isinstance(names, Sequence):  # None, or read once
+            names = self.state_names
+        if names is not None and 0 <= s < len(names):
+            return names[s]
         return str(s)
+
+    def names_of(self, states: Iterable[int]) -> Optional[dict[int, str]]:
+        """The display name of each of states, or None when the model has
+        no names."""
+        if self._state_names is None:
+            return None
+        return {s: self.state_name(s) for s in states}
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -692,6 +693,19 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
 # -- elaboration -------------------------------------------------------------
 
 
+class _Described(Sequence):
+    """The display name of each state, formatted when read."""
+
+    def __init__(self, valuations: list, describe: Callable[[tuple], str]):
+        self.valuations, self.describe = valuations, describe
+
+    def __len__(self) -> int:
+        return len(self.valuations)
+
+    def __getitem__(self, s: int) -> str:
+        return self.describe(self.valuations[s])
+
+
 def build_mdp(program: Program,
               constants: Optional[Mapping[str, object]] = None,
               state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, dict]:
@@ -720,8 +734,8 @@ def build_mdp(program: Program,
     variables its commands read, at the first state in breadth-first order
     that has the key; later states replay the result. So every error is
     raised at the state, and in the order, where evaluating each state in
-    turn meets it. Labels are memoized alike, and the MDP's state names
-    are formatted only when first read.
+    turn meets it. Labels are memoized alike, and the MDP formats a
+    state's name only when it is read.
     """
     consts = fold_constants(program, constants)
     ready = _prepare(program, consts)
@@ -823,6 +837,6 @@ def build_mdp(program: Program,
             labels[s] = here
 
     m = Mdp(len(valuations), 0, transitions, labels,
-            (describe(v) for v in valuations),
+            _Described(valuations, describe),
             ap_names=[name for name, _ in ready.labels])
     return m, {m.action_id(a): cmds for a, cmds in commands.items()}

@@ -655,6 +655,95 @@ class TestJsonInterchange:
         with pytest.raises(ParseError, match="malformed path entry 0"):
             counterexample_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("field, position, value", [
+        ("states", 1, 2.0),
+        ("states", 0, False),
+        ("states", 0, 0.0),
+        ("states", 2, -4),
+        ("actions", 1, 4),
+        ("actions", 2, None),
+    ], ids=["float-in-prefix", "bool-in-prefix", "float-root", "negative",
+            "number-action", "null-action"])
+    def test_checks_reach_inside_a_shared_prefix(self, field, position,
+                                                 value):
+        # path 2, 0 -alpha0-> 2 -alpha2-> 4 -alpha4-> 5, shares 0 -alpha0->
+        # 2 with path 1; 2.0, false and 0.0 equal the states there
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        assert data["paths"][1]["states"][:2] == [0, 2]
+        data["paths"][2][field][position] = value
+        with pytest.raises(ParseError, match="^malformed path entry 2$"):
+            counterexample_from_dict(data)
+        with pytest.raises(ParseError, match="^malformed path entry 2$"):
+            counterexample_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("edit, message", [
+        # the actions of every entry are checked before any states
+        (lambda d: (d["paths"][0]["states"].__setitem__(1, 1.0),
+                    d["paths"][2]["actions"].__setitem__(0, 0)),
+         "malformed path entry 2"),
+        (lambda d: (d["paths"][0]["actions"].pop(),
+                    d["paths"][2]["actions"].__setitem__(2, True)),
+         "malformed path entry 2"),
+        (lambda d: (d["paths"].__setitem__(0, {"states": [0]}),
+                    d["paths"].__setitem__(1, "bogus")),
+         "malformed path entry 1"),
+        # then the scheduler's shape, then each entry in turn
+        (lambda d: (d["paths"][1]["states"].__setitem__(1, True),
+                    d.update({"scheduler": []})),
+         "counterexample scheduler must map states to labels"),
+        (lambda d: (d["paths"][0]["actions"].__setitem__(0, 0),
+                    d.update({"scheduler": {"0": 0}})),
+         "malformed path entry 0"),
+        (lambda d: (d["paths"][0]["actions"].pop(),
+                    d["paths"][1]["states"].__setitem__(0, -1)),
+         "path entry 0: 3 states need 2 actions, got 1"),
+        (lambda d: (d["paths"][1].update({"probability": "0.2"}),
+                    d["paths"][2]["actions"].pop()),
+         "malformed path entry 1"),
+        (lambda d: (d["paths"][2]["states"].clear(),
+                    d["paths"][2]["actions"].clear()),
+         "path entry 2: a path needs at least one state"),
+        # scheduler ids, total_mass and the tables come after the paths
+        (lambda d: (d["paths"][2]["states"].append(6),
+                    d["scheduler"].update({"x": "alpha0"})),
+         "path entry 2: 5 states need 4 actions, got 3"),
+        (lambda d: (d["scheduler"].update({"x": "alpha0"}),
+                    d.update({"total_mass": "0.6"})),
+         "malformed scheduler mapping"),
+    ], ids=["states-then-actions", "length-then-actions", "two-objects",
+            "states-and-scheduler", "actions-and-scheduler",
+            "length-then-states", "probability-then-length", "empty",
+            "length-and-scheduler-id", "scheduler-id-and-mass"])
+    def test_the_documented_fault_is_reported_first(self, edit, message):
+        data = json.loads((GOLDEN / "demo.cx.json").read_text())
+        edit(data)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            counterexample_from_dict(data)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            counterexample_from_json(json.dumps(data))
+
+    def test_round_trip_keeps_the_forest_at_scale(self, slow_exit_cx):
+        cx = slow_exit_cx
+        again = counterexample_from_json(counterexample_to_json(cx))
+        forest, before = again.forest, cx.forest
+        for field in ("parents", "states", "leaves", "probabilities"):
+            assert getattr(forest, field) == getattr(before, field)
+        # the import numbers the actions in sorted order, the model did not
+        assert again.action_names == ("back", "done", "go", "stuck")
+        assert ([again.action_name(a) if a >= 0 else None
+                 for a in forest.actions]
+                == [cx.action_name(a) if a >= 0 else None
+                    for a in before.actions])
+        assert ({s: again.action_name(a)
+                 for s, a in again.scheduler.choice.items()}
+                == {s: cx.action_name(a)
+                    for s, a in cx.scheduler.choice.items()})
+        assert counterexample_to_dict(again) == counterexample_to_dict(cx)
+        assert PathForest.of_paths(cx.paths) == before
+        assert PathForest.of_paths(again.paths) == forest
+        assert counterexample_from_json(
+            counterexample_to_json(again)).forest == forest
+
     @pytest.mark.parametrize("edit", [
         lambda d: d["labels"].update({"1": "ab"}),
         lambda d: d["labels"].update({"1": ["a", 1]}),

@@ -124,6 +124,24 @@ class TestConstruction:
         named = Mdp(1, 0, {(0, "a"): [(0, 1.0)]}, state_names=("x=0",))
         assert named.state_name(0) == "x=0"
 
+    def test_names_of_reads_a_sequence_at_the_states_asked_for(self):
+        read = []
+
+        class Names(tuple):
+            def __getitem__(self, s):
+                read.append(s)
+                return super().__getitem__(s)
+
+        t = {(s, "a"): [(s, 1.0)] for s in range(3)}
+        assert Mdp(3, 0, t).names_of([0, 2]) is None
+        named = Mdp(3, 0, t, state_names=Names(("x", "y", "z")))
+        assert named.names_of([2, 0]) == {2: "z", 0: "x"}
+        assert read == [2, 0]
+        assert "state_names" not in vars(named)
+        once = Mdp(3, 0, t, state_names=iter(("x", "y", "z")))
+        assert once.names_of([1]) == {1: "y"}
+        assert once.state_name(2) == "z" and once.state_name(3) == "3"
+
 
 class TestValidation:
     def test_demo_fixture_is_valid(self):

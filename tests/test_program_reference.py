@@ -34,7 +34,8 @@ import pytest
 
 import mdpdiag.program
 from mdpdiag import (BudgetError, DomainError, Mdp, ParseError, build_mdp,
-                     check_property, parse_program, parse_property)
+                     build_mipcx, check_property, parse_program,
+                     parse_property)
 from mdpdiag.program import (DEFAULT_STATE_CAP, Assignment, Binary, BoolLit,
                              Call, Expr, LabelDef, Name, Num, Program, Unary)
 
@@ -657,6 +658,18 @@ class TestMemo:
         assert type(m.state_names) is tuple
         assert m.state_names == eager.state_names
         assert m.state_name(3783) == eager.state_names[3783]
+
+    def test_counterexample_formats_only_the_names_on_its_paths(self):
+        program = parse_program(self.CSMA, filename="case.pm")
+        m, _ = build_mdp(program, {"K": 20})
+        spec = parse_property('P<=0.8 [ !"gave_up" U "delivered_all" ]',
+                              m.ap_names)
+        cx = build_mipcx(m, spec)
+        assert "state_names" not in vars(m)
+        eager, _ = reference_build_mdp(program, {"K": 20})
+        assert sorted(cx.state_names) == sorted(set(cx.forest.states))
+        assert cx.state_names == {s: eager.state_names[s]
+                                  for s in cx.state_names}
 
 
 class TestRandomPrograms:
