@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mul, ne, sub
 
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
 from .pctl import PathFormula, PropertySpec, until_sets
+from .records import record, replace
 
 DEFAULT_EPSILON = 1e-6
 # Extraction treats one-step backups within this of the best one as tied.
@@ -24,7 +24,7 @@ GROUPED_SWEEP_MIN = 32
 _PMAX_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@dataclass
+@record
 class ValueVector:
     """Per-state maximal until probabilities plus iteration bookkeeping."""
 
@@ -36,8 +36,11 @@ class ValueVector:
     zero_states: frozenset[int]
 
 
-@dataclass
+@record
 class Verdict:
+    """Whether a property holds: Pmax against the threshold, with the
+    value vector Pmax was read from."""
+
     holds: bool
     pmax: float
     threshold: float

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from typing import Iterable, Optional
 
 from .checker import DEFAULT_EPSILON, check_property
@@ -28,6 +27,7 @@ from .errors import BudgetError, DomainError, ParseError
 from .mdp import content_lines, parse_explicit_model, validate_mdp
 from .pctl import parse_property
 from .program import DEFAULT_STATE_CAP, build_mdp, parse_program
+from .records import replace
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1

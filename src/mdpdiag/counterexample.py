@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -23,6 +22,7 @@ from .errors import BudgetError, DomainError, ParseError
 from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler,
                   WeightedPath, induce_dtmc, live_states)
 from .pctl import PathFormula, PropertySpec, parse_property, until_sets
+from .records import record
 
 DEFAULT_MAX_PATHS = 10_000
 DEFAULT_MIN_PROB = 1e-15
@@ -30,7 +30,7 @@ DEFAULT_MIN_PROB = 1e-15
 CX_FORMAT_VERSION = 1
 
 
-@dataclass
+@record
 class PathForest:
     """Paths stored as the forest of their distinct prefixes.
 
@@ -45,11 +45,12 @@ class PathForest:
     walked one way only, along its paths in path order (_chain_moves).
     """
 
-    parents: list[int] = field(default_factory=list)
-    actions: list[int] = field(default_factory=list)
-    states: list[int] = field(default_factory=list)
-    leaves: list[int] = field(default_factory=list)
-    probabilities: list[float] = field(default_factory=list)
+    # record gives each instance a copy of a list default
+    parents: list[int] = []
+    actions: list[int] = []
+    states: list[int] = []
+    leaves: list[int] = []
+    probabilities: list[float] = []
 
     def add_node(self, parent: int, action: int, state: int) -> int:
         self.parents.append(parent)
@@ -202,7 +203,7 @@ def _common_prefix(a: Sequence, b: Sequence) -> int:
     return lo
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Counterexample:
     """Paths plus the context needed to diagnose them without the model.
 

@@ -24,13 +24,13 @@ a search over subsets of the alphabet, exponential in its size.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .counterexample import Counterexample, counterexample_to_dict
 from .errors import DomainError
 from .pctl import (And, Atom, FalseFormula, Not, Or, PropertySpec, StateFormula,
                    TrueFormula, eval_state_formula, to_nnf)
+from .records import record
 
 # Absolute tolerance for "these two probability masses coincide" tests,
 # such as ties for the top rank; masses are sums of path probabilities, so
@@ -63,7 +63,7 @@ def _all_masses(cx: Counterexample, counter: list[int]):
 # -- cause extraction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cause:
     """A property literal holding at a counterexample state, with its
     degree of responsibility and the mass of the paths through the state."""
@@ -180,8 +180,12 @@ def collect_causes(cx: Counterexample,
 # -- report generation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransitionDiagnosis:
+    """A step source -action-> target of the counterexample paths: the mass
+    of the paths taking it, the causes at target and, for a program, the
+    (module, line) commands of the action."""
+
     source: int
     action: int
     target: int
@@ -190,8 +194,11 @@ class TransitionDiagnosis:
     commands: tuple[tuple[str, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BlameEntry:
+    """An action at a state with its degree of blame db and its
+    transitions, in report order."""
+
     state: int
     action: int
     action_label: str
@@ -199,8 +206,11 @@ class BlameEntry:
     transitions: tuple[TransitionDiagnosis, ...]
 
 
-@dataclass
+@record
 class DiagnosisReport:
+    """The ranked causes and blamed actions of a counterexample, as
+    generate_diagnoses returns them."""
+
     spec: PropertySpec
     counterexample: Counterexample
     causes: tuple[Cause, ...]
@@ -281,7 +291,7 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
     Ranking by responsibility times absolute mass orders causes exactly as
     the normalized variant would: normalization divides every score by the
     same total. To rank under another property, pass
-    dataclasses.replace(cx, spec=...).
+    mdpdiag.records.replace(cx, spec=...).
     """
     counter = [0]
     causes = collect_causes(cx, _counter=counter)

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError
+from .records import record
 
 # Tolerance for "successor probabilities sum to one" checks.
 PROB_SUM_TOL = 1e-9
@@ -29,6 +29,8 @@ def _state_id(s, role: str) -> int:
 
 
 class Mdp:
+    """A finite MDP with labelled actions and labelled states."""
+
     def __init__(self, num_states, init, transitions, labels=None, state_names=None,
                  ap_names=None):
         """Build an MDP from plain dictionaries.
@@ -181,7 +183,7 @@ class Mdp:
         return {s: self.state_name(s) for s in states}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     """One structural defect found by validate_mdp."""
 
@@ -237,7 +239,7 @@ def validate_mdp(m: Mdp) -> list[Violation]:
 # -- paths ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinitePath:
     """Alternating state/action sequence s0 -a0-> s1 ... -a(n-1)-> sn."""
 
@@ -261,8 +263,10 @@ class FinitePath:
             yield i, self.states[i], aid, self.states[i + 1]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeightedPath:
+    """A path with its probability."""
+
     path: FinitePath
     probability: float
 
@@ -293,7 +297,7 @@ def path_probability(m: Mdp, path: FinitePath) -> float:
 # -- schedulers and induced chains ---------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scheduler:
     """Memoryless deterministic scheduler: state -> chosen action id."""
 
@@ -306,7 +310,7 @@ class Scheduler:
             raise DomainError(f"scheduler undefined at state {s}") from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dtmc:
     """Chain induced by fixing one action per state of an MDP: its choice
     table with one entry per state.

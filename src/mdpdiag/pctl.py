@@ -24,10 +24,10 @@ conjunction; cause extraction treats it as a first-class connective.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import AbstractSet, Collection, Iterable, Mapping, Optional
 
 from .errors import DomainError, ParseError
+from .records import record
 
 
 # -- abstract syntax -------------------------------------------------------
@@ -37,14 +37,18 @@ class StateFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueFormula(StateFormula):
+    """The formula that holds at every state."""
+
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FalseFormula(StateFormula):
+    """The formula that holds at no state."""
+
     def __str__(self):
         return "false"
 
@@ -53,24 +57,30 @@ TRUE = TrueFormula()
 FALSE = FalseFormula()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom(StateFormula):
+    """An atomic proposition: holds at the states labelled name."""
+
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not(StateFormula):
+    """Negation: holds where child does not."""
+
     child: StateFormula
 
     def __str__(self):
         return f"!{_wrap(self.child, tight=True)}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And(StateFormula):
+    """Conjunction: holds where left and right both hold."""
+
     left: StateFormula
     right: StateFormula
 
@@ -78,8 +88,10 @@ class And(StateFormula):
         return f"{_wrap(self.left, tight=True)} & {_wrap(self.right, tight=True)}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or(StateFormula):
+    """Disjunction: holds where left or right holds."""
+
     left: StateFormula
     right: StateFormula
 
@@ -96,7 +108,7 @@ def _wrap(phi: StateFormula, tight: bool = False) -> str:
     return str(phi)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PathFormula:
     """left U right, optionally step-bounded."""
 
@@ -119,7 +131,7 @@ def _until_operand(phi: StateFormula) -> str:
     return str(phi)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PropertySpec:
     """P <comparison> <threshold> [ <path formula> ]; the comparison is
     '<=' or '<'."""
@@ -224,7 +236,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str
     text: str

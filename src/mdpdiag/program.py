@@ -30,7 +30,6 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -38,6 +37,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import PROB_SUM_TOL, Mdp
 from .pctl import TokenCursor, tokenize
+from .records import record
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -54,35 +54,35 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Num(Expr):
     value: object  # int or float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Name(Expr):
     ident: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unary(Expr):
     op: str  # '-' or '!'
     child: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Binary(Expr):
     op: str  # + - * = != < <= > >= & |
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call(Expr):
     func: str  # min or max
     args: tuple[Expr, ...]
@@ -203,7 +203,7 @@ def _constant(expr, consts, line, filename, unknown="unknown identifier"):
 # -- program syntax ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstDef:
     name: str
     kind: str  # 'int' or 'double'
@@ -211,7 +211,7 @@ class ConstDef:
     line: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarDecl:
     name: str
     low: Expr
@@ -220,19 +220,19 @@ class VarDecl:
     line: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assignment:
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Update:
     prob: Optional[Expr]  # None means probability one
     assignments: tuple[Assignment, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Command:
     label: str  # '' for an unlabelled, interleaving command
     guard: Expr
@@ -240,7 +240,7 @@ class Command:
     line: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuleDef:
     name: str
     variables: tuple[VarDecl, ...]
@@ -248,15 +248,18 @@ class ModuleDef:
     line: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabelDef:
     name: str
     expr: Expr
     line: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
+    """A guarded-command program as parse_program reads it: constants,
+    modules and labels."""
+
     constants: tuple[ConstDef, ...]
     modules: tuple[ModuleDef, ...]
     labels: tuple[LabelDef, ...]
@@ -521,7 +524,7 @@ def fold_constants(program: Program,
     return values
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _ReadyCommand:
     module: str
     label_index: int  # position among same-label commands of the module
@@ -532,7 +535,7 @@ class _ReadyCommand:
     reads: frozenset  # the slots its guard and updates read
 
 
-@dataclass
+@record
 class _ReadyProgram:
     var_order: tuple[str, ...]
     init: tuple[int, ...]

@@ -4,7 +4,6 @@ import json
 import math
 import random
 from itertools import islice
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
                      enumerate_satisfying_paths, eval_state_formula,
                      extract_max_scheduler, generate_diagnoses, induce_dtmc, parse_property,
                      verify_counterexample)
+from mdpdiag.records import replace
 
 from fixtures import (demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property)

@@ -21,7 +21,6 @@ forest was built from.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -32,6 +31,7 @@ from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
                      eval_state_formula, find_causes, generate_diagnoses,
                      induce_dtmc, mass_exceeds, to_nnf,
                      verify_counterexample)
+from mdpdiag.records import replace
 
 from fixtures import parse_state_formula
 from oracles import prefix_paths

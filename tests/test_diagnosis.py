@@ -3,7 +3,6 @@
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -14,6 +13,7 @@ from mdpdiag import (TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      parse_program, parse_property, render_text_report)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 from mdpdiag.mdp import content_lines
+from mdpdiag.records import replace
 from fixtures import (MODELS, blame_gap_mdp, blame_gap_property, demo_mdp,
                       demo_property, slow_exit_mdp, slow_exit_property)
 from oracles import (blame, check_prop1, check_prop2, is_critical,

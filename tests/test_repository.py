@@ -1,13 +1,15 @@
 """Properties of the source tree and its documentation: no module of the
-package imports a private name of another or reads a private attribute of
-an object other than self or cls, and every python example in README.md
-runs."""
+package imports a private name of another, reads a private attribute of
+an object other than self or cls, or imports dataclasses, every public
+class has a docstring, and every python example in README.md runs."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import mdpdiag
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mdpdiag").glob("*.py"))
@@ -35,6 +37,27 @@ def test_no_private_attribute_read_on_another_object(path):
                and not (isinstance(node.value, ast.Name)
                         and node.value.id in ("self", "cls"))]
     assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_imports_dataclasses(path):
+    # its import pulls in inspect, and both cost every query's start-up;
+    # mdpdiag.records builds the value classes
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = [f"line {node.lineno}" for node in ast.walk(tree)
+               if (isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == "dataclasses"
+                           for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.level == 0
+                   and node.module.split(".")[0] == "dataclasses")]
+    assert imports == []
+
+
+def test_every_public_class_has_a_docstring():
+    classes = [name for name in mdpdiag.__all__
+               if isinstance(getattr(mdpdiag, name), type)]
+    assert [name for name in classes
+            if not (getattr(mdpdiag, name).__doc__ or "").strip()] == []
 
 
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
