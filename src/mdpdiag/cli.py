@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .checker import DEFAULT_EPSILON, check_property
 from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .checker import (DEFAULT_EPSILON, check_property, extract_max_scheduler,
                       mass_exceeds)
@@ -159,12 +159,15 @@ class PathForest:
 
 
 def _intern(forest: PathForest,
-            paths: Iterable[tuple[Sequence, Sequence, float]]) -> None:
+            paths: Iterable[tuple[Sequence, Sequence, float]],
+            check: Callable | None = None) -> None:
     """Add paths, each (states, actions, probability), in their order to
     the empty forest, keyed by the actions as given: ids, or names on
     import. The steps a path shares with the path before it are found by
     walking up from that path's leaf; only its later steps are looked up,
-    and added when new. Repeated paths keep their own entries."""
+    and added when new. check, if given, is called with the states of
+    those later steps and the actions into them before any is looked up.
+    Repeated paths keep their own entries."""
     parents = forest.parents
     index: dict[tuple, int] = {}
     node = -1
@@ -175,8 +178,11 @@ def _intern(forest: PathForest,
                 _common_prefix(actions, last_actions) + 1)
         for _ in range(len(last_states) - k):
             node = parents[node]
-        for action, state in zip(actions[k - 1:] if k else (-1, *actions),
-                                 states[k:]):
+        new_states, new_actions = states[k:], actions[k - 1:] if k else actions
+        if check is not None:
+            check(new_states, new_actions)
+        for action, state in zip(new_actions if k else (-1, *new_actions),
+                                 new_states):
             key = (node, action, state)
             node = index.get(key, -1)
             if node < 0:
@@ -229,11 +235,11 @@ class Counterexample:
 
     forest: PathForest
     total_mass: float
-    scheduler: Optional[Scheduler]
+    scheduler: Scheduler | None
     spec: PropertySpec
     labels: Mapping[int, frozenset[str]]
     action_names: tuple[str, ...]
-    state_names: Optional[Mapping[int, str]] = None
+    state_names: Mapping[int, str] | None = None
     ap_names: frozenset[str] = frozenset()
 
     @cached_property
@@ -303,7 +309,7 @@ class _Prefix:
 
 
 def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
-                               max_paths: Optional[int] = None,
+                               max_paths: int | None = None,
                                min_prob: float = 0.0
                                ) -> Iterator[tuple[_Prefix, float]]:
     """Yield the satisfying paths of d in nonincreasing probability order,
@@ -572,49 +578,27 @@ def _is_scheduler(raw) -> bool:
 
 
 def _path_entries(raw_paths: list) -> Iterator[tuple[list, list, float]]:
-    """(states, actions, probability) of each path entry, for _intern;
-    KeyError, TypeError, ValueError or OverflowError at the first entry
-    that is not an object with a list of JSON integers, a list one shorter
-    and a number. The states are checked in full, as 1.0 and true equal 1;
-    the actions' types and the states' signs are left to the nodes."""
-    for entry in raw_paths:
-        if not isinstance(entry, dict):
-            raise ValueError("malformed path entry")
-        states, actions = entry["states"], entry["actions"]
-        if not (isinstance(states, list) and isinstance(actions, list)
-                and len(states) == len(actions) + 1
-                and set(map(type, states)) <= {int}):
-            raise ValueError("malformed path entry")
-        yield states, actions, _number(entry["probability"])
-
-
-def _first_fault(raw_paths: list, raw_sched) -> Optional[ParseError]:
-    """The error for the first fault of the path entries and the
-    scheduler's shape, in counterexample_from_dict's order; None if there
-    is none."""
-    for i, entry in enumerate(raw_paths):
-        actions = entry.get("actions", []) if isinstance(entry, dict) else None
-        if not (isinstance(actions, list)
-                and set(map(type, actions)) <= {str}):
-            return ParseError(f"malformed path entry {i}")
-    if not _is_scheduler(raw_sched):
-        return ParseError("counterexample scheduler must map states to "
-                          "labels")
+    """(states, actions, probability) of each path entry, for _intern,
+    each checked before it is yielded: an object with a list of JSON
+    integers, a list of actions and a number, then a list of actions one
+    shorter than the states (FinitePath's text). ParseError at the first
+    fault. The states are checked in full, as 1.0 and true equal 1."""
     for i, entry in enumerate(raw_paths):
         try:
             states, actions = entry["states"], entry["actions"]
-            _number(entry["probability"])
+            probability = _number(entry["probability"])
         except (KeyError, TypeError, OverflowError):
-            return ParseError(f"malformed path entry {i}")
+            raise ParseError(f"malformed path entry {i}") from None
         # JSON integers only: int() would also accept "7", 7.9 and true
-        if not (isinstance(states, list) and set(map(type, states)) <= {int}
-                and min(states, default=0) >= 0):
-            return ParseError(f"malformed path entry {i}")
-        try:
-            FinitePath(tuple(states), tuple(actions))
-        except DomainError as exc:
-            return ParseError(f"path entry {i}: {exc}")
-    return None
+        if not (isinstance(states, list) and isinstance(actions, list)
+                and set(map(type, states)) <= {int}):
+            raise ParseError(f"malformed path entry {i}")
+        if len(states) != len(actions) + 1:
+            try:
+                FinitePath(states, actions)
+            except DomainError as exc:
+                raise ParseError(f"path entry {i}: {exc}") from None
+        yield states, actions, probability
 
 
 def counterexample_from_dict(data: dict) -> Counterexample:
@@ -631,16 +615,14 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     ids over the nodes once the pass ends. So the import costs about
     json.loads plus the new steps.
 
-    The pass checks that each entry is an object with a list of states,
-    all JSON integers, a list of actions one shorter and a number. The
-    states are checked in full, as 1.0 and true equal 1; that the actions
-    are strings and the states not negative is checked on the nodes, since
-    every step equals its node's. Of several faults, the first in this
-    order is reported: an entry that is not an object or whose actions are
-    not strings, in all entries; the scheduler's shape; each entry's
-    states and probability, then its length; the scheduler's ids;
-    total_mass; labels or state_names off the paths. Only a failed pass
-    rescans the entries for that order (_first_fault).
+    Each check runs once, and the first fault met is reported. The order
+    is: the top-level fields; then the path entries in file order, each
+    entry's fields and types (its states in full, as 1.0 and true equal
+    1), then its length, then its steps; the scheduler's shape, then its
+    ids; total_mass; labels or state_names off the paths. That the
+    actions are strings and the states not negative is checked on the
+    steps an entry does not share with the entry before it, which covers
+    every step: a shared step equals one checked before.
     """
     if not isinstance(data, dict):
         raise ParseError("counterexample JSON must be an object")
@@ -677,20 +659,20 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     raw_paths = _require(data, "paths")
     if not isinstance(raw_paths, list):
         raise ParseError("counterexample paths must form a list")
-    raw_sched = data.get("scheduler", {})
     forest = PathForest()
-    try:
-        _intern(forest, _path_entries(raw_paths))
-        names = {a for p, a in zip(forest.parents, forest.actions) if p >= 0}
-        if not (set(map(type, names)) <= {str}
-                and min(forest.states, default=0) >= 0
-                and _is_scheduler(raw_sched)):
-            raise ValueError("malformed paths or scheduler")
-    except (KeyError, TypeError, ValueError, OverflowError):
-        fault = _first_fault(raw_paths, raw_sched)
-        if fault is None:
-            raise
-        raise fault from None
+
+    def check_steps(states: list, actions: list) -> None:
+        # the entry being interned is the next path of the forest
+        if not (set(map(type, actions)) <= {str}
+                and min(states, default=0) >= 0):
+            raise ParseError(f"malformed path entry {len(forest.leaves)}")
+
+    _intern(forest, _path_entries(raw_paths), check_steps)
+    raw_sched = data.get("scheduler", {})
+    if not _is_scheduler(raw_sched):
+        raise ParseError("counterexample scheduler must map states to "
+                         "labels")
+    names = {a for p, a in zip(forest.parents, forest.actions) if p >= 0}
     action_names = tuple(sorted(names.union(raw_sched.values())))
     action_ids = {name: i for i, name in enumerate(action_names)}
     forest.actions = [action_ids[a] if p >= 0 else -1

@@ -24,7 +24,7 @@ a search over subsets of the alphabet, exponential in its size.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping, Optional
+from collections.abc import Iterator, Mapping
 
 from .counterexample import Counterexample, counterexample_to_dict
 from .errors import DomainError
@@ -88,7 +88,7 @@ class Cause:
 
 def find_causes(s: int, labels: Mapping[int, frozenset[str]],
                 phi: StateFormula, w: int = 0,
-                _counter: Optional[list[int]] = None
+                _counter: list[int] | None = None
                 ) -> dict[tuple[str, bool], float]:
     """Literals of phi that support its truth at s, with responsibilities.
 
@@ -136,7 +136,7 @@ def find_causes(s: int, labels: Mapping[int, frozenset[str]],
 
 
 def collect_causes(cx: Counterexample,
-                   _counter: Optional[list[int]] = None
+                   _counter: list[int] | None = None
                    ) -> dict[tuple[int, str, bool], Cause]:
     """All causes of the counterexample, deduplicated per (state, literal).
 
@@ -217,7 +217,7 @@ class DiagnosisReport:
     entries: tuple[BlameEntry, ...]
     most_responsible: tuple[Cause, ...]
     most_blamed: tuple[BlameEntry, ...]
-    pmax: Optional[float] = None
+    pmax: float | None = None
     operation_count: int = 0
 
     def to_dict(self) -> dict:
@@ -276,7 +276,7 @@ def _cause_dict(c: Cause) -> dict:
 
 
 def generate_diagnoses(cx: Counterexample, source_map=None,
-                       pmax: Optional[float] = None) -> DiagnosisReport:
+                       pmax: float | None = None) -> DiagnosisReport:
     """Rank the counterexample's actions by blame and its causes by
     responsibility times mass.
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ParseError
 from .records import record
@@ -108,7 +108,7 @@ class Mdp:
         return range(self.num_states)
 
     @cached_property
-    def state_names(self) -> Optional[tuple[str, ...]]:
+    def state_names(self) -> tuple[str, ...] | None:
         """The display name of each state, or None; built on first use."""
         if self._state_names is None:
             return None
@@ -175,7 +175,7 @@ class Mdp:
             return names[s]
         return str(s)
 
-    def names_of(self, states: Iterable[int]) -> Optional[dict[int, str]]:
+    def names_of(self, states: Iterable[int]) -> dict[int, str] | None:
         """The display name of each of states, or None when the model has
         no names."""
         if self._state_names is None:
@@ -190,7 +190,7 @@ class Violation:
     kind: str
     detail: str
     state: int
-    action: Optional[str] = None
+    action: str | None = None
 
     def __str__(self):
         where = f"state {self.state}"
@@ -400,9 +400,9 @@ def content_lines(text):
             yield no, line
 
 
-def parse_explicit_model(text: str, labels_text: Optional[str] = None,
-                         filename: Optional[str] = None,
-                         labels_filename: Optional[str] = None) -> Mdp:
+def parse_explicit_model(text: str, labels_text: str | None = None,
+                         filename: str | None = None,
+                         labels_filename: str | None = None) -> Mdp:
     """Parse the plain-text transition format.
 
     Layout: a STATES <n> line, an INIT <s> line, then one
@@ -467,7 +467,7 @@ def parse_explicit_model(text: str, labels_text: Optional[str] = None,
 
 
 def parse_labels_text(text: str, num_states: int,
-                      filename: Optional[str] = None) -> dict[int, set[str]]:
+                      filename: str | None = None) -> dict[int, set[str]]:
     labels: dict[int, set[str]] = {}
     for no, line in content_lines(text):
         head, sep, rest = line.partition(":")

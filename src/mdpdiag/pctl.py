@@ -24,7 +24,7 @@ conjunction; cause extraction treats it as a first-class connective.
 from __future__ import annotations
 
 import re
-from typing import AbstractSet, Collection, Iterable, Mapping, Optional
+from collections.abc import Collection, Iterable, Mapping, Set
 
 from .errors import DomainError, ParseError
 from .records import record
@@ -114,10 +114,15 @@ class PathFormula:
 
     left: StateFormula
     right: StateFormula
-    bound: Optional[int] = None
+    bound: int | None = None
 
     def __post_init__(self):
-        if self.bound is not None and self.bound < 0:
+        if self.bound is None:
+            return
+        # not bool or float: True would equal bound 1, 2.5 print as U<=2.5
+        if type(self.bound) is not int:
+            raise DomainError(f"step bound must be an int, got {self.bound!r}")
+        if self.bound < 0:
             raise DomainError(f"step bound must be nonnegative, got {self.bound}")
 
     def __str__(self):
@@ -160,7 +165,7 @@ def _fmt_number(x: float) -> str:
 # -- evaluation ------------------------------------------------------------
 
 
-def eval_state_formula(labels: Mapping[int, AbstractSet[str]], s: int,
+def eval_state_formula(labels: Mapping[int, Set[str]], s: int,
                        phi: StateFormula) -> bool:
     """Evaluate phi at state s under the given labelling; an atom that
     labels no state is false at every state."""
@@ -181,7 +186,7 @@ def eval_state_formula(labels: Mapping[int, AbstractSet[str]], s: int,
     raise DomainError(f"not a state formula: {phi!r}")
 
 
-def until_sets(labels: Mapping[int, AbstractSet[str]], states: Iterable[int],
+def until_sets(labels: Mapping[int, Set[str]], states: Iterable[int],
                path: PathFormula) -> tuple[frozenset[int], frozenset[int]]:
     """The targets (right operand holds) and the guard-only states (left
     operand holds, right one fails) among states, under labels. The left
@@ -245,7 +250,7 @@ class Token:
 
 
 def tokenize(pattern: re.Pattern, text: str,
-             filename: Optional[str] = None) -> list[Token]:
+             filename: str | None = None) -> list[Token]:
     """Split text into tokens, one per match of pattern, whose named group
     gives the kind; the group 'ws' is dropped and an 'eof' token closes the
     list. A character no group matches raises ParseError at its position."""
@@ -276,7 +281,7 @@ class TokenCursor:
     """A position in a token list from tokenize, for recursive-descent
     parsers; errors name the token's line, column and the filename."""
 
-    def __init__(self, tokens: list[Token], filename: Optional[str] = None):
+    def __init__(self, tokens: list[Token], filename: str | None = None):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
@@ -414,7 +419,7 @@ class _PropertyParser(TokenCursor):
 
 
 def parse_property(text: str,
-                   defined_labels: Optional[Collection[str]] = None) -> PropertySpec:
+                   defined_labels: Collection[str] | None = None) -> PropertySpec:
     """Parse a property string; see the module docstring for the grammar.
 
     defined_labels, when given, is the alphabet (a model's or a trace's

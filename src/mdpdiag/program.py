@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import PROB_SUM_TOL, Mdp
@@ -88,7 +87,8 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
-class _Code(NamedTuple):
+@record(frozen=True)
+class _Code:
     """A compiled expression.
 
     fn maps a state tuple to the value. kind is the static type: 'bool',
@@ -111,9 +111,9 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def compile_expr(expr: Expr, consts: Mapping[str, object],
-                 slots: Optional[Mapping[str, int]] = None,
-                 line: Optional[int] = None,
-                 filename: Optional[str] = None,
+                 slots: Mapping[str, int] | None = None,
+                 line: int | None = None,
+                 filename: str | None = None,
                  unknown: str = "unknown identifier") -> _Code:
     """Compile expr once into a closure over state tuples.
 
@@ -207,7 +207,7 @@ def _constant(expr, consts, line, filename, unknown="unknown identifier"):
 class ConstDef:
     name: str
     kind: str  # 'int' or 'double'
-    expr: Optional[Expr]
+    expr: Expr | None
     line: int
 
 
@@ -216,7 +216,7 @@ class VarDecl:
     name: str
     low: Expr
     high: Expr
-    init: Optional[Expr]
+    init: Expr | None
     line: int
 
 
@@ -228,7 +228,7 @@ class Assignment:
 
 @record(frozen=True)
 class Update:
-    prob: Optional[Expr]  # None means probability one
+    prob: Expr | None  # None means probability one
     assignments: tuple[Assignment, ...]
 
 
@@ -263,7 +263,7 @@ class Program:
     constants: tuple[ConstDef, ...]
     modules: tuple[ModuleDef, ...]
     labels: tuple[LabelDef, ...]
-    filename: Optional[str] = None
+    filename: str | None = None
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -478,7 +478,7 @@ class _ProgramParser(TokenCursor):
         self.error(f"expected an expression, got {shown!r}")
 
 
-def parse_program(text: str, filename: Optional[str] = None) -> Program:
+def parse_program(text: str, filename: str | None = None) -> Program:
     return _ProgramParser(tokenize(_PM_TOKEN_RE, text, filename),
                           filename).parse_program()
 
@@ -487,7 +487,7 @@ def parse_program(text: str, filename: Optional[str] = None) -> Program:
 
 
 def fold_constants(program: Program,
-                   overrides: Optional[Mapping[str, object]] = None) -> dict:
+                   overrides: Mapping[str, object] | None = None) -> dict:
     """Resolve constant definitions in declaration order.
 
     overrides replace defining expressions by name; overriding an
@@ -710,7 +710,7 @@ class _Described(Sequence):
 
 
 def build_mdp(program: Program,
-              constants: Optional[Mapping[str, object]] = None,
+              constants: Mapping[str, object] | None = None,
               state_cap: int = DEFAULT_STATE_CAP) -> tuple[Mdp, dict]:
     """Explore the program's reachable state space into an explicit MDP.
 

@@ -10,7 +10,9 @@ responsibility_oracle) and the structural propositions of the diagnosis
 the public functions of the package: state formula evaluation, the mass
 threshold test and causes.
 State mass, transition mass and blame are rescanned here path by path,
-as references for the one mass index inside generate_diagnoses. Keep
+as references for the one mass index inside generate_diagnoses, and an
+exported counterexample is checked entry by entry, every step of each,
+as the reference for the one-pass import into a prefix forest. Keep
 this module free of imports from the package internals beyond those
 public functions and the mass tolerance of the diagnosis.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import Mapping, Optional
 
 import numpy as np
@@ -380,3 +383,59 @@ def check_prop2(cx: Counterexample, s: int, aid: int) -> bool:
             for _, u, a, v in wp.path.steps())
         for wp in cx.paths)
     return equal == covered
+
+
+def _is_number(x) -> bool:
+    """A JSON number that converts to a float (10 ** 400 does not)."""
+    if type(x) not in (int, float):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def cx_import_fault(data: dict) -> Optional[str]:
+    """The error text that importing an exported counterexample must give
+    for its first fault past the fields before "paths", which are taken to
+    be valid; None for no fault. Each path entry is checked in full, in
+    file order, sharing nothing with the entries before it: its fields and
+    types, its length, then every step. Then the scheduler's shape and
+    ids, total_mass, and labels or state_names off the paths."""
+    on_paths: set[int] = set()
+    for i, entry in enumerate(data["paths"]):
+        if not (isinstance(entry, dict)
+                and {"states", "actions", "probability"} <= entry.keys()):
+            return f"malformed path entry {i}"
+        states, actions = entry["states"], entry["actions"]
+        if not (isinstance(states, list) and isinstance(actions, list)
+                and all(type(s) is int for s in states)
+                and _is_number(entry["probability"])):
+            return f"malformed path entry {i}"
+        if not states:
+            return f"path entry {i}: a path needs at least one state"
+        if len(actions) != len(states) - 1:
+            return (f"path entry {i}: {len(states)} states need "
+                    f"{len(states) - 1} actions, got {len(actions)}")
+        if (any(type(a) is not str for a in actions)
+                or any(s < 0 for s in states)):
+            return f"malformed path entry {i}"
+        on_paths.update(states)
+    sched = data.get("scheduler", {})
+    if not (isinstance(sched, dict)
+            and all(type(a) is str for a in sched.values())):
+        return "counterexample scheduler must map states to labels"
+    if not all(re.fullmatch("0|[1-9][0-9]*", k) for k in sched):
+        return "malformed scheduler mapping"
+    if "total_mass" not in data:
+        return "counterexample JSON is missing 'total_mass'"
+    if not _is_number(data["total_mass"]):
+        return "total_mass must be a number"
+    for key in ("labels", "state_names"):
+        off = sorted(int(k) for k in data.get(key, ())
+                     if int(k) not in on_paths)
+        if off:
+            return (f"counterexample {key} name state {off[0]}, which lies "
+                    "on no path")
+    return None

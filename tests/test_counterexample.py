@@ -21,9 +21,56 @@ from mdpdiag.records import replace
 
 from fixtures import (demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property)
-from oracles import list_satisfying_paths, prefix_paths, random_layered_mdp
+from oracles import (cx_import_fault, list_satisfying_paths, prefix_paths,
+                     random_layered_mdp)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# values put into a path entry; the last of each is valid, though 10 ** 6
+# in place of a state may leave a labelled state on no path
+_STATE_EDITS = (1.0, True, -3, "1", None, 10 ** 6)
+_ACTION_EDITS = (0, None, True, ["x"], 1.5, "zz")
+_PROBABILITY_EDITS = ("0.2", True, 10 ** 400, None, 0.5)
+
+
+def corrupt(rng: random.Random, data: dict) -> None:
+    """One seeded edit of data's paths, scheduler or total_mass: mostly a
+    fault, sometimes a valid change."""
+    paths = data["paths"]
+    i = rng.randrange(len(paths))
+    entry = paths[i]
+    lists = isinstance(entry, dict) and all(
+        isinstance(entry.get(f), list) for f in ("states", "actions"))
+    kind = rng.randrange(8) if lists else rng.randrange(5, 8)
+    if kind < 2:
+        seq = entry["states" if kind == 0 else "actions"]
+        if seq:
+            seq[rng.randrange(len(seq))] = rng.choice(
+                _STATE_EDITS if kind == 0 else _ACTION_EDITS)
+    elif kind == 2:
+        rng.choice([lambda: entry["actions"].pop() if entry["actions"] else 0,
+                    lambda: entry["states"].append(0),
+                    lambda: entry["actions"].append("zz"),
+                    lambda: (entry["states"].clear(),
+                             entry["actions"].clear())])()
+    elif kind == 3:
+        del entry[rng.choice(["states", "actions", "probability"])]
+    elif kind == 4:
+        entry["probability"] = rng.choice(_PROBABILITY_EDITS)
+    elif kind == 5:
+        paths[i] = rng.choice(["bogus", [], None, {}])
+    elif kind == 6 and not (isinstance(data["scheduler"], dict)
+                            and data["scheduler"]):
+        data["scheduler"] = rng.choice([[], 0, {}])
+    elif kind == 6:
+        sched = data["scheduler"]
+        key, name = rng.choice(sorted(sched.items()))
+        rng.choice([lambda: sched.update({key: 0}),
+                    lambda: sched.update({"x": name}),
+                    lambda: sched.update({" 1": name}),
+                    lambda: sched.update({"01": name})])()
+    else:
+        data["total_mass"] = rng.choice(["0.6", True, None, 0.5])
 
 
 def demo_chain():
@@ -643,9 +690,10 @@ class TestJsonInterchange:
         ("actions", "ab"),
         ("actions", {"alpha0": 0, "alpha1": 1}),
         ("actions", 2),
+        ("actions", [["x"], "alpha1"]),
     ], ids=["string", "floats", "integral-floats", "bool", "strings",
             "object", "number", "actions-string", "actions-object",
-            "actions-number"])
+            "actions-number", "actions-unhashable"])
     def test_path_entry_needs_lists_of_json_integers(self, field, value):
         # the first path of the exported demo is 0 -alpha0-> 1 -alpha1-> 7
         data = json.loads((GOLDEN / "demo.cx.json").read_text())
@@ -662,12 +710,14 @@ class TestJsonInterchange:
         ("states", 2, -4),
         ("actions", 1, 4),
         ("actions", 2, None),
+        ("actions", 2, ["x"]),
     ], ids=["float-in-prefix", "bool-in-prefix", "float-root", "negative",
-            "number-action", "null-action"])
+            "number-action", "null-action", "unhashable-action"])
     def test_checks_reach_inside_a_shared_prefix(self, field, position,
                                                  value):
         # path 2, 0 -alpha0-> 2 -alpha2-> 4 -alpha4-> 5, shares 0 -alpha0->
-        # 2 with path 1; 2.0, false and 0.0 equal the states there
+        # 2 with path 1; 2.0, false and 0.0 equal the states there, and
+        # its actions at positions 1 and 2 lie past that prefix
         data = json.loads((GOLDEN / "demo.cx.json").read_text())
         assert data["paths"][1]["states"][:2] == [0, 2]
         data["paths"][2][field][position] = value
@@ -677,20 +727,20 @@ class TestJsonInterchange:
             counterexample_from_json(json.dumps(data))
 
     @pytest.mark.parametrize("edit, message", [
-        # the actions of every entry are checked before any states
+        # the entries in file order, each one in full before the next
         (lambda d: (d["paths"][0]["states"].__setitem__(1, 1.0),
                     d["paths"][2]["actions"].__setitem__(0, 0)),
-         "malformed path entry 2"),
+         "malformed path entry 0"),
         (lambda d: (d["paths"][0]["actions"].pop(),
                     d["paths"][2]["actions"].__setitem__(2, True)),
-         "malformed path entry 2"),
+         "path entry 0: 3 states need 2 actions, got 1"),
         (lambda d: (d["paths"].__setitem__(0, {"states": [0]}),
                     d["paths"].__setitem__(1, "bogus")),
-         "malformed path entry 1"),
-        # then the scheduler's shape, then each entry in turn
+         "malformed path entry 0"),
+        # the scheduler's shape comes after every entry
         (lambda d: (d["paths"][1]["states"].__setitem__(1, True),
                     d.update({"scheduler": []})),
-         "counterexample scheduler must map states to labels"),
+         "malformed path entry 1"),
         (lambda d: (d["paths"][0]["actions"].__setitem__(0, 0),
                     d.update({"scheduler": {"0": 0}})),
          "malformed path entry 0"),
@@ -721,6 +771,47 @@ class TestJsonInterchange:
             counterexample_from_dict(data)
         with pytest.raises(ParseError, match=f"^{message}$"):
             counterexample_from_json(json.dumps(data))
+
+    @pytest.fixture(scope="class")
+    def exports(self, slow_exit_cx):
+        """The demo trace, and the first 12 paths of the slow-exit export
+        with the labels of the states on them."""
+        demo = json.loads((GOLDEN / "demo.cx.json").read_text())
+        sliced = counterexample_to_dict(slow_exit_cx)
+        del sliced["paths"][12:]
+        on_paths = {s for p in sliced["paths"] for s in p["states"]}
+        sliced["labels"] = {k: v for k, v in sliced["labels"].items()
+                            if int(k) in on_paths}
+        return {"demo": demo, "slow-exit": sliced}
+
+    @pytest.mark.parametrize("name", ["demo", "slow-exit"])
+    @pytest.mark.parametrize("faults", [1, 2])
+    def test_seeded_corruptions_match_the_reference(self, exports, name,
+                                                    faults):
+        rng = random.Random(f"{name}-{faults}")
+        checked = 0
+        for _ in range(300):
+            data = json.loads(json.dumps(exports[name]))
+            for _ in range(faults):
+                corrupt(rng, data)
+            message = cx_import_fault(data)
+            if message is not None:
+                with pytest.raises(ParseError) as err:
+                    counterexample_from_dict(data)
+                assert str(err.value) == message
+                checked += 1
+                continue
+            # a valid edit: the forest holds the entries, in file order
+            cx = counterexample_from_dict(data)
+            named = cx.forest.sequences(
+                [cx.action_name(a) if a >= 0 else None
+                 for a in cx.forest.actions])
+            assert [(list(states), list(actions), prob) for (states, actions),
+                    prob in zip(named, cx.forest.probabilities)] == [
+                (p["states"], p["actions"], p["probability"])
+                for p in data["paths"]]
+            assert PathForest.of_paths(cx.paths) == cx.forest
+        assert checked > 200
 
     def test_round_trip_keeps_the_forest_at_scale(self, slow_exit_cx):
         cx = slow_exit_cx

@@ -5,6 +5,7 @@ import pytest
 from mdpdiag import (FALSE, TRUE, And, Atom, DomainError, FalseFormula, Not,
                      Or, ParseError, PathFormula, PropertySpec, TrueFormula,
                      eval_state_formula, parse_property, to_nnf)
+from mdpdiag.records import replace
 
 from fixtures import parse_state_formula
 from oracles import atoms_of, eval_path_formula, path_atoms
@@ -128,6 +129,16 @@ class TestAstValidation:
     def test_negative_bound(self):
         with pytest.raises(DomainError):
             PathFormula(A, B, bound=-1)
+
+    @pytest.mark.parametrize("bound", [2.5, 2.0, True, False, "2"])
+    def test_bound_must_be_an_int(self, bound):
+        # 2.5 would print as U<=2.5, which the parser rejects, and True
+        # would equal bound 1
+        message = f"^step bound must be an int, got {bound!r}$"
+        with pytest.raises(DomainError, match=message):
+            PathFormula(A, B, bound)
+        with pytest.raises(DomainError, match="step bound must be an int"):
+            replace(PathFormula(A, B, 2), bound=bound)
 
     def test_bad_comparison(self):
         with pytest.raises(DomainError):

@@ -38,6 +38,7 @@ from mdpdiag import (BudgetError, DomainError, Mdp, ParseError, build_mdp,
                      parse_property)
 from mdpdiag.program import (DEFAULT_STATE_CAP, Assignment, Binary, BoolLit,
                              Call, Expr, LabelDef, Name, Num, Program, Unary)
+from mdpdiag.records import replace
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -634,7 +635,7 @@ class TestMemo:
             def fn(state, inner=code.fn):
                 calls[kind] += 1
                 return inner(state)
-            return code._replace(fn=fn)
+            return replace(code, fn=fn)
 
         monkeypatch.setattr(mdpdiag.program, "compile_expr", counting)
         got = snapshot(*build_mdp_per_transition(program, {"K": 20}))
