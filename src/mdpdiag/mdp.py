@@ -22,10 +22,13 @@ Distribution = tuple[tuple[int, float], ...]
 
 
 def _state_id(s, role: str) -> int:
-    try:
-        return operator.index(s)  # int() would take 1.7 and "1"
-    except TypeError:
-        raise DomainError(f"{role} {s!r}, not an integer") from None
+    # int() would take 1.7 and "1", operator.index True as 1
+    if not isinstance(s, bool):
+        try:
+            return operator.index(s)
+        except TypeError:
+            pass
+    raise DomainError(f"{role} {s!r}, not an integer")
 
 
 class Mdp:
@@ -47,8 +50,14 @@ class Mdp:
         The transitions are compiled once into the choice table (see
         choice_table). DomainError is raised for a num_states, or an
         initial, source, successor or labelled state, that is not an
-        integer, for a state outside 0..num_states-1 and for an empty
-        distribution: every action carries a probability distribution.
+        integer (a bool is none), for a num_states below 1 and for a state
+        outside 0..num_states-1. Every action carries a probability
+        distribution, so DomainError naming the state and the action is
+        also raised for an empty distribution, for a probability that is
+        not a real number (a str or a bool is none) or not positive (NaN
+        is not), for a successor listed twice and for probabilities whose
+        sum, taken left to right, is off 1 by more than PROB_SUM_TOL. The
+        first fault in the order of transitions and of its pairs is raised.
 
         ap_names declares the alphabet of atomic propositions; it defaults
         to the atoms occurring in labels. The attribute ap_names lists the
@@ -57,27 +66,46 @@ class Mdp:
         CLI rejects others); an atom that labels no state is false at every
         state.
         """
-        self.num_states = _state_id(num_states, "state count")
+        n = self.num_states = _state_id(num_states, "state count")
+        if n < 1:
+            raise DomainError(f"state count must be positive, got {n}")
         self.init = self._check_state(init, "initial state")
         self.action_names: list[str] = []
         self._action_ids: dict[str, int] = {}
 
+        def fault(what: str) -> DomainError:
+            return DomainError(f"{what} for state {s} action {act!r}")
+
         rows: list[dict[int, Distribution]] = [{} for _ in self.states]
-        n = self.num_states
         for (s, act), dist in transitions.items():
             aid = self._intern_action(str(act))
-            row = rows[self._check_state(s, "source state")]
+            s = self._check_state(s, "source state")
+            row = rows[s]
             if aid in row:
-                raise DomainError(
-                    f"transitions listed twice for state {s} action {act!r}")
-            # a plain int in range needs no check, nor the role text
-            row[aid] = tuple(
-                (t if type(t) is int and 0 <= t < n else
-                 self._check_state(t, f"state {s} has successor"), float(p))
-                for t, p in dist)
-            if not row[aid]:
-                raise DomainError(
-                    f"empty distribution for state {s} action {act!r}")
+                raise fault("transitions listed twice")
+            succ: dict[int, float] = {}
+            total = 0.0
+            for t, p in dist:
+                # a plain int in range needs no check, nor the role text
+                if not (type(t) is int and 0 <= t < n):
+                    t = self._check_state(t, f"state {s} has successor")
+                if type(p) is not float:
+                    # float() would read "0.5", and True as 1.0
+                    if isinstance(p, bool) or not hasattr(type(p), "__float__"):
+                        raise fault(f"non-numeric probability {p!r} to "
+                                    f"successor {t}")
+                    p = float(p)
+                if not p > 0.0:
+                    raise fault(f"nonpositive probability {p!r} to successor {t}")
+                if t in succ:
+                    raise fault(f"successor {t} listed twice")
+                succ[t] = p
+                total += p
+            if not succ:
+                raise fault("empty distribution")
+            if not abs(total - 1.0) <= PROB_SUM_TOL:
+                raise fault(f"probabilities sum to {total!r}")
+            row[aid] = tuple(succ.items())
         self._choices = [tuple(sorted(row.items())) for row in rows]
 
         atoms: dict[str, None] = {}
@@ -190,50 +218,22 @@ class Violation:
     kind: str
     detail: str
     state: int
-    action: str | None = None
 
     def __str__(self):
-        where = f"state {self.state}"
-        if self.action is not None:
-            where += f" action {self.action!r}"
-        return f"[{self.kind}] {where}: {self.detail}"
+        return f"[{self.kind}] state {self.state}: {self.detail}"
 
 
 def validate_mdp(m: Mdp) -> list[Violation]:
-    """Report every breach of the MDP shape; an empty list means valid.
+    """Report every state without an enabled action; an empty list means
+    valid.
 
-    Checked: strictly positive probabilities, no duplicated (state,
-    action, successor) entry, every listed distribution summing to one
-    within PROB_SUM_TOL, and every state having at least one enabled
-    action. A NaN probability fails both probability checks. State ids
-    need no check: the Mdp constructor rejects those out of range.
+    The Mdp constructor already holds every action to a probability
+    distribution. A state without actions is left to this check, which the
+    CLI runs, since a library model may keep such sink states.
     """
-    out = []
-    for (s, aid), dist in m.transition_items():
-        name = m.action_names[aid]
-        seen = set()
-        total = 0.0
-        for t, p in dist:
-            if not p > 0.0:
-                out.append(Violation("nonpositive-probability",
-                                     f"probability {p!r} to successor {t}",
-                                     state=s, action=name))
-            if t in seen:
-                out.append(Violation("duplicate-transition",
-                                     f"successor {t} listed twice",
-                                     state=s, action=name))
-            seen.add(t)
-            total += p
-        if not abs(total - 1.0) <= PROB_SUM_TOL:
-            out.append(Violation("distribution-sum",
-                                 f"probabilities sum to {total!r}",
-                                 state=s, action=name))
     table = m.choice_table()
-    for s in m.states:
-        if not table[s]:
-            out.append(Violation("no-enabled-action", "state has no enabled action",
-                                 state=s))
-    return out
+    return [Violation("no-enabled-action", "state has no enabled action",
+                      state=s) for s in m.states if not table[s]]
 
 
 # -- paths ---------------------------------------------------------------
@@ -319,10 +319,7 @@ class Dtmc:
     to the source model; states lists the states reachable from init in
     ascending order, and only they have entries. choices[s] is a row of
     Mdp.choice_table() cut to the one (action id, distribution) pair the
-    scheduler picks at s, each successor listed once with its merged
-    probability; a successor whose merged probability is not positive is
-    left out, as no path of positive probability takes it. labels[s] is
-    the labelling of s.
+    scheduler picks at s. labels[s] is the labelling of s.
     """
 
     states: tuple[int, ...]
@@ -334,7 +331,9 @@ class Dtmc:
 def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
     """Fix sched's action in every state reachable from m.init.
 
-    Raises DomainError if sched misses a reachable state or picks a
+    Each picked distribution is m's own, shared, not copied: the Mdp
+    constructor already lists every successor once with a positive
+    probability. Raises DomainError if sched misses a reachable state or picks a
     disabled action there.
     """
     table = m.choice_table()
@@ -352,12 +351,8 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
         else:
             raise DomainError(
                 f"scheduler picks disabled action id {aid} at state {s}")
-        merged: dict[int, float] = {}
-        for t, p in dist:
-            merged[t] = merged.get(t, 0.0) + p
-        merged = {t: p for t, p in merged.items() if p > 0.0}
-        choices[s] = ((aid, tuple(merged.items())),)
-        for t in merged:
+        choices[s] = ((aid, dist),)
+        for t, _ in dist:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)

@@ -19,10 +19,15 @@ from unittest import mock
 import pytest
 
 from mdpdiag import (DEFAULT_EPSILON, Atom, BudgetError, DomainError, Mdp,
-                     PathFormula, Scheduler, ValueVector, compute_pmax,
-                     eval_state_formula, extract_max_scheduler)
+                     PathFormula, PropertySpec, Scheduler, ValueVector,
+                     build_mdp, build_mipcx, compute_pmax, eval_state_formula,
+                     extract_max_scheduler, parse_program, parse_property,
+                     path_probability)
 from mdpdiag import checker
 from mdpdiag.checker import SCHEDULER_TIE_TOL
+from mdpdiag.mdp import content_lines
+
+from fixtures import MODELS, demo_mdp, demo_property
 
 PQ = PathFormula(Atom("p"), Atom("q"))
 # checker.GROUPED_SWEEP_MIN values: every sweep grouped, the shipped size
@@ -230,8 +235,10 @@ def shaped_mdp(rng: random.Random, n: int, layouts) -> Mdp:
     in the layout's order: `c` a constant one, whose value never changes
     (the `q` goal, an unlabelled dead end, or a `p` trap that reaches no
     goal), `v` a `p` state, `m` a constant one at about half the states
-    and a `p` state at the rest. Every state then has the same shape, so
-    each position of a choice is one column of one group."""
+    and a `p` state at the rest. A choice's successors are distinct, so a
+    `v` position takes a constant one once the n `p` states are used up
+    (at n = 1 and 2). Every state then has the same shape, so each
+    position of a choice is one column of one group."""
     goal, dead, trap = n, n + 1, n + 2
     transitions = {(goal, "done"): [(goal, 1.0)],
                    (dead, "stuck"): [(dead, 1.0)],
@@ -239,12 +246,12 @@ def shaped_mdp(rng: random.Random, n: int, layouts) -> Mdp:
     for s in range(n):
         for a, layout in enumerate(layouts):
             consts = rng.sample((goal, dead, trap), 3)
-            ps = rng.choices(range(n), k=3)
+            ps = rng.sample(range(n), min(3, n))
             succs = []
             for kind in layout:
                 if kind == "m":
                     kind = rng.choice("cv")
-                succs.append(consts.pop() if kind == "c" else ps.pop())
+                succs.append(ps.pop() if kind == "v" and ps else consts.pop())
             weights = [rng.randint(1, 7) for _ in succs]
             total = sum(weights)
             transitions[(s, f"a{a}")] = [(t, w / total)
@@ -455,3 +462,45 @@ class TestShapedModels:
                         compute_pmax(m, psi)
         assert len(seen) == len(models) * len(SWEEP_PATHS) * 2
         assert min(seen) > 0
+
+
+class TestWitnessPathProbabilities:
+    """Each path of a counterexample carries, bit for bit, what
+    path_probability gives for it on the model: both multiply its step
+    probabilities from the first step on, and the witness chain's rows are
+    the model's own."""
+
+    def assert_exact(self, m: Mdp, spec: PropertySpec):
+        cx = build_mipcx(m, spec)
+        assert cx.paths
+        for wp in cx.paths:
+            assert path_probability(m, wp.path) == wp.probability
+
+    @pytest.mark.parametrize("name, constants", [
+        ("csma", {"K": 20}), ("zeroconf", None)])
+    def test_bundled_programs(self, name, constants):
+        m, _ = build_mdp(parse_program((MODELS / f"{name}.pm").read_text()),
+                         constants)
+        (_, text), = content_lines((MODELS / f"{name}.props").read_text())
+        self.assert_exact(m, parse_property(text, defined_labels=m.ap_names))
+
+    def test_demo(self):
+        self.assert_exact(demo_mdp(), demo_property())
+
+    def test_seeded_models(self):
+        rng = random.Random(2416)
+        models = [tied_mdp(rng) for _ in range(200)]
+        models += [shaped_mdp(rng, n, layouts) for n in (1, 2, 5, 45)
+                   for layouts in (("cvv", "vcv", "vvc"), ("mcm",),
+                                   ("vv", "c", "cvc"))]
+        models += [tied_chain(rng, 60), wide_then_chain(rng, 80, 40)]
+        built = 0
+        for m in models:
+            for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=7)):
+                pmax = compute_pmax(m, psi).values[m.init]
+                if pmax > 0.0:
+                    self.assert_exact(m, PropertySpec(
+                        "<=", pmax * rng.choice((0.3, 0.9)), psi))
+                    built += 1
+        assert built > 200
+

@@ -100,10 +100,23 @@ class TestCheck:
     def test_invalid_model_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.tra"
         bad.write_text("STATES 2\nINIT 0\n0 a 1 0.7\n1 a 1 1.0\n")
-        code, _, err = run(capsys, "check", "--model", str(bad),
-                           "--prop", "P<=0.5 [ true U x ]")
-        assert code == 2
-        assert "invalid model" in err and "failed validation" in err
+        code, out, err = run(capsys, "check", "--model", str(bad),
+                             "--prop", "P<=0.5 [ true U x ]")
+        assert (code, out) == (2, "")
+        assert err == "error: probabilities sum to 0.7 for state 0 action 'a'\n"
+
+    def test_state_without_actions_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "sink.tra"
+        bad.write_text("STATES 3\nINIT 0\n0 a 1 1.0\n")
+        code, out, err = run(capsys, "check", "--model", str(bad),
+                             "--prop", "P<=0.5 [ true U x ]")
+        assert (code, out) == (2, "")
+        assert err == (
+            "invalid model: [no-enabled-action] state 1: state has no "
+            "enabled action\n"
+            "invalid model: [no-enabled-action] state 2: state has no "
+            "enabled action\n"
+            "error: model failed validation with 2 problem(s)\n")
 
     @pytest.mark.parametrize("command", ["check", "diagnose"])
     def test_nan_probability_rejected(self, capsys, tmp_path, command):
@@ -112,9 +125,10 @@ class TestCheck:
                        "1 a 1 1.0\n2 a 2 1.0\n")
         code, out, err = run(capsys, command, "--model", str(bad),
                              "--prop", "P<=0.5 [ true U x ]")
-        assert code == 2 and out == ""
-        assert "probability nan to successor 1" in err
-        assert "probabilities sum to nan" in err
+        assert (code, out) == (2, "")
+        # the first fault only: NaN is not positive, before the row's sum
+        assert err == ("error: nonpositive probability nan to successor 1 "
+                       "for state 0 action 'a'\n")
 
     def test_undefined_quoted_label(self, capsys):
         code, _, err = run(capsys, "check",

@@ -318,18 +318,6 @@ class TestBuildMipcx:
         cx = build_mipcx(demo_mdp(), demo_property())
         assert verify_counterexample(cx) == []
 
-    def test_zero_probability_successor_is_never_taken(self):
-        # the path search used to take log(0) for the step into state 1
-        m = Mdp(3, 0, {(0, "a"): [(1, 0.0), (2, 1.0)], (1, "a"): [(1, 1.0)],
-                       (2, "a"): [(2, 1.0)]},
-                labels={0: {"ok"}, 1: {"goal"}, 2: {"goal"}})
-        spec = parse_property("P<=0.5 [ ok U goal ]")
-        assert check_property(m, spec).pmax == 1.0
-        cx = build_mipcx(m, spec)
-        assert [(wp.path.states, wp.probability) for wp in cx.paths] == [
-            ((0, 2), 1.0)]
-        assert cx.total_mass == 1.0 and verify_counterexample(cx) == []
-
 
 GT_LABELS = {0: frozenset({"g"}), 1: frozenset({"g"}), 2: frozenset({"t"}),
              3: frozenset()}

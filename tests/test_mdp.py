@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -82,20 +83,48 @@ class TestConstruction:
                            match=f"^{needle} outside the states 0..1$"):
             Mdp(2, init, {**rows, **transitions}, labels)
 
-    # int() would take these, truncating 1.7 to 1 and reading "1" as 1
+    # int() would take these, truncating 1.7 to 1 and reading "1" as 1, and
+    # operator.index would take True as 1
     @pytest.mark.parametrize("num_states, init, transitions, labels, needle", [
         (2, 0.9, {}, {}, "initial state 0.9"),
         (2, 0, {("1", "b"): [(1, 1.0)]}, {}, "source state '1'"),
         (2, 0, {(0, "b"): [(1.7, 1.0)]}, {}, "state 0 has successor 1.7"),
         (2, 0, {}, {1.2: {"p"}}, "labelled state 1.2"),
         (2.5, 0, {}, {}, "state count 2.5"),
-    ], ids=["init", "source", "successor", "label", "count"])
+        (2, False, {}, {}, "initial state False"),
+        (2, 0, {(True, "b"): [(1, 1.0)]}, {}, "source state True"),
+        (2, 0, {(0, "b"): [(True, 1.0)]}, {}, "state 0 has successor True"),
+        (2, 0, {}, {True: {"p"}}, "labelled state True"),
+        (True, 0, {}, {}, "state count True"),
+    ], ids=["init", "source", "successor", "label", "count", "init-bool",
+            "source-bool", "successor-bool", "label-bool", "count-bool"])
     def test_state_id_not_an_integer_rejected(self, num_states, init,
                                               transitions, labels, needle):
         rows = {(0, "a"): [(1, 1.0)], (1, "a"): [(1, 1.0)]}
         with pytest.raises(DomainError,
                            match=f"^{re.escape(needle)}, not an integer$"):
             Mdp(num_states, init, {**rows, **transitions}, labels)
+
+    @pytest.mark.parametrize("num_states", [0, -1])
+    def test_state_count_below_one_rejected(self, num_states):
+        with pytest.raises(DomainError, match=(
+                f"^state count must be positive, got {num_states}$")):
+            Mdp(num_states, 0, {})
+
+    # float() would read "0.5", and True as 1.0
+    @pytest.mark.parametrize("p", ["0.5", True, None, "x", 0.5j])
+    def test_probability_not_a_number_rejected(self, p):
+        with pytest.raises(DomainError, match=(
+                f"^non-numeric probability {re.escape(repr(p))} to successor 1 "
+                "for state 0 action 'a'$")):
+            Mdp(2, 0, {(0, "a"): [(0, 0.5), (1, p)], (1, "a"): [(1, 1.0)]})
+
+    def test_real_probabilities_read_as_floats(self):
+        m = Mdp(2, 0, {(0, "a"): [(0, Fraction(1, 4)), (1, 0.75)],
+                       (1, "a"): [(1, 1)]})
+        assert m.choice_table() == [((0, ((0, 0.25), (1, 0.75))),),
+                                    ((0, ((1, 1.0),)),)]
+        assert type(m.distribution(1, 0)[0][1]) is float
 
     def test_duplicate_state_action_pair_rejected(self):
         class Zero:  # a second key for state 0
@@ -144,49 +173,79 @@ class TestConstruction:
 
 
 class TestValidation:
+    """The constructor holds every action to a probability distribution;
+    validate_mdp is left with the states without actions."""
+
     def test_demo_fixture_is_valid(self):
         assert validate_mdp(demo_mdp()) == []
 
     def test_successor_out_of_range(self):
-        # the constructor rejects the model, so validate_mdp never sees it
         with pytest.raises(DomainError, match="^state 0 has successor 5 "
                                               "outside the states 0..1$"):
             Mdp(2, 0, {(0, "a"): [(5, 1.0)], (1, "a"): [(1, 1.0)]})
 
     def test_nonpositive_probability(self):
-        m = Mdp(2, 0, {(0, "a"): [(0, 0.0), (1, 1.0)], (1, "a"): [(1, 1.0)]})
-        kinds = {v.kind for v in validate_mdp(m)}
-        assert "nonpositive-probability" in kinds
+        with pytest.raises(DomainError, match=(
+                r"^nonpositive probability 0\.0 to successor 0 "
+                "for state 0 action 'a'$")):
+            Mdp(2, 0, {(0, "a"): [(0, 0.0), (1, 1.0)], (1, "a"): [(1, 1.0)]})
+        with pytest.raises(DomainError, match="probability -0.5 to successor 1"):
+            Mdp(2, 0, {(0, "a"): [(0, 1.5), (1, -0.5)], (1, "a"): [(1, 1.0)]})
 
     def test_nan_probability(self):
-        m = Mdp(3, 0, {(0, "a"): [(1, float("nan")), (2, 0.5)],
+        # NaN fails the positivity rule, before its sum is looked at
+        with pytest.raises(DomainError, match=(
+                "^nonpositive probability nan to successor 1 "
+                "for state 0 action 'a'$")):
+            Mdp(3, 0, {(0, "a"): [(1, float("nan")), (2, 0.5)],
                        (1, "a"): [(1, 1.0)], (2, "a"): [(2, 1.0)]})
-        assert [(v.kind, v.state) for v in validate_mdp(m)] == [
-            ("nonpositive-probability", 0), ("distribution-sum", 0)]
 
     def test_duplicate_successor(self):
-        m = Mdp(1, 0, {(0, "a"): [(0, 0.5), (0, 0.5)]})
-        kinds = {v.kind for v in validate_mdp(m)}
-        assert "duplicate-transition" in kinds
+        with pytest.raises(DomainError, match=(
+                "^successor 0 listed twice for state 0 action 'a'$")):
+            Mdp(1, 0, {(0, "a"): [(0, 0.5), (0, 0.5)]})
 
     def test_distribution_sum_off(self):
-        m = Mdp(2, 0, {(0, "a"): [(1, 0.7)], (1, "a"): [(1, 1.0)]})
-        out = [v for v in validate_mdp(m) if v.kind == "distribution-sum"]
-        assert len(out) == 1 and out[0].state == 0
+        with pytest.raises(DomainError, match=(
+                r"^probabilities sum to 0\.7 for state 0 action 'a'$")):
+            Mdp(2, 0, {(0, "a"): [(1, 0.7)], (1, "a"): [(1, 1.0)]})
+
+    @pytest.mark.parametrize("p", [0.9, 0.3])
+    def test_rows_that_are_no_distribution(self, p):
+        # checked as Pmax 1.8 and 0.6 while the library took them
+        with pytest.raises(DomainError, match=(
+                f"^probabilities sum to {2 * p!r} for state 0 action 'a'$")):
+            Mdp(3, 0, {(0, "a"): [(1, p), (2, p)], (1, "a"): [(1, 1.0)],
+                       (2, "a"): [(2, 1.0)]}, labels={1: {"goal"}, 2: {"goal"}})
+
+    def test_first_fault_in_row_order(self):
+        # each row's pairs in turn, its sum after them, and the rows in the
+        # order the transitions list them
+        with pytest.raises(DomainError, match="^successor 1 listed twice"):
+            Mdp(2, 0, {(0, "a"): [(1, 0.5), (1, 0.5), (0, 0.0)]})
+        with pytest.raises(DomainError, match="^nonpositive probability"):
+            Mdp(2, 0, {(0, "a"): [(1, 0.0), (1, 0.5)]})
+        with pytest.raises(DomainError, match="for state 1 action 'b'$"):
+            Mdp(2, 0, {(1, "b"): [(1, 0.5)], (0, "a"): [(0, 0.5)]})
+        with pytest.raises(DomainError, match="^state 0 has successor 2"):
+            Mdp(2, 0, {(0, "a"): [(2, 1.0), (1, 0.0)]})
 
     def test_sum_within_tolerance_accepted(self):
         m = Mdp(2, 0, {(0, "a"): [(1, 1.0 + 5e-10)], (1, "a"): [(1, 1.0)]})
         assert validate_mdp(m) == []
+        with pytest.raises(DomainError, match="sum to 1.000000002 "):
+            Mdp(2, 0, {(0, "a"): [(1, 1.0 + 2e-9)], (1, "a"): [(1, 1.0)]})
 
     def test_deadlock_state_reported(self):
         m = Mdp(2, 0, {(0, "a"): [(1, 1.0)]})
-        out = [v for v in validate_mdp(m) if v.kind == "no-enabled-action"]
-        assert [v.state for v in out] == [1]
+        assert [(v.kind, v.state) for v in validate_mdp(m)] == [
+            ("no-enabled-action", 1)]
 
     def test_violation_str_mentions_location(self):
-        m = Mdp(2, 0, {(0, "a"): [(1, 0.7)], (1, "a"): [(1, 1.0)]})
-        text = str(validate_mdp(m)[0])
-        assert "state 0" in text and "distribution-sum" in text
+        m = Mdp(3, 0, {(0, "a"): [(1, 1.0)]})
+        assert [str(v) for v in validate_mdp(m)] == [
+            "[no-enabled-action] state 1: state has no enabled action",
+            "[no-enabled-action] state 2: state has no enabled action"]
 
 
 class TestPaths:
@@ -263,13 +322,6 @@ class TestScheduler:
         sched = Scheduler({0: m.action_id("stay")})
         with pytest.raises(DomainError, match="disabled"):
             induce_dtmc(m, sched)
-
-    def test_induce_leaves_out_zero_probability_successors(self):
-        m = Mdp(3, 0, {(0, "a"): [(1, 0.0), (2, 0.5), (2, 0.5)],
-                       (1, "a"): [(1, 1.0)], (2, "a"): [(2, 1.0)]})
-        d = induce_dtmc(m, Scheduler({0: 0, 2: 0}))
-        assert d.states == (0, 2)
-        assert d.choices[0] == ((0, ((2, 1.0),)),)
 
 
 # until operands of random properties over p, q and zz, which labels no state
