@@ -7,12 +7,12 @@ import weakref
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mul, ne, sub
 
+from .defaults import DEFAULT_EPSILON
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
 from .pctl import PathFormula, PropertySpec, until_sets
 from .records import record, replace
 
-DEFAULT_EPSILON = 1e-6
 # Extraction treats one-step backups within this of the best one as tied.
 SCHEDULER_TIE_TOL = 1e-9
 # A sweep backs up whole shape groups from this many dirty states on; below

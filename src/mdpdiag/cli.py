@@ -18,16 +18,10 @@ import re
 import sys
 from collections.abc import Iterable
 
-from .checker import DEFAULT_EPSILON, check_property
-from .counterexample import (DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
-                             build_mipcx, counterexample_from_json,
-                             counterexample_to_json, verify_counterexample)
-from .diagnosis import generate_diagnoses, render_text_report
+from . import checker, counterexample, diagnosis, mdp, pctl, program, records
+from .defaults import (DEFAULT_EPSILON, DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
+                       DEFAULT_STATE_CAP)
 from .errors import BudgetError, DomainError, ParseError
-from .mdp import content_lines, parse_explicit_model, validate_mdp
-from .pctl import parse_property
-from .program import DEFAULT_STATE_CAP, build_mdp, parse_program
-from .records import replace
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -87,39 +81,39 @@ def _load_model(args):
     text = _read_text(args.model)
     # every explicit model starts with 'STATES <n>', and no program can; an
     # empty file goes to the explicit parser, which says so
-    first = next(content_lines(text), (0, "STATES"))[1]
+    first = next(mdp.content_lines(text), (0, "STATES"))[1]
     if first.split()[0] == "STATES":
         if args.const:
             raise _UsageError("--const only applies to guarded-command models")
         labels_text = None
         if args.labels:
             labels_text = _read_text(args.labels)
-        m = parse_explicit_model(text, labels_text, filename=args.model,
-                                 labels_filename=args.labels)
+        m = mdp.parse_explicit_model(text, labels_text, filename=args.model,
+                                      labels_filename=args.labels)
         return m, None
     if args.labels:
         raise _UsageError("--labels only applies to explicit models; "
                           "guarded-command models define labels inline")
-    program = parse_program(text, filename=args.model)
+    parsed = program.parse_program(text, filename=args.model)
     overrides = _parse_const_overrides(args.const)
-    return build_mdp(program, overrides, state_cap=args.state_cap)
+    return program.build_mdp(parsed, overrides, state_cap=args.state_cap)
 
 
 def _load_property(args, m):
     if args.prop and args.props_file:
         raise _UsageError("give either --prop or --props-file, not both")
     if args.prop:
-        return parse_property(args.prop, defined_labels=m.ap_names)
+        return pctl.parse_property(args.prop, defined_labels=m.ap_names)
     if not args.props_file:
         raise _UsageError("a property is required: --prop or --props-file")
     text = _read_text(args.props_file)
-    found = list(content_lines(text))
+    found = list(mdp.content_lines(text))
     if len(found) != 1:
         raise _UsageError(f"{args.props_file}: expected exactly one property, "
                           f"found {len(found)}")
     no, line = found[0]
     try:
-        return parse_property(line, defined_labels=m.ap_names)
+        return pctl.parse_property(line, defined_labels=m.ap_names)
     except ParseError as exc:
         # the property is one stripped line of the file
         raw = text.splitlines()[no - 1]
@@ -129,7 +123,7 @@ def _load_property(args, m):
 
 
 def _validated(m):
-    problems = validate_mdp(m)
+    problems = mdp.validate_mdp(m)
     if problems:
         for v in problems:
             print(f"invalid model: {v}", file=sys.stderr)
@@ -174,14 +168,15 @@ def _report_output(args, report) -> None:
     if args.format == "json":
         _emit(args, [report.to_json()])
     else:
-        _emit(args, render_text_report(report, normalize=args.normalize))
+        _emit(args, diagnosis.render_text_report(report,
+                                                 normalize=args.normalize))
 
 
 def _cmd_check(args) -> int:
     m, _ = _load_model(args)
     _validated(m)
     spec = _load_property(args, m)
-    verdict = check_property(m, spec, epsilon=args.epsilon)
+    verdict = checker.check_property(m, spec, epsilon=args.epsilon)
     _verdict_output(args, spec, verdict)
     return EXIT_HOLDS if verdict.holds else EXIT_VIOLATED
 
@@ -197,35 +192,37 @@ def _cmd_diagnose(args) -> int:
     m, smap = _load_model(args)
     _validated(m)
     spec = _load_property(args, m)
-    verdict = check_property(m, spec, epsilon=args.epsilon)
+    verdict = checker.check_property(m, spec, epsilon=args.epsilon)
     if verdict.holds:
         _verdict_output(args, spec, verdict)
         return EXIT_HOLDS
-    cx = build_mipcx(m, spec, epsilon=args.epsilon, max_paths=args.max_paths,
-                     min_prob=args.min_prob)
+    cx = counterexample.build_mipcx(m, spec, epsilon=args.epsilon,
+                                    max_paths=args.max_paths,
+                                    min_prob=args.min_prob)
     if args.export_cx:
-        _write_text(args.export_cx, [counterexample_to_json(cx)])
-    _report_output(args, generate_diagnoses(cx, source_map=smap,
-                                            pmax=verdict.pmax))
+        _write_text(args.export_cx,
+                    [counterexample.counterexample_to_json(cx)])
+    _report_output(args, diagnosis.generate_diagnoses(cx, source_map=smap,
+                                                      pmax=verdict.pmax))
     return EXIT_VIOLATED
 
 
 def _cmd_diagnose_trace(args) -> int:
     text = _read_text(args.trace)
     try:
-        cx = counterexample_from_json(text)
+        cx = counterexample.counterexample_from_json(text)
     except ParseError as exc:
         raise ParseError(str(exc), filename=args.trace) from None
     if args.prop:
-        cx = replace(cx, spec=parse_property(
+        cx = records.replace(cx, spec=pctl.parse_property(
             args.prop, defined_labels=cx.alphabet()))
-    problems = verify_counterexample(cx)
+    problems = counterexample.verify_counterexample(cx)
     if problems:
         for p in problems:
             print(f"invalid counterexample: {p}", file=sys.stderr)
         raise _UsageError(f"counterexample failed verification with "
                           f"{len(problems)} problem(s)")
-    _report_output(args, generate_diagnoses(cx))
+    _report_output(args, diagnosis.generate_diagnoses(cx))
     return EXIT_VIOLATED
 
 

@@ -16,16 +16,13 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import islice
 
-from .checker import (DEFAULT_EPSILON, check_property, extract_max_scheduler,
-                      mass_exceeds)
+from .checker import check_property, extract_max_scheduler, mass_exceeds
+from .defaults import DEFAULT_EPSILON, DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler,
                   WeightedPath, induce_dtmc, live_states)
 from .pctl import PathFormula, PropertySpec, parse_property, until_sets
 from .records import record
-
-DEFAULT_MAX_PATHS = 10_000
-DEFAULT_MIN_PROB = 1e-15
 
 CX_FORMAT_VERSION = 1
 
@@ -326,7 +323,8 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     it can be infinite on cyclic chains. A NaN min_prob raises DomainError
     (it would switch the floor off).
     An atom that labels no state of d is false everywhere, so a target
-    named by such an atom yields no path.
+    named by such an atom yields no path. d is not checked: a step of
+    probability zero or less that the search reaches raises DomainError.
     """
     if math.isnan(min_prob):
         raise DomainError("min_prob must be a number, got nan")
@@ -356,16 +354,22 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
             continue
         if bound is not None and prefix.length >= bound:
             continue
-        for aid, dist in d.choices[prefix.state]:
-            for t, p in dist:
-                if t in targets:
-                    done = True
-                elif t in live:
-                    done = False
-                else:
-                    continue
-                heapq.heappush(heap, (cost - math.log(p),
-                                      _Prefix(t, aid, prefix), prob * p, done))
+        try:
+            for aid, dist in d.choices[prefix.state]:
+                for t, p in dist:
+                    if t in targets:
+                        done = True
+                    elif t in live:
+                        done = False
+                    else:
+                        continue
+                    heapq.heappush(heap, (cost - math.log(p),
+                                          _Prefix(t, aid, prefix), prob * p,
+                                          done))
+        except ValueError:
+            # only math.log raises it: a hand-built Dtmc is not checked
+            raise DomainError(f"nonpositive probability {p!r} to successor "
+                              f"{t} for state {prefix.state}") from None
 
 
 def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,

@@ -54,10 +54,11 @@ class Mdp:
         outside 0..num_states-1. Every action carries a probability
         distribution, so DomainError naming the state and the action is
         also raised for an empty distribution, for a probability that is
-        not a real number (a str or a bool is none) or not positive (NaN
-        is not), for a successor listed twice and for probabilities whose
-        sum, taken left to right, is off 1 by more than PROB_SUM_TOL. The
-        first fault in the order of transitions and of its pairs is raised.
+        not a real number (a str or a bool is none), past the range of a
+        float or not positive (NaN is not), for a successor listed twice
+        and for probabilities whose sum, taken left to right, is off 1 by
+        more than PROB_SUM_TOL. The first fault in the order of transitions
+        and of its pairs is raised.
 
         ap_names declares the alphabet of atomic propositions; it defaults
         to the atoms occurring in labels. The attribute ap_names lists the
@@ -94,7 +95,11 @@ class Mdp:
                     if isinstance(p, bool) or not hasattr(type(p), "__float__"):
                         raise fault(f"non-numeric probability {p!r} to "
                                     f"successor {t}")
-                    p = float(p)
+                    try:
+                        p = float(p)
+                    except OverflowError:
+                        raise fault(f"probability to successor {t} out of "
+                                    f"float range") from None
                 if not p > 0.0:
                     raise fault(f"nonpositive probability {p!r} to successor {t}")
                 if t in succ:

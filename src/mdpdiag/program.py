@@ -33,12 +33,11 @@ from collections.abc import Callable, Mapping, Sequence
 from itertools import product
 from operator import itemgetter
 
+from .defaults import DEFAULT_STATE_CAP
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import PROB_SUM_TOL, Mdp
 from .pctl import TokenCursor, tokenize
 from .records import record
-
-DEFAULT_STATE_CAP = 1_000_000
 
 _KEYWORDS = {"module", "endmodule", "const", "int", "double", "init",
              "label", "true", "false", "min", "max"}

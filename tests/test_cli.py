@@ -649,3 +649,88 @@ class TestArgparseBehavior:
 
     def test_missing_required_flag(self, capsys):
         assert main(["check"]) == 2
+
+
+# Runs one query as `python -m mdpdiag.cli` does, then names on stderr's
+# last line the package modules that executed: a registered submodule that
+# has not run is still the lazy loader's module subclass.
+_PROBE = """
+import json, runpy, sys, types
+try:
+    runpy.run_module("mdpdiag.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+ran = sorted(name.split(".")[1] for name, module in sys.modules.items()
+             if name.startswith("mdpdiag.")
+             and type(module) is types.ModuleType)
+print(json.dumps([code, ran]), file=sys.stderr)
+"""
+
+PIPELINE = {"pctl", "mdp", "checker", "counterexample", "diagnosis", "program"}
+
+
+def _subprocess_env():
+    return dict(os.environ,
+                PYTHONPATH=str(Path(mdpdiag.__file__).parent.parent))
+
+
+def executed(*argv):
+    """Exit code of the query and the set of package modules it ran."""
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=_subprocess_env())
+    code, ran = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(ran)
+
+
+class TestLoading:
+    """A query runs only the submodules it uses; each is registered in
+    sys.modules from the start and executes on first attribute access."""
+
+    def test_help_runs_no_pipeline_module(self):
+        code, ran = executed("--help")
+        assert code == 0 and not ran & PIPELINE
+
+    def test_explicit_check_runs_no_counterexample_diagnosis_or_program(self):
+        code, ran = executed("check", *demo_args())
+        assert code == 1
+        assert {"pctl", "mdp", "checker"} <= ran
+        assert not ran & {"counterexample", "diagnosis", "program"}
+
+    def test_program_check_runs_program(self):
+        code, ran = executed("check", "--model", str(MODELS / "zeroconf.pm"),
+                             "--props-file", str(MODELS / "zeroconf.props"))
+        assert code == 1 and "program" in ran
+
+    @pytest.mark.parametrize("argv", [
+        ("diagnose",) + demo_args(),
+        ("diagnose-trace", "--trace", str(GOLDEN / "demo.cx.json")),
+    ], ids=["diagnose", "diagnose-trace"])
+    def test_explicit_diagnosis_runs_no_program(self, argv):
+        code, ran = executed(*argv)
+        assert code == 1 and {"counterexample", "diagnosis"} <= ran
+        assert "program" not in ran
+
+    def test_every_submodule_registered_after_importing_the_cli(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mdpdiag.cli; print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, timeout=60, check=True,
+            env=_subprocess_env())
+        registered = set(out.stdout.split())
+        assert {f"mdpdiag.{name}" for name in PIPELINE | {"errors", "records"}
+                } <= registered
+
+    def test_star_import_binds_every_public_name(self):
+        names = {}
+        exec("from mdpdiag import *", names)
+        assert len(mdpdiag.__all__) == 60
+        assert set(mdpdiag.__all__) <= set(names)
+        assert names["build_mdp"] is mdpdiag.program.build_mdp
+
+    def test_help_warns_of_nothing(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "mdpdiag.cli", "--help"],
+            capture_output=True, text=True, timeout=60, env=_subprocess_env())
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: mdpdiag")

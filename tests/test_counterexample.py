@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mdpdiag.counterexample as counterexample
-from mdpdiag import (Atom, BudgetError, Counterexample, DomainError,
+from mdpdiag import (Atom, BudgetError, Counterexample, DomainError, Dtmc,
                      FinitePath, Mdp, ParseError, PathForest, PathFormula,
                      Scheduler, WeightedPath, build_mipcx, check_property,
                      counterexample_from_dict, counterexample_from_json,
@@ -135,6 +135,17 @@ class TestEnumeration:
                                             min_prob=math.nan))
         with pytest.raises(DomainError, match="min_prob"):
             build_mipcx(demo_mdp(), demo_property(), min_prob=math.nan)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_nonpositive_probability_in_a_hand_built_chain(self, p):
+        # Dtmc checks nothing; the search names the step it cannot take
+        d = Dtmc((0, 1), 0, {0: ((0, ((1, p), (0, 1.0))),),
+                             1: ((0, ((1, 1.0),)),)}, {0: {"p"}, 1: {"q"}})
+        with pytest.raises(DomainError, match=(
+                f"^nonpositive probability {p!r} to successor 1 "
+                "for state 0$")):
+            list(enumerate_satisfying_paths(
+                d, parse_property("P<=0.5 [ p U q ]").path, max_paths=5))
 
     def test_min_prob_cuts_the_stream(self):
         got = prefix_paths(enumerate_satisfying_paths(

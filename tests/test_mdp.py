@@ -126,6 +126,18 @@ class TestConstruction:
                                     ((0, ((1, 1.0),)),)]
         assert type(m.distribution(1, 0)[0][1]) is float
 
+    @pytest.mark.parametrize("p", [10 ** 400, Fraction(10 ** 400)],
+                             ids=["int", "Fraction"])
+    def test_probability_past_float_range_rejected(self, p):
+        # float() raises OverflowError for both; the first fault still wins
+        with pytest.raises(DomainError, match=(
+                "^probability to successor 1 out of float range "
+                "for state 0 action 'a'$")):
+            Mdp(2, 0, {(0, "a"): [(0, 0.5), (1, p), (1, 0.5)],
+                       (1, "a"): [(1, 1.0)]})
+        with pytest.raises(DomainError, match="^successor 0 listed twice"):
+            Mdp(1, 0, {(0, "a"): [(0, 0.5), (0, 0.5), (0, p)]})
+
     def test_duplicate_state_action_pair_rejected(self):
         class Zero:  # a second key for state 0
             def __index__(self):
