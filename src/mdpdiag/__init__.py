@@ -34,7 +34,7 @@ _EXPORTS = {
             "parse_labels_text", "path_probability", "validate_mdp"),
     "pctl": ("FALSE", "TRUE", "And", "Atom", "FalseFormula", "Not", "Or",
              "PathFormula", "PropertySpec", "TrueFormula",
-             "eval_state_formula", "parse_property", "to_nnf"),
+             "eval_state_formula", "parse_property"),
     "program": ("Program", "build_mdp", "fold_constants", "parse_program"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()

@@ -159,9 +159,10 @@ def _verdict_output(args, spec, verdict) -> None:
         _emit(args, [json.dumps(payload, indent=2) + "\n"])
         return
     word = "HOLDS" if verdict.holds else "VIOLATED"
+    threshold = pctl.fmt_number(spec.threshold)
     _emit(args, [f"property: {spec}\n"
                  f"Pmax = {verdict.pmax:.6g}\n"
-                 f"verdict: {word} (threshold {spec.threshold:g})\n"])
+                 f"verdict: {word} (threshold {threshold})\n"])
 
 
 def _report_output(args, report) -> None:

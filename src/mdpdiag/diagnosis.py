@@ -9,16 +9,17 @@ action aggregates, over its transitions inside the counterexample, the
 best responsibility found at each successor weighted by the probability
 mass crossing that transition.
 
-Cause extraction itself is syntactic and cheap: it walks the negation
-normal form of the guard/target formulas once per state, granting full
-responsibility through conjunctions and splitting it at disjunctions whose
-two sides both hold. Every cause it finds is a semantic cause of the same
-degree, but it keeps each state in its role (guard, target or neither), so
-it misses causes whose smallest contingency changes that role. On 268
-counterexamples of seeded random models over four atoms it missed 37 of
-569 semantic causes, 29 of degree 1/3 and 8 of degree 1/4, all of this
-kind (tests/test_diagnosis.py::TestAgainstOracle). Finding them would take
-a search over subsets of the alphabet, exponential in its size.
+Cause extraction itself is syntactic and cheap: it walks the guard and
+target formulas as written once per state, granting full responsibility
+through conjunctions and splitting it at disjunctions whose two sides both
+hold; below a negation the two connectives trade roles. Every cause it
+finds is a semantic cause of the same degree, but it keeps each state in
+its role (guard, target or neither), so it misses causes whose smallest
+contingency changes that role. On 268 counterexamples of seeded random
+models over four atoms it missed 37 of 569 semantic causes, 29 of degree
+1/3 and 8 of degree 1/4, all of this kind
+(tests/test_diagnosis.py::TestAgainstOracle). Finding them would take a
+search over subsets of the alphabet, exponential in its size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Iterator, Mapping
 from .counterexample import Counterexample, counterexample_to_dict
 from .errors import DomainError
 from .pctl import (And, Atom, FalseFormula, Not, Or, PropertySpec, StateFormula,
-                   TrueFormula, eval_state_formula, to_nnf)
+                   TrueFormula, eval_state_formula, fmt_number)
 from .records import record
 
 # Absolute tolerance for "these two probability masses coincide" tests,
@@ -92,44 +93,47 @@ def find_causes(s: int, labels: Mapping[int, frozenset[str]],
                 ) -> dict[tuple[str, bool], float]:
     """Literals of phi that support its truth at s, with responsibilities.
 
-    phi must be in negation normal form and hold at s (DomainError
-    otherwise). w counts the disjunctions already split on the way down:
-    every literal reached at depth w gets degree 1/(w+1), conjunctions
-    pass w through, and a disjunction whose both sides hold recurses into
-    both at w+1. Constant true contributes no causes. Duplicate literals
-    keep their largest degree.
+    phi must hold at s (DomainError otherwise). The walk reads phi as
+    written: a negation flips the truth value sought below it, so under
+    it a conjunction is split as a disjunction is, and the reverse.
+    w counts the disjunctions already split on the way down: every literal
+    reached at depth w gets degree 1/(w+1), conjunctions pass w through,
+    and a disjunction whose both sides hold recurses into both at w+1.
+    A constant that holds contributes no causes. Duplicate literals keep
+    their largest degree. _counter counts the nodes visited, negations
+    excepted, so !(a & b) costs what !a | !b does.
     """
-    if _counter is not None:
-        _counter[0] += 1
-    if isinstance(phi, TrueFormula):
-        return {}
-    if isinstance(phi, FalseFormula):
+    return _causes(s, labels, phi, True, w, _counter)
+
+
+def _causes(s, labels, phi, want: bool, w, counter):
+    """find_causes for phi sought to evaluate to want at s."""
+    while isinstance(phi, Not):
+        phi, want = phi.child, not want
+    if counter is not None:
+        counter[0] += 1
+    if isinstance(phi, (TrueFormula, FalseFormula)):
+        if isinstance(phi, TrueFormula) == want:
+            return {}
         raise DomainError(f"formula does not hold at state {s}")
     if isinstance(phi, Atom):
-        if phi.name in labels.get(s, frozenset()):
-            return {(phi.name, True): 1.0 / (w + 1)}
-        raise DomainError(f"formula does not hold at state {s}: "
-                          f"{phi.name} is false there")
-    if isinstance(phi, Not):
-        if not isinstance(phi.child, Atom):
-            raise DomainError("cause extraction needs negation normal form")
-        if phi.child.name not in labels.get(s, frozenset()):
-            return {(phi.child.name, False): 1.0 / (w + 1)}
-        raise DomainError(f"formula does not hold at state {s}: "
-                          f"{phi.child.name} is true there")
-    if isinstance(phi, Or):
-        left_holds = eval_state_formula(labels, s, phi.left)
-        right_holds = eval_state_formula(labels, s, phi.right)
+        if (phi.name in labels.get(s, frozenset())) == want:
+            return {(phi.name, want): 1.0 / (w + 1)}
+        raise DomainError(f"formula does not hold at state {s}: {phi.name} "
+                          f"is {'false' if want else 'true'} there")
+    if not isinstance(phi, (And, Or)):
+        raise DomainError(f"not a state formula: {phi!r}")
+    if isinstance(phi, Or) == want:  # an | sought true, an & sought false
+        left_holds = eval_state_formula(labels, s, phi.left) == want
+        right_holds = eval_state_formula(labels, s, phi.right) == want
         if not (left_holds or right_holds):
             raise DomainError(f"formula does not hold at state {s}")
         if not (left_holds and right_holds):
             side = phi.left if left_holds else phi.right
-            return find_causes(s, labels, side, w, _counter)
+            return _causes(s, labels, side, want, w, counter)
         w += 1  # both sides hold: they split the responsibility
-    elif not isinstance(phi, And):
-        raise DomainError(f"not a state formula: {phi!r}")
-    out = find_causes(s, labels, phi.left, w, _counter)
-    for lit, dr in find_causes(s, labels, phi.right, w, _counter).items():
+    out = _causes(s, labels, phi.left, want, w, counter)
+    for lit, dr in _causes(s, labels, phi.right, want, w, counter).items():
         if dr > out.get(lit, 0.0):
             out[lit] = dr
     return out
@@ -150,8 +154,7 @@ def collect_causes(cx: Counterexample,
     guard states in order of first occurrence, then the final state.
     """
     counter = _counter if _counter is not None else [0]
-    phi1 = to_nnf(cx.spec.path.left)
-    phi2 = to_nnf(cx.spec.path.right)
+    until = cx.spec.path
     forest = cx.forest
     on_path = forest.distinct_on_paths
     per_state: dict[tuple[int, str], dict] = {}
@@ -163,7 +166,7 @@ def collect_causes(cx: Counterexample,
             s, role = cache_key
             found = per_state.get(cache_key)
             if found is None:
-                phi = phi2 if role == "target" else phi1
+                phi = until.right if role == "target" else until.left
                 found = find_causes(s, cx.labels, phi, 0, counter)
                 per_state[cache_key] = found
             for (ap, value), dr in found.items():
@@ -379,7 +382,7 @@ def render_text_report(report: DiagnosisReport,
     yield f"property: {report.spec}\n"
     if report.pmax is not None:
         yield (f"verdict: VIOLATED (Pmax = {report.pmax:.6g}, "
-               f"threshold {report.spec.threshold:g})\n")
+               f"threshold {fmt_number(report.spec.threshold)})\n")
     yield (f"counterexample: {len(cx.forest.leaves)} paths, "
            f"total probability {cx.total_mass:.6g}\n")
     for i, (text, prob) in enumerate(zip(_path_texts(cx),

@@ -80,14 +80,15 @@ class Mdp:
         rows: list[dict[int, Distribution]] = [{} for _ in self.states]
         for (s, act), dist in transitions.items():
             aid = self._intern_action(str(act))
-            s = self._check_state(s, "source state")
+            # a plain int in range needs no check, nor the role text
+            if not (type(s) is int and 0 <= s < n):
+                s = self._check_state(s, "source state")
             row = rows[s]
             if aid in row:
                 raise fault("transitions listed twice")
             succ: dict[int, float] = {}
             total = 0.0
             for t, p in dist:
-                # a plain int in range needs no check, nor the role text
                 if not (type(t) is int and 0 <= t < n):
                     t = self._check_state(t, f"state {s} has successor")
                 if type(p) is not float:

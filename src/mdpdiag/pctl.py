@@ -18,7 +18,8 @@ even at Pmax 0, where no path witnesses the violation. For example
 Lower thresholds (P>=, P>) and weak until (W) are parse errors; W is an
 ordinary atom name. Disjunction is part of the state-formula grammar
 even though minimal presentations derive it from negation and
-conjunction; cause extraction treats it as a first-class connective.
+conjunction; cause extraction treats it as a first-class connective, and
+reads each negation where it is written.
 """
 
 from __future__ import annotations
@@ -155,10 +156,12 @@ class PropertySpec:
                               "must be above 0")
 
     def __str__(self):
-        return f"P{self.comparison}{_fmt_number(self.threshold)} [ {self.path} ]"
+        return f"P{self.comparison}{fmt_number(self.threshold)} [ {self.path} ]"
 
 
-def _fmt_number(x: float) -> str:
+def fmt_number(x: float) -> str:
+    """x as the property text shows it: repr, without ".0" on a whole
+    number, so every digit of a threshold is printed."""
     return repr(x) if x != int(x) else repr(int(x))
 
 
@@ -199,34 +202,6 @@ def until_sets(labels: Mapping[int, Set[str]], states: Iterable[int],
         elif eval_state_formula(labels, s, path.left):
             guard_only.append(s)
     return frozenset(targets), frozenset(guard_only)
-
-
-# -- negation normal form --------------------------------------------------
-
-
-def to_nnf(phi: StateFormula) -> StateFormula:
-    """Push negations down to atoms; output uses only literals, & and |."""
-    if isinstance(phi, (TrueFormula, FalseFormula, Atom)):
-        return phi
-    if isinstance(phi, And):
-        return And(to_nnf(phi.left), to_nnf(phi.right))
-    if isinstance(phi, Or):
-        return Or(to_nnf(phi.left), to_nnf(phi.right))
-    if isinstance(phi, Not):
-        child = phi.child
-        if isinstance(child, TrueFormula):
-            return FALSE
-        if isinstance(child, FalseFormula):
-            return TRUE
-        if isinstance(child, Atom):
-            return phi
-        if isinstance(child, Not):
-            return to_nnf(child.child)
-        if isinstance(child, And):
-            return Or(to_nnf(Not(child.left)), to_nnf(Not(child.right)))
-        if isinstance(child, Or):
-            return And(to_nnf(Not(child.left)), to_nnf(Not(child.right)))
-    raise DomainError(f"not a state formula: {phi!r}")
 
 
 # -- parsing ---------------------------------------------------------------

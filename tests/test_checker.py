@@ -9,11 +9,11 @@ import pytest
 
 from mdpdiag import (Atom, BudgetError, DomainError, Mdp, ParseError,
                      PathFormula, PropertySpec, Scheduler, ValueVector,
-                     check_property, compute_pmax, eval_state_formula,
-                     build_mipcx, extract_max_scheduler, induce_dtmc,
-                     mass_exceeds, parse_property)
+                     build_mdp, check_property, compute_pmax,
+                     eval_state_formula, build_mipcx, extract_max_scheduler,
+                     induce_dtmc, mass_exceeds, parse_program, parse_property)
 
-from fixtures import demo_mdp, demo_property
+from fixtures import MODELS, demo_mdp, demo_property, slow_exit_mdp
 from oracles import (bounded_pmax_exact, dtmc_reach_exact, exhaustive_pmax,
                      random_mdp)
 
@@ -332,6 +332,46 @@ class TestCheckProperty:
             PropertySpec(">=", 0.5, PQ)
         with pytest.raises(ParseError, match="column 2: .* after 'P'"):
             parse_property("P>=0.5 [ p U q ]")
+
+
+class TestKnownWrongVerdicts:
+    """Properties the checker wrongly calls holding: value iteration stops
+    at a small residual far below Pmax where mass circulates in a cycle or
+    self-loop that leaves it slowly. Each test asserts the right verdict;
+    a change that fixes one removes its mark."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Pmax 0.490002, exact 0.5")
+    def test_slow_self_loop(self):
+        m = Mdp(3, 0, {(0, "a"): [(0, 1 - 1e-4), (1, 5e-5), (2, 5e-5)],
+                       (1, "s"): [(1, 1.0)], (2, "s"): [(2, 1.0)]},
+                labels={1: {"goal"}})
+        spec = parse_property("P<=0.495 [ true U goal ]")
+        assert not check_property(m, spec).holds
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Pmax 0.999981, exact 1")
+    def test_two_state_cycle(self):
+        m = Mdp(3, 0, {(0, "a"): [(1, 0.95), (2, 0.05)],
+                       (1, "b"): [(0, 1.0)], (2, "s"): [(2, 1.0)]},
+                labels={0: {"ok"}, 1: {"ok"}, 2: {"goal"}})
+        spec = parse_property("P<=0.999999 [ ok U goal ]")
+        assert not check_property(m, spec).holds
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Pmax 0.4997506, exact 0.5")
+    def test_slow_exit(self):
+        spec = parse_property("P<=0.4999 [ ok U goal ]")
+        assert not check_property(slow_exit_mdp(), spec).holds
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Pmax 0.9999990784, exact (1-0.2**21)**2")
+    def test_csma(self):
+        program = parse_program((MODELS / "csma.pm").read_text(), "csma")
+        m, _ = build_mdp(program, {"K": 20})
+        spec = parse_property('P<=0.9999995 [ !"gave_up" U "delivered_all" ]',
+                              defined_labels=m.ap_names)
+        assert not check_property(m, spec).holds
 
 
 class TestMassExceeds:

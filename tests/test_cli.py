@@ -46,6 +46,13 @@ class TestCheck:
         assert code == 0
         assert "HOLDS" in out
 
+    def test_threshold_printed_as_in_the_property(self, capsys):
+        # to six digits it would read as 0.882, the Pmax it is compared with
+        code, out, _ = run(capsys, "check",
+                           *demo_args(prop="P<=0.8819999 [ (a|b) U (c&d) ]"))
+        assert code == 1
+        assert "verdict: VIOLATED (threshold 0.8819999)\n" in out
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "check", "--format", "json", *demo_args())
         assert code == 1
@@ -204,6 +211,13 @@ class TestProgramModels:
         assert code == 0
         assert "Pmax = 0.64" in out
 
+    def test_threshold_near_one_printed_as_in_the_property(self, capsys):
+        # to six digits it would read as 1
+        _, out, _ = run(capsys, "check", "--model", str(MODELS / "csma.pm"),
+                        "--const", "K=20", "--prop",
+                        'P<=0.9999995 [ !"gave_up" U "delivered_all" ]')
+        assert "(threshold 0.9999995)\n" in out
+
     def test_unknown_constant(self, capsys):
         code, _, err = run(capsys, "check", "--model",
                            str(MODELS / "csma.pm"), "--props-file",
@@ -303,6 +317,13 @@ class TestDiagnose:
         assert "ranked actions by blame:" in out
         assert "1. action alpha0 at state 0: dB = 0.6" in out
         assert "most blamed action: alpha0 at 0" in out
+
+    def test_report_threshold_printed_as_in_the_property(self, capsys):
+        code, out, _ = run(capsys, "diagnose",
+                           *demo_args(prop="P<=0.8819999 [ (a|b) U (c&d) ]"))
+        assert code == 1
+        assert ("verdict: VIOLATED (Pmax = 0.882, threshold 0.8819999)\n"
+                in out)
 
     def test_witness_scheduler_extracted_once(self, capsys, monkeypatch):
         import mdpdiag.checker as checker
@@ -724,7 +745,7 @@ class TestLoading:
     def test_star_import_binds_every_public_name(self):
         names = {}
         exec("from mdpdiag import *", names)
-        assert len(mdpdiag.__all__) == 60
+        assert len(mdpdiag.__all__) == 59
         assert set(mdpdiag.__all__) <= set(names)
         assert names["build_mdp"] is mdpdiag.program.build_mdp
 

@@ -29,8 +29,7 @@ from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
                      WeightedPath, collect_causes, counterexample_to_dict,
                      diagnosis, enumerate_satisfying_paths,
                      eval_state_formula, find_causes, generate_diagnoses,
-                     induce_dtmc, mass_exceeds, to_nnf,
-                     verify_counterexample)
+                     induce_dtmc, mass_exceeds, verify_counterexample)
 from mdpdiag.records import replace
 
 from fixtures import parse_state_formula
@@ -96,8 +95,8 @@ def reference_verify_counterexample(cx, labels=None):
 
 def reference_collect_causes(cx, _counter=None):
     counter = _counter if _counter is not None else [0]
-    phi1 = to_nnf(cx.spec.path.left)
-    phi2 = to_nnf(cx.spec.path.right)
+    phi1 = cx.spec.path.left
+    phi2 = cx.spec.path.right
     per_state: dict[tuple[int, str], dict] = {}
     out: dict[tuple[int, str, bool], diagnosis.Cause] = {}
     for wp in cx.paths:

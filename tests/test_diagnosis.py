@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from mdpdiag import (TRUE, And, Atom, BudgetError, Cause, Counterexample,
+from mdpdiag import (FALSE, TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      DomainError, FinitePath, Not, Or, ParseError, PathForest,
                      WeightedPath, build_mdp, build_mipcx, check_property,
                      collect_causes, find_causes, generate_diagnoses,
@@ -91,9 +91,35 @@ class TestFindCauses:
         with pytest.raises(DomainError, match="does not hold"):
             find_causes(0, A_ONLY, Not(Atom("a")))
 
-    def test_non_nnf_rejected(self):
-        with pytest.raises(DomainError, match="normal form"):
-            find_causes(0, A_ONLY, Not(And(Atom("a"), Atom("b"))))
+    # each case with the causes and the node count of the same walk over
+    # the negation pushed down to the atoms (!(a&b) as !a | !b, ...); a
+    # negation is read where it is written and costs no step
+    @pytest.mark.parametrize("labels, phi, causes, steps", [
+        (A_ONLY, Not(And(Atom("a"), Atom("b"))), {("b", False): 1.0}, 2),
+        ({}, Not(And(Atom("a"), Atom("b"))),
+         {("a", False): 0.5, ("b", False): 0.5}, 3),
+        ({}, Not(Or(Atom("a"), Atom("b"))),
+         {("a", False): 1.0, ("b", False): 1.0}, 3),
+        (A_ONLY, Not(Not(Atom("a"))), {("a", True): 1.0}, 1),
+        (A_ONLY, Not(FALSE), {}, 1),
+        (AB, Not(Or(And(Atom("a"), Not(Atom("b"))), Atom("c"))),
+         {("b", True): 1.0, ("c", False): 1.0}, 4),
+    ], ids=["not-and", "not-and-split", "not-or", "not-not", "not-false",
+            "nested"])
+    def test_negation_read_as_written(self, labels, phi, causes, steps):
+        counter = [0]
+        assert find_causes(0, labels, phi, 0, counter) == causes
+        assert counter == [steps]
+
+    def test_negated_true_rejected(self):
+        counter = [0]
+        with pytest.raises(DomainError, match="does not hold at state 0$"):
+            find_causes(0, A_ONLY, Not(TRUE), 0, counter)
+        assert counter == [1]
+
+    def test_negated_disjunction_rejected_at_its_true_side(self):
+        with pytest.raises(DomainError, match="a is true there"):
+            find_causes(0, A_ONLY, Not(Or(Atom("a"), Atom("b"))))
 
     def test_conjunction_keeps_full_responsibility(self):
         got = find_causes(0, AB, And(Atom("a"), Atom("b")))

@@ -1,24 +1,16 @@
-"""Property grammar, finite-path semantics, and normal forms."""
+"""Property grammar and finite-path semantics."""
 
 import pytest
 
-from mdpdiag import (FALSE, TRUE, And, Atom, DomainError, FalseFormula, Not,
-                     Or, ParseError, PathFormula, PropertySpec, TrueFormula,
-                     eval_state_formula, parse_property, to_nnf)
+from mdpdiag import (FALSE, TRUE, And, Atom, DomainError, Not, Or,
+                     ParseError, PathFormula, PropertySpec,
+                     eval_state_formula, parse_property)
 from mdpdiag.records import replace
 
 from fixtures import parse_state_formula
 from oracles import atoms_of, eval_path_formula, path_atoms
 
 A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
-
-
-def is_nnf(phi) -> bool:
-    if isinstance(phi, Not):
-        return isinstance(phi.child, Atom)
-    if isinstance(phi, (And, Or)):
-        return is_nnf(phi.left) and is_nnf(phi.right)
-    return isinstance(phi, (TrueFormula, FalseFormula, Atom))
 
 
 class TestParsing:
@@ -231,43 +223,6 @@ class TestEvaluation:
         assert eval_path_formula(self.labels, (2, 0), PathFormula(A, C, bound=0))
         assert not eval_path_formula(self.labels, (0, 2),
                                      PathFormula(A, C, bound=0))
-
-class TestNormalForm:
-    def test_push_through_and(self):
-        assert to_nnf(Not(And(A, B))) == Or(Not(A), Not(B))
-
-    def test_push_through_or(self):
-        assert to_nnf(Not(Or(A, B))) == And(Not(A), Not(B))
-
-    def test_double_negation(self):
-        assert to_nnf(Not(Not(A))) == A
-
-    def test_constants(self):
-        assert to_nnf(Not(TRUE)) is FALSE
-        assert to_nnf(Not(FALSE)) is TRUE
-
-    def test_nested(self):
-        phi = Not(Or(And(A, Not(B)), C))
-        nnf = to_nnf(phi)
-        assert is_nnf(nnf)
-        assert nnf == And(Or(Not(A), B), Not(C))
-
-    def test_nnf_fixpoint(self):
-        phi = Or(And(A, Not(B)), Not(C))
-        assert to_nnf(phi) == phi
-        assert is_nnf(phi)
-
-    def test_is_nnf_rejects_inner_negation(self):
-        assert not is_nnf(Not(And(A, B)))
-        assert not is_nnf(Not(Not(A)))
-
-    def test_semantics_preserved(self):
-        labels = {0: {"a"}, 1: {"b"}, 2: {"a", "b"}, 3: set()}
-        phi = Not(Or(And(A, Not(B)), Not(A)))
-        for s in labels:
-            assert (eval_state_formula(labels, s, phi)
-                    == eval_state_formula(labels, s, to_nnf(phi)))
-
 
 class TestAtoms:
     def test_atoms_of(self):
