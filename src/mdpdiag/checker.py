@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import weakref
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, ne, sub
+from operator import add, itemgetter, mul, sub
 
 from .defaults import DEFAULT_EPSILON
 from .errors import BudgetError, DomainError
@@ -73,6 +73,14 @@ def _sweep(choices, preds, values, pending, max_sweeps: int,
     listed. Either way a choice's value is its products p * values[t]
     added left to right, so it does not depend on the Python version's
     sum(), and the first maximal choice wins.
+
+    Grouped sweeps read and write each group as a slice of the local
+    vector of _compile_groups; values is written back from it when a run
+    of grouped sweeps ends. From 0 at every pending state the values rise
+    monotonically toward the least fixed point, as rounded too (float
+    rounding is monotone), so a group's rises, new values minus old, are
+    never negative: the largest is its part of the residual, with no abs,
+    and the nonzero ones mark exactly the states that changed.
     """
     dirty = pending
     hot = groups = None
@@ -100,64 +108,86 @@ def _sweep(choices, preds, values, pending, max_sweeps: int,
                 values[s] = top
         else:
             if groups is None:
-                groups, group_of, feeds = _compile_groups(choices, preds,
-                                                          values, pending)
+                order, local, groups, group_of, feeds = _compile_groups(
+                    choices, preds, values, pending)
+            elif hot is None:
+                # per-state sweeps ran since the last grouped one
+                local[:len(order)] = map(values.__getitem__, order)
             if hot is None:
                 hot = set(map(group_of.__getitem__, dirty))
             moved = []
             for g in hot:
-                states, gather, table = groups[g]
+                lo, hi, states, table = groups[g]
                 top = None
                 for columns in table:
                     total = None
                     for probs, get in columns:
                         prods = (probs if get is None
-                                 else map(mul, probs, get(values)))
+                                 else map(mul, probs, get(local)))
                         total = (prods if total is None
                                  else map(add, total, prods))
                     top = (list(total) if top is None
                            else [y if y > x else x for x, y in zip(top, total)])
-                old = gather(values)
-                delta = max(map(abs, map(sub, top, old)))
+                rise = list(map(sub, top, local[lo:hi]))
+                delta = max(rise)
                 if delta:
                     residual = max(residual, delta)
-                    moved.append((g, states, top, old))
-            for g, states, top, old in moved:
-                changed.extend(compress(states, map(ne, top, old)))
-                for s, v in zip(states, top):
-                    values[s] = v
+                    moved.append((g, lo, hi, states, top, rise))
+            for g, lo, hi, states, top, rise in moved:
+                local[lo:hi] = top
+                changed.extend(compress(states, rise))
         if not changed or residual < epsilon:
             break
         if len(changed) >= GROUPED_SWEEP_MIN:
             # only a grouped sweep changes that many states
             hot = set().union(*[feeds[g] for g, *_ in moved])
         else:
-            hot = None
+            if hot is not None:
+                _write_back(values, order, local)
+                hot = None
             dirty = set(chain.from_iterable(map(preds.get, changed, repeat(()))))
+    if hot is not None:
+        _write_back(values, order, local)
     return sweeps, residual
+
+
+def _write_back(values, order, local):
+    """values[order[i]] = local[i] for every pending state."""
+    for s, v in zip(order, local):
+        values[s] = v
 
 
 def _compile_groups(choices, preds, values, pending):
     """Pending states grouped by the successor counts of their choices, in
-    action order; returns (groups, group_of, feeds).
+    action order; returns (order, local, groups, group_of, feeds).
 
-    A group is (states, gather, table): gather gets the group's values,
+    order lists the pending states one group after another, and local
+    holds their values at the same positions, then one slot per state
+    outside pending that a column below reads. A group is (lo, hi,
+    states, table): states is order[lo:hi], its values are local[lo:hi],
     and table holds per choice, per successor position, a column (probs,
     get) with that position's probabilities for every state of the group
-    and a getter of their successors' values. A column whose successors
-    all lie outside pending, whose values _sweep never changes, is stored
-    as (products, None) instead, multiplied out once. feeds[g] holds the
-    groups with a predecessor of a state of group g. Every getter returns
-    a tuple: itemgetter of one index would return the item alone, so the
-    last index is repeated, and each map or zip over it stops at len(ids).
+    and a getter of their successors' values from local. A column whose
+    successors all lie outside pending, whose values _sweep never changes,
+    is stored as (products, None) instead, multiplied out once, and reads
+    no slot. feeds[g] holds the groups with a predecessor of a state of
+    group g. Every getter returns a tuple: itemgetter of one index would
+    return the item alone, so the last index is repeated, and each map or
+    zip over it stops at the group's size.
     """
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for s in pending:
         shape = tuple([len(dist) for _, dist in choices[s]])
         by_shape.setdefault(shape, []).append(s)
+    order = list(chain.from_iterable(by_shape.values()))
+    local = list(map(values.__getitem__, order))
+    slot = [None] * len(values)  # state -> its position in local
+    for i, s in enumerate(order):
+        slot[s] = i
     varies = set(pending)
     groups = []
     group_of = {}
+    lo = 0
     for shape, states in by_shape.items():
         group_of.update(dict.fromkeys(states, len(groups)))
         rows = [choices[s] for s in states]
@@ -166,16 +196,22 @@ def _compile_groups(choices, preds, values, pending):
             columns = []
             for i in range(width):
                 ids, probs = zip(*[row[c][1][i] for row in rows])
-                get = itemgetter(*ids, ids[-1])
                 if varies.isdisjoint(ids):
-                    columns.append((list(map(mul, probs, get(values))), None))
-                else:
-                    columns.append((probs, get))
+                    fixed = map(values.__getitem__, ids)
+                    columns.append((list(map(mul, probs, fixed)), None))
+                    continue
+                for t in set(ids).difference(varies):
+                    if slot[t] is None:
+                        slot[t] = len(local)
+                        local.append(values[t])
+                at = list(map(slot.__getitem__, ids))
+                columns.append((probs, itemgetter(*at, at[-1])))
             table.append(columns)
-        groups.append((states, itemgetter(*states, states[-1]), table))
+        groups.append((lo, lo + len(states), states, table))
+        lo += len(states)
     feeds = [{group_of[p] for s in states for p in preds.get(s, ())}
-             for states, _, _ in groups]
-    return groups, group_of, feeds
+             for _, _, states, _ in groups]
+    return order, local, groups, group_of, feeds
 
 
 def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
@@ -197,7 +233,12 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     groups of states whose choices have the same successor counts, one
     successor position at a time, with the products of successors fixed
     at 0 or 1 multiplied out once, and picks the next groups from the
-    groups that changed. The values, iterations and residual are those of
+    groups that changed. Such grouped sweeps run on a vector that holds
+    each group's states in one slice, and read and write a group a slice
+    at a time. From 0 the values rise monotonically toward the least fixed
+    point, as rounded too, so a group's new values minus its old ones give
+    its part of the residual and its changed states with no abs. The
+    values, iterations and residual are those of
     full Jacobi sweeps, bit for bit. A choice's products p * values[t] are
     added left to right, as sum() did before Python 3.12, so the values
     are the same on every Python version. A left-operand state that

@@ -101,41 +101,59 @@ def find_causes(s: int, labels: Mapping[int, frozenset[str]],
     and a disjunction whose both sides hold recurses into both at w+1.
     A constant that holds contributes no causes. Duplicate literals keep
     their largest degree. _counter counts the nodes visited, negations
-    excepted, so !(a & b) costs what !a | !b does.
+    excepted, so !(a & b) costs what !a | !b does. Each subformula is
+    evaluated at s at most once, and the causes are gathered into one
+    dict, so the work is linear in the formula.
     """
-    return _causes(s, labels, phi, True, w, _counter)
+    truth: dict[int, bool] = {}  # id(subformula) -> its value at s
+    out: dict[tuple[str, bool], float] = {}
 
+    def holds(phi) -> bool:
+        key = id(phi)
+        if key not in truth:
+            if isinstance(phi, Not):
+                truth[key] = not holds(phi.child)
+            elif isinstance(phi, And):
+                truth[key] = holds(phi.left) and holds(phi.right)
+            elif isinstance(phi, Or):
+                truth[key] = holds(phi.left) or holds(phi.right)
+            else:
+                truth[key] = eval_state_formula(labels, s, phi)
+        return truth[key]
 
-def _causes(s, labels, phi, want: bool, w, counter):
-    """find_causes for phi sought to evaluate to want at s."""
-    while isinstance(phi, Not):
-        phi, want = phi.child, not want
-    if counter is not None:
-        counter[0] += 1
-    if isinstance(phi, (TrueFormula, FalseFormula)):
-        if isinstance(phi, TrueFormula) == want:
-            return {}
-        raise DomainError(f"formula does not hold at state {s}")
-    if isinstance(phi, Atom):
-        if (phi.name in labels.get(s, frozenset())) == want:
-            return {(phi.name, want): 1.0 / (w + 1)}
-        raise DomainError(f"formula does not hold at state {s}: {phi.name} "
-                          f"is {'false' if want else 'true'} there")
-    if not isinstance(phi, (And, Or)):
-        raise DomainError(f"not a state formula: {phi!r}")
-    if isinstance(phi, Or) == want:  # an | sought true, an & sought false
-        left_holds = eval_state_formula(labels, s, phi.left) == want
-        right_holds = eval_state_formula(labels, s, phi.right) == want
-        if not (left_holds or right_holds):
+    def walk(phi, want: bool, w: int):
+        """Add the causes of phi sought to evaluate to want at s."""
+        while isinstance(phi, Not):
+            phi, want = phi.child, not want
+        if _counter is not None:
+            _counter[0] += 1
+        if isinstance(phi, (TrueFormula, FalseFormula)):
+            if isinstance(phi, TrueFormula) == want:
+                return
             raise DomainError(f"formula does not hold at state {s}")
-        if not (left_holds and right_holds):
-            side = phi.left if left_holds else phi.right
-            return _causes(s, labels, side, want, w, counter)
-        w += 1  # both sides hold: they split the responsibility
-    out = _causes(s, labels, phi.left, want, w, counter)
-    for lit, dr in _causes(s, labels, phi.right, want, w, counter).items():
-        if dr > out.get(lit, 0.0):
-            out[lit] = dr
+        if isinstance(phi, Atom):
+            if (phi.name in labels.get(s, frozenset())) != want:
+                raise DomainError(
+                    f"formula does not hold at state {s}: {phi.name} "
+                    f"is {'false' if want else 'true'} there")
+            lit = phi.name, want
+            out[lit] = max(out.get(lit, 0.0), 1.0 / (w + 1))
+            return
+        if not isinstance(phi, (And, Or)):
+            raise DomainError(f"not a state formula: {phi!r}")
+        if isinstance(phi, Or) == want:  # an | sought true, an & sought false
+            left_holds = holds(phi.left) == want
+            right_holds = holds(phi.right) == want
+            if not (left_holds or right_holds):
+                raise DomainError(f"formula does not hold at state {s}")
+            if not (left_holds and right_holds):
+                walk(phi.left if left_holds else phi.right, want, w)
+                return
+            w += 1  # both sides hold: they split the responsibility
+        walk(phi.left, want, w)
+        walk(phi.right, want, w)
+
+    walk(phi, True, w)
     return out
 
 

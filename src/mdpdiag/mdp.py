@@ -119,7 +119,9 @@ class Mdp:
         for s, aps in (labels or {}).items():
             s = self._check_state(s, "labelled state")
             names = frozenset(str(a) for a in aps)
-            atoms.update(dict.fromkeys(sorted(names)))
+            unseen = names.difference(atoms)
+            if unseen:
+                atoms.update(dict.fromkeys(sorted(unseen)))
             if names:
                 self._labels[s] = names
         atoms.update(dict.fromkeys(str(a) for a in ap_names or ()))

@@ -3,7 +3,9 @@
 import gc
 import math
 import random
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,17 @@ from mdpdiag import (Atom, BudgetError, DomainError, Mdp, ParseError,
                      PathFormula, PropertySpec, Scheduler, ValueVector,
                      build_mdp, check_property, compute_pmax,
                      eval_state_formula, build_mipcx, extract_max_scheduler,
-                     induce_dtmc, mass_exceeds, parse_program, parse_property)
+                     induce_dtmc, mass_exceeds, parse_explicit_model,
+                     parse_program, parse_property)
 
 from fixtures import MODELS, demo_mdp, demo_property, slow_exit_mdp
 from oracles import (bounded_pmax_exact, dtmc_reach_exact, exhaustive_pmax,
                      random_mdp)
+
+# the benchmark's input generators and its LP reference, read only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
+import workloads  # noqa: E402
 
 PQ = PathFormula(Atom("p"), Atom("q"))
 
@@ -371,6 +379,23 @@ class TestKnownWrongVerdicts:
         m, _ = build_mdp(program, {"K": 20})
         spec = parse_property('P<=0.9999995 [ !"gave_up" U "delivered_all" ]',
                               defined_labels=m.ap_names)
+        assert not check_property(m, spec).holds
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Pmax 0.8033756, LP reference 0.8033946")
+    def test_random_sparse(self, tmp_path):
+        # the benchmark's random-sparse input at seed 1019; the LP answer
+        # must lie above the threshold, or this pins nothing
+        tra, lab, _ = workloads.random_sparse(str(tmp_path), 1019)
+        tra_text, lab_text = Path(tra).read_text(), Path(lab).read_text()
+        exact = reference.pmax_lp(
+            reference.parse_explicit(tra_text, lab_text),
+            reference.Until(lambda aps: "ok" in aps,
+                            lambda aps: "goal" in aps))
+        if not exact > 0.803385:
+            pytest.fail(f"LP reference {exact} is not above the threshold")
+        m = parse_explicit_model(tra_text, lab_text)
+        spec = parse_property("P<=0.803385 [ ok U goal ]")
         assert not check_property(m, spec).holds
 
 

@@ -11,6 +11,7 @@ runs with every sweep grouped, with the shipped size rule, and with no
 sweep grouped.
 """
 
+import operator
 import random
 import weakref
 from contextlib import contextmanager
@@ -311,6 +312,66 @@ def assert_same(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON):
                 == reference_extract_max_scheduler(m, want).choice)
 
 
+def shuffled(rng: random.Random, m: Mdp) -> Mdp:
+    """m with its state ids permuted at random: the grouped sweeps place
+    states by group, so a state's position then differs from its id."""
+    perm = list(m.states)
+    rng.shuffle(perm)
+    transitions = {(perm[s], m.action_names[aid]): [(perm[t], p)
+                                                   for t, p in dist]
+                   for (s, aid), dist in m.transition_items()}
+    labels = {perm[s]: aps for s, aps in m.label_map().items() if aps}
+    return Mdp(m.num_states, perm[m.init], transitions, labels)
+
+
+def sweep_prefixes(m: Mdp, psi: PathFormula,
+                   epsilon: float = DEFAULT_EPSILON) -> list[list[float]]:
+    """The start values of compute_pmax(m, psi, epsilon) and the values
+    after each of its sweeps: _sweep runs again from the start values
+    with a budget of 1, 2, ... sweeps until a run stops short of it, so
+    each prefix also ends where a grouped run writes values back."""
+    prefixes = []
+    sweep = checker._sweep
+
+    def recording(choices, preds, values, pending, max_sweeps, epsilon):
+        prefixes.append(list(values))
+        for k in range(1, max_sweeps + 1):
+            after = list(values)
+            if sweep(choices, preds, after, pending, k, epsilon)[0] < k:
+                break
+            prefixes.append(after)
+        return sweep(choices, preds, values, pending, max_sweeps, epsilon)
+
+    with mock.patch.object(checker, "_sweep", recording):
+        compute_pmax(m, psi, epsilon)
+    return prefixes
+
+
+def grouped_backups(m: Mdp, psi: PathFormula) -> list[int]:
+    """Run compute_pmax(m, psi); return the size of each group that its
+    grouped sweeps backed up, in order."""
+    sizes = []
+    compile_groups = checker._compile_groups
+
+    class Table(list):
+        # a grouped sweep reads a group's table once per backup
+        def __iter__(self):
+            sizes.append(self.size)
+            return super().__iter__()
+
+    def counting(*args):
+        order, local, groups, group_of, feeds = compile_groups(*args)
+        for g, (lo, hi, states, table) in enumerate(groups):
+            table = Table(table)
+            table.size = hi - lo
+            groups[g] = (lo, hi, states, table)
+        return order, local, groups, group_of, feeds
+
+    with mock.patch.object(checker, "_compile_groups", counting):
+        compute_pmax(m, psi)
+    return sizes
+
+
 class TestMatchesFullSweeps:
     def test_random_tied_models_unbounded(self):
         rng = random.Random(1608)
@@ -462,6 +523,68 @@ class TestShapedModels:
                         compute_pmax(m, psi)
         assert len(seen) == len(models) * len(SWEEP_PATHS) * 2
         assert min(seen) > 0
+
+
+class TestLocalLayout:
+    """Grouped sweeps run on a local vector that holds the pending states
+    group after group, indexed by position, then the outside successors
+    that mixed columns read; each sweep reads and writes a group as a
+    slice and finds the changed states from one list of rises."""
+
+    def test_shuffled_state_ids(self):
+        rng = random.Random(2705)
+        models = [tied_mdp(rng, sizes=(40, 200), gaps=True,
+                           p_without_actions=False) for _ in range(8)]
+        models += [shaped_mdp(rng, 45, layouts) for layouts in (
+            ("mvc", "cc"), ("cvv", "vcv", "vvc"), ("vmv",), ("mcm",))]
+        models += [wide_then_chain(rng, 80, 40), tied_chain(rng, 60)]
+        for m in models:
+            m = shuffled(rng, m)
+            assert_same(m, PQ, rng.choice((1e-3, DEFAULT_EPSILON, 1e-12)))
+            assert_same(m, PathFormula(Atom("p"), Atom("q"),
+                                       bound=rng.randint(1, 12)))
+
+    @pytest.mark.parametrize("bound", [None, 25])
+    def test_every_sweep_rises(self, bound):
+        # from 0 the sweeps rise toward the least fixed point, as rounded
+        # too, which is what lets a sweep take its residual and its
+        # changed states from the rises alone
+        rng = random.Random(f"rises/{bound}")
+        models = [tied_mdp(rng) for _ in range(30)]
+        models += [shaped_mdp(rng, n, layouts) for n in (5, 45)
+                   for layouts in (("mvc", "cc"), ("vmv",),
+                                   ("cvv", "vcv", "vvc"))]
+        models += [wide_then_chain(rng, 80, 40)]
+        psi = PathFormula(Atom("p"), Atom("q"), bound=bound)
+        for m in models:
+            runs = []
+            for grouped_min in SWEEP_PATHS:
+                with sweep_path(grouped_min):
+                    runs.append(sweep_prefixes(m, psi))
+            prefixes = runs[0]
+            assert runs == [prefixes] * len(SWEEP_PATHS)
+            for before, after in zip(prefixes, prefixes[1:]):
+                assert all(map(operator.ge, after, before))
+            # sweep k gives the k-step reference, bit for bit
+            last = len(prefixes) - 1
+            for k in {0, min(1, last), min(2, last), last // 2, last}:
+                want = reference_compute_pmax(
+                    m, PathFormula(Atom("p"), Atom("q"), bound=k))
+                assert prefixes[k] == want.values
+
+    def test_long_chain_runs_per_state_after_the_first_sweep(self):
+        # the chain is one group of n states, and one of them changes per
+        # sweep: the next mode goes by that count, so only the first of
+        # the n + 1 sweeps backs up the group; a rule that kept a run
+        # grouped while its group moved would back it up n + 1 times
+        n = 300
+        m = tied_chain(random.Random(303), n)
+        for grouped_min, backups in ((checker.GROUPED_SWEEP_MIN, [n]),
+                                     (1, [n] * (n + 1)), (10**9, [])):
+            with sweep_path(grouped_min):
+                assert grouped_backups(m, PQ) == backups
+                assert compute_pmax(m, PQ).iterations == n + 1
+        assert_same(m, PQ)
 
 
 class TestWitnessPathProbabilities:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from mdpdiag import diagnosis, pctl
 from mdpdiag import (FALSE, TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      DomainError, FinitePath, Not, Or, ParseError, PathForest,
                      WeightedPath, build_mdp, build_mipcx, check_property,
@@ -150,6 +151,35 @@ class TestFindCauses:
     def test_unsatisfied_disjunction_rejected(self):
         with pytest.raises(DomainError, match="does not hold"):
             find_causes(0, A_ONLY, Or(Atom("c"), Atom("d")))
+
+    def test_evaluations_grow_linearly_in_a_chain_of_disjunctions(
+            self, monkeypatch):
+        # x0 | (x1 | (... | x(n-1))) with the last atom alone true: a walk
+        # that evaluated both whole sides of every | would evaluate each
+        # suffix again, about n * n / 2 calls in all
+        calls = []
+        evaluate = pctl.eval_state_formula
+
+        def counting(labels, s, phi):
+            calls.append(phi)
+            return evaluate(labels, s, phi)
+
+        monkeypatch.setattr(pctl, "eval_state_formula", counting)
+        monkeypatch.setattr(diagnosis, "eval_state_formula", counting)
+        counts = []
+        for n in (100, 200, 400):
+            phi = Atom(f"x{n - 1}")
+            for i in reversed(range(n - 1)):
+                phi = Or(Atom(f"x{i}"), phi)
+            counter = [0]
+            calls.clear()
+            got = find_causes(0, {0: {f"x{n - 1}"}}, phi, 0, counter)
+            assert got == {(f"x{n - 1}", True): 1.0}
+            assert counter == [n]
+            # the chain has 2n - 1 subformulas, each evaluated once at most
+            assert 0 < len(calls) <= 2 * n - 1
+            counts.append(len(calls))
+        assert counts[1] <= 2 * counts[0] and counts[2] <= 2 * counts[1]
 
 
 class TestCriticality:

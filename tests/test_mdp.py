@@ -159,6 +159,15 @@ class TestConstruction:
         assert m.ap_names == ["busy", "goal", "idle"]
         assert all("idle" not in m.labels_of(s) for s in m.states)
 
+    def test_alphabet_sorts_each_states_unseen_names_after_the_seen_ones(self):
+        # states in the order labels lists them; each adds its new names,
+        # sorted, and a name seen before keeps its place
+        m = Mdp(3, 0, {(s, "a"): [(s, 1.0)] for s in range(3)},
+                labels={2: {"m", "c"}, 0: {"z", "m", "a", "c"},
+                        1: {"c", "y", "a", "b"}},
+                ap_names=["d", "a"])
+        assert m.ap_names == ["c", "m", "a", "z", "b", "y", "d"]
+
     def test_state_names_default_to_ids(self):
         m = two_action_mdp()
         assert m.state_name(2) == "2"
