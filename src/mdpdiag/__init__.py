@@ -50,7 +50,7 @@ def _lazy(name):
     return module
 
 
-for _name in ("errors", "records", "pctl", "mdp", "checker",
+for _name in ("errors", "records", "pctl", "mdp", "graph", "checker",
               "counterexample", "diagnosis", "program"):
     globals()[_name] = _lazy(_name)
 del _name

@@ -7,6 +7,7 @@ import weakref
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mul, sub
 
+from . import graph
 from .defaults import DEFAULT_EPSILON
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
@@ -18,6 +19,9 @@ SCHEDULER_TIE_TOL = 1e-9
 # A sweep backs up whole shape groups from this many dirty states on; below
 # it the per-state loop is cheaper (see _sweep).
 GROUPED_SWEEP_MIN = 32
+# An unbounded until solves a strongly connected component of up to this
+# many states exactly, and sweeps a larger one (see _value_iteration).
+EXACT_SCC_MAX = 8
 
 # model -> {(path formula, epsilon, max_iterations): ValueVector}. An entry
 # dies with its model; models are immutable after construction.
@@ -112,7 +116,7 @@ def _sweep(choices, preds, values, pending, max_sweeps: int,
                     choices, preds, values, pending)
             elif hot is None:
                 # per-state sweeps ran since the last grouped one
-                local[:len(order)] = map(values.__getitem__, order)
+                local[:] = map(values.__getitem__, order)
             if hot is None:
                 hot = set(map(group_of.__getitem__, dirty))
             moved = []
@@ -159,53 +163,53 @@ def _write_back(values, order, local):
 
 def _compile_groups(choices, preds, values, pending):
     """Pending states grouped by the successor counts of their choices, in
-    action order; returns (order, local, groups, group_of, feeds).
+    action order, and by which successor positions lie outside pending;
+    returns (order, local, groups, group_of, feeds).
 
     order lists the pending states one group after another, and local
-    holds their values at the same positions, then one slot per state
-    outside pending that a column below reads. A group is (lo, hi,
-    states, table): states is order[lo:hi], its values are local[lo:hi],
-    and table holds per choice, per successor position, a column (probs,
-    get) with that position's probabilities for every state of the group
-    and a getter of their successors' values from local. A column whose
-    successors all lie outside pending, whose values _sweep never changes,
-    is stored as (products, None) instead, multiplied out once, and reads
-    no slot. feeds[g] holds the groups with a predecessor of a state of
-    group g. Every getter returns a tuple: itemgetter of one index would
-    return the item alone, so the last index is repeated, and each map or
-    zip over it stops at the group's size.
+    holds their values at the same positions. A group is (lo, hi, states,
+    table): states is order[lo:hi], its values are local[lo:hi], and
+    table holds per choice, per successor position, a column (probs, get)
+    with that position's probabilities for every state of the group and a
+    getter of their successors' values from local. A column whose
+    successors lie outside pending, whose values _sweep never changes, is
+    stored as (products, None) instead, multiplied out once. feeds[g]
+    holds the groups with a predecessor of a state of group g. Every
+    getter returns a tuple: itemgetter of one index would return the item
+    alone, so the last index is repeated, and each map or zip over it
+    stops at the group's size.
     """
-    by_shape: dict[tuple[int, ...], list[int]] = {}
+    varies = set(pending)
+    by_shape: dict[tuple[int | bool, ...], list[int]] = {}
     for s in pending:
-        shape = tuple([len(dist) for _, dist in choices[s]])
-        by_shape.setdefault(shape, []).append(s)
+        shape = []  # per choice its width, then per successor if pending
+        for _, dist in choices[s]:
+            shape.append(len(dist))
+            for t, _ in dist:
+                shape.append(t in varies)
+        by_shape.setdefault(tuple(shape), []).append(s)
     order = list(chain.from_iterable(by_shape.values()))
     local = list(map(values.__getitem__, order))
     slot = [None] * len(values)  # state -> its position in local
     for i, s in enumerate(order):
         slot[s] = i
-    varies = set(pending)
     groups = []
     group_of = {}
     lo = 0
-    for shape, states in by_shape.items():
+    for states in by_shape.values():
         group_of.update(dict.fromkeys(states, len(groups)))
         rows = [choices[s] for s in states]
         table = []
-        for c, width in enumerate(shape):
+        for c, (_, first) in enumerate(rows[0]):
             columns = []
-            for i in range(width):
+            for i, (t, _) in enumerate(first):
                 ids, probs = zip(*[row[c][1][i] for row in rows])
-                if varies.isdisjoint(ids):
+                if t in varies:  # and so is every successor in the column
+                    at = list(map(slot.__getitem__, ids))
+                    columns.append((probs, itemgetter(*at, at[-1])))
+                else:
                     fixed = map(values.__getitem__, ids)
                     columns.append((list(map(mul, probs, fixed)), None))
-                    continue
-                for t in set(ids).difference(varies):
-                    if slot[t] is None:
-                        slot[t] = len(local)
-                        local.append(values[t])
-                at = list(map(slot.__getitem__, ids))
-                columns.append((probs, itemgetter(*at, at[-1])))
             table.append(columns)
         groups.append((lo, lo + len(states), states, table))
         lo += len(states)
@@ -219,10 +223,13 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     """Maximal probability of psi from every state, over all schedulers.
 
     Right-operand states are fixed at one and states that cannot reach one
-    through left-operand states at zero; the rest converge by value
-    iteration until the sup-norm residual drops below epsilon, which must
-    lie strictly between 0 and 1. A step bound runs exactly that many
-    backward steps instead (the result then is the optimum over
+    through left-operand states at zero. Without a step bound the rest are
+    solved one strongly connected component at a time, sinks first (see
+    _value_iteration): a lone state and a component of up to
+    EXACT_SCC_MAX states exactly, a larger one by value iteration until
+    the sup-norm residual drops below epsilon, which must lie strictly
+    between 0 and 1. A step bound runs exactly that many backward steps
+    over every state instead (the result then is the optimum over
     step-dependent choices).
     Atoms are evaluated against the labels alone: an atom that labels no
     state is false at every state. Whether a name belongs to the model's
@@ -230,22 +237,26 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
 
     Each sweep after the first backs up the states whose successors
     changed value. From GROUPED_SWEEP_MIN of them on, it backs up whole
-    groups of states whose choices have the same successor counts, one
-    successor position at a time, with the products of successors fixed
-    at 0 or 1 multiplied out once, and picks the next groups from the
-    groups that changed. Such grouped sweeps run on a vector that holds
-    each group's states in one slice, and read and write a group a slice
-    at a time. From 0 the values rise monotonically toward the least fixed
-    point, as rounded too, so a group's new values minus its old ones give
-    its part of the residual and its changed states with no abs. The
-    values, iterations and residual are those of
-    full Jacobi sweeps, bit for bit. A choice's products p * values[t] are
-    added left to right, as sum() did before Python 3.12, so the values
+    groups of states whose choices have the same successor counts and the
+    same successor positions outside the swept states, one successor
+    position at a time, with the products of those outside successors,
+    whose values are final, multiplied out once, and picks the next groups
+    from the groups that changed. Such grouped sweeps run on a vector that
+    holds each group's states in one slice, and read and write a group a
+    slice at a time. From 0 the values rise monotonically toward the least
+    fixed point, as rounded too, so a group's new values minus its old
+    ones give its part of the residual and its changed states with no
+    abs. The values, iterations and residual of a run of sweeps are those
+    of full Jacobi sweeps over the same states, bit for bit. A choice's products p * values[t] are added left
+    to right, as sum() did before Python 3.12, and the closed forms and
+    the Gaussian elimination are plain float operations, so the values
     are the same on every Python version. A left-operand state that
     reaches no right-operand state, one without enabled actions included,
-    keeps 0. max_iterations must be a nonnegative int; running out of
-    that many sweeps raises BudgetError, whose message and partial give
-    the residual reached (inf for no sweep).
+    keeps 0. Without a step bound, max_iterations, a nonnegative int,
+    budgets the sweeps over large components, and iterations counts them
+    (0 when every component was solved exactly); running out of them
+    raises BudgetError, whose message and partial give the residual
+    reached (inf for no sweep). With one, iterations is the bound.
 
     Results are memoized per model, path formula, epsilon and
     max_iterations, for as long as the model lives, so the model must not
@@ -270,7 +281,24 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
 
 def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
                      max_iterations: int) -> ValueVector:
-    """compute_pmax on a memo miss, with its arguments already checked."""
+    """compute_pmax on a memo miss, with its arguments already checked.
+
+    A step bound runs that many Jacobi sweeps over every pending state.
+    Without one, the pending states are solved one strongly connected
+    component at a time, sinks first (topological value iteration: Dai,
+    Mausam, Weld & Goldsmith, JAIR 2011), so a component reads only final
+    values outside itself:
+    - a lone state s in closed form, the largest over its choices with
+      p(s, s) < 1 of the sum of p * values[t] over t != s, added left to
+      right, divided by 1 - p(s, s), and at most 1 (rounding may pass
+      it); a choice that only loops back to s is left out, and with no
+      self-loop this is _sweep's backup;
+    - a component of up to EXACT_SCC_MAX states by graph.solve_small;
+    - a larger one by _sweep over its states alone, its predecessor map
+      cut to it. Only these sweeps are counted in iterations and against
+      max_iterations; the residual is the largest of their residuals, 0
+      when no sweep ran.
+    """
     targets, guard = until_sets(m.label_map(), m.states, psi)
     choices = m.choice_table()
     preds, live = live_states(choices, guard, targets)
@@ -287,13 +315,43 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
                            psi, targets, zero)
 
     zero = frozenset(s for s in m.states if s not in live)
-    sweeps, residual = _sweep(choices, preds, values, pending,
-                              max_iterations, epsilon)
-    if not residual < epsilon:
-        raise BudgetError(
-            f"value iteration did not reach residual {epsilon} within "
-            f"{max_iterations} sweeps (residual reached: {residual:.6g})",
-            partial=residual)
+    # every guard state with a step into a pending state is pending, so
+    # preds restricted to pending is the reversed graph, whose components
+    # graph.sccs yields sources first
+    components = list(graph.sccs({t: preds.get(t, ()) for t in pending}))
+    sweeps = 0
+    residual = 0.0
+    for component in reversed(components):
+        if len(component) == 1:
+            s = component[0]
+            top = 0.0
+            for _, dist in choices[s]:
+                total = 0.0
+                stay = 0.0
+                for t, p in dist:
+                    if t == s:
+                        stay = p
+                    else:
+                        total += p * values[t]
+                if stay < 1.0:
+                    total /= 1.0 - stay
+                    if total > top:
+                        top = total
+            values[s] = min(top, 1.0)
+        elif len(component) <= EXACT_SCC_MAX:
+            graph.solve_small(component, choices, values)
+        else:
+            part = set(component)
+            cut = {t: [s for s in preds[t] if s in part] for t in component}
+            done, reached = _sweep(choices, cut, values, component,
+                                   max_iterations - sweeps, epsilon)
+            sweeps += done
+            if not reached < epsilon:
+                raise BudgetError(
+                    f"value iteration did not reach residual {epsilon} "
+                    f"within {max_iterations} sweeps (residual reached: "
+                    f"{reached:.6g})", partial=reached)
+            residual = max(residual, reached)
     return ValueVector(values, sweeps, residual, psi, targets, zero)
 
 

@@ -16,8 +16,8 @@ hold; below a negation the two connectives trade roles. Every cause it
 finds is a semantic cause of the same degree, but it keeps each state in
 its role (guard, target or neither), so it misses causes whose smallest
 contingency changes that role. On 268 counterexamples of seeded random
-models over four atoms it missed 37 of 569 semantic causes, 29 of degree
-1/3 and 8 of degree 1/4, all of this kind
+models over four atoms it missed 39 of 574 semantic causes, 30 of degree
+1/3 and 9 of degree 1/4, all of this kind
 (tests/test_diagnosis.py::TestAgainstOracle). Finding them would take a
 search over subsets of the alphabet, exponential in its size.
 """

@@ -10,14 +10,14 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture
-def sweep_calls(monkeypatch):
-    """Count the value-iteration runs: each runs _sweep exactly once."""
+def pmax_runs(monkeypatch):
+    """Count the value-iteration runs, each a memo miss of compute_pmax."""
     calls = []
-    sweep = mdpdiag.checker._sweep
+    run = mdpdiag.checker._value_iteration
 
     def counting(*args):
         calls.append(args)
-        return sweep(*args)
+        return run(*args)
 
-    monkeypatch.setattr(mdpdiag.checker, "_sweep", counting)
+    monkeypatch.setattr(mdpdiag.checker, "_value_iteration", counting)
     return calls

@@ -53,6 +53,19 @@ def trap_mdp():
     }, labels={0: {"p"}, 1: {"q"}})
 
 
+def ring_mdp(n=9):
+    """n `p` states in a cycle, each moving on with 0.9 and to the `q`
+    goal with 0.1: one strongly connected component too large to solve
+    exactly, so it is swept, and sweep k raises every state's value by
+    0.1 * 0.9 ** (k - 1)."""
+    transitions = {(s, "a"): [((s + 1) % n, 0.9), (n, 0.1)]
+                   for s in range(n)}
+    transitions[(n, "b")] = [(n, 1.0)]
+    labels = {s: {"p"} for s in range(n)}
+    labels[n] = {"q"}
+    return Mdp(n + 1, 0, transitions, labels)
+
+
 class TestComputePmax:
     def test_demo_value(self):
         vv = compute_pmax(demo_mdp(), demo_property().path)
@@ -148,24 +161,42 @@ class TestComputePmax:
             check_property(demo_mdp(), demo_property(), epsilon=eps)
 
     def test_iteration_budget(self):
-        m = Mdp(2, 0, {
-            (0, "a"): [(0, 0.9), (1, 0.1)],
-            (1, "b"): [(1, 1.0)],
-        }, labels={0: {"p"}, 1: {"q"}})
         with pytest.raises(BudgetError):
-            compute_pmax(m, PQ, epsilon=1e-12, max_iterations=5)
+            compute_pmax(ring_mdp(), PQ, epsilon=1e-12, max_iterations=5)
 
     def test_iteration_budget_reports_residual_reached(self):
-        # sweep k raises the value of state 0 by 0.1 * 0.9 ** (k - 1)
-        m = Mdp(2, 0, {
-            (0, "a"): [(0, 0.9), (1, 0.1)],
-            (1, "b"): [(1, 1.0)],
-        }, labels={0: {"p"}, 1: {"q"}})
         with pytest.raises(BudgetError) as info:
-            compute_pmax(m, PQ, epsilon=1e-12, max_iterations=5)
+            compute_pmax(ring_mdp(), PQ, epsilon=1e-12, max_iterations=5)
         assert info.value.partial == pytest.approx(0.1 * 0.9 ** 4, abs=1e-15)
         assert "within 5 sweeps" in str(info.value)
         assert f"residual reached: {info.value.partial:.6g}" in str(info.value)
+
+    def test_budget_spans_every_swept_component(self):
+        # ring 0..8 leaks into ring 9..17, which leaks to the goal: two
+        # swept components, whose sweeps share one budget
+        transitions = {(s, "a"): [(s + 1 if s % 9 < 8 else s - 8, 0.9),
+                                  (9 if s < 9 else 18, 0.1)]
+                       for s in range(18)}
+        transitions[(18, "b")] = [(18, 1.0)]
+        labels = {s: {"p"} for s in range(18)}
+        labels[18] = {"q"}
+        m = Mdp(19, 0, transitions, labels)
+        need = compute_pmax(m, PQ).iterations
+        assert need > compute_pmax(ring_mdp(), PQ).iterations
+        assert compute_pmax(m, PQ, max_iterations=need).iterations == need
+        with pytest.raises(BudgetError, match=f"within {need - 1} sweeps"):
+            compute_pmax(m, PQ, max_iterations=need - 1)
+
+    def test_lone_state_needs_no_sweep(self):
+        # a self-loop left with 0.1 is solved in closed form: no sweep
+        # runs, so no budget binds, and the value is exact
+        m = Mdp(2, 0, {
+            (0, "a"): [(0, 0.9), (1, 0.1)],
+            (1, "b"): [(1, 1.0)],
+        }, labels={0: {"p"}, 1: {"q"}})
+        vv = compute_pmax(m, PQ, epsilon=1e-12, max_iterations=0)
+        assert vv.values == [1.0, 1.0]
+        assert vv.iterations == 0 and vv.residual == 0.0
 
     @pytest.mark.parametrize("bad", [5, -1])
     def test_successor_out_of_range_is_a_domain_error(self, bad):
@@ -179,7 +210,7 @@ class TestComputePmax:
 
     def test_zero_sweep_budget_still_raises(self):
         with pytest.raises(BudgetError) as info:
-            compute_pmax(coin_mdp(), PQ, max_iterations=0)
+            compute_pmax(ring_mdp(), PQ, max_iterations=0)
         assert info.value.partial == float("inf")
         assert "within 0 sweeps" in str(info.value)
 
@@ -203,15 +234,16 @@ class TestComputePmax:
             interior, targets = sat_sets(m, PQ)
             got = compute_pmax(m, PQ, epsilon=1e-9).values[m.init]
             want = exhaustive_pmax(m, interior, targets)
-            assert got == pytest.approx(want, abs=1e-6)
+            # every component of at most 5 states is solved exactly
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPmaxMemo:
-    def test_second_call_returns_an_equal_private_copy(self, sweep_calls):
+    def test_second_call_returns_an_equal_private_copy(self, pmax_runs):
         m, psi = demo_mdp(), demo_property().path
         first = compute_pmax(m, psi)
         second = compute_pmax(m, psi)
-        assert len(sweep_calls) == 1
+        assert len(pmax_runs) == 1
         assert second == first
         assert second.values is not first.values
         first.values[0] = -1.0
@@ -219,30 +251,30 @@ class TestPmaxMemo:
         assert third.values == second.values
         assert third.values[0] == pytest.approx(0.882, abs=1e-9)
 
-    def test_other_arguments_or_model_recompute(self, sweep_calls):
+    def test_other_arguments_or_model_recompute(self, pmax_runs):
         m, psi = demo_mdp(), demo_property().path
         compute_pmax(m, psi)
         compute_pmax(m, psi, epsilon=1e-9)
         compute_pmax(m, psi, max_iterations=500)
         compute_pmax(m, PathFormula(psi.left, psi.right, bound=2))
         compute_pmax(demo_mdp(), psi)
-        assert len(sweep_calls) == 5
+        assert len(pmax_runs) == 5
         compute_pmax(m, PathFormula(psi.left, psi.right))
         compute_pmax(m, psi, epsilon=1e-9)
-        assert len(sweep_calls) == 5
+        assert len(pmax_runs) == 5
 
-    def test_budget_error_is_not_memoized(self, sweep_calls):
-        m = coin_mdp()
+    def test_budget_error_is_not_memoized(self, pmax_runs):
+        m = ring_mdp()
         for _ in range(2):
             with pytest.raises(BudgetError):
                 compute_pmax(m, PQ, epsilon=1e-12, max_iterations=1)
-        assert len(sweep_calls) == 2
+        assert len(pmax_runs) == 2
 
-    def test_check_then_build_shares_one_run(self, sweep_calls):
+    def test_check_then_build_shares_one_run(self, pmax_runs):
         m = demo_mdp()
         check_property(m, demo_property())
         build_mipcx(m, demo_property())
-        assert len(sweep_calls) == 1
+        assert len(pmax_runs) == 1
 
     def test_entry_dies_with_its_model(self):
         m = demo_mdp()
@@ -343,13 +375,14 @@ class TestCheckProperty:
 
 
 class TestKnownWrongVerdicts:
-    """Properties the checker wrongly calls holding: value iteration stops
-    at a small residual far below Pmax where mass circulates in a cycle or
-    self-loop that leaves it slowly. Each test asserts the right verdict;
-    a change that fixes one removes its mark."""
+    """Properties the checker once wrongly called holding: value iteration
+    stopped at a small residual below Pmax where mass circulates in a
+    cycle or self-loop that leaves it slowly. Each test asserts the right
+    verdict; a strict xfail marks one still wrong, and a change that fixes
+    one removes its mark. (i), (ii), (iv) and (vi) are solved exactly
+    since the unbounded until is solved one strongly connected component
+    at a time; (v) is one component of 751 states, which is swept."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Pmax 0.490002, exact 0.5")
     def test_slow_self_loop(self):
         m = Mdp(3, 0, {(0, "a"): [(0, 1 - 1e-4), (1, 5e-5), (2, 5e-5)],
                        (1, "s"): [(1, 1.0)], (2, "s"): [(2, 1.0)]},
@@ -357,8 +390,6 @@ class TestKnownWrongVerdicts:
         spec = parse_property("P<=0.495 [ true U goal ]")
         assert not check_property(m, spec).holds
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Pmax 0.999981, exact 1")
     def test_two_state_cycle(self):
         m = Mdp(3, 0, {(0, "a"): [(1, 0.95), (2, 0.05)],
                        (1, "b"): [(0, 1.0)], (2, "s"): [(2, 1.0)]},
@@ -366,14 +397,10 @@ class TestKnownWrongVerdicts:
         spec = parse_property("P<=0.999999 [ ok U goal ]")
         assert not check_property(m, spec).holds
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Pmax 0.4997506, exact 0.5")
     def test_slow_exit(self):
         spec = parse_property("P<=0.4999 [ ok U goal ]")
         assert not check_property(slow_exit_mdp(), spec).holds
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Pmax 0.9999990784, exact (1-0.2**21)**2")
     def test_csma(self):
         program = parse_program((MODELS / "csma.pm").read_text(), "csma")
         m, _ = build_mdp(program, {"K": 20})

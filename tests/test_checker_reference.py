@@ -1,14 +1,20 @@
-"""The checker against its earlier full-sweep algorithms, bit for bit.
+"""The checker against plain versions of its algorithms, bit for bit.
 
-compute_pmax backs up only the states whose successors changed value, and
-extract_max_scheduler places states in one backward pass. Both must give
-exactly what full Jacobi sweeps and the layer-by-layer rescan give. The
-reference copies below are those earlier algorithms, kept unchanged apart
-from adding each backup's products left to right; they are not
-independent oracles (see oracles.py for those) but the definition of the
-numbers the faster code must reproduce. Every value-iteration comparison
-runs with every sweep grouped, with the shipped size rule, and with no
-sweep grouped.
+Without a step bound, compute_pmax solves the strongly connected
+components of the pending states sinks first: a lone state in closed
+form, a small component by graph.solve_small, a larger one by sweeps that
+back up only the states whose successors changed value. A step bound
+sweeps every pending state. extract_max_scheduler places states in one
+backward pass. All must give exactly what the references below give:
+components found by mutual reachability, the closed form written out,
+full Jacobi sweeps over each large component (or over every pending
+state, for a step bound), and the layer-by-layer rescan. A small
+component goes through graph.solve_small in both, which test_graph.py
+checks against the exhaustive oracle. The references are not independent
+oracles (see oracles.py for those) but the definition of the numbers the
+faster code must reproduce. Every value-iteration comparison runs with
+every sweep grouped, with the shipped size rule, and with no sweep
+grouped.
 """
 
 import operator
@@ -24,7 +30,7 @@ from mdpdiag import (DEFAULT_EPSILON, Atom, BudgetError, DomainError, Mdp,
                      build_mdp, build_mipcx, compute_pmax, eval_state_formula,
                      extract_max_scheduler, parse_program, parse_property,
                      path_probability)
-from mdpdiag import checker
+from mdpdiag import checker, graph
 from mdpdiag.checker import SCHEDULER_TIE_TOL
 from mdpdiag.mdp import content_lines
 
@@ -36,7 +42,7 @@ PQ = PathFormula(Atom("p"), Atom("q"))
 SWEEP_PATHS = (1, checker.GROUPED_SWEEP_MIN, 10**9)
 
 
-# -- reference: full Jacobi sweeps and the layer-by-layer rescan ----------
+# -- reference: components, full Jacobi sweeps, the layer-by-layer rescan --
 
 
 def _sat_sets(m: Mdp, psi: PathFormula):
@@ -103,22 +109,80 @@ def reference_compute_pmax(m: Mdp, psi: PathFormula,
     values = [1.0 if s in sat2 else 0.0 for s in m.states]
     pending = [s for s in m.states if s in reach and s not in sat2]
     iterations = 0
-    while True:
-        if iterations >= max_iterations:
-            raise BudgetError(
-                f"value iteration did not reach residual {epsilon} "
-                f"within {max_iterations} sweeps")
-        iterations += 1
-        residual = 0.0
-        nxt = list(values)
-        for s in pending:
-            best = max(_backup(m, s, aid, values) for aid in m.enabled_actions(s))
-            residual = max(residual, abs(best - values[s]))
-            nxt[s] = best
-        values = nxt
-        if residual < epsilon:
-            break
-    return ValueVector(values, iterations, residual, psi, sat2, zero)
+    residuals = [0.0]
+    for component in _components_sinks_first(m, pending):
+        if len(component) == 1:
+            s, = component
+            values[s] = min(1.0, max(_closed_form(m, s, aid, values)
+                                     for aid in m.enabled_actions(s)
+                                     if _self_loop(m, s, aid) < 1.0))
+        elif len(component) <= checker.EXACT_SCC_MAX:
+            graph.solve_small(component, m.choice_table(), values)
+        else:
+            while True:
+                if iterations >= max_iterations:
+                    raise BudgetError(
+                        f"value iteration did not reach residual {epsilon} "
+                        f"within {max_iterations} sweeps")
+                iterations += 1
+                residual = 0.0
+                nxt = list(values)
+                for s in component:
+                    best = max(_backup(m, s, aid, values)
+                               for aid in m.enabled_actions(s))
+                    residual = max(residual, abs(best - values[s]))
+                    nxt[s] = best
+                values = nxt
+                if residual < epsilon:
+                    break
+            residuals.append(residual)
+    return ValueVector(values, iterations, max(residuals), psi, sat2, zero)
+
+
+def _self_loop(m: Mdp, s: int, aid: int) -> float:
+    return sum(p for t, p in m.distribution(s, aid) if t == s)
+
+
+def _closed_form(m: Mdp, s: int, aid: int, values) -> float:
+    """The value of s under action aid alone, given the values of its
+    other successors: a self-loop p(s, s) < 1 is taken until it is left."""
+    total = 0.0
+    for t, p in m.distribution(s, aid):
+        if t != s:
+            total += p * values[t]
+    return total / (1.0 - _self_loop(m, s, aid))
+
+
+def _components_sinks_first(m: Mdp, pending) -> list[list[int]]:
+    """The strongly connected components of the steps between pending
+    states, by mutual reachability, each after every component it has a
+    step into."""
+    inside = set(pending)
+    succ = {s: {t for aid in m.enabled_actions(s)
+                for t, _ in m.distribution(s, aid) if t in inside}
+            for s in pending}
+    reach = {}
+    for s in pending:
+        seen, stack = {s}, [s]
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach[s] = seen
+    components = []
+    for s in pending:
+        if not any(s in c for c in components):
+            components.append([t for t in pending
+                               if t in reach[s] and s in reach[t]])
+    ordered = []
+    while components:
+        done = {s for c in ordered for s in c}
+        ready = [c for c in components
+                 if all(t in done or t in c for s in c for t in succ[s])]
+        ordered += ready
+        components = [c for c in components if c not in ready]
+    return ordered
 
 
 def reference_extract_max_scheduler(m: Mdp, vv: ValueVector,
@@ -266,7 +330,9 @@ def shaped_mdp(rng: random.Random, n: int, layouts) -> Mdp:
 def wide_then_chain(rng: random.Random, width: int, length: int) -> Mdp:
     """A random region of width `p` states, leaking to a sink, whose only
     way to the `q` goal is a tied chain of length `p` states (see
-    tied_chain).
+    tied_chain). Chain state i may also go back to region state i mod
+    width, so the chain and most of the region form one strongly
+    connected component, which is swept.
 
     Only one chain state changes per sweep until the values reach the
     region, which then changes at every state: under the shipped size
@@ -281,9 +347,10 @@ def wide_then_chain(rng: random.Random, width: int, length: int) -> Mdp:
         transitions[(s, "a")] = [(a, 0.5), (b, 0.45), (sink, 0.05)]
         if rng.random() < 0.2:
             transitions[(s, "out")] = [(chain[0], 0.3), (a, 0.7)]
-    for s, nxt in zip(chain, chain[1:] + [goal]):
+    for i, (s, nxt) in enumerate(zip(chain, chain[1:] + [goal])):
         transitions[(s, "stay")] = [(s, 1.0)]
         transitions[(s, "fwd")] = [(nxt, 0.99), (sink, 0.01)]
+        transitions[(s, "back")] = [(region[i % width], 1.0)]
     labels = {s: {"p"} for s in region + chain}
     labels[goal] = {"q"}
     return Mdp(width + length + 2, 0, transitions, labels)
@@ -430,8 +497,7 @@ class TestMatchesFullSweeps:
 
     def test_budget_runs_out_at_the_same_sweep(self):
         rng = random.Random(302)
-        m = tied_chain(rng, 40)
-        # each of its first ten sweeps has over 80 dirty states
+        m = wide_then_chain(rng, 80, 40)
         wide = tied_mdp(rng, sizes=(200, 200), gaps=True)
         for model, caps in ((m, (0, 1, 20, 40)), (wide, (0, 1, 3, 10))):
             for cap in caps:
@@ -446,11 +512,17 @@ class TestMatchesFullSweeps:
                                      max_iterations=cap)
                     raised.append((str(info.value), info.value.partial))
                 assert raised == [raised[-1]] * len(SWEEP_PATHS)
-        want = reference_compute_pmax(m, PQ, max_iterations=41)
+        # a budget of exactly the sweeps needed suffices, one less not
+        need = reference_compute_pmax(m, PQ).iterations
+        with pytest.raises(BudgetError):
+            reference_compute_pmax(m, PQ, max_iterations=need - 1)
+        want = reference_compute_pmax(m, PQ, max_iterations=need)
         for grouped_min in SWEEP_PATHS:
             with sweep_path(grouped_min):
-                got = compute_pmax(m, PQ, max_iterations=41)
-            assert got.values == want.values and got.iterations == 41
+                got = compute_pmax(m, PQ, max_iterations=need)
+                with pytest.raises(BudgetError):
+                    compute_pmax(m, PQ, max_iterations=need - 1)
+            assert got.values == want.values and got.iterations == need
 
 
 class TestShapedModels:
@@ -494,8 +566,10 @@ class TestShapedModels:
             assert raised == [raised[-1]] * len(SWEEP_PATHS)
 
     def test_sweep_keeps_every_other_entry(self):
-        # targets stay at 1.0 and states that cannot reach one at 0.0:
-        # the constant columns hold products of these values
+        # a sweep changes only the states of its component, or every
+        # pending state under a step bound: targets stay at 1.0, states
+        # that cannot reach one at 0.0, and components solved before at
+        # their values; the constant columns hold products of these values
         rng = random.Random(4242)
         models = [tied_mdp(rng, sizes=(40, 200), gaps=True)
                   for _ in range(6)]
@@ -508,11 +582,11 @@ class TestShapedModels:
             moving = set(pending)
             fixed = [(s, v.hex()) for s, v in enumerate(values)
                      if s not in moving]
-            assert {v for _, v in fixed} <= {(0.0).hex(), (1.0).hex()}
             result = sweep(choices, preds, values, pending, max_sweeps,
                            epsilon)
             assert [(s, values[s].hex()) for s, _ in fixed] == fixed
-            seen.append(len(fixed))
+            seen.append({v for _, v in fixed}
+                        - {(0.0).hex(), (1.0).hex()})
             return result
 
         for m in models:
@@ -521,8 +595,9 @@ class TestShapedModels:
                     with sweep_path(grouped_min), \
                             mock.patch.object(checker, "_sweep", checking):
                         compute_pmax(m, psi)
-        assert len(seen) == len(models) * len(SWEEP_PATHS) * 2
-        assert min(seen) > 0
+        # every run sweeps; some sweeps read solved values other than 0, 1
+        assert len(seen) >= len(models) * len(SWEEP_PATHS) * 2
+        assert any(seen)
 
 
 class TestLocalLayout:
@@ -565,6 +640,9 @@ class TestLocalLayout:
             assert runs == [prefixes] * len(SWEEP_PATHS)
             for before, after in zip(prefixes, prefixes[1:]):
                 assert all(map(operator.ge, after, before))
+            if bound is None:
+                # sweeps run over large components alone
+                continue
             # sweep k gives the k-step reference, bit for bit
             last = len(prefixes) - 1
             for k in {0, min(1, last), min(2, last), last // 2, last}:
@@ -573,17 +651,27 @@ class TestLocalLayout:
                 assert prefixes[k] == want.values
 
     def test_long_chain_runs_per_state_after_the_first_sweep(self):
-        # the chain is one group of n states, and one of them changes per
-        # sweep: the next mode goes by that count, so only the first of
-        # the n + 1 sweeps backs up the group; a rule that kept a run
-        # grouped while its group moved would back it up n + 1 times
+        # under a step bound the chain is swept whole, and one of its n
+        # states changes per sweep: the next mode goes by that count, so
+        # only the first of the n + 1 sweeps backs up the groups; a rule
+        # that kept a run grouped while its groups moved would back them
+        # up on every sweep. Without a bound no sweep runs at all.
         n = 300
         m = tied_chain(random.Random(303), n)
-        for grouped_min, backups in ((checker.GROUPED_SWEEP_MIN, [n]),
-                                     (1, [n] * (n + 1)), (10**9, [])):
+        psi = PathFormula(Atom("p"), Atom("q"), bound=n + 1)
+        for grouped_min in (checker.GROUPED_SWEEP_MIN, 1, 10**9):
             with sweep_path(grouped_min):
-                assert grouped_backups(m, PQ) == backups
-                assert compute_pmax(m, PQ).iterations == n + 1
+                backups = grouped_backups(m, psi)
+                assert compute_pmax(m, psi).iterations == n + 1
+                assert grouped_backups(m, PQ) == []
+                assert compute_pmax(m, PQ).iterations == 0
+            if grouped_min == checker.GROUPED_SWEEP_MIN:
+                assert sum(backups) == n
+            elif grouped_min == 1:
+                assert len(backups) > n
+            else:
+                assert backups == []
+        assert_same(m, psi)
         assert_same(m, PQ)
 
 

@@ -15,6 +15,10 @@ from mdpdiag.cli import main
 from fixtures import (serialize_explicit_model, serialize_labels,
                       slow_exit_mdp, slow_exit_property)
 
+# the benchmark's input generators, read only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = str(MODELS / "demo.tra")
@@ -187,6 +191,34 @@ class TestCheck:
         assert code == 2 and "epsilon must be positive and finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("case", ["slow-self-loop", "two-state-cycle",
+                                      "slow-exit"])
+    def test_slowly_left_cycles_are_violated(self, capsys, tmp_path, case):
+        # ROADMAP item 1 (i), (ii) and (iv): value iteration stopped short
+        # of Pmax (0.490002, 0.999981, 0.4997506) and said HOLDS
+        if case == "slow-exit":
+            tra, lab, _ = workloads.slow_exit(str(tmp_path), 1019)
+            prop = "P<=0.4999 [ ok U goal ]"
+        else:
+            if case == "slow-self-loop":
+                m = mdpdiag.Mdp(3, 0, {
+                    (0, "a"): [(0, 1 - 1e-4), (1, 5e-5), (2, 5e-5)],
+                    (1, "s"): [(1, 1.0)], (2, "s"): [(2, 1.0)]},
+                    labels={1: {"goal"}})
+                prop = "P<=0.495 [ true U goal ]"
+            else:
+                m = mdpdiag.Mdp(3, 0, {(0, "a"): [(1, 0.95), (2, 0.05)],
+                                       (1, "b"): [(0, 1.0)],
+                                       (2, "s"): [(2, 1.0)]},
+                                labels={0: {"ok"}, 1: {"ok"}, 2: {"goal"}})
+                prop = "P<=0.999999 [ ok U goal ]"
+            tra, lab = tmp_path / "m.tra", tmp_path / "m.lab"
+            tra.write_text(serialize_explicit_model(m))
+            lab.write_text(serialize_labels(m))
+        code, out, _ = run(capsys, "check", "--model", str(tra), "--labels",
+                           str(lab), "--prop", prop)
+        assert code == 1 and "verdict: VIOLATED" in out
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "verdict.txt"
         code, out, _ = run(capsys, "check", "--out", str(target),
@@ -217,6 +249,15 @@ class TestProgramModels:
                         "--const", "K=20", "--prop",
                         'P<=0.9999995 [ !"gave_up" U "delivered_all" ]')
         assert "(threshold 0.9999995)\n" in out
+
+    def test_csma_near_one_is_violated(self, capsys):
+        # ROADMAP item 1 (vi): value iteration stopped at 0.9999990784 and
+        # said HOLDS; the exact Pmax is (1 - 0.2**21)**2
+        code, out, _ = run(capsys, "check", "--model", str(MODELS / "csma.pm"),
+                           "--const", "K=20", "--prop",
+                           'P<=0.9999995 [ !"gave_up" U "delivered_all" ]')
+        assert code == 1
+        assert "Pmax = 1\nverdict: VIOLATED (threshold 0.9999995)\n" in out
 
     def test_unknown_constant(self, capsys):
         code, _, err = run(capsys, "check", "--model",
@@ -396,11 +437,11 @@ class TestDiagnose:
         assert code == 2 and "min_prob" in err
         assert out == ""
 
-    def test_checks_once(self, capsys, sweep_calls):
+    def test_checks_once(self, capsys, pmax_runs):
         # build_mipcx reuses the value vector of the CLI's own check
         code, _, _ = run(capsys, "diagnose", *demo_args())
         assert code == 1
-        assert len(sweep_calls) == 1
+        assert len(pmax_runs) == 1
 
     def test_program_model_report_carries_source_lines(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--model",
@@ -687,7 +728,8 @@ ran = sorted(name.split(".")[1] for name, module in sys.modules.items()
 print(json.dumps([code, ran]), file=sys.stderr)
 """
 
-PIPELINE = {"pctl", "mdp", "checker", "counterexample", "diagnosis", "program"}
+PIPELINE = {"pctl", "mdp", "graph", "checker", "counterexample", "diagnosis",
+            "program"}
 
 
 def _subprocess_env():
@@ -717,6 +759,15 @@ class TestLoading:
         assert code == 1
         assert {"pctl", "mdp", "checker"} <= ran
         assert not ran & {"counterexample", "diagnosis", "program"}
+
+    def test_step_bounded_check_runs_no_graph(self):
+        # a step bound sweeps every pending state: no components
+        code, ran = executed("check", "--model", str(MODELS / "csma.pm"),
+                             "--prop",
+                             'P<=0.7 [ !"gave_up" U<=4 "delivered_all" ]')
+        assert code == 0 and "checker" in ran and "graph" not in ran
+        code, ran = executed("check", *demo_args())
+        assert code == 1 and "graph" in ran
 
     def test_program_check_runs_program(self):
         code, ran = executed("check", "--model", str(MODELS / "zeroconf.pm"),

@@ -305,7 +305,7 @@ class TestAgainstOracle:
             for (s, ap, value), cause in collect_causes(cx).items():
                 seen["causes"] += 1
                 assert responsibility_oracle(cx, s, (ap, value)) == cause.dr
-        assert seen == {"counterexamples": 268, "causes": 532}
+        assert seen == {"counterexamples": 268, "causes": 535}
 
     def test_documented_gap(self):
         # the diagnosis module docstring and README quote these counts
@@ -320,8 +320,8 @@ class TestAgainstOracle:
                         semantic += 1
                         if (s, *literal) not in found:
                             missed[dr] += 1
-        assert semantic == 569
-        assert missed == {1 / 3: 29, 1 / 4: 8}
+        assert semantic == 574
+        assert missed == {1 / 3: 30, 1 / 4: 9}
 
 
 class TestCollectCauses:
