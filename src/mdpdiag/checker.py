@@ -4,21 +4,18 @@ from __future__ import annotations
 
 import math
 import weakref
-from itertools import chain, compress, repeat
+from itertools import chain
 from operator import add, itemgetter, mul, sub
 
 from . import graph
 from .defaults import DEFAULT_EPSILON
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
-from .pctl import PathFormula, PropertySpec, until_sets
+from .pctl import PathFormula, PropertySpec, fmt_number, until_sets
 from .records import record, replace
 
 # Extraction treats one-step backups within this of the best one as tied.
 SCHEDULER_TIE_TOL = 1e-9
-# A sweep backs up whole shape groups from this many dirty states on; below
-# it the per-state loop is cheaper (see _sweep).
-GROUPED_SWEEP_MIN = 32
 # An unbounded until solves a strongly connected component of up to this
 # many states exactly, and sweeps a larger one (see _value_iteration).
 EXACT_SCC_MAX = 8
@@ -54,130 +51,72 @@ class Verdict:
     def __str__(self):
         word = "holds" if self.holds else "violated"
         return (f"{word}: Pmax = {self.pmax:.10g} vs "
-                f"{self.comparison} {self.threshold:.10g}")
+                f"{self.comparison} {fmt_number(self.threshold)}")
 
 
-def _sweep(choices, preds, values, pending, max_sweeps: int,
+def _sweep(choices, values, pending, max_sweeps: int,
            epsilon: float) -> tuple[int, float]:
-    """Jacobi sweeps updating values in place; returns (sweeps, residual).
+    """Jacobi sweeps over the pending states, updating values in place;
+    returns (sweeps, residual).
 
-    The first sweep backs up every pending state, a later one at least the
-    predecessors of the states that changed value in the sweep before (the
-    dirty states); any other state would reproduce its value exactly, so
-    the results are those of full Jacobi sweeps, bit for bit. Stops after
-    max_sweeps, when nothing changes, or when the residual (largest
-    change) is below epsilon. The residual is inf when no sweep ran.
-    Pending states must have at least one choice; no other entry of values
-    changes, which the constant columns of _compile_groups rely on.
-
-    Fewer than GROUPED_SWEEP_MIN dirty states are backed up one at a time,
-    more a column at a time in every group of _compile_groups holding one.
-    After a sweep that changes GROUPED_SWEEP_MIN states or more, the next
-    backs up every group that feeds a changed group, with no dirty states
-    listed. Either way a choice's value is its products p * values[t]
-    added left to right, so it does not depend on the Python version's
-    sum(), and the first maximal choice wins.
-
-    Grouped sweeps read and write each group as a slice of the local
-    vector of _compile_groups; values is written back from it when a run
-    of grouped sweeps ends. From 0 at every pending state the values rise
-    monotonically toward the least fixed point, as rounded too (float
-    rounding is monotone), so a group's rises, new values minus old, are
-    never negative: the largest is its part of the residual, with no abs,
-    and the nonzero ones mark exactly the states that changed.
+    Each sweep backs up every group of _compile_groups a column at a
+    time, reading the values of the sweep before from its local vector,
+    and then writes every group back as a slice. A choice's value is its
+    products p * values[t] added left to right, so it does not depend on
+    the Python version's sum(), and the first maximal choice wins. From 0
+    at every pending state the values rise monotonically toward the least
+    fixed point, as rounded too (float rounding is monotone), so the
+    residual, the largest change, is the largest rise, new value minus
+    old, with no abs. Stops after max_sweeps sweeps, or when the residual
+    is 0 or below epsilon; it is inf when no sweep ran. values is written
+    once, at the end. Pending states must have at least one choice; no other
+    entry of values changes, which the constant columns rely on.
     """
-    dirty = pending
-    hot = groups = None
+    order, local, groups = _compile_groups(choices, values, pending)
     sweeps = 0
     residual = math.inf
     while sweeps < max_sweeps:
         sweeps += 1
-        changed = []
         residual = 0.0
-        if hot is None and len(dirty) < GROUPED_SWEEP_MIN:
-            best = []
-            for s in dirty:
-                top = -math.inf
-                for _, dist in choices[s]:
-                    total = 0.0
-                    for t, p in dist:
-                        total += p * values[t]
-                    if total > top:
-                        top = total
-                if top != values[s]:
-                    residual = max(residual, abs(top - values[s]))
-                    changed.append(s)
-                    best.append(top)
-            for s, top in zip(changed, best):
-                values[s] = top
-        else:
-            if groups is None:
-                order, local, groups, group_of, feeds = _compile_groups(
-                    choices, preds, values, pending)
-            elif hot is None:
-                # per-state sweeps ran since the last grouped one
-                local[:] = map(values.__getitem__, order)
-            if hot is None:
-                hot = set(map(group_of.__getitem__, dirty))
-            moved = []
-            for g in hot:
-                lo, hi, states, table = groups[g]
-                top = None
-                for columns in table:
-                    total = None
-                    for probs, get in columns:
-                        prods = (probs if get is None
-                                 else map(mul, probs, get(local)))
-                        total = (prods if total is None
-                                 else map(add, total, prods))
-                    top = (list(total) if top is None
-                           else [y if y > x else x for x, y in zip(top, total)])
-                rise = list(map(sub, top, local[lo:hi]))
-                delta = max(rise)
-                if delta:
-                    residual = max(residual, delta)
-                    moved.append((g, lo, hi, states, top, rise))
-            for g, lo, hi, states, top, rise in moved:
-                local[lo:hi] = top
-                changed.extend(compress(states, rise))
-        if not changed or residual < epsilon:
+        tops = []
+        for lo, hi, table in groups:
+            top = None
+            for columns in table:
+                total = None
+                for probs, get in columns:
+                    prods = (probs if get is None
+                             else map(mul, probs, get(local)))
+                    total = (prods if total is None
+                             else map(add, total, prods))
+                top = (list(total) if top is None
+                       else [y if y > x else x for x, y in zip(top, total)])
+            residual = max(residual, max(map(sub, top, local[lo:hi])))
+            tops.append(top)
+        for (lo, hi, _), top in zip(groups, tops):
+            local[lo:hi] = top
+        if not residual or residual < epsilon:
             break
-        if len(changed) >= GROUPED_SWEEP_MIN:
-            # only a grouped sweep changes that many states
-            hot = set().union(*[feeds[g] for g, *_ in moved])
-        else:
-            if hot is not None:
-                _write_back(values, order, local)
-                hot = None
-            dirty = set(chain.from_iterable(map(preds.get, changed, repeat(()))))
-    if hot is not None:
-        _write_back(values, order, local)
+    for s, v in zip(order, local):
+        values[s] = v
     return sweeps, residual
 
 
-def _write_back(values, order, local):
-    """values[order[i]] = local[i] for every pending state."""
-    for s, v in zip(order, local):
-        values[s] = v
-
-
-def _compile_groups(choices, preds, values, pending):
+def _compile_groups(choices, values, pending):
     """Pending states grouped by the successor counts of their choices, in
     action order, and by which successor positions lie outside pending;
-    returns (order, local, groups, group_of, feeds).
+    returns (order, local, groups).
 
     order lists the pending states one group after another, and local
-    holds their values at the same positions. A group is (lo, hi, states,
-    table): states is order[lo:hi], its values are local[lo:hi], and
-    table holds per choice, per successor position, a column (probs, get)
-    with that position's probabilities for every state of the group and a
+    holds their values at the same positions. A group is (lo, hi, table):
+    its states are order[lo:hi] and its values local[lo:hi], and table
+    holds per choice, per successor position, a column (probs, get) with
+    that position's probabilities for every state of the group and a
     getter of their successors' values from local. A column whose
     successors lie outside pending, whose values _sweep never changes, is
-    stored as (products, None) instead, multiplied out once. feeds[g]
-    holds the groups with a predecessor of a state of group g. Every
-    getter returns a tuple: itemgetter of one index would return the item
-    alone, so the last index is repeated, and each map or zip over it
-    stops at the group's size.
+    stored as (products, None) instead, multiplied out once. Every getter
+    returns a tuple: itemgetter of one index would return the item alone,
+    so the last index is repeated, and each map or zip over it stops at
+    the group's size.
     """
     varies = set(pending)
     by_shape: dict[tuple[int | bool, ...], list[int]] = {}
@@ -194,10 +133,8 @@ def _compile_groups(choices, preds, values, pending):
     for i, s in enumerate(order):
         slot[s] = i
     groups = []
-    group_of = {}
     lo = 0
     for states in by_shape.values():
-        group_of.update(dict.fromkeys(states, len(groups)))
         rows = [choices[s] for s in states]
         table = []
         for c, (_, first) in enumerate(rows[0]):
@@ -211,11 +148,9 @@ def _compile_groups(choices, preds, values, pending):
                     fixed = map(values.__getitem__, ids)
                     columns.append((list(map(mul, probs, fixed)), None))
             table.append(columns)
-        groups.append((lo, lo + len(states), states, table))
+        groups.append((lo, lo + len(states), table))
         lo += len(states)
-    feeds = [{group_of[p] for s in states for p in preds.get(s, ())}
-             for _, _, states, _ in groups]
-    return order, local, groups, group_of, feeds
+    return order, local, groups
 
 
 def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
@@ -235,22 +170,14 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
 
-    Each sweep after the first backs up the states whose successors
-    changed value. From GROUPED_SWEEP_MIN of them on, it backs up whole
-    groups of states whose choices have the same successor counts and the
-    same successor positions outside the swept states, one successor
-    position at a time, with the products of those outside successors,
-    whose values are final, multiplied out once, and picks the next groups
-    from the groups that changed. Such grouped sweeps run on a vector that
-    holds each group's states in one slice, and read and write a group a
-    slice at a time. From 0 the values rise monotonically toward the least
-    fixed point, as rounded too, so a group's new values minus its old
-    ones give its part of the residual and its changed states with no
-    abs. The values, iterations and residual of a run of sweeps are those
-    of full Jacobi sweeps over the same states, bit for bit. A choice's products p * values[t] are added left
-    to right, as sum() did before Python 3.12, and the closed forms and
-    the Gaussian elimination are plain float operations, so the values
-    are the same on every Python version. A left-operand state that
+    A sweep (see _sweep) backs up every swept state, in groups of states
+    whose choices have the same successor counts and the same successor
+    positions outside the swept states, one successor position at a time,
+    with the products of those outside successors, whose values are
+    final, multiplied out once. A choice's products p * values[t] are
+    added left to right, as sum() did before Python 3.12, and the closed
+    forms and the Gaussian elimination are plain float operations, so the
+    values are the same on every Python version. A left-operand state that
     reaches no right-operand state, one without enabled actions included,
     keeps 0. Without a step bound, max_iterations, a nonnegative int,
     budgets the sweeps over large components, and iterations counts them
@@ -283,21 +210,20 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
                      max_iterations: int) -> ValueVector:
     """compute_pmax on a memo miss, with its arguments already checked.
 
-    A step bound runs that many Jacobi sweeps over every pending state.
-    Without one, the pending states are solved one strongly connected
-    component at a time, sinks first (topological value iteration: Dai,
-    Mausam, Weld & Goldsmith, JAIR 2011), so a component reads only final
-    values outside itself:
+    A step bound runs that many Jacobi sweeps over every pending state,
+    or fewer when one changes nothing. Without one, the pending states
+    are solved one strongly connected component at a time, sinks first
+    (topological value iteration: Dai, Mausam, Weld & Goldsmith, JAIR
+    2011), so a component reads only final values outside itself:
     - a lone state s in closed form, the largest over its choices with
       p(s, s) < 1 of the sum of p * values[t] over t != s, added left to
       right, divided by 1 - p(s, s), and at most 1 (rounding may pass
       it); a choice that only loops back to s is left out, and with no
       self-loop this is _sweep's backup;
     - a component of up to EXACT_SCC_MAX states by graph.solve_small;
-    - a larger one by _sweep over its states alone, its predecessor map
-      cut to it. Only these sweeps are counted in iterations and against
-      max_iterations; the residual is the largest of their residuals, 0
-      when no sweep ran.
+    - a larger one by _sweep over its states alone. Only these sweeps are
+      counted in iterations and against max_iterations; the residual is
+      the largest of their residuals, 0 when no sweep ran.
     """
     targets, guard = until_sets(m.label_map(), m.states, psi)
     choices = m.choice_table()
@@ -308,8 +234,7 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
 
     if psi.bound is not None:
         # epsilon 0: run all psi.bound sweeps, or until nothing changes
-        sweeps, residual = _sweep(choices, preds, values, pending,
-                                  psi.bound, 0.0)
+        sweeps, residual = _sweep(choices, values, pending, psi.bound, 0.0)
         zero = frozenset(s for s in m.states if values[s] == 0.0)
         return ValueVector(values, psi.bound, residual if sweeps else 0.0,
                            psi, targets, zero)
@@ -341,9 +266,7 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
         elif len(component) <= EXACT_SCC_MAX:
             graph.solve_small(component, choices, values)
         else:
-            part = set(component)
-            cut = {t: [s for s in preds[t] if s in part] for t in component}
-            done, reached = _sweep(choices, cut, values, component,
+            done, reached = _sweep(choices, values, component,
                                    max_iterations - sweeps, epsilon)
             sweeps += done
             if not reached < epsilon:

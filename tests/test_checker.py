@@ -367,6 +367,16 @@ class TestCheckProperty:
         assert le.holds
         assert not lt.holds
 
+    def test_threshold_printed_in_full(self):
+        # a sure reach against a threshold just below 1: rounded to ten
+        # digits, the threshold would read 1, like Pmax
+        m = Mdp(2, 0, {(0, "a"): [(1, 1.0)], (1, "b"): [(1, 1.0)]},
+                labels={1: {"g"}})
+        verdict = check_property(
+            m, parse_property("P<=0.99999999999 [ true U g ]"))
+        assert not verdict.holds
+        assert str(verdict) == "violated: Pmax = 1 vs <= 0.99999999999"
+
     def test_lower_threshold_comparison_rejected(self):
         with pytest.raises(DomainError, match="comparison"):
             PropertySpec(">=", 0.5, PQ)

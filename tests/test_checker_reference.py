@@ -2,21 +2,21 @@
 
 Without a step bound, compute_pmax solves the strongly connected
 components of the pending states sinks first: a lone state in closed
-form, a small component by graph.solve_small, a larger one by sweeps that
-back up only the states whose successors changed value. A step bound
-sweeps every pending state. extract_max_scheduler places states in one
-backward pass. All must give exactly what the references below give:
-components found by mutual reachability, the closed form written out,
-full Jacobi sweeps over each large component (or over every pending
+form, a small component by graph.solve_small, a larger one by Jacobi
+sweeps over its states alone. A step bound sweeps every pending state.
+A sweep backs up its states a column at a time, in groups of states of
+the same shape. extract_max_scheduler places states in one backward
+pass. All must give exactly what the references below give: components
+found by mutual reachability, the closed form written out, full Jacobi
+sweeps state by state over each large component (or over every pending
 state, for a step bound), and the layer-by-layer rescan. A small
 component goes through graph.solve_small in both, which test_graph.py
 checks against the exhaustive oracle. The references are not independent
 oracles (see oracles.py for those) but the definition of the numbers the
-faster code must reproduce. Every value-iteration comparison runs with
-every sweep grouped, with the shipped size rule, and with no sweep
-grouped.
+faster code must reproduce.
 """
 
+import math
 import operator
 import random
 import weakref
@@ -37,9 +37,6 @@ from mdpdiag.mdp import content_lines
 from fixtures import MODELS, demo_mdp, demo_property
 
 PQ = PathFormula(Atom("p"), Atom("q"))
-# checker.GROUPED_SWEEP_MIN values: every sweep grouped, the shipped size
-# rule, and no sweep grouped
-SWEEP_PATHS = (1, checker.GROUPED_SWEEP_MIN, 10**9)
 
 
 # -- reference: components, full Jacobi sweeps, the layer-by-layer rescan --
@@ -119,11 +116,13 @@ def reference_compute_pmax(m: Mdp, psi: PathFormula,
         elif len(component) <= checker.EXACT_SCC_MAX:
             graph.solve_small(component, m.choice_table(), values)
         else:
+            residual = math.inf
             while True:
                 if iterations >= max_iterations:
                     raise BudgetError(
                         f"value iteration did not reach residual {epsilon} "
-                        f"within {max_iterations} sweeps")
+                        f"within {max_iterations} sweeps (residual reached: "
+                        f"{residual:.6g})", partial=residual)
                 iterations += 1
                 residual = 0.0
                 nxt = list(values)
@@ -335,9 +334,8 @@ def wide_then_chain(rng: random.Random, width: int, length: int) -> Mdp:
     connected component, which is swept.
 
     Only one chain state changes per sweep until the values reach the
-    region, which then changes at every state: under the shipped size
-    rule the first sweep is grouped, the next ones run per state, and
-    grouped sweeps take over again once the region moves."""
+    region, which then changes at every state; every sweep backs up
+    them all."""
     region, chain = list(range(width)), list(range(width, width + length))
     goal, sink = width + length, width + length + 1
     transitions = {(goal, "done"): [(goal, 1.0)],
@@ -357,26 +355,35 @@ def wide_then_chain(rng: random.Random, width: int, length: int) -> Mdp:
 
 
 @contextmanager
-def sweep_path(grouped_min: int):
-    """compute_pmax with another grouped-sweep size rule and an empty memo."""
-    with mock.patch.object(checker, "GROUPED_SWEEP_MIN", grouped_min), \
-            mock.patch.object(checker, "_PMAX_MEMO",
-                              weakref.WeakKeyDictionary()):
+def empty_memo():
+    """compute_pmax runs afresh on models it has checked before."""
+    with mock.patch.object(checker, "_PMAX_MEMO",
+                           weakref.WeakKeyDictionary()):
         yield
 
 
 def assert_same(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON):
     want = reference_compute_pmax(m, psi, epsilon)
-    for grouped_min in SWEEP_PATHS:
-        with sweep_path(grouped_min):
-            got = compute_pmax(m, psi, epsilon)
-        assert got.values == want.values
-        assert got.iterations == want.iterations
-        assert got.residual == want.residual
-        assert got.target_states == want.target_states
-        assert got.zero_states == want.zero_states
-        assert (extract_max_scheduler(m, got).choice
-                == reference_extract_max_scheduler(m, want).choice)
+    with empty_memo():
+        got = compute_pmax(m, psi, epsilon)
+    assert got.values == want.values
+    assert got.iterations == want.iterations
+    assert got.residual == want.residual
+    assert got.target_states == want.target_states
+    assert got.zero_states == want.zero_states
+    assert (extract_max_scheduler(m, got).choice
+            == reference_extract_max_scheduler(m, want).choice)
+
+
+def assert_same_budget(m: Mdp, cap: int, epsilon: float = 1e-15):
+    """compute_pmax runs out of cap sweeps as the reference does, with the
+    same message and partial residual."""
+    raised = []
+    for compute in (reference_compute_pmax, compute_pmax):
+        with empty_memo(), pytest.raises(BudgetError) as info:
+            compute(m, PQ, epsilon=epsilon, max_iterations=cap)
+        raised.append((str(info.value), info.value.partial.hex()))
+    assert raised[0] == raised[1]
 
 
 def shuffled(rng: random.Random, m: Mdp) -> Mdp:
@@ -395,46 +402,47 @@ def sweep_prefixes(m: Mdp, psi: PathFormula,
                    epsilon: float = DEFAULT_EPSILON) -> list[list[float]]:
     """The start values of compute_pmax(m, psi, epsilon) and the values
     after each of its sweeps: _sweep runs again from the start values
-    with a budget of 1, 2, ... sweeps until a run stops short of it, so
-    each prefix also ends where a grouped run writes values back."""
+    with a budget of 1, 2, ... sweeps until a run stops short of it, and
+    a run writes its values back when it ends."""
     prefixes = []
     sweep = checker._sweep
 
-    def recording(choices, preds, values, pending, max_sweeps, epsilon):
+    def recording(choices, values, pending, max_sweeps, epsilon):
         prefixes.append(list(values))
         for k in range(1, max_sweeps + 1):
             after = list(values)
-            if sweep(choices, preds, after, pending, k, epsilon)[0] < k:
+            if sweep(choices, after, pending, k, epsilon)[0] < k:
                 break
             prefixes.append(after)
-        return sweep(choices, preds, values, pending, max_sweeps, epsilon)
+        return sweep(choices, values, pending, max_sweeps, epsilon)
 
-    with mock.patch.object(checker, "_sweep", recording):
+    with empty_memo(), mock.patch.object(checker, "_sweep", recording):
         compute_pmax(m, psi, epsilon)
     return prefixes
 
 
 def grouped_backups(m: Mdp, psi: PathFormula) -> list[int]:
     """Run compute_pmax(m, psi); return the size of each group that its
-    grouped sweeps backed up, in order."""
+    sweeps backed up, in order."""
     sizes = []
     compile_groups = checker._compile_groups
 
     class Table(list):
-        # a grouped sweep reads a group's table once per backup
+        # a sweep reads a group's table once per backup
         def __iter__(self):
             sizes.append(self.size)
             return super().__iter__()
 
     def counting(*args):
-        order, local, groups, group_of, feeds = compile_groups(*args)
-        for g, (lo, hi, states, table) in enumerate(groups):
+        order, local, groups = compile_groups(*args)
+        for g, (lo, hi, table) in enumerate(groups):
             table = Table(table)
             table.size = hi - lo
-            groups[g] = (lo, hi, states, table)
-        return order, local, groups, group_of, feeds
+            groups[g] = (lo, hi, table)
+        return order, local, groups
 
-    with mock.patch.object(checker, "_compile_groups", counting):
+    with empty_memo(), mock.patch.object(checker, "_compile_groups",
+                                         counting):
         compute_pmax(m, psi)
     return sizes
 
@@ -466,6 +474,19 @@ class TestMatchesFullSweeps:
         m = tied_chain(random.Random(301), 60)
         for bound in (0, 1, 30, 59, 60, 61, 200):
             assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
+        # under a step bound the chain is swept whole, and one of its n
+        # states changes per sweep, so the values stop changing after n
+        # sweeps; sweep n + 1 changes nothing and ends the run. Every
+        # sweep backs up all n states. Without a bound no sweep runs.
+        n = 300
+        m = tied_chain(random.Random(303), n)
+        psi = PathFormula(Atom("p"), Atom("q"), bound=n + 1)
+        assert_same(m, psi)
+        assert_same(m, PQ)
+        assert compute_pmax(m, psi).iterations == n + 1
+        assert compute_pmax(m, PQ).iterations == 0
+        assert sum(grouped_backups(m, psi)) == (n + 1) * n
+        assert grouped_backups(m, PQ) == []
 
     def test_extraction_on_arbitrary_value_vectors(self):
         # Vectors that no value iteration produces: some states then have
@@ -501,34 +522,21 @@ class TestMatchesFullSweeps:
         wide = tied_mdp(rng, sizes=(200, 200), gaps=True)
         for model, caps in ((m, (0, 1, 20, 40)), (wide, (0, 1, 3, 10))):
             for cap in caps:
-                with pytest.raises(BudgetError):
-                    reference_compute_pmax(model, PQ, epsilon=1e-15,
-                                           max_iterations=cap)
-                raised = []
-                for grouped_min in SWEEP_PATHS:
-                    with sweep_path(grouped_min), \
-                            pytest.raises(BudgetError) as info:
-                        compute_pmax(model, PQ, epsilon=1e-15,
-                                     max_iterations=cap)
-                    raised.append((str(info.value), info.value.partial))
-                assert raised == [raised[-1]] * len(SWEEP_PATHS)
+                assert_same_budget(model, cap)
         # a budget of exactly the sweeps needed suffices, one less not
         need = reference_compute_pmax(m, PQ).iterations
-        with pytest.raises(BudgetError):
-            reference_compute_pmax(m, PQ, max_iterations=need - 1)
+        assert_same_budget(m, need - 1, DEFAULT_EPSILON)
         want = reference_compute_pmax(m, PQ, max_iterations=need)
-        for grouped_min in SWEEP_PATHS:
-            with sweep_path(grouped_min):
-                got = compute_pmax(m, PQ, max_iterations=need)
-                with pytest.raises(BudgetError):
-                    compute_pmax(m, PQ, max_iterations=need - 1)
-            assert got.values == want.values and got.iterations == need
+        with empty_memo():
+            got = compute_pmax(m, PQ, max_iterations=need)
+        assert got.values == want.values and got.iterations == need
 
 
 class TestShapedModels:
     """Models whose groups have constant columns (successors that value
-    iteration never changes), mixed ones, and sweeps that switch between
-    the grouped and the per-state backups."""
+    iteration never changes) and mixed ones, and a wide region behind a
+    tied chain, whose sweeps change one state at a time before they
+    change many."""
 
     @pytest.mark.parametrize("layouts", [
         ("cvv",), ("vcv",), ("vvc",), ("cvv", "vcv", "vvc"),
@@ -542,7 +550,7 @@ class TestShapedModels:
             for bound in (0, 1, 2, 7):
                 assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
 
-    def test_grouped_then_per_state_then_grouped(self):
+    def test_wide_region_behind_a_tied_chain(self):
         m = wide_then_chain(random.Random(7), 80, 60)
         assert_same(m, PQ)
         assert_same(m, PQ, 1e-12)
@@ -551,19 +559,10 @@ class TestShapedModels:
 
     def test_budget_runs_out_inside_a_grouped_run(self):
         m = wide_then_chain(random.Random(8), 80, 30)
-        # under the shipped size rule sweep 1 is grouped, sweeps 2 to 32
-        # run per state, and every sweep from 33 on is grouped
+        # the budget runs out while one chain state changes per sweep, and
+        # after the region has moved
         for cap in (1, 33, 40, 60):
-            with pytest.raises(BudgetError):
-                reference_compute_pmax(m, PQ, epsilon=1e-15,
-                                       max_iterations=cap)
-            raised = []
-            for grouped_min in SWEEP_PATHS:
-                with sweep_path(grouped_min), \
-                        pytest.raises(BudgetError) as info:
-                    compute_pmax(m, PQ, epsilon=1e-15, max_iterations=cap)
-                raised.append((str(info.value), info.value.partial))
-            assert raised == [raised[-1]] * len(SWEEP_PATHS)
+            assert_same_budget(m, cap)
 
     def test_sweep_keeps_every_other_entry(self):
         # a sweep changes only the states of its component, or every
@@ -578,33 +577,30 @@ class TestShapedModels:
         sweep = checker._sweep
         seen = []
 
-        def checking(choices, preds, values, pending, max_sweeps, epsilon):
+        def checking(choices, values, pending, max_sweeps, epsilon):
             moving = set(pending)
             fixed = [(s, v.hex()) for s, v in enumerate(values)
                      if s not in moving]
-            result = sweep(choices, preds, values, pending, max_sweeps,
-                           epsilon)
+            result = sweep(choices, values, pending, max_sweeps, epsilon)
             assert [(s, values[s].hex()) for s, _ in fixed] == fixed
             seen.append({v for _, v in fixed}
                         - {(0.0).hex(), (1.0).hex()})
             return result
 
         for m in models:
-            for grouped_min in SWEEP_PATHS:
-                for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=9)):
-                    with sweep_path(grouped_min), \
-                            mock.patch.object(checker, "_sweep", checking):
-                        compute_pmax(m, psi)
+            for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=9)):
+                with empty_memo(), \
+                        mock.patch.object(checker, "_sweep", checking):
+                    compute_pmax(m, psi)
         # every run sweeps; some sweeps read solved values other than 0, 1
-        assert len(seen) >= len(models) * len(SWEEP_PATHS) * 2
+        assert len(seen) >= len(models) * 2
         assert any(seen)
 
 
 class TestLocalLayout:
-    """Grouped sweeps run on a local vector that holds the pending states
-    group after group, indexed by position, then the outside successors
-    that mixed columns read; each sweep reads and writes a group as a
-    slice and finds the changed states from one list of rises."""
+    """Sweeps run on a local vector that holds the swept states group
+    after group, indexed by position; each sweep reads and writes a group
+    as a slice and takes its residual from the rises alone."""
 
     def test_shuffled_state_ids(self):
         rng = random.Random(2705)
@@ -622,8 +618,8 @@ class TestLocalLayout:
     @pytest.mark.parametrize("bound", [None, 25])
     def test_every_sweep_rises(self, bound):
         # from 0 the sweeps rise toward the least fixed point, as rounded
-        # too, which is what lets a sweep take its residual and its
-        # changed states from the rises alone
+        # too, which is what lets a sweep take its residual from the rises
+        # alone, with no abs
         rng = random.Random(f"rises/{bound}")
         models = [tied_mdp(rng) for _ in range(30)]
         models += [shaped_mdp(rng, n, layouts) for n in (5, 45)
@@ -632,12 +628,7 @@ class TestLocalLayout:
         models += [wide_then_chain(rng, 80, 40)]
         psi = PathFormula(Atom("p"), Atom("q"), bound=bound)
         for m in models:
-            runs = []
-            for grouped_min in SWEEP_PATHS:
-                with sweep_path(grouped_min):
-                    runs.append(sweep_prefixes(m, psi))
-            prefixes = runs[0]
-            assert runs == [prefixes] * len(SWEEP_PATHS)
+            prefixes = sweep_prefixes(m, psi)
             for before, after in zip(prefixes, prefixes[1:]):
                 assert all(map(operator.ge, after, before))
             if bound is None:
@@ -650,29 +641,47 @@ class TestLocalLayout:
                     m, PathFormula(Atom("p"), Atom("q"), bound=k))
                 assert prefixes[k] == want.values
 
-    def test_long_chain_runs_per_state_after_the_first_sweep(self):
-        # under a step bound the chain is swept whole, and one of its n
-        # states changes per sweep: the next mode goes by that count, so
-        # only the first of the n + 1 sweeps backs up the groups; a rule
-        # that kept a run grouped while its groups moved would back them
-        # up on every sweep. Without a bound no sweep runs at all.
-        n = 300
-        m = tied_chain(random.Random(303), n)
-        psi = PathFormula(Atom("p"), Atom("q"), bound=n + 1)
-        for grouped_min in (checker.GROUPED_SWEEP_MIN, 1, 10**9):
-            with sweep_path(grouped_min):
-                backups = grouped_backups(m, psi)
-                assert compute_pmax(m, psi).iterations == n + 1
-                assert grouped_backups(m, PQ) == []
-                assert compute_pmax(m, PQ).iterations == 0
-            if grouped_min == checker.GROUPED_SWEEP_MIN:
-                assert sum(backups) == n
-            elif grouped_min == 1:
-                assert len(backups) > n
-            else:
-                assert backups == []
-        assert_same(m, psi)
-        assert_same(m, PQ)
+    def test_bound_past_convergence_stops_at_the_first_still_sweep(self):
+        # a run stops at the first sweep that changes nothing, so a bound
+        # of 10**18 finishes at once, with the values of the least bound k
+        # whose k-step reference values the (k + 1)-step one repeats, in
+        # k + 1 sweeps with residual 0
+        rng = random.Random(1018)
+        path = demo_property().path
+        cases = [(demo_mdp(), path.left, path.right),
+                 (tied_chain(rng, 60), Atom("p"), Atom("q"))]
+        cases += [(tied_mdp(rng, p_without_actions=False), Atom("p"),
+                   Atom("q")) for _ in range(20)]
+        sweep = checker._sweep
+        ran = []
+
+        def counting(*args):
+            ran.append(sweep(*args))
+            return ran[-1]
+
+        for m, left, right in cases:
+            def reference(k):
+                return reference_compute_pmax(
+                    m, PathFormula(left, right, bound=k)).values
+
+            hi = 1
+            while reference(hi) != reference(hi + 1):
+                hi *= 2
+            lo = 0  # the least such k lies in [lo, hi]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if reference(mid) == reference(mid + 1):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            psi = PathFormula(left, right, bound=10**18)
+            with empty_memo(), mock.patch.object(checker, "_sweep", counting):
+                got = compute_pmax(m, psi)
+            assert got.values == reference(lo)
+            assert got.iterations == 10**18 and got.residual == 0.0
+            assert ran[-1] == (lo + 1, 0.0)
+        # the chain's values stop changing only after all 60 sweeps
+        assert ran[1] == (61, 0.0)
 
 
 class TestWitnessPathProbabilities:
