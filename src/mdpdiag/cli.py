@@ -12,7 +12,7 @@ past the recursion limit included), 3 a resource budget was exhausted.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import re
 import sys
@@ -156,6 +156,7 @@ def _verdict_output(args, spec, verdict) -> None:
             "pmax": verdict.pmax,
             "holds": verdict.holds,
         }
+        import json
         _emit(args, [json.dumps(payload, indent=2) + "\n"])
         return
     word = "HOLDS" if verdict.holds else "VIOLATED"
@@ -299,6 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Automatic cyclic garbage collection is paused while the command runs
+    and then restored as it was found: a query's bulk data (state tuples,
+    choice rows, value lists, prefix forests) holds no reference cycle, so
+    reference counting frees it, and a collection pass would only rescan
+    it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,7 +10,6 @@ order, so the set is as small as such a set can be.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
@@ -527,6 +526,7 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
 
 
 def counterexample_to_json(cx: Counterexample) -> str:
+    import json
     return json.dumps(counterexample_to_dict(cx), indent=2) + "\n"
 
 
@@ -705,6 +705,7 @@ def counterexample_from_dict(data: dict) -> Counterexample:
 
 
 def counterexample_from_json(text: str) -> Counterexample:
+    import json
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -24,7 +24,6 @@ search over subsets of the alphabet, exponential in its size.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Mapping
 
 from .counterexample import Counterexample, counterexample_to_dict
@@ -105,56 +104,70 @@ def find_causes(s: int, labels: Mapping[int, frozenset[str]],
     evaluated at s at most once, and the causes are gathered into one
     dict, so the work is linear in the formula.
     """
-    truth: dict[int, bool] = {}  # id(subformula) -> its value at s
-    out: dict[tuple[str, bool], float] = {}
+    walk = _CauseWalk(s, labels, _counter)
+    walk.walk(phi, True, w)
+    return walk.out
 
-    def holds(phi) -> bool:
+
+class _CauseWalk:
+    """One find_causes walk at state s: the value of each subformula met,
+    by id, and the causes found. Its methods recurse by name rather than
+    as closures over each other, so a walk leaves no reference cycle."""
+
+    def __init__(self, s, labels, counter):
+        self.s = s
+        self.labels = labels
+        self.counter = counter
+        self.truth: dict[int, bool] = {}  # id(subformula) -> its value at s
+        self.out: dict[tuple[str, bool], float] = {}
+
+    def holds(self, phi) -> bool:
+        truth = self.truth
         key = id(phi)
         if key not in truth:
             if isinstance(phi, Not):
-                truth[key] = not holds(phi.child)
+                truth[key] = not self.holds(phi.child)
             elif isinstance(phi, And):
-                truth[key] = holds(phi.left) and holds(phi.right)
+                truth[key] = self.holds(phi.left) and self.holds(phi.right)
             elif isinstance(phi, Or):
-                truth[key] = holds(phi.left) or holds(phi.right)
+                truth[key] = self.holds(phi.left) or self.holds(phi.right)
             else:
-                truth[key] = eval_state_formula(labels, s, phi)
+                truth[key] = eval_state_formula(self.labels, self.s, phi)
         return truth[key]
 
-    def walk(phi, want: bool, w: int):
+    def walk(self, phi, want: bool, w: int):
         """Add the causes of phi sought to evaluate to want at s."""
         while isinstance(phi, Not):
             phi, want = phi.child, not want
-        if _counter is not None:
-            _counter[0] += 1
+        if self.counter is not None:
+            self.counter[0] += 1
+        s = self.s
         if isinstance(phi, (TrueFormula, FalseFormula)):
             if isinstance(phi, TrueFormula) == want:
                 return
             raise DomainError(f"formula does not hold at state {s}")
         if isinstance(phi, Atom):
-            if (phi.name in labels.get(s, frozenset())) != want:
+            if (phi.name in self.labels.get(s, frozenset())) != want:
                 raise DomainError(
                     f"formula does not hold at state {s}: {phi.name} "
                     f"is {'false' if want else 'true'} there")
             lit = phi.name, want
+            out = self.out
             out[lit] = max(out.get(lit, 0.0), 1.0 / (w + 1))
             return
         if not isinstance(phi, (And, Or)):
             raise DomainError(f"not a state formula: {phi!r}")
         if isinstance(phi, Or) == want:  # an | sought true, an & sought false
-            left_holds = holds(phi.left) == want
-            right_holds = holds(phi.right) == want
+            left_holds = self.holds(phi.left) == want
+            right_holds = self.holds(phi.right) == want
             if not (left_holds or right_holds):
                 raise DomainError(f"formula does not hold at state {s}")
             if not (left_holds and right_holds):
-                walk(phi.left if left_holds else phi.right, want, w)
+                self.walk(phi.left if left_holds else phi.right, want, w)
                 return
             w += 1  # both sides hold: they split the responsibility
-        walk(phi.left, want, w)
-        walk(phi.right, want, w)
-
-    walk(phi, True, w)
-    return out
+        self.walk(phi.left, want, w)
+        self.walk(phi.right, want, w)
 
 
 def collect_causes(cx: Counterexample,
@@ -279,6 +292,7 @@ class DiagnosisReport:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def render_text(self, normalize: bool = False) -> str:

@@ -192,16 +192,38 @@ def eval_state_formula(labels: Mapping[int, Set[str]], s: int,
 def until_sets(labels: Mapping[int, Set[str]], states: Iterable[int],
                path: PathFormula) -> tuple[frozenset[int], frozenset[int]]:
     """The targets (right operand holds) and the guard-only states (left
-    operand holds, right one fails) among states, under labels. The left
-    operand is evaluated only where the right one fails."""
-    targets = []
-    guard_only = []
-    for s in states:
-        if eval_state_formula(labels, s, path.right):
-            targets.append(s)
-        elif eval_state_formula(labels, s, path.left):
-            guard_only.append(s)
-    return frozenset(targets), frozenset(guard_only)
+    operand holds, right one fails) among states, under labels. Each
+    operand is evaluated as one set operation per formula node, over the
+    states each atom labels."""
+    universe = frozenset(states)
+    index: dict[str, set[int]] = {}
+    for s, names in labels.items():
+        if s in universe:
+            for name in names:
+                index.setdefault(name, set()).add(s)
+    targets = _satisfying(path.right, universe, index)
+    return targets, _satisfying(path.left, universe, index) - targets
+
+
+def _satisfying(phi: StateFormula, universe: frozenset[int],
+                index: Mapping[str, set[int]]) -> frozenset[int]:
+    """The states of universe where phi holds, index mapping each atom to
+    the states of universe it labels."""
+    if isinstance(phi, TrueFormula):
+        return universe
+    if isinstance(phi, FalseFormula):
+        return frozenset()
+    if isinstance(phi, Atom):
+        return frozenset(index.get(phi.name, ()))
+    if isinstance(phi, Not):
+        return universe - _satisfying(phi.child, universe, index)
+    if isinstance(phi, And):
+        return (_satisfying(phi.left, universe, index)
+                & _satisfying(phi.right, universe, index))
+    if isinstance(phi, Or):
+        return (_satisfying(phi.left, universe, index)
+                | _satisfying(phi.right, universe, index))
+    raise DomainError(f"not a state formula: {phi!r}")
 
 
 # -- parsing ---------------------------------------------------------------

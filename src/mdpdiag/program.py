@@ -123,31 +123,47 @@ def compile_expr(expr: Expr, consts: Mapping[str, object],
     none: an ill-typed expression compiles to a closure raising the
     ParseError that evaluating left to right meets first, once called.
     """
-    slots = slots or {}
+    return _Compiler(consts, slots or {}, line, filename, unknown).rec(expr)
 
-    def fail(msg):
+
+class _Compiler:
+    """compile_expr's state. Its methods call each other by name rather
+    than as closures over each other, so compiling leaves no reference
+    cycle, and no closure it makes refers to it."""
+
+    def __init__(self, consts, slots, line, filename, unknown):
+        self.consts = consts
+        self.slots = slots
+        self.line = line
+        self.filename = filename
+        self.unknown = unknown
+
+    def fail(self, msg):
+        line, filename = self.line, self.filename
+
         def raise_error(state):
             raise ParseError(msg, line=line, filename=filename)
         return _Code(raise_error, "error")
 
+    @staticmethod
     def literal(v):
         kind = ("bool" if isinstance(v, bool) else
                 "int" if isinstance(v, int) else "float")
         return _Code(lambda state: v, kind, v)
 
-    def operand(e, boolean):
-        c = rec(e)
+    def operand(self, e, boolean):
+        c = self.rec(e)
         if c.kind == "error" or (c.kind == "bool") == boolean:
             return c
-        return fail("expected a boolean operand" if boolean
-                    else "expected a numeric operand")
+        return self.fail("expected a boolean operand" if boolean
+                         else "expected a numeric operand")
 
-    def apply(f, kind, args):
+    def apply(self, f, kind, args):
         for a in args:
             if a.kind == "error":
                 return a
         if all(a.value is not None for a in args):
-            return literal(f(*(a.value for a in args)))
+            return self.literal(f(*(a.value for a in args)))
         fns = [a.fn for a in args]
         reads = frozenset().union(*(a.reads for a in args))
         if len(args) != 2:
@@ -157,41 +173,41 @@ def compile_expr(expr: Expr, consts: Mapping[str, object],
             return _Code(lambda s: f(lf(s), rv), kind, None, reads)
         return _Code(lambda s: f(lf(s), rf(s)), kind, None, reads)
 
-    def rec(e):
+    def rec(self, e):
         if isinstance(e, (Num, BoolLit)):
-            return literal(e.value)
+            return self.literal(e.value)
         if isinstance(e, Name):
-            if e.ident in slots:
-                slot = slots[e.ident]
+            if e.ident in self.slots:
+                slot = self.slots[e.ident]
                 return _Code(itemgetter(slot), "int", None, frozenset((slot,)))
-            if e.ident in consts:
-                return literal(consts[e.ident])
-            raise ParseError(f"{unknown} {e.ident!r}", line=line,
-                             filename=filename)
+            if e.ident in self.consts:
+                return self.literal(self.consts[e.ident])
+            raise ParseError(f"{self.unknown} {e.ident!r}", line=self.line,
+                             filename=self.filename)
         if isinstance(e, Unary) and e.op == "-":
-            c = operand(e.child, False)
-            return apply(operator.neg, c.kind, [c])
+            c = self.operand(e.child, False)
+            return self.apply(operator.neg, c.kind, [c])
         if isinstance(e, Unary):
-            return apply(operator.not_, "bool", [operand(e.child, True)])
+            return self.apply(operator.not_, "bool",
+                              [self.operand(e.child, True)])
         if isinstance(e, Call):
-            args = [operand(a, False) for a in e.args]
+            args = [self.operand(a, False) for a in e.args]
             kinds = {a.kind for a in args}
             pick = min if e.func == "min" else max
-            return apply(lambda *vals: pick(vals),
-                         kinds.pop() if len(kinds) == 1 else "num", args)
+            return self.apply(lambda *vals: pick(vals),
+                              kinds.pop() if len(kinds) == 1 else "num", args)
         if isinstance(e, Binary) and e.op in _OPS:
             boolean = e.op in ("&", "|")
-            l, r = operand(e.left, boolean), operand(e.right, boolean)
+            l = self.operand(e.left, boolean)
+            r = self.operand(e.right, boolean)
             if e.op not in ("+", "-", "*"):
                 kind = "bool"
             elif "float" in (l.kind, r.kind):
                 kind = "float"
             else:
                 kind = "int" if l.kind == r.kind == "int" else "num"
-            return apply(_OPS[e.op], kind, [l, r])
-        return fail(f"cannot evaluate expression node {e!r}")
-
-    return rec(expr)
+            return self.apply(_OPS[e.op], kind, [l, r])
+        return self.fail(f"cannot evaluate expression node {e!r}")
 
 
 def _constant(expr, consts, line, filename, unknown="unknown identifier"):

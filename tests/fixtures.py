@@ -6,11 +6,12 @@ maximizing scheduler admits six paths into the bad region. blame_gap_mdp
 separates "action reaching the most responsible cause" from "action
 carrying the most blame". slow_exit_mdp is the shape of the slow-exit
 benchmark workload: a cycle left rarely, whose counterexample is hundreds
-of long paths sharing almost all their prefixes. The remaining helpers
-parse a lone state formula and write a model back to the explicit text
-format.
+of long paths sharing almost all their prefixes; tied_chain is the shape
+of the deep-chain workload, of any length. The remaining helpers parse a
+lone state formula and write a model back to the explicit text format.
 """
 
+import random
 from pathlib import Path
 
 from mdpdiag import Mdp, PropertySpec, parse_explicit_model, parse_property
@@ -102,3 +103,22 @@ def serialize_labels(m: Mdp) -> str:
         if aps:
             out.append(f"{s}: " + " ".join(sorted(aps)))
     return "\n".join(out) + "\n"
+
+
+def tied_chain(rng: random.Random, n: int) -> Mdp:
+    """n `p` states in a shuffled chain to a `q` goal: each moves on with
+    0.99 (else to a sink) or stays on a self-loop whose value ties."""
+    ids = list(range(n + 2))
+    rng.shuffle(ids)
+    goal, sink = ids[n], ids[n + 1]
+    transitions = {}
+    for i in range(n):
+        s = ids[i]
+        nxt = ids[i + 1] if i + 1 < n else goal
+        transitions[(s, "stay")] = [(s, 1.0)]
+        transitions[(s, "fwd")] = [(nxt, 0.99), (sink, 0.01)]
+    transitions[(goal, "done")] = [(goal, 1.0)]
+    transitions[(sink, "stuck")] = [(sink, 1.0)]
+    labels = {ids[i]: {"p"} for i in range(n)}
+    labels[goal] = {"q"}
+    return Mdp(n + 2, ids[0], transitions, labels)

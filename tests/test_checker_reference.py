@@ -34,7 +34,7 @@ from mdpdiag import checker, graph
 from mdpdiag.checker import SCHEDULER_TIE_TOL
 from mdpdiag.mdp import content_lines
 
-from fixtures import MODELS, demo_mdp, demo_property
+from fixtures import MODELS, demo_mdp, demo_property, tied_chain
 
 PQ = PathFormula(Atom("p"), Atom("q"))
 
@@ -273,25 +273,6 @@ def tied_mdp(rng: random.Random, sizes=(2, 10), gaps=False,
         if here:
             labels[s] = here
     return Mdp(n, rng.randrange(n), transitions, labels)
-
-
-def tied_chain(rng: random.Random, n: int) -> Mdp:
-    """n `p` states in a shuffled chain to a `q` goal: each moves on with
-    0.99 (else to a sink) or stays on a self-loop whose value ties."""
-    ids = list(range(n + 2))
-    rng.shuffle(ids)
-    goal, sink = ids[n], ids[n + 1]
-    transitions = {}
-    for i in range(n):
-        s = ids[i]
-        nxt = ids[i + 1] if i + 1 < n else goal
-        transitions[(s, "stay")] = [(s, 1.0)]
-        transitions[(s, "fwd")] = [(nxt, 0.99), (sink, 0.01)]
-    transitions[(goal, "done")] = [(goal, 1.0)]
-    transitions[(sink, "stuck")] = [(sink, 1.0)]
-    labels = {ids[i]: {"p"} for i in range(n)}
-    labels[goal] = {"q"}
-    return Mdp(n + 2, ids[0], transitions, labels)
 
 
 def shaped_mdp(rng: random.Random, n: int, layouts) -> Mdp:

@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line front end."""
 
+import gc
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,10 +12,14 @@ from pathlib import Path
 import pytest
 
 import mdpdiag
-from mdpdiag import build_mipcx, generate_diagnoses
+from mdpdiag import (And, Atom, Not, Or, build_mipcx, find_causes,
+                     generate_diagnoses)
+from mdpdiag import cli
 from mdpdiag.cli import main
+from mdpdiag.program import (Binary, BoolLit, Call, Name, Num, Unary,
+                             compile_expr)
 from fixtures import (serialize_explicit_model, serialize_labels,
-                      slow_exit_mdp, slow_exit_property)
+                      slow_exit_mdp, slow_exit_property, tied_chain)
 
 # the benchmark's input generators, read only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -783,6 +789,23 @@ class TestLoading:
         assert code == 1 and {"counterexample", "diagnosis"} <= ran
         assert "program" not in ran
 
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("check",) + demo_args(),
+        ("diagnose",) + demo_args(),
+    ], ids=["help", "check", "diagnose"])
+    def test_text_output_imports_no_json(self, argv):
+        probe = ("import runpy, sys\n"
+                 "try:\n"
+                 "    runpy.run_module('mdpdiag.cli', run_name='__main__')\n"
+                 "except SystemExit:\n"
+                 "    pass\n"
+                 "print('json' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=_subprocess_env())
+        assert proc.stderr.splitlines()[-1] == "False"
+
     def test_every_submodule_registered_after_importing_the_cli(self):
         out = subprocess.run(
             [sys.executable, "-c",
@@ -806,3 +829,105 @@ class TestLoading:
             capture_output=True, text=True, timeout=60, env=_subprocess_env())
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.startswith("usage: mdpdiag")
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollector:
+    """main runs its command with automatic cyclic collection paused, over
+    data that reference counting alone frees."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, want", [
+        (("check",) + demo_args(prop="P<=0.9 [ (a|b) U (c&d) ]"), 0),
+        (("check",) + demo_args(), 1),
+        (("diagnose",) + demo_args("--max-paths", "0"), 2),
+        (("check", "--model", str(MODELS / "zeroconf.pm"), "--props-file",
+          str(MODELS / "zeroconf.props"), "--state-cap", "5"), 3),
+        (("--help",), 0),
+        (("check",), 2),
+        (("check",) + demo_args(prop=f"P<=0.5 [ {'!' * 5000}a U c ]"), 2),
+    ], ids=["holds", "violated", "usage", "budget", "help", "argparse",
+            "recursion"])
+    def test_main_restores_the_collector(self, capsys, collector, enabled,
+                                         argv, want):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        code, _, _ = run(capsys, *argv)
+        assert code == want
+        assert gc.isenabled() is enabled
+
+    def test_diagnose_makes_no_collection_pass(self, capsys, monkeypatch):
+        inside = [False]
+        passes = []
+        run_command = cli._run
+
+        def marked(argv):
+            inside[0] = True
+            try:
+                return run_command(argv)
+            finally:
+                inside[0] = False
+
+        def count(phase, info):
+            if phase == "start" and inside[0]:
+                passes.append(info["generation"])
+
+        monkeypatch.setattr(cli, "_run", marked)
+        gc.callbacks.append(count)
+        try:
+            code, _, _ = run(capsys, "diagnose", "--model",
+                             str(MODELS / "csma.pm"), "--const", "K=20",
+                             "--props-file", str(MODELS / "csma.props"))
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 1 and passes == []
+
+    def test_find_causes_and_compile_expr_leave_no_cycle(self, collector):
+        phi = Or(And(Atom("a"), Not(Atom("b"))), Not(And(Atom("b"),
+                                                         Atom("c"))))
+        s = Name("s")
+        exprs = [
+            Binary("&", Binary("=", s, Num(1)),
+                   Unary("!", Binary("<", Call("min", (s, Num(3))),
+                                     Num(2)))),
+            Binary("+", Binary("*", s, Num(2.5)), Unary("-", Name("K"))),
+            Binary("|", BoolLit(True), Num(1)),  # ill-typed: an error closure
+        ]
+        gc.collect()
+        gc.disable()
+        for _ in range(50):
+            assert find_causes(0, {0: {"a"}}, phi) == {
+                ("a", True): 0.5, ("b", False): 0.5, ("c", False): 1 / 3}
+            codes = [compile_expr(e, {"K": 4}, {"s": 0}) for e in exprs]
+            assert [c.kind for c in codes] == ["bool", "float", "error"]
+            assert [c.fn((1,)) for c in codes[:2]] == [False, -1.5]
+        assert gc.collect() == 0
+
+    def test_diagnosis_leaves_no_cycle_per_state(self, capsys, tmp_path,
+                                                 collector):
+        left = []
+        for n in (50, 400):
+            m = tied_chain(random.Random(n), n)
+            tra, lab = tmp_path / f"{n}.tra", tmp_path / f"{n}.lab"
+            tra.write_text(serialize_explicit_model(m))
+            lab.write_text(serialize_labels(m))
+            gc.collect()
+            gc.disable()
+            code, _, _ = run(capsys, "diagnose", "--model", str(tra),
+                             "--labels", str(lab),
+                             "--prop", "P<=0.01 [ p U q ]")
+            assert code == 1
+            left.append(gc.collect())
+        assert left[0] == left[1]

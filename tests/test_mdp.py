@@ -399,18 +399,36 @@ class TestUntilSets:
                          for _, dist in d.choices[s]}, m.label_map())
             assert live == self.brute_force(chain, psi)[2] & set(d.states)
 
-    def test_left_operand_only_where_the_right_one_fails(self):
-        looked_up = []
+    def test_match_brute_force_on_random_formulas(self):
+        # operands as the parser builds them: constants, an atom outside
+        # the alphabet, nested negations and disjunctions; states a random
+        # subset, listed with repeats, of a model labelling more states
+        rng = random.Random(3054)
 
-        class Recording(dict):
-            def get(self, s, default=None):
-                looked_up.append(s)
-                return super().get(s, default)
+        def formula(depth):
+            pick = rng.randrange(7 if depth else 3)
+            if pick == 0:
+                return rng.choice(("p", "q", "zz"))
+            if pick == 1:
+                return rng.choice(("true", "false"))
+            if pick == 2:
+                return f"!{formula(depth - 1) if depth else 'p'}"
+            if pick == 3:
+                return f"!({formula(depth - 1)})"
+            op = "&" if pick == 4 else "|"
+            return f"({formula(depth - 1)} {op} {formula(depth - 1)})"
 
-        labels = Recording({0: {"q"}, 1: {"p"}})
-        psi = parse_property("P<=0.5 [ p U q ]").path
-        assert until_sets(labels, range(3), psi) == ({0}, {1})
-        assert looked_up == [0, 1, 1, 2, 2]
+        for _ in range(300):
+            m = random_mdp(rng, max_states=10)
+            psi = parse_property(
+                f"P<=0.5 [ {formula(3)} U {formula(3)} ]").path
+            labels = m.label_map()
+            states = [s for s in m.states if rng.random() < 0.7] * 2
+            right = {s for s in states
+                     if eval_state_formula(labels, s, psi.right)}
+            left = {s for s in states
+                    if eval_state_formula(labels, s, psi.left)}
+            assert until_sets(labels, states, psi) == (right, left - right)
 
 
 def structure(m):
