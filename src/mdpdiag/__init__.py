@@ -20,7 +20,7 @@ from .defaults import (DEFAULT_EPSILON, DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB,
 
 _EXPORTS = {
     "checker": ("ValueVector", "Verdict", "check_property", "compute_pmax",
-                "extract_max_scheduler", "mass_exceeds"),
+                "extract_max_scheduler"),
     "counterexample": ("Counterexample", "PathForest", "build_mipcx",
                        "counterexample_from_dict", "counterexample_from_json",
                        "counterexample_to_dict", "counterexample_to_json",
@@ -34,7 +34,7 @@ _EXPORTS = {
             "parse_labels_text", "path_probability", "validate_mdp"),
     "pctl": ("FALSE", "TRUE", "And", "Atom", "FalseFormula", "Not", "Or",
              "PathFormula", "PropertySpec", "TrueFormula",
-             "eval_state_formula", "parse_property"),
+             "eval_state_formula", "mass_exceeds", "parse_property"),
     "program": ("Program", "build_mdp", "fold_constants", "parse_program"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()

@@ -11,7 +11,8 @@ from . import graph
 from .defaults import DEFAULT_EPSILON
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
-from .pctl import PathFormula, PropertySpec, fmt_number, until_sets
+from .pctl import (PathFormula, PropertySpec, fmt_number, mass_exceeds,
+                   until_sets)
 from .records import record, replace
 
 # Extraction treats one-step backups within this of the best one as tied.
@@ -348,10 +349,3 @@ def check_property(m: Mdp, spec: PropertySpec,
     pmax = vv.values[m.init]
     holds = not mass_exceeds(spec, pmax)
     return Verdict(holds, pmax, spec.threshold, spec.comparison, vv)
-
-
-def mass_exceeds(spec: PropertySpec, mass: float) -> bool:
-    """Does this much path probability witness the property's violation?"""
-    if spec.comparison == "<=":
-        return mass > spec.threshold
-    return mass >= spec.threshold

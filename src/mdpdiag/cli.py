@@ -6,7 +6,9 @@ re-rank a previously exported counterexample without the model.
 
 Exit codes: 0 the property holds, 1 it is violated (and was diagnosed),
 2 usage, parse or validation trouble (input that is not UTF-8 or nests
-past the recursion limit included), 3 a resource budget was exhausted.
+past the recursion limit included), 3 a resource budget was exhausted
+(memory included), 4 an internal error: a fault of the program, never a
+verdict.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 _CONST_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(.+)\Z")
 
@@ -89,7 +92,8 @@ def _load_model(args):
         if args.labels:
             labels_text = _read_text(args.labels)
         m = mdp.parse_explicit_model(text, labels_text, filename=args.model,
-                                      labels_filename=args.labels)
+                                      labels_filename=args.labels,
+                                      state_cap=args.state_cap)
         return m, None
     if args.labels:
         raise _UsageError("--labels only applies to explicit models; "
@@ -254,7 +258,9 @@ def _add_model_flags(sub):
                           f"(default: {DEFAULT_EPSILON:g})")
     sub.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                      metavar="N",
-                     help="abort program elaboration beyond N states "
+                     help="refuse a model of more than N states: an "
+                          "explicit model's STATES count, or the states a "
+                          "program elaborates to "
                           f"(default: {DEFAULT_STATE_CAP})")
 
 
@@ -341,6 +347,15 @@ def _run(argv: list[str] | None) -> int:
         # every recursion in the package walks a tree read from the input
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
+    except Exception as exc:
+        # a fault of the program: exit 1 would read as VIOLATED
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        import traceback  # only here: it would slow every start-up
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,12 +15,15 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import islice
 
-from .checker import check_property, extract_max_scheduler, mass_exceeds
+# checker through its lazily loaded module: only build_mipcx runs it, so
+# verifying and ranking an imported counterexample does not load it
+from . import checker
 from .defaults import DEFAULT_EPSILON, DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler,
                   WeightedPath, induce_dtmc, live_states)
-from .pctl import PathFormula, PropertySpec, parse_property, until_sets
+from .pctl import (PathFormula, PropertySpec, mass_exceeds, parse_property,
+                   until_sets)
 from .records import record
 
 CX_FORMAT_VERSION = 1
@@ -188,14 +191,20 @@ def _intern(forest: PathForest,
 
 
 def _common_prefix(a: Sequence, b: Sequence) -> int:
-    """The length of the longest common prefix of a and b, searched down
-    from the shorter length: a path mostly shares all but its last few
-    steps with the path before it."""
-    lo = hi = min(len(a), len(b))
-    step = 1
+    """The length of the longest common prefix of a and b. A path mostly
+    shares all of the shorter sequence, or all but its last item, with
+    the path before it: one comparison of all but that item, and one of
+    the item, settle both. Only when they miss is the length searched
+    for, down from there."""
+    n = min(len(a), len(b))
+    if n == 0:
+        return 0
+    if a[:n - 1] == b[:n - 1]:
+        return n if a[n - 1] == b[n - 1] else n - 1
+    lo, hi, step = n - 2, n - 1, 2
     while lo > 0 and a[:lo] != b[:lo]:
         lo, hi, step = max(lo - step, 0), lo, 2 * step
-    # a[:lo] == b[:lo], and a[:hi] != b[:hi] unless lo == hi
+    # a[:lo] == b[:lo] and a[:hi] != b[:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if a[:mid] == b[:mid]:
@@ -216,9 +225,9 @@ class Counterexample:
     follows the paths one by one along one chain of nodes, the forest's
     only walk: collect_causes and the masses of generate_diagnoses take
     each path's distinct states and steps (PathForest.distinct_on_paths),
-    the path lines of render_text_report and counterexample_to_dict the
-    path itself (PathForest.along_paths), and the report yields each
-    path's line before it makes the next. paths is the flat view, a tuple
+    the path lines of render_text_report (PathForest.along_paths) and the
+    JSON export (PathForest.sequences) the path itself, and the report
+    yields each path's line before it makes the next. paths is the flat view, a tuple
     of WeightedPath, built on first use in time proportional to the
     steps and kept.
 
@@ -385,11 +394,11 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
     path budget or probability floor cuts the stream off first, a
     BudgetError carrying the gathered mass is raised.
     """
-    verdict = check_property(m, spec, epsilon)
+    verdict = checker.check_property(m, spec, epsilon)
     if verdict.holds:
         raise DomainError(f"property {spec} holds; "
                           "there is no counterexample to build")
-    witness = extract_max_scheduler(m, verdict.value_vector)
+    witness = checker.extract_max_scheduler(m, verdict.value_vector)
     dtmc = induce_dtmc(m, witness)
     forest = PathForest()
     total = 0.0
@@ -526,8 +535,19 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
 
 
 def counterexample_to_json(cx: Counterexample) -> str:
+    """The text of counterexample_to_dict(cx): the fields before paths
+    indented by two, then one line per path entry.
+
+    Any indent puts json.dumps on its pure-Python encoder, so only the
+    small head takes one; each entry goes through the C encoder alone.
+    """
     import json
-    return json.dumps(counterexample_to_dict(cx), indent=2) + "\n"
+    data = counterexample_to_dict(cx)
+    entries = [json.dumps(entry) for entry in data.pop("paths")]
+    paths = "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
+    head = json.dumps(data, indent=2)
+    # head ends with the object's closing "\n}"
+    return f'{head[:-2]},\n  "paths": {paths}\n}}\n'
 
 
 def _require(data: dict, key: str):

@@ -11,7 +11,8 @@ from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 
-from .errors import DomainError, ParseError
+from .defaults import DEFAULT_STATE_CAP
+from .errors import BudgetError, DomainError, ParseError
 from .records import record
 
 # Tolerance for "successor probabilities sum to one" checks.
@@ -405,13 +406,16 @@ def content_lines(text):
 
 def parse_explicit_model(text: str, labels_text: str | None = None,
                          filename: str | None = None,
-                         labels_filename: str | None = None) -> Mdp:
+                         labels_filename: str | None = None,
+                         state_cap: int = DEFAULT_STATE_CAP) -> Mdp:
     """Parse the plain-text transition format.
 
     Layout: a STATES <n> line, an INIT <s> line, then one
     "<state> <action label> <successor> <probability>" line per transition.
     '#' starts a comment; blank lines are ignored. The optional labels text
-    holds "<state>: <ap> <ap> ..." lines.
+    holds "<state>: <ap> <ap> ..." lines. A state count above state_cap
+    raises BudgetError as soon as it is read, before the model takes a
+    row per state.
     """
     lines = list(content_lines(text))
     if not lines:
@@ -430,6 +434,9 @@ def parse_explicit_model(text: str, labels_text: str | None = None,
         fail(no, f"state count must be an integer, got {parts[1]!r}")
     if num_states <= 0:
         fail(no, f"state count must be positive, got {num_states}")
+    if num_states > state_cap:
+        raise BudgetError(f"state count {num_states} exceeds the cap of "
+                          f"{state_cap} states")
 
     if len(lines) < 2:
         raise ParseError("missing INIT line", filename=filename)

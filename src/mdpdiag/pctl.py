@@ -159,6 +159,13 @@ class PropertySpec:
         return f"P{self.comparison}{fmt_number(self.threshold)} [ {self.path} ]"
 
 
+def mass_exceeds(spec: PropertySpec, mass: float) -> bool:
+    """Does this much path probability witness the property's violation?"""
+    if spec.comparison == "<=":
+        return mass > spec.threshold
+    return mass >= spec.threshold
+
+
 def fmt_number(x: float) -> str:
     """x as the property text shows it: repr, without ".0" on a whole
     number, so every digit of a threshold is printed."""

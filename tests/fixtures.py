@@ -2,7 +2,8 @@
 
 demo_mdp and demo_property read the bundled models/demo.* files, the same
 inputs the command-line examples use: an eight-state model whose single
-maximizing scheduler admits six paths into the bad region. blame_gap_mdp
+maximizing scheduler admits six paths into the bad region. bundled_model
+reads any bundled model with its property. blame_gap_mdp
 separates "action reaching the most responsible cause" from "action
 carrying the most blame". slow_exit_mdp is the shape of the slow-exit
 benchmark workload: a cycle left rarely, whose counterexample is hundreds
@@ -14,7 +15,8 @@ lone state formula and write a model back to the explicit text format.
 import random
 from pathlib import Path
 
-from mdpdiag import Mdp, PropertySpec, parse_explicit_model, parse_property
+from mdpdiag import (Mdp, PropertySpec, build_mdp, parse_explicit_model,
+                     parse_program, parse_property)
 from mdpdiag.mdp import content_lines
 from mdpdiag.pctl import StateFormula
 
@@ -35,6 +37,16 @@ def demo_mdp() -> Mdp:
 def demo_property() -> PropertySpec:
     (_, text), = content_lines((MODELS / "demo.props").read_text())
     return parse_property(text)
+
+
+def bundled_model(name: str) -> tuple[Mdp, PropertySpec]:
+    """A bundled model and its property; csma with K=20, as benchmarked."""
+    if name == "demo":
+        return demo_mdp(), demo_property()
+    program = parse_program((MODELS / f"{name}.pm").read_text(), name)
+    m, _ = build_mdp(program, {"K": 20} if name == "csma" else None)
+    (_, text), = content_lines((MODELS / f"{name}.props").read_text())
+    return m, parse_property(text, defined_labels=m.ap_names)
 
 
 def blame_gap_mdp() -> Mdp:

@@ -14,7 +14,7 @@ import pytest
 import mdpdiag
 from mdpdiag import (And, Atom, Not, Or, build_mipcx, find_causes,
                      generate_diagnoses)
-from mdpdiag import cli
+from mdpdiag import cli, mdp
 from mdpdiag.cli import main
 from mdpdiag.program import (Binary, BoolLit, Call, Name, Num, Unary,
                              compile_expr)
@@ -232,6 +232,23 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert "Pmax = 0.882" in target.read_text()
+
+    def test_state_cap_bounds_explicit_models(self, capsys, tmp_path,
+                                              monkeypatch):
+        def no_model(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(mdp, "Mdp", no_model)
+        huge = tmp_path / "huge.tra"
+        huge.write_text("STATES 9999999999998\nINIT 0\n0 a 0 1.0\n")
+        for command in ("check", "diagnose"):
+            code, out, err = run(capsys, command, "--model", str(huge),
+                                 "--prop", "P<=0.5 [ true U true ]")
+            assert code == 3 and out == ""
+            assert err == ("error: state count 9999999999998 exceeds the "
+                           "cap of 1000000 states\n")
+        code, _, err = run(capsys, "check", *demo_args("--state-cap", "7"))
+        assert code == 3 and "state count 8 exceeds the cap of 7" in err
 
 
 class TestProgramModels:
@@ -806,6 +823,15 @@ class TestLoading:
                               env=_subprocess_env())
         assert proc.stderr.splitlines()[-1] == "False"
 
+    def test_trace_runs_no_checker_graph_or_program(self):
+        code, ran = executed("diagnose-trace", "--trace",
+                             str(GOLDEN / "demo.cx.json"))
+        assert code == 1 and {"pctl", "mdp", "counterexample",
+                              "diagnosis"} <= ran
+        assert not ran & {"checker", "graph", "program"}
+        code, ran = executed("diagnose", *demo_args())
+        assert code == 1 and {"checker", "counterexample"} <= ran
+
     def test_every_submodule_registered_after_importing_the_cli(self):
         out = subprocess.run(
             [sys.executable, "-c",
@@ -867,6 +893,37 @@ class TestCollector:
         code, _, _ = run(capsys, *argv)
         assert code == want
         assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("fault, want, message", [
+        (MemoryError(), 3, "error: out of memory\n"),
+        (KeyError("lost"), 4, "error: internal error: KeyError('lost')\n"),
+        (ZeroDivisionError("boom"), 4,
+         "error: internal error: ZeroDivisionError('boom')\n"),
+    ], ids=["memory", "key", "zero-division"])
+    def test_a_crash_exits_with_no_verdict_code(self, capsys, monkeypatch,
+                                                collector, enabled, fault,
+                                                want, message):
+        def crash(args):
+            raise fault
+
+        monkeypatch.setattr(cli, "_cmd_check", crash)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        code, out, err = run(capsys, "check", *demo_args())
+        assert code == want and out == ""
+        assert gc.isenabled() is enabled
+        first, rest = err.split("\n", 1)
+        assert first + "\n" == message
+        # an internal error prints its traceback; running out of memory
+        # is a budget, not a fault
+        if want == 4:
+            assert rest.startswith("Traceback (most recent call last):")
+            assert rest.endswith(f"{type(fault).__name__}: {fault}\n")
+        else:
+            assert rest == ""
 
     def test_diagnose_makes_no_collection_pass(self, capsys, monkeypatch):
         inside = [False]

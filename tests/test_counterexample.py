@@ -17,9 +17,10 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError, Dtmc,
                      enumerate_satisfying_paths, eval_state_formula,
                      extract_max_scheduler, generate_diagnoses, induce_dtmc, parse_property,
                      verify_counterexample)
+from mdpdiag.cli import main
 from mdpdiag.records import replace
 
-from fixtures import (demo_mdp, demo_property, slow_exit_mdp,
+from fixtures import (bundled_model, demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property)
 from oracles import (cx_import_fault, list_satisfying_paths, prefix_paths,
                      random_layered_mdp)
@@ -908,3 +909,111 @@ class TestJsonInterchange:
         del data["scheduler"]
         again = counterexample_from_dict(data)
         assert again.scheduler is None
+
+
+def first_mismatch(a, b) -> int:
+    """The length of the common prefix of a and b, item by item."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+class TestCommonPrefix:
+    """The import's shared-step search against an item-by-item scan."""
+
+    @pytest.mark.parametrize("a, b", [
+        ([], []), ([], [1]), (["x"], []),
+        ([1, 2, 3], [1, 2, 3]), (["x", "y"], ["x", "y"]),
+        ([1, 2], [1, 2, 3, 4]), (["x"], ["x", "y"]),
+        ([7, 2, 3, 4], [1, 2, 3, 4]), (["z", "y"], ["x", "y", "w"]),
+        ([1, 2, 3, 9, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7]),
+        ([1, 2, 3, 9], [1, 2, 3, 4]), ([1, 2, 3, 9], [1, 2, 3, 4, 5, 6]),
+        (["x", "y", "z"], ["x", "y", "w", "v"]),
+    ], ids=["empty", "one-empty", "other-empty", "equal", "equal-str",
+            "proper-prefix", "proper-prefix-str", "mismatch-0",
+            "mismatch-0-str", "mismatch-middle", "mismatch-last",
+            "mismatch-last-of-shorter", "mismatch-last-str"])
+    def test_edge_cases(self, a, b):
+        want = first_mismatch(a, b)
+        assert counterexample._common_prefix(a, b) == want
+        assert counterexample._common_prefix(b, a) == want
+
+    @pytest.mark.parametrize("kind", [int, str])
+    def test_seeded_pairs(self, kind):
+        rng = random.Random(f"common-prefix/{kind.__name__}")
+        lengths = set()
+        for _ in range(3000):
+            a = [kind(rng.randrange(3)) for _ in range(rng.randrange(60))]
+            # b shares a random part of a, then goes its own way
+            b = a[:rng.randrange(len(a) + 1)] + [
+                kind(rng.randrange(3)) for _ in range(rng.randrange(60))]
+            want = first_mismatch(a, b)
+            assert counterexample._common_prefix(a, b) == want
+            assert counterexample._common_prefix(b, a) == want
+            lengths.add((want, min(len(a), len(b)) - want))
+        # every distance of the mismatch from the shorter end: 0 (equal
+        # or a prefix), 1 (the last item), and the searched ones
+        assert {d for _, d in lengths} >= set(range(20))
+
+
+class TestExportLayout:
+    """The export: the fields before the paths indented, then one line per
+    path entry, the same JSON value as counterexample_to_dict."""
+
+    @pytest.fixture(scope="class", params=["demo", "csma", "slow-exit"])
+    def cx(self, request, slow_exit_cx):
+        if request.param == "slow-exit":
+            return slow_exit_cx
+        return build_mipcx(*bundled_model(request.param))
+
+    @staticmethod
+    def empty_cx():
+        return Counterexample(PathForest(), 0.0, None, demo_property(), {},
+                              (), ap_names=frozenset("abcd"))
+
+    def test_json_value_is_the_dict(self, cx):
+        assert json.loads(counterexample_to_json(cx)) == (
+            counterexample_to_dict(cx))
+
+    def test_one_line_per_path_entry(self, cx):
+        text = counterexample_to_json(cx)
+        data = counterexample_to_dict(cx)
+        head = {k: v for k, v in data.items() if k != "paths"}
+        assert text.startswith(json.dumps(head, indent=2)[:-2] + ",\n")
+        lines = text.splitlines()
+        start = lines.index('  "paths": [')
+        assert lines[-2:] == ["  ]", "}"] and text.endswith("}\n")
+        entries = lines[start + 1:-2]
+        assert len(entries) == len(cx.forest.leaves)
+        assert [json.loads(line.strip().rstrip(",")) for line in entries
+                ] == data["paths"]
+
+    def test_zero_paths(self):
+        cx = self.empty_cx()
+        text = counterexample_to_json(cx)
+        assert '  "paths": []' in text.splitlines()
+        assert json.loads(text) == counterexample_to_dict(cx)
+        again = counterexample_from_json(text)
+        assert again.forest == cx.forest and again.spec == cx.spec
+        assert verify_counterexample(again) == [
+            "counterexample contains no paths",
+            "total mass 0.0 does not witness violation of "
+            "P<=0.5 [ (a | b) U (c & d) ]"]
+
+    def test_indented_layout_still_reads(self, cx, tmp_path, capsys):
+        """A file in the earlier layout, every level indented, imports to
+        an equal counterexample and gives the same report."""
+        data = counterexample_to_dict(cx)
+        reports = []
+        for name, text in (("lines", counterexample_to_json(cx)),
+                           ("indented", json.dumps(data, indent=2) + "\n")):
+            again = counterexample_from_json(text)
+            assert again == counterexample_from_dict(data)
+            trace = tmp_path / f"{name}.json"
+            trace.write_text(text)
+            assert main(["diagnose-trace", "--trace", str(trace)]) == 1
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and reports[0].startswith("property:")

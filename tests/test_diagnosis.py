@@ -9,14 +9,14 @@ import pytest
 from mdpdiag import diagnosis, pctl
 from mdpdiag import (FALSE, TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      DomainError, FinitePath, Not, Or, ParseError, PathForest,
-                     WeightedPath, build_mdp, build_mipcx, check_property,
+                     WeightedPath, build_mipcx, check_property,
                      collect_causes, find_causes, generate_diagnoses,
-                     parse_program, parse_property, render_text_report)
+                     parse_property, render_text_report)
 from mdpdiag.diagnosis import MASS_EQ_TOL
-from mdpdiag.mdp import content_lines
 from mdpdiag.records import replace
-from fixtures import (MODELS, blame_gap_mdp, blame_gap_property, demo_mdp,
-                      demo_property, slow_exit_mdp, slow_exit_property)
+from fixtures import (blame_gap_mdp, blame_gap_property, bundled_model,
+                      demo_mdp, demo_property, slow_exit_mdp,
+                      slow_exit_property)
 from oracles import (blame, check_prop1, check_prop2, is_critical,
                      path_atoms, random_mdp, responsibility_oracle,
                      state_mass, transition_mass)
@@ -256,16 +256,6 @@ def random_counterexamples(seed=7, models=400):
         m = random_mdp(rng, aps=("a", "b", "c", "d"))
         if not check_property(m, props[i % 4]).holds:
             yield build_mipcx(m, props[i % 4])
-
-
-def bundled_model(name):
-    """The bundled model and property; csma with K=20, as benchmarked."""
-    if name == "demo":
-        return demo_mdp(), demo_property()
-    program = parse_program((MODELS / f"{name}.pm").read_text(), name)
-    m, _ = build_mdp(program, {"K": 20} if name == "csma" else None)
-    (_, text), = content_lines((MODELS / f"{name}.props").read_text())
-    return m, parse_property(text, defined_labels=m.ap_names)
 
 
 class TestAgainstOracle:

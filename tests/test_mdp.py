@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from mdpdiag import (DomainError, FinitePath, Mdp, ParseError, Scheduler,
-                     eval_state_formula, induce_dtmc, parse_explicit_model,
-                     parse_labels_text, parse_property, path_probability,
-                     validate_mdp)
+from mdpdiag import mdp
+from mdpdiag import (BudgetError, DomainError, FinitePath, Mdp, ParseError,
+                     Scheduler, eval_state_formula, induce_dtmc,
+                     parse_explicit_model, parse_labels_text, parse_property,
+                     path_probability, validate_mdp)
 from mdpdiag.mdp import live_states
 from mdpdiag.pctl import until_sets
 
@@ -478,6 +479,21 @@ class TestExplicitFormat:
     def test_parse_errors(self, text, needle):
         with pytest.raises(ParseError, match=needle):
             parse_explicit_model(text)
+
+    def test_state_count_over_the_cap(self, monkeypatch):
+        def no_model(*args):
+            raise AssertionError("a model was built")
+
+        # a count over the cap is refused as read, before any row exists
+        monkeypatch.setattr(mdp, "Mdp", no_model)
+        with pytest.raises(BudgetError, match="state count 9999999999998 "
+                           "exceeds the cap of 1000000 states"):
+            parse_explicit_model("STATES 9999999999998\nINIT 0\n0 a 0 1.0\n")
+        with pytest.raises(BudgetError, match="cap of 2 states"):
+            parse_explicit_model("STATES 3\nINIT 0\n", state_cap=2)
+        monkeypatch.undo()
+        assert parse_explicit_model("STATES 3\nINIT 0\n",
+                                    state_cap=3).num_states == 3
 
     def test_label_parse_errors(self):
         with pytest.raises(ParseError, match="expected"):
