@@ -13,7 +13,6 @@ import heapq
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import islice
 
 # checker through its lazily loaded module: only build_mipcx runs it, so
 # verifying and ranking an imported counterexample does not load it
@@ -22,8 +21,8 @@ from .defaults import DEFAULT_EPSILON, DEFAULT_MAX_PATHS, DEFAULT_MIN_PROB
 from .errors import BudgetError, DomainError, ParseError
 from .mdp import (PROB_SUM_TOL, Dtmc, FinitePath, Mdp, Scheduler,
                   WeightedPath, induce_dtmc, live_states)
-from .pctl import (PathFormula, PropertySpec, mass_exceeds, parse_property,
-                   until_sets)
+from .pctl import (PathFormula, PropertySpec, atoms, mass_exceeds,
+                   parse_property, until_sets)
 from .records import record
 
 CX_FORMAT_VERSION = 1
@@ -39,9 +38,10 @@ class PathForest:
     A parent is numbered before its children, and no two nodes agree in
     parent, action and state. Path i is the prefix of node leaves[i] and
     has probability probabilities[i]; a node may end several paths and
-    lie inside others. A forest is grown with add_node and add_path, and
-    treated as immutable once built: distinct_on_paths is kept. It is
-    walked one way only, along its paths in path order (_chain_moves).
+    lie inside others. A forest is grown with add_node and add_path and
+    keeps nothing derived from them. It is walked one way only, along its
+    paths in path order (_chain_moves): along_paths hands each path on,
+    and masses sums the path masses in one such walk.
     """
 
     # record gives each instance a copy of a list default
@@ -105,26 +105,24 @@ class PathForest:
             picked.extend(map(values.__getitem__, added))
             yield collect(picked)
 
-    @cached_property
-    def distinct_on_paths(self) -> dict[int, tuple[list[int], list]]:
-        """For every node n that ends a path: the distinct states of the
-        nodes above n, and the distinct steps (state, action id,
-        successor) from its root down to n, each in order of first
-        occurrence. Computed on first use and kept.
-
-        Visit counts of the states and steps on the chain follow the
-        path-order walk (_chain_moves), so a path costs what it costs
-        along_paths plus the size of what it gets: not a constant per
-        node, but what the report and the export pay anyway.
-        """
+    def masses(self, _counter: list[int] | None = None
+               ) -> tuple[dict[int, float], dict[tuple[int, int, int], float]]:
+        """State and step masses: the probability of the paths that visit a
+        state, or take a (state, action id, successor) step, at least once.
+        One walk (_chain_moves) counts the visits of the states and steps on
+        the chain; at each path's end its probability goes to its distinct
+        states, then to its distinct steps, each in ascending order, so a
+        mass is summed path by path in path order. _counter, if given,
+        counts those (path, state) and (path, step) pairs."""
         states = self.states
-        # the root's step None is first on every chain; it is dropped
+        # a root has no step: None stands for it, once on every chain
         steps = [None if p < 0 else (states[p], a, s)
                  for p, a, s in zip(self.parents, self.actions, states)]
         seen: dict = {}  # visit counts on the chain
         taken: dict = {}
-        out = {}
-        for leaf, (cut, added) in zip(self.leaves, self._chain_moves()):
+        smass: dict[int, float] = {}
+        tmass: dict[tuple[int, int, int], float] = {}
+        for prob, (cut, added) in zip(self.probabilities, self._chain_moves()):
             for m in cut:
                 for counts, key in ((seen, states[m]), (taken, steps[m])):
                     counts[key] -= 1
@@ -133,28 +131,19 @@ class PathForest:
             for m in added:
                 seen[states[m]] = seen.get(states[m], 0) + 1
                 taken[steps[m]] = taken.get(steps[m], 0) + 1
-            above = list(seen)
-            if seen[states[leaf]] == 1:  # the leaf's state, first met there
-                above.pop()
-            out[leaf] = (above, list(islice(taken, 1, None)))
-        return out
-
-    def sequences(self, steps: Sequence) -> Iterator[tuple[tuple, tuple]]:
-        """For each path in path order: the states of its nodes from the
-        root down, and steps[m] of those nodes m but the root."""
-        states: list[int] = []
-        taken: list = []
-        for cut, added in self._chain_moves():
-            k = len(states) - len(cut)
-            del states[k:], taken[k:]
-            states.extend(map(self.states.__getitem__, added))
-            taken.extend(map(steps.__getitem__, added))
-            yield tuple(states), tuple(islice(taken, 1, None))
+            for s in sorted(seen):
+                smass[s] = smass.get(s, 0.0) + prob
+            for key in sorted(taken.keys() - {None}):
+                tmass[key] = tmass.get(key, 0.0) + prob
+            if _counter is not None:
+                _counter[0] += len(seen) + len(taken) - 1
+        return smass, tmass
 
     def flatten(self) -> tuple[WeightedPath, ...]:
         """The paths, each as its own WeightedPath."""
-        return tuple(WeightedPath(FinitePath(*seq), p) for seq, p in
-                     zip(self.sequences(self.actions), self.probabilities))
+        actions = self.along_paths(self.actions, lambda c: tuple(c[1:]))
+        return tuple(WeightedPath(FinitePath(s, a), p) for s, a, p in zip(
+            self.along_paths(self.states, tuple), actions, self.probabilities))
 
 
 def _intern(forest: PathForest,
@@ -221,21 +210,22 @@ class Counterexample:
     The paths are a prefix forest (see PathForest): the most probable
     paths around a slow cycle are long and share almost all their steps,
     so the forest has far fewer nodes than the paths have steps.
-    verify_counterexample runs once over the nodes. Everything else
-    follows the paths one by one along one chain of nodes, the forest's
-    only walk: collect_causes and the masses of generate_diagnoses take
-    each path's distinct states and steps (PathForest.distinct_on_paths),
-    the path lines of render_text_report (PathForest.along_paths) and the
-    JSON export (PathForest.sequences) the path itself, and the report
-    yields each path's line before it makes the next. paths is the flat view, a tuple
-    of WeightedPath, built on first use in time proportional to the
-    steps and kept.
+    verify_counterexample runs once over the nodes, and collect_causes
+    reads the roles of the states off them. Everything else follows the
+    paths one by one along one chain of nodes, the forest's only walk:
+    the masses of generate_diagnoses come from one such walk
+    (PathForest.masses), and the path lines of render_text_report and the
+    JSON export take each path itself (PathForest.along_paths); the report
+    yields each path's line before it makes the next. paths is the flat view, a tuple of
+    WeightedPath, built on first use in time proportional to the steps
+    and kept.
 
     labels carries the labelling of every state that occurs on some path,
     and state_names, when the model has names, the name of each such
     state; action_names maps the action ids appearing in paths and
     scheduler back to their labels. ap_names is the model's alphabet,
-    which may hold atoms that label no state on the paths.
+    which may hold atoms that label no state on the paths; alphabet()
+    adds the atoms that do and those the property names.
     """
 
     forest: PathForest
@@ -257,8 +247,11 @@ class Counterexample:
         return self.action_names[aid]
 
     def alphabet(self) -> set[str]:
-        """The atoms a property of this counterexample may name."""
-        return set(self.ap_names).union(*self.labels.values())
+        """The atoms a property of this counterexample may name. Its own
+        property may name atoms outside the model's alphabet (false
+        everywhere), so the export lists them and imports again."""
+        return set(self.ap_names).union(*self.labels.values(),
+                                        atoms(self.spec.path))
 
     def state_name(self, s: int) -> str:
         if self.state_names is not None and s in self.state_names:
@@ -520,17 +513,14 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
         out["state_names"] = {str(s): cx.state_names[s]
                               for s in sorted(cx.state_names)}
     forest = cx.forest
-    # one name per node (DomainError for an unknown id), sliced per path
-    named = forest.sequences([cx.action_name(a) if p >= 0 else None
-                              for p, a in zip(forest.parents, forest.actions)])
-    out["paths"] = [
-        {
-            "states": list(states),
-            "actions": list(actions),
-            "probability": prob,
-        }
-        for (states, actions), prob in zip(named, forest.probabilities)
-    ]
+    # one name per node but a root (DomainError for an unknown id)
+    named = [cx.action_name(a) if p >= 0 else None
+             for p, a in zip(forest.parents, forest.actions)]
+    out["paths"] = [{"states": states, "actions": actions, "probability": p}
+                    for states, actions, p in zip(
+                        forest.along_paths(forest.states, list),
+                        forest.along_paths(named, lambda c: c[1:]),
+                        forest.probabilities)]
     return out
 
 

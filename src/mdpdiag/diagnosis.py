@@ -38,28 +38,6 @@ from .records import record
 MASS_EQ_TOL = 1e-12
 
 
-# -- probability masses ------------------------------------------------------
-
-
-def _all_masses(cx: Counterexample, counter: list[int]):
-    """State and step masses: the probability of the paths that visit a
-    state, or take a (state, action id, successor) step, at least once.
-    Each mass is summed path by path, in path order."""
-    forest = cx.forest
-    on_path = forest.distinct_on_paths
-    smass: dict[int, float] = {}
-    tmass: dict[tuple[int, int, int], float] = {}
-    for leaf, prob in zip(forest.leaves, forest.probabilities):
-        above, steps = on_path[leaf]
-        for s in sorted({*above, forest.states[leaf]}):
-            smass[s] = smass.get(s, 0.0) + prob
-            counter[0] += 1
-        for key in sorted(steps):
-            tmass[key] = tmass.get(key, 0.0) + prob
-            counter[0] += 1
-    return smass, tmass
-
-
 # -- cause extraction --------------------------------------------------------
 
 
@@ -180,34 +158,37 @@ def collect_causes(cx: Counterexample,
     larger degree and origin "both". Masses are left at zero; the report
     generator fills them in.
 
-    The guard and target formulas are evaluated once per distinct state
-    and role; each path is visited once per distinct (state, role) pair,
-    guard states in order of first occurrence, then the final state.
+    The roles are read off the nodes: walking up from each leaf, in path
+    order, to the first node met before, each node passed is a guard visit
+    of its state, root first, then the leaf a target visit. Each distinct
+    (state, role) pair is evaluated once, in order of first visit.
     """
-    counter = _counter if _counter is not None else [0]
     until = cx.spec.path
     forest = cx.forest
-    on_path = forest.distinct_on_paths
-    per_state: dict[tuple[int, str], dict] = {}
-    out: dict[tuple[int, str, bool], Cause] = {}
+    parents, states = forest.parents, forest.states
+    marked: set[int] = set()  # the nodes above some leaf met so far
+    visits: dict[tuple[int, str], None] = {}  # in order of first visit
     for leaf in forest.leaves:
-        visits = [(s, "guard") for s in on_path[leaf][0]]
-        visits.append((forest.states[leaf], "target"))
-        for cache_key in visits:
-            s, role = cache_key
-            found = per_state.get(cache_key)
-            if found is None:
-                phi = until.right if role == "target" else until.left
-                found = find_causes(s, cx.labels, phi, 0, counter)
-                per_state[cache_key] = found
-            for (ap, value), dr in found.items():
-                key = (s, ap, value)
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = Cause(s, ap, value, dr, role)
-                elif prev.origin != role or dr > prev.dr:
-                    origin = prev.origin if prev.origin == role else "both"
-                    out[key] = Cause(s, ap, value, max(prev.dr, dr), origin)
+        fresh, n = [], parents[leaf]
+        while n >= 0 and n not in marked:
+            marked.add(n)
+            fresh.append(n)
+            n = parents[n]
+        for n in reversed(fresh):
+            visits.setdefault((states[n], "guard"))
+        visits.setdefault((states[leaf], "target"))
+    out: dict[tuple[int, str, bool], Cause] = {}
+    for s, role in visits:
+        phi = until.right if role == "target" else until.left
+        for (ap, value), dr in find_causes(s, cx.labels, phi, 0,
+                                           _counter).items():
+            key = (s, ap, value)
+            prev = out.get(key)
+            if prev is None:
+                out[key] = Cause(s, ap, value, dr, role)
+            elif prev.origin != role or dr > prev.dr:
+                origin = prev.origin if prev.origin == role else "both"
+                out[key] = Cause(s, ap, value, max(prev.dr, dr), origin)
     return out
 
 
@@ -330,7 +311,7 @@ def generate_diagnoses(cx: Counterexample, source_map=None,
     """
     counter = [0]
     causes = collect_causes(cx, _counter=counter)
-    smass, tmass = _all_masses(cx, counter)
+    smass, tmass = cx.forest.masses(counter)
     total = cx.total_mass
 
     sized: dict[tuple[int, str, bool], Cause] = {}

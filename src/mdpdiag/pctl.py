@@ -196,6 +196,20 @@ def eval_state_formula(labels: Mapping[int, Set[str]], s: int,
     raise DomainError(f"not a state formula: {phi!r}")
 
 
+def atoms(psi: PathFormula) -> set[str]:
+    """The atoms the operands of psi name."""
+    out, todo = set(), [psi.left, psi.right]
+    while todo:
+        phi = todo.pop()
+        if isinstance(phi, Atom):
+            out.add(phi.name)
+        elif isinstance(phi, Not):
+            todo.append(phi.child)
+        elif isinstance(phi, (And, Or)):
+            todo += phi.left, phi.right
+    return out
+
+
 def until_sets(labels: Mapping[int, Set[str]], states: Iterable[int],
                path: PathFormula) -> tuple[frozenset[int], frozenset[int]]:
     """The targets (right operand holds) and the guard-only states (left

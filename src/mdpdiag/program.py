@@ -543,7 +543,7 @@ def fold_constants(program: Program,
 class _ReadyCommand:
     module: str
     label_index: int  # position among same-label commands of the module
-    guard: Callable  # state tuple -> value; enabled where it is True
+    guard: Callable  # state tuple -> bool
     # (probability, ((variable, slot, value of, low, high), ...)) per branch
     updates: tuple[tuple[float, tuple[tuple], ...], ...]
     line: int
@@ -634,7 +634,7 @@ def _prepare(program: Program, consts: dict) -> _ReadyProgram:
     for mod in program.modules:
         group_counts: dict[str, int] = {}
         for cmd in mod.commands:
-            guard = compile_expr(cmd.guard, consts, slots, cmd.line, fn)
+            guard = typed(cmd.guard, "bool", cmd.line, "guard must be boolean")
             reads = guard.reads
             probs = []
             for upd in cmd.updates:
@@ -745,8 +745,9 @@ def build_mdp(program: Program,
     Each valuation is a tuple in variable declaration order. Guards,
     updates and labels are compiled once by compile_expr, which rejects
     an unknown name at compile time, leftmost first, and checks types
-    statically; an ill-typed expression raises its ParseError only where
-    it is evaluated, so a guard that is never evaluated never raises.
+    statically; an ill-typed expression, or a guard that is not boolean,
+    raises its ParseError only where it is evaluated, so a guard that is
+    never evaluated never raises.
 
     A synchronization is evaluated once per memo key, the values of the
     variables its commands read, at the first state in breadth-first order
@@ -787,7 +788,7 @@ def build_mdp(program: Program,
         combination's error."""
         enabled: list[list[_ReadyCommand]] = []
         for group in groups:
-            here = [c for c in group if c.guard(state) is True]
+            here = [c for c in group if c.guard(state)]
             if not here:
                 return
             enabled.append(here)

@@ -551,6 +551,18 @@ class TestJsonInterchange:
         assert again.alphabet() == {"g", "t", "z"}
         assert counterexample_to_dict(again) == data
 
+    def test_property_atoms_outside_the_alphabet_round_trip(self):
+        # d labels no state of the model, so it is false everywhere
+        m = Mdp(2, 0, {(0, "a"): [(1, 1.0)], (1, "a"): [(1, 1.0)]},
+                {1: {"goal"}})
+        cx = build_mipcx(m, parse_property("P<=0.5 [ !d U goal ]"))
+        assert cx.alphabet() == {"d", "goal"}
+        text = counterexample_to_json(cx)
+        assert json.loads(text)["ap_names"] == ["d", "goal"]
+        again = counterexample_from_json(text)
+        assert again.spec == cx.spec
+        assert counterexample_to_json(again) == text
+
     def test_alphabet_of_the_path_labels_is_not_written(self):
         assert "ap_names" not in self.base()
         assert counterexample_from_dict(self.base()).alphabet() == set("abcd")
@@ -803,11 +815,9 @@ class TestJsonInterchange:
                 continue
             # a valid edit: the forest holds the entries, in file order
             cx = counterexample_from_dict(data)
-            named = cx.forest.sequences(
-                [cx.action_name(a) if a >= 0 else None
-                 for a in cx.forest.actions])
-            assert [(list(states), list(actions), prob) for (states, actions),
-                    prob in zip(named, cx.forest.probabilities)] == [
+            assert [(list(wp.path.states),
+                     [cx.action_name(a) for a in wp.path.actions],
+                     wp.probability) for wp in cx.paths] == [
                 (p["states"], p["actions"], p["probability"])
                 for p in data["paths"]]
             assert PathForest.of_paths(cx.paths) == cx.forest

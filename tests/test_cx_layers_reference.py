@@ -1,9 +1,9 @@
 """The counterexample layers against their earlier per-position loops.
 
 verify_counterexample runs once over the nodes of the counterexample's
-prefix forest. collect_causes and _all_masses (through each path's
-distinct states and steps), the path text of the report and the paths
-of the export and of the flat view follow the paths in path order along
+prefix forest, and collect_causes reads the roles of the states off
+them. PathForest.masses, the path text of the report and the paths of
+the export and of the flat view follow the paths in path order along
 one chain of nodes. The loops below are the earlier versions, which
 did the same work at every position of every path of the flat view;
 they are the reference. The check that the paths follow the
@@ -376,7 +376,8 @@ def causes_or_error(collect, cx):
 def reference_report(monkeypatch, cx):
     with monkeypatch.context() as mp:
         mp.setattr(diagnosis, "collect_causes", reference_collect_causes)
-        mp.setattr(diagnosis, "_all_masses", reference_all_masses)
+        mp.setattr(PathForest, "masses",
+                   lambda forest, counter: reference_all_masses(cx, counter))
         mp.setattr(diagnosis, "_path_texts",
                    lambda cx: [reference_format_path(cx, wp)
                                for wp in cx.paths])
@@ -391,7 +392,7 @@ def assert_layers_match(monkeypatch, label, cx):
     assert (causes_or_error(collect_causes, cx)
             == causes_or_error(reference_collect_causes, cx)), label
     got_counter, ref_counter = [0], [0]
-    got = diagnosis._all_masses(cx, got_counter)
+    got = cx.forest.masses(got_counter)
     ref = reference_all_masses(cx, ref_counter)
     assert ([list(m.items()) for m in got]
             == [list(m.items()) for m in ref]), label

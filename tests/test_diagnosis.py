@@ -10,7 +10,8 @@ from mdpdiag import diagnosis, pctl
 from mdpdiag import (FALSE, TRUE, And, Atom, BudgetError, Cause, Counterexample,
                      DomainError, FinitePath, Not, Or, ParseError, PathForest,
                      WeightedPath, build_mipcx, check_property,
-                     collect_causes, find_causes, generate_diagnoses,
+                     collect_causes, counterexample_from_json,
+                     counterexample_to_json, find_causes, generate_diagnoses,
                      parse_property, render_text_report)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 from mdpdiag.records import replace
@@ -296,6 +297,17 @@ class TestAgainstOracle:
                 seen["causes"] += 1
                 assert responsibility_oracle(cx, s, (ap, value)) == cause.dr
         assert seen == {"counterexamples": 268, "causes": 535}
+
+    def test_every_export_imports_with_the_same_report(self):
+        # 60 of them name an atom that labels no state of their model
+        outside = 0
+        for cx in random_counterexamples():
+            outside += not pctl.atoms(cx.spec.path) <= set(cx.ap_names)
+            again = counterexample_from_json(counterexample_to_json(cx))
+            before, after = generate_diagnoses(cx), generate_diagnoses(again)
+            assert after.render_text() == before.render_text()
+            assert after.to_json() == before.to_json()
+        assert outside == 60
 
     def test_documented_gap(self):
         # the diagnosis module docstring and README quote these counts

@@ -7,8 +7,9 @@ what walking the expression tree for every state gave: the same states,
 names, actions, transitions, labels and source map, and the same error
 (type, message, line and filename) wherever a program is rejected. The
 reference copies below are that earlier interpreter and elaborator, kept
-unchanged but for the name reference_build_mdp; the parser and Mdp are
-shared. build_mdp maps each action, not each transition, to its
+unchanged but for the name reference_build_mdp and for refusing a guard
+that is not boolean, as build_mdp does since: before, such a guard
+silently disabled its command. The parser and Mdp are shared. build_mdp maps each action, not each transition, to its
 commands; its map is spread over the action's transitions before the
 comparison.
 
@@ -360,6 +361,13 @@ def reference_build_mdp(program: Program,
             valuations.append(valuation)
         return sid
 
+    def guard_holds(cmd: _ReadyCommand, env: dict) -> bool:
+        value = eval_expr(cmd.guard, env, cmd.line, fn)
+        if not isinstance(value, bool):
+            raise ParseError("guard must be boolean", line=cmd.line,
+                             filename=fn)
+        return value
+
     def fire(sid: int, env: dict, action: str, combo: tuple[_ReadyCommand, ...]):
         current = valuations[sid]
         dist: dict[tuple[int, ...], float] = {}  # insertion order is firing order
@@ -406,7 +414,7 @@ def reference_build_mdp(program: Program,
             blocked = False
             for m in participants:
                 here = [c for c in ready.by_label[label][m]
-                        if eval_expr(c.guard, env, c.line, fn) is True]
+                        if guard_holds(c, env)]
                 if not here:
                     blocked = True
                     break
@@ -421,7 +429,7 @@ def reference_build_mdp(program: Program,
                     action = label
                 fire(sid, env, action, combo)
         for cmd in ready.internal:
-            if eval_expr(cmd.guard, env, cmd.line, fn) is True:
+            if guard_holds(cmd, env):
                 fire(sid, env, cmd.action, (cmd,))
         sid += 1
 
@@ -782,12 +790,12 @@ class TestErrorParity:
         result = assert_same(text, state_cap=2)
         assert result[0] == "raised" and result[1] is DomainError
 
-    def test_integer_guard_stays_disabled(self):
+    def test_integer_guard_is_refused_at_its_line(self):
         result = assert_same(module("[a] x + 1 -> (x'=1);",
                                     "[b] x = 0 -> (x'=2);"))
-        assert result[0] == "built"
-        _, _, transitions, *_, action_names, _ = result[1]
-        assert [action_names[aid] for (_, aid), _ in transitions] == ["b"]
+        assert result == ("raised", ParseError,
+                          "case.pm, line 3: guard must be boolean", 3,
+                          "case.pm")
 
     def test_guard_behind_a_blocking_participant_is_never_evaluated(self):
         text = ("module m0\n  y : [0..1] init 0;\n  [go] false -> true;\n"
