@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from itertools import chain
-from operator import add, itemgetter, mul, sub
+from itertools import chain, islice
+from operator import sub
 
 from . import graph
 from .defaults import DEFAULT_EPSILON
@@ -20,6 +20,9 @@ SCHEDULER_TIE_TOL = 1e-9
 # An unbounded until solves a strongly connected component of up to this
 # many states exactly, and sweeps a larger one (see _value_iteration).
 EXACT_SCC_MAX = 8
+# A sweep's kernel adds at most this many terms in one expression: Python's
+# compiler recurses once per + of a chain and refuses a few thousand.
+SUM_TERMS = 100
 
 # model -> {(path formula, epsilon, max_iterations): ValueVector}. An entry
 # dies with its model; models are immutable after construction.
@@ -60,43 +63,43 @@ def _sweep(choices, values, pending, max_sweeps: int,
     """Jacobi sweeps over the pending states, updating values in place;
     returns (sweeps, residual).
 
-    Each sweep backs up every group of _compile_groups a column at a
-    time, reading the values of the sweep before from its local vector,
-    and then writes every group back as a slice. A choice's value is its
-    products p * values[t] added left to right, so it does not depend on
-    the Python version's sum(), and the first maximal choice wins. From 0
-    at every pending state the values rise monotonically toward the least
-    fixed point, as rounded too (float rounding is monotone), so the
-    residual, the largest change, is the largest rise, new value minus
-    old, with no abs. Stops after max_sweeps sweeps, or when the residual
-    is 0 or below epsilon; it is inf when no sweep ran. values is written
-    once, at the end. Pending states must have at least one choice; no other
-    entry of values changes, which the constant columns rely on.
+    Each sweep runs the kernel of every group of _compile_groups over its
+    rows, reading the values of the sweep before from the local vector,
+    and then takes the groups' results, one after another, as the new
+    local vector. A choice's value is its terms added left to right, so it
+    does not depend on the Python version's sum(), and the first maximal
+    choice wins. From 0 at every pending state the values rise
+    monotonically toward the least fixed point, as rounded too (float
+    rounding is monotone), so the residual, the largest change, is the
+    largest rise, new value minus old, with no abs. Stops after max_sweeps
+    sweeps, or when the residual is 0 or below epsilon; it is inf when no
+    sweep ran. The residual is taken in full on the first and the last
+    allowed sweep, and on a sweep where the rise of the probe, the state
+    of the largest rise at the last full pass, is 0 or below epsilon: on
+    any other sweep the residual is at least that rise, so the sweep
+    cannot stop. values is written once, at the end. Pending states must
+    have at least one choice; no other entry of values changes, which the
+    rows' constant terms rely on.
     """
     order, local, groups = _compile_groups(choices, values, pending)
     sweeps = 0
     residual = math.inf
+    probe = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        residual = 0.0
-        tops = []
-        for lo, hi, table in groups:
-            top = None
-            for columns in table:
-                total = None
-                for probs, get in columns:
-                    prods = (probs if get is None
-                             else map(mul, probs, get(local)))
-                    total = (prods if total is None
-                             else map(add, total, prods))
-                top = (list(total) if top is None
-                       else [y if y > x else x for x, y in zip(top, total)])
-            residual = max(residual, max(map(sub, top, local[lo:hi])))
-            tops.append(top)
-        for (lo, hi, _), top in zip(groups, tops):
-            local[lo:hi] = top
+        top = list(chain.from_iterable(
+            [kernel(local, rows) for kernel, rows in groups]))
+        if 1 < sweeps < max_sweeps:
+            rise = top[probe] - local[probe]
+            if rise > 0 and rise >= epsilon:
+                local = top
+                continue
+        rises = list(map(sub, top, local))
+        local = top
+        residual = max(rises, default=0.0)
         if not residual or residual < epsilon:
             break
+        probe = rises.index(residual)
     for s, v in zip(order, local):
         values[s] = v
     return sweeps, residual
@@ -108,16 +111,13 @@ def _compile_groups(choices, values, pending):
     returns (order, local, groups).
 
     order lists the pending states one group after another, and local
-    holds their values at the same positions. A group is (lo, hi, table):
-    its states are order[lo:hi] and its values local[lo:hi], and table
-    holds per choice, per successor position, a column (probs, get) with
-    that position's probabilities for every state of the group and a
-    getter of their successors' values from local. A column whose
-    successors lie outside pending, whose values _sweep never changes, is
-    stored as (products, None) instead, multiplied out once. Every getter
-    returns a tuple: itemgetter of one index would return the item alone,
-    so the last index is repeated, and each map or zip over it stops at
-    the group's size.
+    holds their values at the same positions. A group is (kernel, rows),
+    with one row per state, in order: per choice and per successor
+    position, a successor in pending gives its probability and its
+    position in local, and one outside pending, whose value _sweep never
+    changes, gives the product of its probability and its value, taken
+    once. kernel(local, rows) returns the states' backups, in order; it
+    is built from the group's shape alone (see _kernel_source).
     """
     varies = set(pending)
     by_shape: dict[tuple[int | bool, ...], list[int]] = {}
@@ -134,24 +134,65 @@ def _compile_groups(choices, values, pending):
     for i, s in enumerate(order):
         slot[s] = i
     groups = []
-    lo = 0
-    for states in by_shape.values():
-        rows = [choices[s] for s in states]
-        table = []
-        for c, (_, first) in enumerate(rows[0]):
-            columns = []
-            for i, (t, _) in enumerate(first):
-                ids, probs = zip(*[row[c][1][i] for row in rows])
-                if t in varies:  # and so is every successor in the column
-                    at = list(map(slot.__getitem__, ids))
-                    columns.append((probs, itemgetter(*at, at[-1])))
-                else:
-                    fixed = map(values.__getitem__, ids)
-                    columns.append((list(map(mul, probs, fixed)), None))
-            table.append(columns)
-        groups.append((lo, lo + len(states), table))
-        lo += len(states)
+    for shape, states in by_shape.items():
+        rows = []
+        for s in states:
+            row = []
+            for _, dist in choices[s]:
+                for t, p in dist:
+                    if t in varies:
+                        row += (p, slot[t])
+                    else:
+                        row.append(p * values[t])
+            rows.append(tuple(row))
+        namespace = {}
+        exec(_kernel_source(shape), namespace)
+        groups.append((namespace["kernel"], rows))
     return order, local, groups
+
+
+def _kernel_source(shape) -> str:
+    """One list comprehension over the rows of a group of this shape.
+
+    It unpacks each row into v0, v1, ... A choice's value is its terms,
+    vK * L[vK+1] for a successor in pending and vK for one outside, joined
+    by +, which Python adds left to right; a choice of more than SUM_TERMS
+    successors adds them in runs of SUM_TERMS, each run onto the partial
+    sum s of those before, in the same order. Clauses `for x in [...]`,
+    which Python compiles to a plain assignment, bind the largest value so
+    far to x and the next choice's value to y, and the choices fold as
+    (y if y > x else x), so the first maximal choice wins. The clauses
+    follow one another rather than nest, so any number of choices
+    compiles. The source holds no data of the model.
+    """
+    names = []
+    clauses = []
+    fold = None
+    flags = iter(shape)
+    for width in flags:
+        terms = []
+        for inside in islice(flags, width):
+            k = len(names)
+            if inside:
+                names += (f"v{k}", f"v{k + 1}")
+                terms.append(f"v{k} * L[v{k + 1}]")
+            else:
+                names.append(f"v{k}")
+                terms.append(f"v{k}")
+        if fold is not None:
+            clauses.append(f"for x in [{fold}]")
+        value = " + ".join(terms[:SUM_TERMS])
+        for i in range(SUM_TERMS, width, SUM_TERMS):
+            clauses.append(f"for s in [{value}]")
+            value = " + ".join(["s", *terms[i:i + SUM_TERMS]])
+        if fold is None:
+            fold = value
+        else:
+            clauses.append(f"for y in [{value}]")
+            fold = "(y if y > x else x)"
+    return (f"def kernel(L, R):\n"
+            f"    return [{fold} for {', '.join(names)}, in R"
+            f"{''.join(' ' + c for c in clauses)}]\n")
 
 
 def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
@@ -173,10 +214,11 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
 
     A sweep (see _sweep) backs up every swept state, in groups of states
     whose choices have the same successor counts and the same successor
-    positions outside the swept states, one successor position at a time,
-    with the products of those outside successors, whose values are
-    final, multiplied out once. A choice's products p * values[t] are
-    added left to right, as sum() did before Python 3.12, and the closed
+    positions outside the swept states, each group by one list
+    comprehension generated from that shape, with the products of those
+    outside successors, whose values are final, multiplied out once. A
+    choice's products p * values[t] are added left to right, as sum()
+    did before Python 3.12, and the closed
     forms and the Gaussian elimination are plain float operations, so the
     values are the same on every Python version. A left-operand state that
     reaches no right-operand state, one without enabled actions included,
@@ -293,7 +335,8 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
     take their lowest enabled action id, and a state without enabled
     actions gets none (induce_dtmc rejects it if it is reachable).
 
-    Each backup is computed once, and the layers come from one backward
+    Each backup is computed once, and none at a state with one enabled
+    action, which ties by itself; the layers come from one backward
     breadth-first pass over the tied actions, so the work is linear in the
     transitions.
     """
@@ -310,18 +353,23 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
         row = choices[s]
         if not row or s in vv.target_states or s in vv.zero_states:
             continue
-        backups = []
-        for _, dist in row:
-            total = 0.0
-            for t, p in dist:
-                total += p * values[t]
-            backups.append(total)
-        best = max(backups)
-        fallback[s] = row[backups.index(best)][0]
-        for (aid, dist), q in zip(row, backups):
-            if q >= best - SCHEDULER_TIE_TOL:
-                for t, _ in dist:
-                    tied_into.setdefault(t, []).append((s, aid))
+        if len(row) == 1:
+            fallback[s] = row[0][0]
+            tied = row  # a lone action ties with itself
+        else:
+            backups = []
+            for _, dist in row:
+                total = 0.0
+                for t, p in dist:
+                    total += p * values[t]
+                backups.append(total)
+            best = max(backups)
+            fallback[s] = row[backups.index(best)][0]
+            tied = [c for c, q in zip(row, backups)
+                    if q >= best - SCHEDULER_TIE_TOL]
+        for aid, dist in tied:
+            for t, _ in dist:
+                tied_into.setdefault(t, []).append((s, aid))
     frontier = vv.target_states
     while frontier:
         layer: dict[int, int] = {}

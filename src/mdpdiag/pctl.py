@@ -60,12 +60,19 @@ FALSE = FalseFormula()
 
 @record(frozen=True)
 class Atom(StateFormula):
-    """An atomic proposition: holds at the states labelled name."""
+    """An atomic proposition: holds at the states labelled name.
+
+    It prints bare when the name reads back as the same atom, an
+    identifier other than true, false, U and P, and quoted otherwise."""
 
     name: str
 
     def __str__(self):
-        return self.name
+        token = _TOKEN_RE.fullmatch(self.name)
+        if (token and token.lastgroup == "ident"
+                and self.name not in ("true", "false", "U", "P")):
+            return self.name
+        return f'"{self.name}"'
 
 
 @record(frozen=True)

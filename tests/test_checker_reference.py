@@ -4,21 +4,22 @@ Without a step bound, compute_pmax solves the strongly connected
 components of the pending states sinks first: a lone state in closed
 form, a small component by graph.solve_small, a larger one by Jacobi
 sweeps over its states alone. A step bound sweeps every pending state.
-A sweep backs up its states a column at a time, in groups of states of
-the same shape. extract_max_scheduler places states in one backward
-pass. All must give exactly what the references below give: components
-found by mutual reachability, the closed form written out, full Jacobi
-sweeps state by state over each large component (or over every pending
-state, for a step bound), and the layer-by-layer rescan. A small
-component goes through graph.solve_small in both, which test_graph.py
-checks against the exhaustive oracle. The references are not independent
-oracles (see oracles.py for those) but the definition of the numbers the
-faster code must reproduce.
+A sweep backs up its states by one generated comprehension per group of
+states of the same shape. extract_max_scheduler places states in one
+backward pass. All must give exactly what the references below give:
+components found by mutual reachability, the closed form written out,
+full Jacobi sweeps state by state over each large component (or over
+every pending state, for a step bound), and the layer-by-layer rescan. A
+small component goes through graph.solve_small in both, which
+test_graph.py checks against the exhaustive oracle. The references are
+not independent oracles (see oracles.py for those) but the definition of
+the numbers the faster code must reproduce.
 """
 
 import math
 import operator
 import random
+import re
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -283,7 +284,7 @@ def shaped_mdp(rng: random.Random, n: int, layouts) -> Mdp:
     and a `p` state at the rest. A choice's successors are distinct, so a
     `v` position takes a constant one once the n `p` states are used up
     (at n = 1 and 2). Every state then has the same shape, so each
-    position of a choice is one column of one group."""
+    position of a choice is one term of one group's kernel."""
     goal, dead, trap = n, n + 1, n + 2
     transitions = {(goal, "done"): [(goal, 1.0)],
                    (dead, "stuck"): [(dead, 1.0)],
@@ -408,18 +409,16 @@ def grouped_backups(m: Mdp, psi: PathFormula) -> list[int]:
     sizes = []
     compile_groups = checker._compile_groups
 
-    class Table(list):
-        # a sweep reads a group's table once per backup
-        def __iter__(self):
-            sizes.append(self.size)
-            return super().__iter__()
+    def counted(kernel):
+        # a sweep runs a group's kernel once per backup
+        def run(local, rows):
+            sizes.append(len(rows))
+            return kernel(local, rows)
+        return run
 
     def counting(*args):
         order, local, groups = compile_groups(*args)
-        for g, (lo, hi, table) in enumerate(groups):
-            table = Table(table)
-            table.size = hi - lo
-            groups[g] = (lo, hi, table)
+        groups = [(counted(kernel), rows) for kernel, rows in groups]
         return order, local, groups
 
     with empty_memo(), mock.patch.object(checker, "_compile_groups",
@@ -514,7 +513,7 @@ class TestMatchesFullSweeps:
 
 
 class TestShapedModels:
-    """Models whose groups have constant columns (successors that value
+    """Models whose groups have constant terms (successors that value
     iteration never changes) and mixed ones, and a wide region behind a
     tied chain, whose sweeps change one state at a time before they
     change many."""
@@ -549,7 +548,7 @@ class TestShapedModels:
         # a sweep changes only the states of its component, or every
         # pending state under a step bound: targets stay at 1.0, states
         # that cannot reach one at 0.0, and components solved before at
-        # their values; the constant columns hold products of these values
+        # their values; the constant terms are products of these values
         rng = random.Random(4242)
         models = [tied_mdp(rng, sizes=(40, 200), gaps=True)
                   for _ in range(6)]
@@ -580,8 +579,9 @@ class TestShapedModels:
 
 class TestLocalLayout:
     """Sweeps run on a local vector that holds the swept states group
-    after group, indexed by position; each sweep reads and writes a group
-    as a slice and takes its residual from the rises alone."""
+    after group, indexed by position; each sweep reads the vector of the
+    sweep before, takes the groups' results in that order as the next one
+    and takes its residual from the rises alone."""
 
     def test_shuffled_state_ids(self):
         rng = random.Random(2705)
@@ -705,3 +705,287 @@ class TestWitnessPathProbabilities:
                     built += 1
         assert built > 200
 
+
+
+def kernel_mdp(rng: random.Random, n: int) -> Mdp:
+    """n `p` states, each with 1 to 4 choices of 1 to 4 distinct
+    successors, drawn from the `p` states and from three whose values
+    never change (the `q` goal, an unlabelled dead end and a `p` trap);
+    about a fifth of the choices loop back to their state. The shapes of
+    the states vary, so the swept states fall into groups of many sizes,
+    one state among them."""
+    goal, dead, trap = n, n + 1, n + 2
+    pool = list(range(n + 3))
+    transitions = {(goal, "done"): [(goal, 1.0)],
+                   (dead, "stuck"): [(dead, 1.0)],
+                   (trap, "loop"): [(trap, 1.0)]}
+    for s in range(n):
+        for a in range(rng.randint(1, 4)):
+            succs = rng.sample(pool, rng.randint(1, 4))
+            if s not in succs and rng.random() < 0.2:
+                succs[rng.randrange(len(succs))] = s
+            weights = [rng.randint(1, 7) for _ in succs]
+            total = sum(weights)
+            transitions[(s, f"a{a}")] = [(t, w / total)
+                                         for t, w in zip(succs, weights)]
+    labels = {s: {"p"} for s in range(n)}
+    labels[goal] = {"q"}
+    labels[trap] = {"p"}
+    return Mdp(n + 3, 0, transitions, labels)
+
+
+def crowded_mdp(rng: random.Random, n: int, choices: int) -> Mdp:
+    """A cycle of n `p` states leaking to a `q` goal and a dead end, where
+    state 0 has choices more actions of 1 to 4 successors and state 1 one
+    more action onto every state of the cycle and the goal."""
+    goal, dead = n, n + 1
+    transitions = {(goal, "done"): [(goal, 1.0)],
+                   (dead, "stuck"): [(dead, 1.0)]}
+    for s in range(n):
+        transitions[(s, "next")] = [((s + 1) % n, 0.9), (goal, 0.04),
+                                    (dead, 0.06)]
+    for a in range(choices):
+        succs = rng.sample(range(n + 2), rng.randint(1, 4))
+        weights = [rng.randint(1, 7) for _ in succs]
+        total = sum(weights)
+        transitions[(0, f"c{a}")] = [(t, w / total)
+                                     for t, w in zip(succs, weights)]
+    weights = [rng.randint(1, 7) for _ in range(n + 1)]
+    total = sum(weights)
+    transitions[(1, "all")] = [(t, w / total)
+                               for t, w in enumerate(weights)]
+    labels = {s: {"p"} for s in range(n)}
+    labels[goal] = {"q"}
+    return Mdp(n + 2, 0, transitions, labels)
+
+
+@contextmanager
+def recorded_groups():
+    """Yield a list that gets the shapes of the groups compiled inside
+    the block, as (choice widths, pending flags, group size)."""
+    seen = []
+    compile_groups = checker._compile_groups
+
+    def recording(choices, values, pending):
+        order, local, groups = compile_groups(choices, values, pending)
+        swept = set(pending)
+        at = 0
+        for _, rows in groups:
+            row = choices[order[at]]
+            flags = tuple(t in swept for _, dist in row for t, _ in dist)
+            seen.append((tuple(len(dist) for _, dist in row), flags,
+                         len(rows)))
+            at += len(rows)
+        return order, local, groups
+
+    with mock.patch.object(checker, "_compile_groups", recording):
+        yield seen
+
+
+def probed_sweeps(m: Mdp, psi: PathFormula, epsilon: float) -> list:
+    """Run compute_pmax(m, psi, epsilon); return per run of _sweep the
+    sweeps it ran and the set of those that took the residual in full."""
+    runs = []
+    compile_groups = checker._compile_groups
+
+    def counting(*args):
+        order, local, groups = compile_groups(*args)
+        kernel, rows = groups[0]
+        run = [0, set()]
+        runs.append(run)
+
+        def first(local, rows):
+            run[0] += 1
+            return kernel(local, rows)
+        return order, local, [(first, rows), *groups[1:]]
+
+    def counting_map(fn, *iterables):
+        if fn is operator.sub:
+            runs[-1][1].add(runs[-1][0])
+        return map(fn, *iterables)
+
+    with empty_memo(), \
+            mock.patch.object(checker, "_compile_groups", counting), \
+            mock.patch.object(checker, "map", counting_map, create=True):
+        compute_pmax(m, psi, epsilon)
+    return [tuple(run) for run in runs]
+
+
+class TestKernels:
+    """Each group of a sweep is backed up by one comprehension generated
+    from its shape, and a sweep takes its full residual only when it
+    could stop; values, sweep counts, residuals and budget errors stay
+    the full Jacobi reference's, bit for bit."""
+
+    def test_seeded_shapes(self):
+        rng = random.Random(3311)
+        with recorded_groups() as seen:
+            for _ in range(40):
+                m = kernel_mdp(rng, rng.choice((1, 2, 5, 12, 30, 60)))
+                assert_same(m, PQ, rng.choice((1e-3, DEFAULT_EPSILON, 1e-12)))
+                for bound in (0, 1, 2, rng.randint(3, 40)):
+                    assert_same(m, PathFormula(Atom("p"), Atom("q"),
+                                               bound=bound))
+        assert {len(widths) for widths, _, _ in seen} == {1, 2, 3, 4}
+        assert {w for widths, _, _ in seen for w in widths} == {1, 2, 3, 4}
+        assert any(size == 1 for _, _, size in seen)
+        assert any(all(flags) for _, flags, _ in seen)
+        assert any(not any(flags) for _, flags, _ in seen)
+        assert any(len(set(flags)) == 2 for _, flags, _ in seen)
+
+    def test_seeded_shapes_in_short_runs_of_terms(self):
+        # a choice's terms are added in runs of SUM_TERMS onto the sum of
+        # the runs before, which must add them in the same order
+        rng = random.Random(3312)
+        for terms in (1, 2, 3):
+            with mock.patch.object(checker, "SUM_TERMS", terms):
+                for _ in range(10):
+                    m = kernel_mdp(rng, rng.choice((12, 30)))
+                    assert_same(m, PQ, 1e-12)
+                    assert_same(m, PathFormula(Atom("p"), Atom("q"),
+                                               bound=rng.randint(1, 20)))
+
+    def test_many_choices_and_wide_choices(self):
+        rng = random.Random(3313)
+        # 250 choices at state 0, and 301 successors of a choice at
+        # state 1, more than SUM_TERMS
+        m = crowded_mdp(rng, 300, 250)
+        assert len(m.choice_table()[0]) == 251
+        assert len(m.choice_table()[1][1][1]) > checker.SUM_TERMS
+        assert_same(m, PQ)
+        assert_same(m, PQ, 1e-12)
+        for bound in (1, 5, 40):
+            assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_budget_runs_out_where_the_probe_skips(self, seed):
+        rng = random.Random(f"probe/{seed}")
+        m = (wide_then_chain(rng, 60, 20) if seed % 2
+             else kernel_mdp(rng, 40))
+        (swept, full), = probed_sweeps(m, PQ, 1e-9)
+        skipped = sorted(set(range(1, swept + 1)) - full)
+        # the residual is taken in full on a few sweeps only
+        assert len(full) < swept // 2
+        caps = {skipped[0], skipped[len(skipped) // 2], skipped[-1]}
+        for cap in caps | full - {swept}:
+            assert_same_budget(m, cap, 1e-9)
+        assert_same(m, PQ, 1e-9)
+
+    def test_step_bound_runs_out_where_the_probe_skips(self):
+        # a step bound ends the run on its last sweep, which takes the
+        # residual in full; with a larger bound, that sweep skips it
+        m = wide_then_chain(random.Random(9), 60, 20)
+        psi = PathFormula(Atom("p"), Atom("q"), bound=10**6)
+        (swept, full), = probed_sweeps(m, psi, DEFAULT_EPSILON)
+        skipped = sorted(set(range(1, swept + 1)) - full)
+        assert skipped
+        for bound in skipped[::len(skipped) // 4 + 1]:
+            assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
+
+    def test_one_source_per_shape_with_no_model_data(self):
+        rng = random.Random(3314)
+        models = [kernel_mdp(rng, 30) for _ in range(10)]
+        models += [shaped_mdp(rng, 45, ("mvc", "cc")) for _ in range(2)]
+        models += [crowded_mdp(rng, 150, 30)]
+        made = {}
+        kernel_source = checker._kernel_source
+
+        def recording(shape):
+            made.setdefault(shape, []).append(kernel_source(shape))
+            return made[shape][-1]
+
+        with mock.patch.object(checker, "_kernel_source", recording):
+            for m in models:
+                for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=3)):
+                    with empty_memo():
+                        compute_pmax(m, psi)
+        assert any(len(sources) > 1 for sources in made.values())
+        words = {"def", "kernel", "L", "R", "return", "for", "in", "if",
+                 "else", "x", "y", "s"}
+        for sources in made.values():
+            assert len(set(sources)) == 1
+            tokens = re.findall(r"\w+|\S", sources[0])
+            assert {t for t in tokens if t[0].isalnum() or t[0] == "_"
+                    if not re.fullmatch(r"v\d+", t)} <= words
+            assert set(tokens) - words <= {"(", ")", "[", "]", ":", ",",
+                                           "*", "+", ">"} | {
+                t for t in tokens if re.fullmatch(r"v\d+", t)}
+
+
+def summed_extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
+    """extract_max_scheduler as it was before a state with one enabled
+    action skipped its backup: every state's backups are summed."""
+    values = vv.values
+    choices = m.choice_table()
+    choice: dict[int, int] = {}
+    for s in vv.target_states | vv.zero_states:
+        if choices[s]:
+            choice[s] = choices[s][0][0]
+    tied_into: dict[int, list[tuple[int, int]]] = {}
+    fallback: dict[int, int] = {}
+    for s in m.states:
+        row = choices[s]
+        if not row or s in vv.target_states or s in vv.zero_states:
+            continue
+        backups = []
+        for _, dist in row:
+            total = 0.0
+            for t, p in dist:
+                total += p * values[t]
+            backups.append(total)
+        best = max(backups)
+        fallback[s] = row[backups.index(best)][0]
+        for (aid, dist), q in zip(row, backups):
+            if q >= best - SCHEDULER_TIE_TOL:
+                for t, _ in dist:
+                    tied_into.setdefault(t, []).append((s, aid))
+    frontier = vv.target_states
+    while frontier:
+        layer: dict[int, int] = {}
+        for t in frontier:
+            for s, aid in tied_into.get(t, ()):
+                if s not in choice and (s not in layer or aid < layer[s]):
+                    layer[s] = aid
+        choice.update(layer)
+        frontier = layer
+    for s, aid in fallback.items():
+        choice.setdefault(s, aid)
+    return Scheduler(choice)
+
+
+class TestOneChoiceRows:
+    """A state with one enabled action takes it without summing its
+    backup; the scheduler is the one that sums every backup."""
+
+    def assert_same_scheduler(self, m: Mdp, vv: ValueVector):
+        assert (extract_max_scheduler(m, vv).choice
+                == summed_extract_max_scheduler(m, vv).choice)
+
+    @pytest.mark.parametrize("name, constants", [
+        ("csma", {"K": 20}), ("zeroconf", None)])
+    def test_bundled_programs(self, name, constants):
+        m, _ = build_mdp(parse_program((MODELS / f"{name}.pm").read_text()),
+                         constants)
+        (_, text), = content_lines((MODELS / f"{name}.props").read_text())
+        spec = parse_property(text, defined_labels=m.ap_names)
+        assert any(len(row) == 1 for row in m.choice_table())
+        self.assert_same_scheduler(m, compute_pmax(m, spec.path))
+
+    def test_demo(self):
+        m = demo_mdp()
+        self.assert_same_scheduler(m, compute_pmax(m, demo_property().path))
+
+    def test_seeded_models(self):
+        rng = random.Random(2816)
+        models = [tied_mdp(rng, gaps=True) for _ in range(150)]
+        models += [kernel_mdp(rng, n) for n in (1, 5, 30, 60)]
+        models += [tied_chain(rng, 60), wide_then_chain(rng, 80, 40)]
+        for m in models:
+            for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=4)):
+                self.assert_same_scheduler(m, compute_pmax(m, psi))
+            values = [rng.choice((0.0, 0.5, 1.0)) for _ in m.states]
+            vv = ValueVector(values, 1, 0.0, PQ,
+                             frozenset(s for s in m.states
+                                       if values[s] == 1.0),
+                             frozenset())
+            self.assert_same_scheduler(m, vv)

@@ -15,7 +15,8 @@ from mdpdiag import (Atom, BudgetError, Counterexample, DomainError, Dtmc,
                      counterexample_from_dict, counterexample_from_json,
                      counterexample_to_dict, counterexample_to_json,
                      enumerate_satisfying_paths, eval_state_formula,
-                     extract_max_scheduler, generate_diagnoses, induce_dtmc, parse_property,
+                     extract_max_scheduler, generate_diagnoses, induce_dtmc,
+                     parse_explicit_model, parse_property,
                      verify_counterexample)
 from mdpdiag.cli import main
 from mdpdiag.records import replace
@@ -561,6 +562,22 @@ class TestJsonInterchange:
         assert json.loads(text)["ap_names"] == ["d", "goal"]
         again = counterexample_from_json(text)
         assert again.spec == cx.spec
+        assert counterexample_to_json(again) == text
+
+    @pytest.mark.parametrize("left, right", [
+        ("true", "U"), ("x-y", "P"), ("false", "1")])
+    def test_labels_that_read_otherwise_round_trip(self, left, right):
+        m = parse_explicit_model(
+            "STATES 3\nINIT 0\n0 a 1 0.6\n0 a 2 0.4\n1 a 1 1.0\n"
+            "2 a 2 1.0\n", f"0: {left}\n1: {right}\n")
+        spec = parse_property(f'P<=0.5 [ "{left}" U "{right}" ]',
+                              m.ap_names)
+        cx = build_mipcx(m, spec)
+        text = counterexample_to_json(cx)
+        assert json.loads(text)["property"] == (
+            f'P<=0.5 [ "{left}" U "{right}" ]')
+        again = counterexample_from_json(text)
+        assert again.spec == spec
         assert counterexample_to_json(again) == text
 
     def test_alphabet_of_the_path_labels_is_not_written(self):

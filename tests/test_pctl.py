@@ -177,6 +177,21 @@ class TestFormatting:
         assert '"' not in printed
         assert parse_property(printed) == spec
 
+    @pytest.mark.parametrize("name", [
+        "true", "false", "U", "P", "x-y", "1a", "12", "a.b", "é", ""])
+    def test_names_that_read_otherwise_print_quoted(self, name):
+        spec = PropertySpec("<=", 0.5, PathFormula(Atom(name), Not(Atom("U")),
+                                                   bound=2))
+        printed = str(spec)
+        assert printed == f'P<=0.5 [ "{name}" U<=2 !"U" ]'
+        assert parse_property(printed, defined_labels={name, "U"}) == spec
+
+    def test_bare_names_stay_bare(self):
+        spec = PropertySpec("<=", 0.5, PathFormula(
+            And(Atom("W"), Atom("Ptrue")), Or(Atom("_u"), Atom("P1"))))
+        assert str(spec) == "P<=0.5 [ (W & Ptrue) U (_u | P1) ]"
+        assert parse_property(str(spec)) == spec
+
 
 class TestEvaluation:
     labels = {0: {"a"}, 1: {"a", "b"}, 2: {"c"}}
