@@ -30,7 +30,7 @@ _EXPORTS = {
                   "generate_diagnoses", "render_text_report"),
     "errors": ("BudgetError", "DomainError", "MdpDiagError", "ParseError"),
     "mdp": ("PROB_SUM_TOL", "Dtmc", "FinitePath", "Mdp", "Scheduler",
-            "Violation", "WeightedPath", "induce_dtmc", "parse_explicit_model",
+            "WeightedPath", "induce_dtmc", "parse_explicit_model",
             "parse_labels_text", "path_probability", "validate_mdp"),
     "pctl": ("FALSE", "TRUE", "And", "Atom", "FalseFormula", "Not", "Or",
              "PathFormula", "PropertySpec", "TrueFormula",

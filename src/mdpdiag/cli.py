@@ -127,11 +127,12 @@ def _load_property(args, m):
 
 
 def _validated(m):
-    problems = mdp.validate_mdp(m)
-    if problems:
-        for v in problems:
-            print(f"invalid model: {v}", file=sys.stderr)
-        raise _UsageError(f"model failed validation with {len(problems)} "
+    sinks = mdp.validate_mdp(m)
+    if sinks:
+        for s in sinks:
+            print(f"invalid model: [no-enabled-action] state {s}: state has "
+                  "no enabled action", file=sys.stderr)
+        raise _UsageError(f"model failed validation with {len(sinks)} "
                           f"problem(s)")
     return m
 

@@ -38,10 +38,12 @@ class PathForest:
     A parent is numbered before its children, and no two nodes agree in
     parent, action and state. Path i is the prefix of node leaves[i] and
     has probability probabilities[i]; a node may end several paths and
-    lie inside others. A forest is grown with add_node and add_path and
-    keeps nothing derived from them. It is walked one way only, along its
-    paths in path order (_chain_moves): along_paths hands each path on,
-    and masses sums the path masses in one such walk.
+    lie inside others. Two loops build forests, with add_node and
+    add_path: the search of build_mipcx (_Prefix.add_to) and the JSON
+    import (_intern). A forest keeps nothing derived from its nodes and
+    paths. It is walked one way only, along its paths in path order
+    (_chain_moves): along_paths hands each path on, and masses sums the
+    path masses in one such walk.
     """
 
     # record gives each instance a copy of a list default
@@ -60,15 +62,6 @@ class PathForest:
     def add_path(self, leaf: int, probability: float) -> None:
         self.leaves.append(leaf)
         self.probabilities.append(probability)
-
-    @classmethod
-    def of_paths(cls, paths: Iterable[WeightedPath]) -> PathForest:
-        """The forest of paths, in their order; repeated paths keep their
-        own entries (see _intern)."""
-        forest = cls()
-        _intern(forest, ((wp.path.states, wp.path.actions, wp.probability)
-                         for wp in paths))
-        return forest
 
     def _chain_moves(self) -> Iterator[tuple[list[int], list[int]]]:
         """For each path in path order, how the chain of nodes from a root
@@ -139,36 +132,31 @@ class PathForest:
                 _counter[0] += len(seen) + len(taken) - 1
         return smass, tmass
 
-    def flatten(self) -> tuple[WeightedPath, ...]:
-        """The paths, each as its own WeightedPath."""
-        actions = self.along_paths(self.actions, lambda c: tuple(c[1:]))
-        return tuple(WeightedPath(FinitePath(s, a), p) for s, a, p in zip(
-            self.along_paths(self.states, tuple), actions, self.probabilities))
-
 
 def _intern(forest: PathForest,
-            paths: Iterable[tuple[Sequence, Sequence, float]],
-            check: Callable | None = None) -> None:
-    """Add paths, each (states, actions, probability), in their order to
-    the empty forest, keyed by the actions as given: ids, or names on
-    import. The steps a path shares with the path before it are found by
-    walking up from that path's leaf; only its later steps are looked up,
-    and added when new. check, if given, is called with the states of
-    those later steps and the actions into them before any is looked up.
-    Repeated paths keep their own entries."""
+            entries: Iterable[tuple[list, list, float]]) -> None:
+    """Add the path entries of a JSON import, each (states, action names,
+    probability), in their order to the empty forest, keyed by action
+    name. The steps an entry shares with the entry before it are found by
+    walking up from that entry's leaf; only its later steps are checked
+    (actions are strings, states not negative) and looked up, and added
+    when new. A shared step equals one checked before, so every step is
+    checked. Repeated entries keep their own paths."""
     parents = forest.parents
     index: dict[tuple, int] = {}
     node = -1
     last_states: Sequence = ()
     last_actions: Sequence = ()
-    for states, actions, probability in paths:
+    for states, actions, probability in entries:
         k = min(_common_prefix(states, last_states),
                 _common_prefix(actions, last_actions) + 1)
         for _ in range(len(last_states) - k):
             node = parents[node]
         new_states, new_actions = states[k:], actions[k - 1:] if k else actions
-        if check is not None:
-            check(new_states, new_actions)
+        if not (set(map(type, new_actions)) <= {str}
+                and min(new_states, default=0) >= 0):
+            # the entry being added is the next path of the forest
+            raise ParseError(f"malformed path entry {len(forest.leaves)}")
         for action, state in zip(new_actions if k else (-1, *new_actions),
                                  new_states):
             key = (node, action, state)
@@ -216,9 +204,10 @@ class Counterexample:
     the masses of generate_diagnoses come from one such walk
     (PathForest.masses), and the path lines of render_text_report and the
     JSON export take each path itself (PathForest.along_paths); the report
-    yields each path's line before it makes the next. paths is the flat view, a tuple of
-    WeightedPath, built on first use in time proportional to the steps
-    and kept.
+    yields each path's line before it makes the next. paths is a
+    read-only flat view, a tuple of WeightedPath, built on first use in
+    time proportional to the steps and kept; the package itself does not
+    read it.
 
     labels carries the labelling of every state that occurs on some path,
     and state_names, when the model has names, the name of each such
@@ -239,7 +228,12 @@ class Counterexample:
 
     @cached_property
     def paths(self) -> tuple[WeightedPath, ...]:
-        return self.forest.flatten()
+        """The paths, each as its own WeightedPath: a read-only view."""
+        forest = self.forest
+        actions = forest.along_paths(forest.actions, lambda c: tuple(c[1:]))
+        return tuple(WeightedPath(FinitePath(s, a), p) for s, a, p in zip(
+            forest.along_paths(forest.states, tuple), actions,
+            forest.probabilities))
 
     def action_name(self, aid: int) -> str:
         if not 0 <= aid < len(self.action_names):
@@ -592,7 +586,7 @@ def _is_scheduler(raw) -> bool:
 
 
 def _path_entries(raw_paths: list) -> Iterator[tuple[list, list, float]]:
-    """(states, actions, probability) of each path entry, for _intern,
+    """(states, action names, probability) of each path entry, for _intern,
     each checked before it is yielded: an object with a list of JSON
     integers, a list of actions and a number, then a list of actions one
     shorter than the states (FinitePath's text). ParseError at the first
@@ -674,14 +668,7 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     if not isinstance(raw_paths, list):
         raise ParseError("counterexample paths must form a list")
     forest = PathForest()
-
-    def check_steps(states: list, actions: list) -> None:
-        # the entry being interned is the next path of the forest
-        if not (set(map(type, actions)) <= {str}
-                and min(states, default=0) >= 0):
-            raise ParseError(f"malformed path entry {len(forest.leaves)}")
-
-    _intern(forest, _path_entries(raw_paths), check_steps)
+    _intern(forest, _path_entries(raw_paths))
     raw_sched = data.get("scheduler", {})
     if not _is_scheduler(raw_sched):
         raise ParseError("counterexample scheduler must map states to "

@@ -220,29 +220,16 @@ class Mdp:
         return {s: self.state_name(s) for s in states}
 
 
-@record(frozen=True)
-class Violation:
-    """One structural defect found by validate_mdp."""
-
-    kind: str
-    detail: str
-    state: int
-
-    def __str__(self):
-        return f"[{self.kind}] state {self.state}: {self.detail}"
-
-
-def validate_mdp(m: Mdp) -> list[Violation]:
-    """Report every state without an enabled action; an empty list means
-    valid.
+def validate_mdp(m: Mdp) -> list[int]:
+    """The states without an enabled action, ascending; an empty list
+    means valid.
 
     The Mdp constructor already holds every action to a probability
     distribution. A state without actions is left to this check, which the
     CLI runs, since a library model may keep such sink states.
     """
     table = m.choice_table()
-    return [Violation("no-enabled-action", "state has no enabled action",
-                      state=s) for s in m.states if not table[s]]
+    return [s for s in m.states if not table[s]]
 
 
 # -- paths ---------------------------------------------------------------
@@ -492,5 +479,9 @@ def parse_labels_text(text: str, num_states: int,
         if not 0 <= s < num_states:
             raise ParseError(f"state {s} out of range 0..{num_states - 1}",
                              line=no, filename=filename)
+        if '"' in rest:  # a property quotes a label as "a-b", not "a"b"
+            name = next(name for name in rest.split() if '"' in name)
+            raise ParseError(f"label {name!r} holds '\"', which no property "
+                             "can name", line=no, filename=filename)
         labels.setdefault(s, set()).update(rest.split())
     return labels

@@ -763,8 +763,8 @@ def build_mdp(program: Program,
     def describe(state: tuple) -> str:
         return ",".join(f"{v}={x}" for v, x in zip(var_order, state))
 
-    ids: dict[tuple[int, ...], int] = {ready.init: 0}
-    valuations: list[tuple[int, ...]] = [ready.init]
+    ids: dict[tuple[int, ...], int] = {}
+    valuations: list[tuple[int, ...]] = []
     transitions: dict[tuple[int, str], list[tuple[int, float]]] = {}
     commands: dict[str, tuple[tuple[str, int], ...]] = {}  # per action
 
@@ -778,6 +778,8 @@ def build_mdp(program: Program,
             ids[state] = sid
             valuations.append(state)
         return sid
+
+    intern_state(ready.init)  # a cap below 1 holds no state at all
 
     def evaluate(state: tuple, label: str, groups, entry: list):
         """Yield, and append to entry, (action, branches) for each command

@@ -12,7 +12,8 @@ threshold test and causes.
 State mass, transition mass and blame are rescanned here path by path,
 as references for the one mass index inside generate_diagnoses, and an
 exported counterexample is checked entry by entry, every step of each,
-as the reference for the one-pass import into a prefix forest. Keep
+as the reference for the one-pass import into a prefix forest, and
+forest_of builds the prefix forest of flat paths one step at a time. Keep
 this module free of imports from the package internals beyond those
 public functions and the mass tolerance of the diagnosis.
 """
@@ -27,9 +28,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from mdpdiag import (And, Atom, BudgetError, Cause, Counterexample,
-                     DomainError, FinitePath, Mdp, Not, Or, PathFormula,
-                     WeightedPath, collect_causes, eval_state_formula,
-                     mass_exceeds)
+                     DomainError, FinitePath, Mdp, Not, Or, PathForest,
+                     PathFormula, WeightedPath, collect_causes,
+                     eval_state_formula, mass_exceeds)
 from mdpdiag.diagnosis import MASS_EQ_TOL
 
 DEFAULT_ORACLE_VAR_CAP = 20
@@ -129,7 +130,7 @@ def list_satisfying_paths(trans, init, interior, targets, max_len):
 def prefix_paths(stream) -> list[WeightedPath]:
     """The (prefix, probability) pairs of enumerate_satisfying_paths as
     flat paths, each spelled by walking its prefix's parent links back to
-    the start (not through PathForest.flatten)."""
+    the start (not through Counterexample.paths)."""
     out = []
     for prefix, prob in stream:
         states, actions = [prefix.state], []
@@ -140,6 +141,23 @@ def prefix_paths(stream) -> list[WeightedPath]:
         out.append(WeightedPath(FinitePath(tuple(reversed(states)),
                                            tuple(reversed(actions))), prob))
     return out
+
+
+def forest_of(paths) -> PathForest:
+    """The prefix forest of paths, in their order: one node per distinct
+    (parent node, action id, state), each step looked up in a table of
+    them from the root down. Repeated paths end at one leaf."""
+    forest = PathForest()
+    nodes: dict[tuple[int, int, int], int] = {}
+    for wp in paths:
+        node = -1
+        for action, state in zip((-1, *wp.path.actions), wp.path.states):
+            key = (node, action, state)
+            if key not in nodes:
+                nodes[key] = forest.add_node(*key)
+            node = nodes[key]
+        forest.add_path(node, wp.probability)
+    return forest
 
 
 def random_mdp(rng: random.Random, max_states=6, max_actions=2,

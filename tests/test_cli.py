@@ -135,6 +135,15 @@ class TestCheck:
             "enabled action\n"
             "error: model failed validation with 2 problem(s)\n")
 
+    def test_label_with_a_double_quote_rejected(self, capsys, tmp_path):
+        lab = tmp_path / "quote.lab"
+        lab.write_text('0: a"b\n')
+        code, out, err = run(capsys, "check", "--model", DEMO, "--labels",
+                             str(lab), "--prop", "P<=0.5 [ true U a ]")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {lab}, line 1: label 'a\"b' holds '\"', "
+                       "which no property can name\n")
+
     @pytest.mark.parametrize("command", ["check", "diagnose"])
     def test_nan_probability_rejected(self, capsys, tmp_path, command):
         bad = tmp_path / "nan.tra"
@@ -845,7 +854,7 @@ class TestLoading:
     def test_star_import_binds_every_public_name(self):
         names = {}
         exec("from mdpdiag import *", names)
-        assert len(mdpdiag.__all__) == 59
+        assert len(mdpdiag.__all__) == 58
         assert set(mdpdiag.__all__) <= set(names)
         assert names["build_mdp"] is mdpdiag.program.build_mdp
 

@@ -23,8 +23,8 @@ from mdpdiag.records import replace
 
 from fixtures import (bundled_model, demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property)
-from oracles import (cx_import_fault, list_satisfying_paths, prefix_paths,
-                     random_layered_mdp)
+from oracles import (cx_import_fault, forest_of, list_satisfying_paths,
+                     prefix_paths, random_layered_mdp)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -338,8 +338,18 @@ GT_LABELS = {0: frozenset({"g"}), 1: frozenset({"g"}), 2: frozenset({"t"}),
 
 def make_cx(paths, total, spec_text="P<=0.1 [ g U t ]"):
     spec = parse_property(spec_text)
-    return Counterexample(PathForest.of_paths(paths), total, None, spec,
-                          GT_LABELS, ("a",))
+    return Counterexample(forest_of(paths), total, None, spec, GT_LABELS,
+                          ("a",))
+
+
+def imported_cx(paths):
+    """The JSON import of make_cx(paths), with the labels of the states
+    on the paths."""
+    data = counterexample_to_dict(make_cx(paths, 0.5))
+    on_paths = {s for wp in paths for s in wp.path.states}
+    data["labels"] = {k: v for k, v in data["labels"].items()
+                      if int(k) in on_paths}
+    return counterexample_from_dict(data)
 
 
 def wp(states, prob):
@@ -369,14 +379,16 @@ def slow_exit_cx():
 class TestPathForest:
     def test_repeated_paths_share_one_leaf(self):
         p, q = wp((0, 1, 2), 0.25), wp((0, 2), 0.125)
-        forest = PathForest.of_paths([p, q, p])
+        forest = imported_cx([p, q, p]).forest
+        assert forest == forest_of([p, q, p])
         assert forest.leaves[0] == forest.leaves[2] != forest.leaves[1]
         assert forest.probabilities == [0.25, 0.125, 0.25]
         assert len(forest.states) == 4
 
     def test_a_path_may_run_on_through_another_leaf(self):
         short, long = wp((0, 1), 0.25), wp((0, 1, 0, 1, 2), 0.125)
-        forest = PathForest.of_paths([long, short])
+        forest = imported_cx([long, short]).forest
+        assert forest == forest_of([long, short])
         assert len(forest.states) == 5
         node = forest.leaves[0]
         for _ in range(3):
@@ -385,10 +397,22 @@ class TestPathForest:
 
     def test_paths_may_start_at_different_states(self):
         paths = [wp((0, 2), 0.25), wp((1, 2), 0.25), wp((0, 1, 2), 0.125)]
-        forest = PathForest.of_paths(paths)
+        cx = imported_cx(paths)
+        forest = cx.forest
         roots = [n for n, p in enumerate(forest.parents) if p < 0]
         assert [forest.states[n] for n in roots] == [0, 1]
-        assert forest.flatten() == tuple(paths)
+        assert forest == forest_of(paths)
+        assert cx.paths == tuple(paths)
+
+    @pytest.mark.parametrize("name", ["demo", "zeroconf", "csma",
+                                      "slow-exit"])
+    def test_built_and_imported_forests_are_those_of_their_paths(
+            self, name, slow_exit_cx):
+        cx = (slow_exit_cx if name == "slow-exit"
+              else build_mipcx(*bundled_model(name)))
+        again = counterexample_from_json(counterexample_to_json(cx))
+        assert forest_of(cx.paths) == cx.forest
+        assert forest_of(again.paths) == again.forest
 
     def test_nodes_number_parents_first(self, slow_exit_cx):
         forest = slow_exit_cx.forest
@@ -837,7 +861,7 @@ class TestJsonInterchange:
                      wp.probability) for wp in cx.paths] == [
                 (p["states"], p["actions"], p["probability"])
                 for p in data["paths"]]
-            assert PathForest.of_paths(cx.paths) == cx.forest
+            assert forest_of(cx.paths) == cx.forest
         assert checked > 200
 
     def test_round_trip_keeps_the_forest_at_scale(self, slow_exit_cx):
@@ -857,8 +881,8 @@ class TestJsonInterchange:
                 == {s: cx.action_name(a)
                     for s, a in cx.scheduler.choice.items()})
         assert counterexample_to_dict(again) == counterexample_to_dict(cx)
-        assert PathForest.of_paths(cx.paths) == before
-        assert PathForest.of_paths(again.paths) == forest
+        assert forest_of(cx.paths) == before
+        assert forest_of(again.paths) == forest
         assert counterexample_from_json(
             counterexample_to_json(again)).forest == forest
 

@@ -33,7 +33,7 @@ from mdpdiag import (Counterexample, DomainError, FinitePath, Mdp,
 from mdpdiag.records import replace
 
 from fixtures import parse_state_formula
-from oracles import prefix_paths
+from oracles import forest_of, prefix_paths
 
 # -- the reference: earlier per-position versions ----------------------------
 
@@ -178,7 +178,7 @@ def random_chain_cx(rng: random.Random):
     total = sum(wp.probability for wp in paths)
     spec = PropertySpec("<=", total * rng.choice((0.5, 0.9, 0.999)), psi)
     on_paths = {s for wp in paths for s in wp.path.states}
-    return Counterexample(PathForest.of_paths(paths), total, sched, spec,
+    return Counterexample(forest_of(paths), total, sched, spec,
                           {s: m.labels_of(s) for s in sorted(on_paths)},
                           tuple(m.action_names))
 
@@ -203,7 +203,7 @@ def slow_exit_cx(passes: int = 60):
     psi = PathFormula(parse_state_formula("g"), parse_state_formula("t"))
     paths = slow_exit_paths(passes)
     total = sum(wp.probability for wp in paths)
-    return Counterexample(PathForest.of_paths(paths), total, sched,
+    return Counterexample(forest_of(paths), total, sched,
                           PropertySpec("<=", 0.1, psi),
                           {s: m.labels_of(s) for s in m.states},
                           tuple(m.action_names))
@@ -227,7 +227,7 @@ CXS = seeded_cxs()
 
 def _with_paths(cx, paths):
     paths = tuple(paths)
-    return replace(cx, forest=PathForest.of_paths(paths),
+    return replace(cx, forest=forest_of(paths),
                    total_mass=sum(wp.probability for wp in paths))
 
 
@@ -317,7 +317,7 @@ def _shaped(paths, labels):
     """A counterexample of `g U t` over paths, labelled by labels."""
     psi = PathFormula(parse_state_formula("g"), parse_state_formula("t"))
     total = sum(wp.probability for wp in paths)
-    return Counterexample(PathForest.of_paths(paths), total, None,
+    return Counterexample(forest_of(paths), total, None,
                           PropertySpec("<=", total / 2, psi),
                           {s: frozenset(aps) for s, aps in labels.items()},
                           ACTIONS)

@@ -8,7 +8,7 @@ import pytest
 
 from mdpdiag import diagnosis, pctl
 from mdpdiag import (FALSE, TRUE, And, Atom, BudgetError, Cause, Counterexample,
-                     DomainError, FinitePath, Not, Or, ParseError, PathForest,
+                     DomainError, FinitePath, Not, Or, ParseError,
                      WeightedPath, build_mipcx, check_property,
                      collect_causes, counterexample_from_json,
                      counterexample_to_json, find_causes, generate_diagnoses,
@@ -18,7 +18,7 @@ from mdpdiag.records import replace
 from fixtures import (blame_gap_mdp, blame_gap_property, bundled_model,
                       demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property)
-from oracles import (blame, check_prop1, check_prop2, is_critical,
+from oracles import (blame, check_prop1, check_prop2, forest_of, is_critical,
                      path_atoms, random_mdp, responsibility_oracle,
                      state_mass, transition_mass)
 
@@ -29,7 +29,7 @@ def demo_cx():
 
 def make_cx(paths, total, spec_text, labels, action_names=("a",)):
     labels = {s: frozenset(v) for s, v in labels.items()}
-    return Counterexample(PathForest.of_paths(paths), total, None,
+    return Counterexample(forest_of(paths), total, None,
                           parse_property(spec_text), labels, action_names)
 
 
@@ -304,6 +304,9 @@ class TestAgainstOracle:
         for cx in random_counterexamples():
             outside += not pctl.atoms(cx.spec.path) <= set(cx.ap_names)
             again = counterexample_from_json(counterexample_to_json(cx))
+            # the forests of the search and of the import, node for node
+            assert forest_of(cx.paths) == cx.forest
+            assert forest_of(again.paths) == again.forest
             before, after = generate_diagnoses(cx), generate_diagnoses(again)
             assert after.render_text() == before.render_text()
             assert after.to_json() == before.to_json()

@@ -260,14 +260,11 @@ class TestValidation:
 
     def test_deadlock_state_reported(self):
         m = Mdp(2, 0, {(0, "a"): [(1, 1.0)]})
-        assert [(v.kind, v.state) for v in validate_mdp(m)] == [
-            ("no-enabled-action", 1)]
+        assert validate_mdp(m) == [1]
 
-    def test_violation_str_mentions_location(self):
-        m = Mdp(3, 0, {(0, "a"): [(1, 1.0)]})
-        assert [str(v) for v in validate_mdp(m)] == [
-            "[no-enabled-action] state 1: state has no enabled action",
-            "[no-enabled-action] state 2: state has no enabled action"]
+    def test_every_sink_reported_in_ascending_order(self):
+        m = Mdp(5, 2, {(3, "b"): [(1, 1.0)], (1, "a"): [(4, 1.0)]})
+        assert validate_mdp(m) == [0, 2, 4]
 
 
 class TestPaths:
@@ -491,6 +488,12 @@ class TestExplicitFormat:
             parse_explicit_model("STATES 9999999999998\nINIT 0\n0 a 0 1.0\n")
         with pytest.raises(BudgetError, match="cap of 2 states"):
             parse_explicit_model("STATES 3\nINIT 0\n", state_cap=2)
+        # build_mdp counts its initial state against the same cap
+        for cap in (0, -5):
+            with pytest.raises(BudgetError, match=(
+                    f"^state count 1 exceeds the cap of {cap} states$")):
+                parse_explicit_model("STATES 1\nINIT 0\n0 a 0 1.0\n",
+                                     state_cap=cap)
         monkeypatch.undo()
         assert parse_explicit_model("STATES 3\nINIT 0\n",
                                     state_cap=3).num_states == 3
@@ -502,6 +505,15 @@ class TestExplicitFormat:
             parse_labels_text("7: a\n", 2)
         with pytest.raises(ParseError, match="integer"):
             parse_labels_text("x: a\n", 2)
+
+    @pytest.mark.parametrize("token", ['a"b', '"a"', '"'])
+    def test_label_with_a_double_quote_rejected(self, token):
+        # a property quotes a label as "...", so it cannot name this one
+        with pytest.raises(ParseError) as err:
+            parse_labels_text(f"0: ok\n# note\n1: c {token}\n", 2,
+                              filename="m.lab")
+        assert str(err.value) == (f"m.lab, line 3: label {token!r} holds "
+                                  "'\"', which no property can name")
 
     def test_parse_error_carries_position(self):
         try:

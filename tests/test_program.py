@@ -375,12 +375,19 @@ class TestElaboration:
         with pytest.raises(BudgetError, match="cap"):
             build(text, state_cap=10)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_state_cap_counts_the_initial_state(self, cap):
+        text = "module m\n x : [0..0] init 0;\n [a] true -> true;\nendmodule\n"
+        assert build(text, state_cap=1)[0].num_states == 1
+        with pytest.raises(BudgetError, match=(
+                f"^state space exceeds the cap of {cap} states$")):
+            build(text, state_cap=cap)
+
     def test_deadlocks_surface_through_validation_not_build(self):
         text = "module m\n x : [0..1] init 0;\n [a] x = 0 -> (x'=1);\n" \
                "endmodule\n"
         m, _ = build(text)
-        kinds = {v.kind for v in validate_mdp(m)}
-        assert kinds == {"no-enabled-action"}
+        assert validate_mdp(m) == [1]
 
     def test_rebuild_is_deterministic(self):
         from fixtures import serialize_explicit_model

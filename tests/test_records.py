@@ -54,7 +54,7 @@ IDS = [f"{module.split('.')[1]}.{name}" for module, name, _, _ in RECORDS]
 
 
 def test_every_value_class_is_a_record():
-    assert len(RECORDS) == 39
+    assert len(RECORDS) == 38
 
 
 def _twin(module, name, frozen, fields):
