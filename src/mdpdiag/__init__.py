@@ -50,8 +50,8 @@ def _lazy(name):
     return module
 
 
-for _name in ("errors", "records", "pctl", "mdp", "graph", "checker",
-              "counterexample", "diagnosis", "program"):
+for _name in ("errors", "records", "pctl", "mdp", "graph", "bounded",
+              "checker", "counterexample", "diagnosis", "program"):
     globals()[_name] = _lazy(_name)
 del _name
 

@@ -7,7 +7,7 @@ import weakref
 from itertools import chain, islice
 from operator import sub
 
-from . import graph
+from . import bounded, graph
 from .defaults import DEFAULT_EPSILON
 from .errors import BudgetError, DomainError
 from .mdp import Mdp, Scheduler, live_states
@@ -31,9 +31,16 @@ _PMAX_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 @record
 class ValueVector:
-    """Per-state maximal until probabilities plus iteration bookkeeping."""
+    """Maximal until probabilities plus iteration bookkeeping.
 
-    values: list[float]
+    Without a step bound, values[s] is the value of state s, for every
+    state. With bound k, values is a bounded.PairValues, keyed by the pairs
+    (state, steps left) within reach of (init, k), and Pmax at init is
+    values[init, k]; target_states and zero_states are then the reached
+    states fixed at 1 and at 0.
+    """
+
+    values: list[float] | bounded.PairValues
     iterations: int
     residual: float
     path: PathFormula
@@ -72,14 +79,14 @@ def _sweep(choices, values, pending, max_sweeps: int,
     monotonically toward the least fixed point, as rounded too (float
     rounding is monotone), so the residual, the largest change, is the
     largest rise, new value minus old, with no abs. Stops after max_sweeps
-    sweeps, or when the residual is 0 or below epsilon; it is inf when no
-    sweep ran. The residual is taken in full on the first and the last
-    allowed sweep, and on a sweep where the rise of the probe, the state
-    of the largest rise at the last full pass, is 0 or below epsilon: on
-    any other sweep the residual is at least that rise, so the sweep
-    cannot stop. values is written once, at the end. Pending states must
-    have at least one choice; no other entry of values changes, which the
-    rows' constant terms rely on.
+    sweeps, or when the residual is below epsilon, which is positive; it
+    is inf when no sweep ran. The residual is taken in full on the first
+    and the last allowed sweep, and on a sweep where the rise of the
+    probe, the state of the largest rise at the last full pass, is below
+    epsilon: on any other sweep the residual is at least that rise, so
+    the sweep cannot stop. values is written once, at the end. Pending
+    states must have at least one choice; no other entry of values
+    changes, which the rows' constant terms rely on.
     """
     order, local, groups = _compile_groups(choices, values, pending)
     sweeps = 0
@@ -91,13 +98,13 @@ def _sweep(choices, values, pending, max_sweeps: int,
             [kernel(local, rows) for kernel, rows in groups]))
         if 1 < sweeps < max_sweeps:
             rise = top[probe] - local[probe]
-            if rise > 0 and rise >= epsilon:
+            if rise >= epsilon:
                 local = top
                 continue
         rises = list(map(sub, top, local))
         local = top
         residual = max(rises, default=0.0)
-        if not residual or residual < epsilon:
+        if residual < epsilon:
             break
         probe = rises.index(residual)
     for s, v in zip(order, local):
@@ -108,16 +115,18 @@ def _sweep(choices, values, pending, max_sweeps: int,
 def _compile_groups(choices, values, pending):
     """Pending states grouped by the successor counts of their choices, in
     action order, and by which successor positions lie outside pending;
-    returns (order, local, groups).
+    returns (order, local, groups). values maps every state the rows read
+    to its value, as a list indexed by state or a dict.
 
-    order lists the pending states one group after another, and local
-    holds their values at the same positions. A group is (kernel, rows),
-    with one row per state, in order: per choice and per successor
-    position, a successor in pending gives its probability and its
-    position in local, and one outside pending, whose value _sweep never
-    changes, gives the product of its probability and its value, taken
-    once. kernel(local, rows) returns the states' backups, in order; it
-    is built from the group's shape alone (see _kernel_source).
+    order lists the pending states one group after another, each group in
+    the order of pending, and local holds their values at the same
+    positions. A group is (kernel, rows), with one row per state, in
+    order: per choice and per successor position, a successor in pending
+    gives its probability and its position in local, and one outside
+    pending, whose value _sweep never changes, gives the product of its
+    probability and its value, taken once. kernel(local, rows) returns
+    the states' backups, in order; it is built from the group's shape
+    alone (see _kernel_source).
     """
     varies = set(pending)
     by_shape: dict[tuple[int | bool, ...], list[int]] = {}
@@ -130,9 +139,7 @@ def _compile_groups(choices, values, pending):
         by_shape.setdefault(tuple(shape), []).append(s)
     order = list(chain.from_iterable(by_shape.values()))
     local = list(map(values.__getitem__, order))
-    slot = [None] * len(values)  # state -> its position in local
-    for i, s in enumerate(order):
-        slot[s] = i
+    slot = dict(zip(order, range(len(order))))  # state -> its position
     groups = []
     for shape, states in by_shape.items():
         rows = []
@@ -205,9 +212,11 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     _value_iteration): a lone state and a component of up to
     EXACT_SCC_MAX states exactly, a larger one by value iteration until
     the sup-norm residual drops below epsilon, which must lie strictly
-    between 0 and 1. A step bound runs exactly that many backward steps
-    over every state instead (the result then is the optimum over
-    step-dependent choices).
+    between 0 and 1. A step bound k solves the k-step recurrence on the
+    pairs (state, steps left) within reach of (init, k) instead (see
+    bounded.solve), in time linear in those pairs: the result then is the
+    optimum over step-dependent choices, and values holds pairs (see
+    ValueVector).
     Atoms are evaluated against the labels alone: an atom that labels no
     state is false at every state. Whether a name belongs to the model's
     alphabet (m.ap_names) is checked where properties are read, not here.
@@ -226,7 +235,8 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     budgets the sweeps over large components, and iterations counts them
     (0 when every component was solved exactly); running out of them
     raises BudgetError, whose message and partial give the residual
-    reached (inf for no sweep). With one, iterations is the bound.
+    reached (inf for no sweep). With one, iterations is the bound and
+    residual is 0: the values are the recurrence's own.
 
     Results are memoized per model, path formula, epsilon and
     max_iterations, for as long as the model lives, so the model must not
@@ -246,15 +256,15 @@ def compute_pmax(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON,
     if vv is None:
         vv = _value_iteration(m, psi, epsilon, max_iterations)
         _PMAX_MEMO.setdefault(m, {})[key] = vv
-    return replace(vv, values=list(vv.values))
+    values = vv.values  # a PairValues is read-only
+    return replace(vv, values=list(values) if psi.bound is None else values)
 
 
 def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
                      max_iterations: int) -> ValueVector:
     """compute_pmax on a memo miss, with its arguments already checked.
 
-    A step bound runs that many Jacobi sweeps over every pending state,
-    or fewer when one changes nothing. Without one, the pending states
+    A step bound goes to bounded.solve. Without one, the pending states
     are solved one strongly connected component at a time, sinks first
     (topological value iteration: Dai, Mausam, Weld & Goldsmith, JAIR
     2011), so a component reads only final values outside itself:
@@ -268,20 +278,15 @@ def _value_iteration(m: Mdp, psi: PathFormula, epsilon: float,
       counted in iterations and against max_iterations; the residual is
       the largest of their residuals, 0 when no sweep ran.
     """
-    targets, guard = until_sets(m.label_map(), m.states, psi)
+    if psi.bound is not None:
+        values, targets, zero = bounded.solve(m, psi, _compile_groups)
+        return ValueVector(values, psi.bound, 0.0, psi, targets, zero)
+    targets, guard = until_sets(m.labels, m.states, psi)
     choices = m.choice_table()
     preds, live = live_states(choices, guard, targets)
     # every other state keeps its value: 1 at a target, else 0
     pending = [s for s in m.states if s in guard and s in live]
     values = [1.0 if s in targets else 0.0 for s in m.states]
-
-    if psi.bound is not None:
-        # epsilon 0: run all psi.bound sweeps, or until nothing changes
-        sweeps, residual = _sweep(choices, values, pending, psi.bound, 0.0)
-        zero = frozenset(s for s in m.states if values[s] == 0.0)
-        return ValueVector(values, psi.bound, residual if sweeps else 0.0,
-                           psi, targets, zero)
-
     zero = frozenset(s for s in m.states if s not in live)
     # every guard state with a step into a pending state is pending, so
     # preds restricted to pending is the reversed graph, whose components
@@ -339,7 +344,12 @@ def extract_max_scheduler(m: Mdp, vv: ValueVector) -> Scheduler:
     action, which ties by itself; the layers come from one backward
     breadth-first pass over the tied actions, so the work is linear in the
     transitions.
+
+    A step-bounded vector gets a scheduler that counts steps (see
+    bounded.witness).
     """
+    if vv.path.bound is not None:
+        return bounded.witness(m, vv)
     values = vv.values
     choices = m.choice_table()
     choice: dict[int, int] = {}
@@ -394,6 +404,7 @@ def check_property(m: Mdp, spec: PropertySpec,
     and property reuses it; the model must not be mutated in between.
     """
     vv = compute_pmax(m, spec.path, epsilon)
-    pmax = vv.values[m.init]
+    bound = spec.path.bound
+    pmax = vv.values[m.init if bound is None else (m.init, bound)]
     holds = not mass_exceeds(spec, pmax)
     return Verdict(holds, pmax, spec.threshold, spec.comparison, vv)

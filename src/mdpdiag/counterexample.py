@@ -320,6 +320,8 @@ def enumerate_satisfying_paths(d: Dtmc, psi: PathFormula,
     An atom that labels no state of d is false everywhere, so a target
     named by such an atom yields no path. d is not checked: a step of
     probability zero or less that the search reaches raises DomainError.
+    The states of d may be pairs (state, steps left), as the chain of a
+    scheduler that counts steps has them (see induce_dtmc).
     """
     if math.isnan(min_prob):
         raise DomainError("min_prob must be a number, got nan")
@@ -380,6 +382,10 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
     search's prefixes go straight into the counterexample's forest. If the
     path budget or probability floor cuts the stream off first, a
     BudgetError carrying the gathered mass is raised.
+
+    Under a step bound the witness counts steps, so the search runs on the
+    chain of pairs (state, steps left) it induces, and each path maps back
+    to the model by dropping the counter.
     """
     verdict = checker.check_property(m, spec, epsilon)
     if verdict.holds:
@@ -394,6 +400,8 @@ def build_mipcx(m: Mdp, spec: PropertySpec, epsilon: float = DEFAULT_EPSILON,
         forest.add_path(prefix.add_to(forest), prob)
         total += prob
         if mass_exceeds(spec, total):
+            if witness.bound is not None:
+                forest.states = [s for s, _ in forest.states]
             on_paths = sorted(set(forest.states))
             labels = {s: m.labels_of(s) for s in on_paths}
             return Counterexample(forest, total, witness, spec, labels,
@@ -410,7 +418,10 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     failures as human-readable strings (empty list: all good).
 
     Every step must take the choice of the scheduler, if there is one; a
-    path is reported once, at its first step that does not.
+    path is reported once, at its first step that does not. A scheduler
+    that counts steps is read at the pair (state, steps left) of each
+    step, counting down from its bound at the first state, and its bound
+    must be the property's.
 
     The until guard and target are evaluated once per distinct state on
     the paths, and one pass over the forest finds for every node its
@@ -422,9 +433,15 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     forest = cx.forest
     parents, actions, states = forest.parents, forest.actions, forest.states
     choice = {} if cx.scheduler is None else cx.scheduler.choice
+    counted = None if cx.scheduler is None else cx.scheduler.bound
     out: list[str] = []
     if not forest.leaves:
         out.append("counterexample contains no paths")
+    if counted is not None and counted != bound:
+        out.append(f"the scheduler counts {counted} steps, but the "
+                   f"property {cx.spec} " + ("has no step bound"
+                                             if bound is None else
+                                             f"bounds {bound}"))
     targets, guard_only = until_sets(cx.labels, set(forest.states),
                                      cx.spec.path)
     depth: list[int] = []
@@ -433,8 +450,11 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
     for n, (p, a, s) in enumerate(zip(parents, actions, states)):
         d, bad, off = ((0, -1, -1) if p < 0 else
                        (depth[p] + 1, first_bad[p], first_off[p]))
-        if off < 0 <= p and cx.scheduler and choice.get(states[p]) != a:
-            off = n
+        if off < 0 <= p and cx.scheduler:
+            key = (states[p] if counted is None
+                   else (states[p], counted - d + 1))
+            if choice.get(key) != a:
+                off = n
         depth.append(d)
         first_bad.append(n if bad < 0 and s not in guard_only else bad)
         first_off.append(off)
@@ -457,12 +477,13 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
                        "the until target")
         off = first_off[leaf]
         if off >= 0:
-            s = states[parents[off]]
-            out.append(f"{tag}: at state {s}, position {depth[off] - 1}, the "
-                       f"path takes action {cx.action_name(actions[off])}, "
-                       "where the scheduler " + (
-                           f"chooses {cx.action_name(choice[s])}"
-                           if s in choice else "makes no choice"))
+            s, j = states[parents[off]], depth[off] - 1
+            key = s if counted is None else (s, counted - j)
+            out.append(f"{tag}: at state {s}, position {j}, the path takes "
+                       f"action {cx.action_name(actions[off])}, where the "
+                       "scheduler " + (f"chooses {cx.action_name(choice[key])}"
+                                       if key in choice else
+                                       "makes no choice"))
         bad = first_bad[parents[leaf]] if parents[leaf] >= 0 else -1
         if bad < 0:
             continue
@@ -487,10 +508,18 @@ def verify_counterexample(cx: Counterexample) -> list[str]:
 
 
 def counterexample_to_dict(cx: Counterexample) -> dict:
-    sched = {}
+    """The JSON form. A scheduler that counts steps goes into
+    step_scheduler, state -> steps left -> action, and scheduler stays
+    empty."""
+    sched: dict = {}
+    steps: dict = {}
     if cx.scheduler is not None:
-        for s in sorted(cx.scheduler.choice):
-            sched[str(s)] = cx.action_name(cx.scheduler.choice[s])
+        for key in sorted(cx.scheduler.choice):
+            name = cx.action_name(cx.scheduler.choice[key])
+            if cx.scheduler.bound is None:
+                sched[str(key)] = name
+            else:
+                steps.setdefault(str(key[0]), {})[str(key[1])] = name
     out = {
         "format_version": CX_FORMAT_VERSION,
         "property": str(cx.spec),
@@ -498,8 +527,10 @@ def counterexample_to_dict(cx: Counterexample) -> dict:
         "threshold": cx.spec.threshold,
         "total_mass": cx.total_mass,
         "scheduler": sched,
-        "labels": {str(s): sorted(cx.labels[s]) for s in sorted(cx.labels)},
     }
+    if cx.scheduler is not None and cx.scheduler.bound is not None:
+        out["step_scheduler"] = steps
+    out["labels"] = {str(s): sorted(cx.labels[s]) for s in sorted(cx.labels)}
     alphabet = cx.alphabet()
     if alphabet != set().union(*cx.labels.values()):
         out["ap_names"] = sorted(alphabet)
@@ -567,7 +598,12 @@ def _name(x) -> str:
 def _name_set(x) -> frozenset[str]:
     if not isinstance(x, list):
         raise TypeError(f"not a list of names: {x!r}")
-    return frozenset(map(_name, x))
+    names = frozenset(map(_name, x))
+    for name in names:
+        if '"' in name:  # a property quotes a label as "a-b", not "a"b"
+            raise ParseError(f"counterexample label {name!r} holds '\"', "
+                             "which no property can name")
+    return names
 
 
 def _state_keyed(raw, value, field: str, what: str) -> dict:
@@ -609,6 +645,24 @@ def _path_entries(raw_paths: list) -> Iterator[tuple[list, list, float]]:
         yield states, actions, probability
 
 
+def _step_scheduler(raw: dict, action_ids: dict, bound: int) -> Scheduler:
+    """The scheduler of a step_scheduler field whose shape is checked;
+    ParseError unless every key is a canonical state id and every steps
+    left one from 1 to the bound, the only ones at which a step is
+    taken."""
+    choice = {}
+    try:
+        for s, row in raw.items():
+            for j, a in row.items():
+                j = _state_id(j)
+                if not 0 < j <= bound:
+                    raise ValueError(f"steps left {j} outside 1..{bound}")
+                choice[_state_id(s), j] = action_ids[a]
+    except (ValueError, TypeError):
+        raise ParseError("malformed step_scheduler mapping") from None
+    return Scheduler(choice, bound)
+
+
 def counterexample_from_dict(data: dict) -> Counterexample:
     """Rebuild a counterexample from its JSON form.
 
@@ -626,11 +680,15 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     Each check runs once, and the first fault met is reported. The order
     is: the top-level fields; then the path entries in file order, each
     entry's fields and types (its states in full, as 1.0 and true equal
-    1), then its length, then its steps; the scheduler's shape, then its
-    ids; total_mass; labels or state_names off the paths. That the
-    actions are strings and the states not negative is checked on the
-    steps an entry does not share with the entry before it, which covers
-    every step: a shared step equals one checked before.
+    1), then its length, then its steps; the scheduler's shape, then
+    step_scheduler's; the scheduler's ids, then whether step_scheduler
+    goes with a step-bounded property and an empty scheduler, then its
+    ids (see _step_scheduler); total_mass; labels or state_names off the paths.
+    That the actions are strings and the states not negative is checked
+    on the steps an entry does not share with the entry before it, which
+    covers every step: a shared step equals one checked before. A label
+    or an ap_names entry holding '"' is refused where it is read, as no
+    property can name it.
     """
     if not isinstance(data, dict):
         raise ParseError("counterexample JSON must be an object")
@@ -673,8 +731,15 @@ def counterexample_from_dict(data: dict) -> Counterexample:
     if not _is_scheduler(raw_sched):
         raise ParseError("counterexample scheduler must map states to "
                          "labels")
+    raw_steps = data.get("step_scheduler", {})
+    if not (isinstance(raw_steps, dict)
+            and all(map(_is_scheduler, raw_steps.values()))):
+        raise ParseError("counterexample step_scheduler must map states to "
+                         "objects that map steps left to labels")
     names = {a for p, a in zip(forest.parents, forest.actions) if p >= 0}
-    action_names = tuple(sorted(names.union(raw_sched.values())))
+    names.update(raw_sched.values(),
+                 *(row.values() for row in raw_steps.values()))
+    action_names = tuple(sorted(names))
     action_ids = {name: i for i, name in enumerate(action_names)}
     forest.actions = [action_ids[a] if p >= 0 else -1
                       for p, a in zip(forest.parents, forest.actions)]
@@ -686,6 +751,11 @@ def counterexample_from_dict(data: dict) -> Counterexample:
                                    for s, a in raw_sched.items()})
         except (ValueError, TypeError, KeyError):
             raise ParseError("malformed scheduler mapping") from None
+    if "step_scheduler" in data:
+        if spec.path.bound is None or raw_sched:
+            raise ParseError("counterexample step_scheduler needs a "
+                             "step-bounded property and an empty scheduler")
+        scheduler = _step_scheduler(raw_steps, action_ids, spec.path.bound)
 
     try:
         total = _number(_require(data, "total_mass"))

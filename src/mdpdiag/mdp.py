@@ -32,6 +32,15 @@ def _state_id(s, role: str) -> int:
     raise DomainError(f"{role} {s!r}, not an integer")
 
 
+def _names(aps, where: str) -> frozenset[str]:
+    names = frozenset(map(str, aps))
+    for name in names:
+        if '"' in name:  # a property quotes a label as "a-b", not "a"b"
+            raise DomainError(f"label {name!r} {where} holds '\"', which no "
+                              "property can name")
+    return names
+
+
 class Mdp:
     """A finite MDP with labelled actions and labelled states."""
 
@@ -66,7 +75,9 @@ class Mdp:
         labelled atoms first, in first-seen order, then the declared ones
         not yet listed. It is the set of names a property may mention (the
         CLI rejects others); an atom that labels no state is false at every
-        state.
+        state. A label or declared atom holding '"' raises DomainError: no
+        property can name it. States that share one label-set object share
+        its frozenset, built and checked once.
         """
         n = self.num_states = _state_id(num_states, "state count")
         if n < 1:
@@ -117,15 +128,23 @@ class Mdp:
 
         atoms: dict[str, None] = {}
         self._labels: dict[int, frozenset[str]] = {}
+        # id of a label-set object -> (the object, kept alive, its names)
+        frozen: dict[int, tuple[object, frozenset[str]]] = {}
         for s, aps in (labels or {}).items():
-            s = self._check_state(s, "labelled state")
-            names = frozenset(str(a) for a in aps)
-            unseen = names.difference(atoms)
-            if unseen:
-                atoms.update(dict.fromkeys(sorted(unseen)))
+            if not (type(s) is int and 0 <= s < n):
+                s = self._check_state(s, "labelled state")
+            seen = frozen.get(id(aps))
+            if seen is None:
+                names = _names(aps, f"of state {s}")
+                frozen[id(aps)] = aps, names
+                unseen = names.difference(atoms)
+                if unseen:
+                    atoms.update(dict.fromkeys(sorted(unseen)))
+            else:
+                names = seen[1]
             if names:
                 self._labels[s] = names
-        atoms.update(dict.fromkeys(str(a) for a in ap_names or ()))
+        atoms.update(dict.fromkeys(_names(ap_names or (), "in ap_names")))
         self.ap_names: list[str] = list(atoms)
 
         self._state_names = state_names
@@ -194,6 +213,12 @@ class Mdp:
     def labels_of(self, s: int) -> frozenset[str]:
         self._check_state(s)
         return self._labels.get(s, frozenset())
+
+    @property
+    def labels(self) -> Mapping[int, frozenset[str]]:
+        """The labels of the labelled states; a state not in it carries
+        none. Shared, not copied, so callers must not mutate it."""
+        return self._labels
 
     def label_map(self) -> dict[int, frozenset[str]]:
         """Labels of every state, including empty sets."""
@@ -295,11 +320,17 @@ def path_probability(m: Mdp, path: FinitePath) -> float:
 
 @record(frozen=True)
 class Scheduler:
-    """Memoryless deterministic scheduler: state -> chosen action id."""
+    """Deterministic scheduler. Without a bound it is memoryless: choice
+    maps a state to its action id. With bound k it counts steps, for a
+    step-bounded until: choice maps a pair (state, steps left) to the
+    action id taken there, counting down from (init, k)."""
 
-    choice: Mapping[int, int]
+    choice: Mapping
+    bound: int | None = None
 
-    def action_for(self, s: int) -> int:
+    def action_for(self, s) -> int:
+        """The action id at s: a state, or a pair when the scheduler counts
+        steps."""
         try:
             return self.choice[s]
         except KeyError:
@@ -315,13 +346,15 @@ class Dtmc:
     to the source model; states lists the states reachable from init in
     ascending order, and only they have entries. choices[s] is a row of
     Mdp.choice_table() cut to the one (action id, distribution) pair the
-    scheduler picks at s. labels[s] is the labelling of s.
+    scheduler picks at s. labels[s] is the labelling of s. The chain of a
+    scheduler that counts steps has the pairs (state, steps left) for
+    states, and labels a pair as its state.
     """
 
-    states: tuple[int, ...]
-    init: int
-    choices: Mapping[int, tuple[tuple[int, Distribution], ...]]
-    labels: Mapping[int, frozenset[str]]
+    states: tuple
+    init: object
+    choices: Mapping
+    labels: Mapping[object, frozenset[str]]
 
 
 def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
@@ -331,29 +364,46 @@ def induce_dtmc(m: Mdp, sched: Scheduler) -> Dtmc:
     constructor already lists every successor once with a positive
     probability. Raises DomainError if sched misses a reachable state or picks a
     disabled action there.
+
+    A scheduler that counts steps, with bound k, induces the chain over the
+    pairs (state, steps left) reachable from (init, k): a step from (s, j)
+    leads to (t, j - 1), with its probability. A pair without a choice,
+    such as a target, one of no steps left or one that reaches no target,
+    ends the chain with an empty row.
     """
     table = m.choice_table()
+    bound = sched.bound
+    init = m.init if bound is None else (m.init, bound)
     reachable = []
-    seen = {m.init}
-    queue = deque([m.init])
-    choices: dict[int, tuple[tuple[int, Distribution], ...]] = {}
+    seen = {init}
+    queue = deque([init])
+    choices: dict = {}
     while queue:
         s = queue.popleft()
         reachable.append(s)
-        aid = sched.action_for(s)
-        for a, dist in table[s]:
+        if bound is None:
+            state, aid = s, sched.action_for(s)
+        elif s[1] > 0 and s in sched.choice:
+            state, aid = s[0], sched.choice[s]
+        else:
+            choices[s] = ()
+            continue
+        for a, dist in table[state]:
             if a == aid:
                 break
         else:
             raise DomainError(
                 f"scheduler picks disabled action id {aid} at state {s}")
+        if bound is not None:
+            dist = tuple(((t, s[1] - 1), p) for t, p in dist)
         choices[s] = ((aid, dist),)
         for t, _ in dist:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    labels = {s: m.labels_of(s) for s in reachable}
-    return Dtmc(tuple(sorted(reachable)), m.init, choices, labels)
+    labels = {s: m.labels_of(s if bound is None else s[0])
+              for s in reachable}
+    return Dtmc(tuple(sorted(reachable)), init, choices, labels)
 
 
 def live_states(choices, guard: Iterable[int], targets: Iterable[int]

@@ -8,8 +8,10 @@ separates "action reaching the most responsible cause" from "action
 carrying the most blame". slow_exit_mdp is the shape of the slow-exit
 benchmark workload: a cycle left rarely, whose counterexample is hundreds
 of long paths sharing almost all their prefixes; tied_chain is the shape
-of the deep-chain workload, of any length. The remaining helpers parse a
-lone state formula and write a model back to the explicit text format.
+of the deep-chain workload, of any length. step_counting_mdp needs a
+scheduler that counts steps to reach its step-bounded Pmax. The remaining
+helpers parse a lone state formula and write a model back to the
+explicit text format.
 """
 
 import random
@@ -90,6 +92,31 @@ def slow_exit_mdp(q: float = 2e-3) -> Mdp:
 
 def slow_exit_property() -> PropertySpec:
     return parse_property("P<=0.45 [ ok U goal ]")
+
+
+def step_counting_mdp() -> Mdp:
+    """s0 = 0 reaches s1 = 2 after 1 or 2 steps (through 1), each with
+    probability 1/2. At s1, `slow` reaches the goal 5 surely in 3 steps
+    (through 3 and 4) and `fast` in 1 step with probability 1/2, else the
+    sink 6. Within 4 steps the best scheduler counts them: slow with 3
+    steps left, fast with 2, so Pmax of step_counting_property is 3/4,
+    where one action per state reaches 1/2 at most.
+    """
+    transitions = {
+        (0, "go"): [(1, 0.5), (2, 0.5)],
+        (1, "go"): [(2, 1.0)],
+        (2, "slow"): [(3, 1.0)],
+        (2, "fast"): [(5, 0.5), (6, 0.5)],
+        (3, "on"): [(4, 1.0)],
+        (4, "on"): [(5, 1.0)],
+        (5, "stop"): [(5, 1.0)],
+        (6, "stop"): [(6, 1.0)],
+    }
+    return Mdp(7, 0, transitions, {5: {"goal"}})
+
+
+def step_counting_property() -> PropertySpec:
+    return parse_property("P<=0.6 [ true U<=4 goal ]")
 
 
 def parse_state_formula(text: str, defined_labels=None) -> StateFormula:

@@ -419,8 +419,10 @@ def cx_import_fault(data: dict) -> Optional[str]:
     for its first fault past the fields before "paths", which are taken to
     be valid; None for no fault. Each path entry is checked in full, in
     file order, sharing nothing with the entries before it: its fields and
-    types, its length, then every step. Then the scheduler's shape and
-    ids, total_mass, and labels or state_names off the paths."""
+    types, its length, then every step. Then the shapes of scheduler and
+    step_scheduler, their ids (step_scheduler's under a step-bounded
+    property and an empty scheduler, at steps left from 1 to the bound),
+    total_mass, and labels or state_names off the paths."""
     on_paths: set[int] = set()
     for i, entry in enumerate(data["paths"]):
         if not (isinstance(entry, dict)
@@ -444,8 +446,25 @@ def cx_import_fault(data: dict) -> Optional[str]:
     if not (isinstance(sched, dict)
             and all(type(a) is str for a in sched.values())):
         return "counterexample scheduler must map states to labels"
-    if not all(re.fullmatch("0|[1-9][0-9]*", k) for k in sched):
+    steps = data.get("step_scheduler", {})
+    if not (isinstance(steps, dict) and all(
+            isinstance(row, dict) and all(type(a) is str
+                                          for a in row.values())
+            for row in steps.values())):
+        return ("counterexample step_scheduler must map states to objects "
+                "that map steps left to labels")
+    canonical = "0|[1-9][0-9]*"
+    if not all(re.fullmatch(canonical, k) for k in sched):
         return "malformed scheduler mapping"
+    if "step_scheduler" in data:
+        bound = re.search(r"U<=([0-9]+)", data["property"])
+        if bound is None or sched:
+            return ("counterexample step_scheduler needs a step-bounded "
+                    "property and an empty scheduler")
+        if not all(re.fullmatch(canonical, s) and re.fullmatch(canonical, j)
+                   and 0 < int(j) <= int(bound.group(1))
+                   for s, row in steps.items() for j in row):
+            return "malformed step_scheduler mapping"
     if "total_mass" not in data:
         return "counterexample JSON is missing 'total_mass'"
     if not _is_number(data["total_mass"]):

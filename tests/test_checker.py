@@ -105,7 +105,7 @@ class TestComputePmax:
                           demo_property().path.right, bound=2)
         vv = compute_pmax(demo_mdp(), psi)
         assert vv.iterations == 2
-        assert vv.values[0] == pytest.approx(0.642, abs=1e-9)
+        assert vv.values[0, 2] == pytest.approx(0.642, abs=1e-9)
 
     def test_bounded_matches_step_dp_oracle(self):
         m = demo_mdp()
@@ -114,18 +114,22 @@ class TestComputePmax:
             psi = PathFormula(demo_property().path.left,
                               demo_property().path.right, bound=bound)
             got = compute_pmax(m, psi).values
-            want = bounded_pmax_exact(m, interior, targets, bound)
-            assert got == pytest.approx(want, abs=1e-12)
+            # the pair (s, j) holds the j-step value of s
+            steps = [bounded_pmax_exact(m, interior, targets, j)
+                     for j in range(bound + 1)]
+            assert dict(got) == pytest.approx(
+                {(s, j): steps[j][s] for s, j in got}, abs=1e-12)
+            assert (0, bound) in got
 
     def test_bounded_zero_steps(self):
         psi = PathFormula(demo_property().path.left,
                           demo_property().path.right, bound=0)
-        assert compute_pmax(demo_mdp(), psi).values[0] == 0.0
+        assert dict(compute_pmax(demo_mdp(), psi).values) == {(0, 0): 0.0}
 
     def test_bound_three_already_saturates_demo(self):
         psi = PathFormula(demo_property().path.left,
                           demo_property().path.right, bound=3)
-        assert compute_pmax(demo_mdp(), psi).values[0] == pytest.approx(
+        assert compute_pmax(demo_mdp(), psi).values[0, 3] == pytest.approx(
             0.882, abs=1e-12)
 
     def test_bounded_state_without_actions_gets_zero(self):
@@ -138,12 +142,16 @@ class TestComputePmax:
         for bound in (1, 3):
             vv = compute_pmax(m, PathFormula(Atom("p"), Atom("q"),
                                              bound=bound))
-            assert vv.values == unbounded.values
+            # (0, 0) has no step left; every other pair reads unbounded
+            assert dict(vv.values) == {
+                (s, j): 0.0 if (s, j) == (0, 0) else unbounded.values[s]
+                for s, d in ((0, 0), (1, 1), (2, 1))
+                for j in range(bound - d + 1)}
             assert vv.zero_states == unbounded.zero_states == {1}
         verdict = check_property(m, parse_property("P<=0.4 [ p U<=3 q ]"))
         assert not verdict.holds and verdict.pmax == 0.5
         witness = extract_max_scheduler(m, verdict.value_vector)
-        assert witness.action_for(0) == m.action_id("a")
+        assert witness == Scheduler({(0, 3): m.action_id("a")}, 3)
 
     def test_weak_until_rejected(self):
         # a path formula is an until; weak until does not parse

@@ -3,25 +3,31 @@
 Without a step bound, compute_pmax solves the strongly connected
 components of the pending states sinks first: a lone state in closed
 form, a small component by graph.solve_small, a larger one by Jacobi
-sweeps over its states alone. A step bound sweeps every pending state.
-A sweep backs up its states by one generated comprehension per group of
-states of the same shape. extract_max_scheduler places states in one
-backward pass. All must give exactly what the references below give:
+sweeps over its states alone. A step bound k solves the pairs (state,
+steps left) that (init, k) reaches: sweep j backs up the pending states
+that init reaches in at most k - j steps. A sweep backs up its states by
+one generated comprehension per group of states of the same shape.
+extract_max_scheduler places states in one backward pass, or, under a
+step bound, takes the first maximal action at each pair the witness
+reaches. All must give exactly what the references below give:
 components found by mutual reachability, the closed form written out,
 full Jacobi sweeps state by state over each large component (or over
-every pending state, for a step bound), and the layer-by-layer rescan. A
-small component goes through graph.solve_small in both, which
-test_graph.py checks against the exhaustive oracle. The references are
-not independent oracles (see oracles.py for those) but the definition of
-the numbers the faster code must reproduce.
+every guard state, for a step bound, whose vector after j sweeps holds
+the value of each pair (s, j)), and the layer-by-layer rescan. A small
+component goes through graph.solve_small in both, which test_graph.py
+checks against the exhaustive oracle. The references are not
+independent oracles (see oracles.py for those) but the definition of the
+numbers the faster code must reproduce.
 """
 
 import math
 import operator
 import random
 import re
+import sys
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -29,13 +35,17 @@ import pytest
 from mdpdiag import (DEFAULT_EPSILON, Atom, BudgetError, DomainError, Mdp,
                      PathFormula, PropertySpec, Scheduler, ValueVector,
                      build_mdp, build_mipcx, compute_pmax, eval_state_formula,
-                     extract_max_scheduler, parse_program, parse_property,
-                     path_probability)
+                     extract_max_scheduler, parse_explicit_model,
+                     parse_program, parse_property, path_probability)
 from mdpdiag import checker, graph
 from mdpdiag.checker import SCHEDULER_TIE_TOL
 from mdpdiag.mdp import content_lines
 
 from fixtures import MODELS, demo_mdp, demo_property, tied_chain
+
+# the benchmark's input generators, read only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 PQ = PathFormula(Atom("p"), Atom("q"))
 
@@ -84,24 +94,6 @@ def reference_compute_pmax(m: Mdp, psi: PathFormula,
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     sat1, sat2 = _sat_sets(m, psi)
-
-    if psi.bound is not None:
-        values = [1.0 if s in sat2 else 0.0 for s in m.states]
-        residual = 0.0
-        for _ in range(psi.bound):
-            nxt = list(values)
-            residual = 0.0
-            for s in m.states:
-                if s in sat2 or s not in sat1:
-                    continue
-                best = max(_backup(m, s, aid, values)
-                           for aid in m.enabled_actions(s))
-                residual = max(residual, abs(best - nxt[s]))
-                nxt[s] = best
-            values = nxt
-        zero = frozenset(s for s in m.states if values[s] == 0.0)
-        return ValueVector(values, psi.bound, residual, psi, sat2, zero)
-
     reach = _backward_reach(m, sat1, sat2)
     zero = frozenset(s for s in m.states if s not in reach)
     values = [1.0 if s in sat2 else 0.0 for s in m.states]
@@ -137,6 +129,68 @@ def reference_compute_pmax(m: Mdp, psi: PathFormula,
                     break
             residuals.append(residual)
     return ValueVector(values, iterations, max(residuals), psi, sat2, zero)
+
+
+def reference_bounded_sweeps(m: Mdp, psi: PathFormula) -> list[list[float]]:
+    """The values of every state after 0, 1, ... full Jacobi sweeps of the
+    guard states, up to psi.bound sweeps or to the last before a sweep
+    that changes nothing, which every later sweep would repeat."""
+    sat1, sat2 = _sat_sets(m, psi)
+    values = [1.0 if s in sat2 else 0.0 for s in m.states]
+    out = [values]
+    for _ in range(psi.bound):
+        nxt = list(values)
+        for s in m.states:
+            if s not in sat2 and s in sat1:
+                nxt[s] = max(_backup(m, s, aid, values)
+                             for aid in m.enabled_actions(s))
+        if nxt == values:
+            break
+        out.append(nxt)
+        values = nxt
+    return out
+
+
+def reference_depths(m: Mdp, psi: PathFormula) -> dict[int, int]:
+    """The fewest steps from init to each state that init reaches within
+    psi.bound steps, every state before it a guard state."""
+    sat1, sat2 = _sat_sets(m, psi)
+    depth = {m.init: 0}
+    frontier = [m.init]
+    while frontier:
+        s = frontier.pop(0)
+        if s in sat2 or s not in sat1 or depth[s] >= psi.bound:
+            continue
+        for aid in m.enabled_actions(s):
+            for t, _ in m.distribution(s, aid):
+                if t not in depth:
+                    depth[t] = depth[s] + 1
+                    frontier.append(t)
+    return depth
+
+
+def reference_step_scheduler(m: Mdp, psi: PathFormula,
+                             sweeps: list[list[float]]) -> Scheduler:
+    """At each pair (s, j) of positive value that the chosen actions reach
+    from (init, k), s no target, the first action of maximal backup over
+    the vector of j - 1 sweeps."""
+    _, sat2 = _sat_sets(m, psi)
+
+    def vector(j):
+        return sweeps[min(j, len(sweeps) - 1)]
+
+    choice = {}
+    todo = [(m.init, psi.bound)]
+    while todo:
+        s, j = todo.pop(0)
+        if (s, j) in choice or s in sat2 or vector(j)[s] == 0.0:
+            continue
+        backups = [_backup(m, s, aid, vector(j - 1))
+                   for aid in m.enabled_actions(s)]
+        aid = m.enabled_actions(s)[backups.index(max(backups))]
+        choice[s, j] = aid
+        todo += [(t, j - 1) for t, _ in m.distribution(s, aid)]
+    return Scheduler(choice, psi.bound)
 
 
 def _self_loop(m: Mdp, s: int, aid: int) -> float:
@@ -344,7 +398,43 @@ def empty_memo():
         yield
 
 
+def assert_same_pairs(m: Mdp, psi: PathFormula):
+    """compute_pmax under a step bound k holds the pairs (s, j) with j at
+    most k less the fewest steps to s, each the reference's value at s
+    after j sweeps, bit for bit, and its scheduler is the reference's. A
+    large bound is checked at the pairs up to the first repeated sweep
+    and at the last pair of each state, without the scheduler."""
+    k = psi.bound
+    sweeps = reference_bounded_sweeps(m, psi)
+    depth = reference_depths(m, psi)
+    with empty_memo():
+        got = compute_pmax(m, psi)
+    assert (got.iterations, got.residual) == (k, 0.0)
+    assert got.values.bound == k
+    if k < 10**4:
+        assert set(got.values) == {(s, j) for s, d in depth.items()
+                                   for j in range(k - d + 1)}
+        assert len(got.values) == sum(k - d + 1 for d in depth.values())
+    for s, d in depth.items():
+        for j in {*range(min(k - d, len(sweeps)) + 1), k - d}:
+            assert got.values[s, j] == sweeps[min(j, len(sweeps) - 1)][s]
+        for j in (-1, k - d + 1):
+            assert (s, j) not in got.values
+    sat1, sat2 = _sat_sets(m, psi)
+    swept = {s for s, d in depth.items()
+             if s in sat1 - sat2 and m.enabled_actions(s) and d < k}
+    assert got.target_states == sat2 & depth.keys()
+    assert got.zero_states == depth.keys() - sat2 - swept
+    if k < 10**4:
+        # a witness counts steps down from k, so a larger bound on a cycle
+        # would take about k pairs per state of the cycle
+        assert (extract_max_scheduler(m, got)
+                == reference_step_scheduler(m, psi, sweeps))
+
+
 def assert_same(m: Mdp, psi: PathFormula, epsilon: float = DEFAULT_EPSILON):
+    if psi.bound is not None:
+        return assert_same_pairs(m, psi)
     want = reference_compute_pmax(m, psi, epsilon)
     with empty_memo():
         got = compute_pmax(m, psi, epsilon)
@@ -454,10 +544,11 @@ class TestMatchesFullSweeps:
         m = tied_chain(random.Random(301), 60)
         for bound in (0, 1, 30, 59, 60, 61, 200):
             assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
-        # under a step bound the chain is swept whole, and one of its n
-        # states changes per sweep, so the values stop changing after n
-        # sweeps; sweep n + 1 changes nothing and ends the run. Every
-        # sweep backs up all n states. Without a bound no sweep runs.
+        # under a step bound, chain state i, i steps from init, is backed
+        # up by the n + 1 - i sweeps that leave it steps: one backup per
+        # pair (state i, j) with 1 <= j <= n + 1 - i, where whole-model
+        # sweeps backed up all n states n + 1 times. Without a bound no
+        # sweep runs.
         n = 300
         m = tied_chain(random.Random(303), n)
         psi = PathFormula(Atom("p"), Atom("q"), bound=n + 1)
@@ -465,7 +556,8 @@ class TestMatchesFullSweeps:
         assert_same(m, PQ)
         assert compute_pmax(m, psi).iterations == n + 1
         assert compute_pmax(m, PQ).iterations == 0
-        assert sum(grouped_backups(m, psi)) == (n + 1) * n
+        assert sum(grouped_backups(m, psi)) == sum(n + 1 - i
+                                                   for i in range(n))
         assert grouped_backups(m, PQ) == []
 
     def test_extraction_on_arbitrary_value_vectors(self):
@@ -545,10 +637,10 @@ class TestShapedModels:
             assert_same_budget(m, cap)
 
     def test_sweep_keeps_every_other_entry(self):
-        # a sweep changes only the states of its component, or every
-        # pending state under a step bound: targets stay at 1.0, states
-        # that cannot reach one at 0.0, and components solved before at
-        # their values; the constant terms are products of these values
+        # a sweep changes only the states of its component: targets stay
+        # at 1.0, states that cannot reach one at 0.0, and components
+        # solved before at their values; the constant terms are products
+        # of these values
         rng = random.Random(4242)
         models = [tied_mdp(rng, sizes=(40, 200), gaps=True)
                   for _ in range(6)]
@@ -568,12 +660,12 @@ class TestShapedModels:
             return result
 
         for m in models:
-            for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=9)):
-                with empty_memo(), \
-                        mock.patch.object(checker, "_sweep", checking):
-                    compute_pmax(m, psi)
-        # every run sweeps; some sweeps read solved values other than 0, 1
-        assert len(seen) >= len(models) * 2
+            with empty_memo(), mock.patch.object(checker, "_sweep", checking):
+                compute_pmax(m, PQ)
+        # every run sweeps; some sweeps read solved values other than 0, 1.
+        # A step bound keeps the values of its pairs instead (see
+        # assert_same_pairs) and does not run _sweep
+        assert len(seen) >= len(models)
         assert any(seen)
 
 
@@ -600,7 +692,7 @@ class TestLocalLayout:
     def test_every_sweep_rises(self, bound):
         # from 0 the sweeps rise toward the least fixed point, as rounded
         # too, which is what lets a sweep take its residual from the rises
-        # alone, with no abs
+        # alone, with no abs; a step bound keeps every sweep's vector
         rng = random.Random(f"rises/{bound}")
         models = [tied_mdp(rng) for _ in range(30)]
         models += [shaped_mdp(rng, n, layouts) for n in (5, 45)
@@ -609,60 +701,79 @@ class TestLocalLayout:
         models += [wide_then_chain(rng, 80, 40)]
         psi = PathFormula(Atom("p"), Atom("q"), bound=bound)
         for m in models:
-            prefixes = sweep_prefixes(m, psi)
-            for before, after in zip(prefixes, prefixes[1:]):
-                assert all(map(operator.ge, after, before))
             if bound is None:
                 # sweeps run over large components alone
-                continue
-            # sweep k gives the k-step reference, bit for bit
-            last = len(prefixes) - 1
-            for k in {0, min(1, last), min(2, last), last // 2, last}:
-                want = reference_compute_pmax(
-                    m, PathFormula(Atom("p"), Atom("q"), bound=k))
-                assert prefixes[k] == want.values
+                prefixes = sweep_prefixes(m, psi)
+            else:
+                with empty_memo():
+                    prefixes = compute_pmax(m, psi).values._sweeps
+                # sweep j gives the pairs (s, j), bit for bit
+                assert_same_pairs(m, psi)
+            for before, after in zip(prefixes, prefixes[1:]):
+                assert all(map(operator.ge, after, before))
 
     def test_bound_past_convergence_stops_at_the_first_still_sweep(self):
         # a run stops at the first sweep that changes nothing, so a bound
-        # of 10**18 finishes at once, with the values of the least bound k
-        # whose k-step reference values the (k + 1)-step one repeats, in
-        # k + 1 sweeps with residual 0
+        # of 10**18 finishes at once: it keeps the vectors of sweeps 0 to
+        # r, for the least r whose reference values at the reached states
+        # the next sweep repeats, and a pair of more steps left reads
+        # sweep r's
         rng = random.Random(1018)
         path = demo_property().path
         cases = [(demo_mdp(), path.left, path.right),
                  (tied_chain(rng, 60), Atom("p"), Atom("q"))]
         cases += [(tied_mdp(rng, p_without_actions=False), Atom("p"),
                    Atom("q")) for _ in range(20)]
-        sweep = checker._sweep
-        ran = []
-
-        def counting(*args):
-            ran.append(sweep(*args))
-            return ran[-1]
-
+        kept = []
         for m, left, right in cases:
-            def reference(k):
-                return reference_compute_pmax(
-                    m, PathFormula(left, right, bound=k)).values
-
-            hi = 1
-            while reference(hi) != reference(hi + 1):
-                hi *= 2
-            lo = 0  # the least such k lies in [lo, hi]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if reference(mid) == reference(mid + 1):
-                    hi = mid
-                else:
-                    lo = mid + 1
             psi = PathFormula(left, right, bound=10**18)
-            with empty_memo(), mock.patch.object(checker, "_sweep", counting):
+            assert_same_pairs(m, psi)
+            reached = list(reference_depths(m, psi))
+            sweeps = reference_bounded_sweeps(m, psi)
+
+            def at(j):
+                return [sweeps[min(j, len(sweeps) - 1)][s] for s in reached]
+
+            r = 0
+            while at(r) != at(r + 1):
+                r += 1
+            with empty_memo():
                 got = compute_pmax(m, psi)
-            assert got.values == reference(lo)
             assert got.iterations == 10**18 and got.residual == 0.0
-            assert ran[-1] == (lo + 1, 0.0)
+            kept.append(len(got.values._sweeps))
+            assert kept[-1] == r + 1
         # the chain's values stop changing only after all 60 sweeps
-        assert ran[1] == (61, 0.0)
+        assert kept[1] == 61
+
+
+class TestBoundedPairs:
+    """A step bound solves the pairs (state, steps left) that init
+    reaches, not every state of the model; the benchmark's bounded
+    queries keep their values bit for bit."""
+
+    def test_csma_check_solves_45_pairs(self):
+        # the check of the csma-elab benchmark: 45 pairs of 21 of the
+        # 3,784 states, where whole-model sweeps backed up 3,087 states 4
+        # times; one backup per pair of a swept state with steps left
+        m, _ = build_mdp(parse_program((MODELS / "csma.pm").read_text()),
+                         {"K": 20})
+        psi = parse_property('P<=0.7 [ !"gave_up" U<=4 "delivered_all" ]',
+                             defined_labels=m.ap_names).path
+        with empty_memo():
+            vv = compute_pmax(m, psi)
+        assert len(vv.values) == 45
+        assert len({s for s, _ in vv.values}) == 21
+        assert sum(grouped_backups(m, psi)) == 24
+        assert vv.values[m.init, 4] == float.fromhex("0x1.47ae147ae147cp-1")
+        assert_same_pairs(m, psi)
+
+    @pytest.mark.parametrize("workload, bound", [
+        ("random_sparse", 4), ("random_sparse", 40), ("deep_chain", 40),
+        ("deep_chain", 301)])
+    def test_benchmark_inputs(self, tmp_path, workload, bound):
+        tra, lab, _ = getattr(workloads, workload)(str(tmp_path), 4242)
+        m = parse_explicit_model(Path(tra).read_text(), Path(lab).read_text())
+        assert_same_pairs(m, PathFormula(Atom("ok"), Atom("goal"), bound))
 
 
 class TestWitnessPathProbabilities:
@@ -698,7 +809,8 @@ class TestWitnessPathProbabilities:
         built = 0
         for m in models:
             for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=7)):
-                pmax = compute_pmax(m, psi).values[m.init]
+                pmax = compute_pmax(m, psi).values[
+                    m.init if psi.bound is None else (m.init, psi.bound)]
                 if pmax > 0.0:
                     self.assert_exact(m, PropertySpec(
                         "<=", pmax * rng.choice((0.3, 0.9)), psi))
@@ -871,15 +983,15 @@ class TestKernels:
             assert_same_budget(m, cap, 1e-9)
         assert_same(m, PQ, 1e-9)
 
-    def test_step_bound_runs_out_where_the_probe_skips(self):
-        # a step bound ends the run on its last sweep, which takes the
-        # residual in full; with a larger bound, that sweep skips it
+    def test_step_bound_runs_out_anywhere_in_the_run(self):
+        # a step bound ends the run on its last sweep, wherever that falls
+        # before the sweeps reach their fixed point
         m = wide_then_chain(random.Random(9), 60, 20)
         psi = PathFormula(Atom("p"), Atom("q"), bound=10**6)
-        (swept, full), = probed_sweeps(m, psi, DEFAULT_EPSILON)
-        skipped = sorted(set(range(1, swept + 1)) - full)
-        assert skipped
-        for bound in skipped[::len(skipped) // 4 + 1]:
+        with empty_memo():
+            swept = len(compute_pmax(m, psi).values._sweeps) - 1
+        assert swept > 100
+        for bound in range(1, swept + 2, swept // 5):
             assert_same(m, PathFormula(Atom("p"), Atom("q"), bound=bound))
 
     def test_one_source_per_shape_with_no_model_data(self):
@@ -981,8 +1093,8 @@ class TestOneChoiceRows:
         models += [kernel_mdp(rng, n) for n in (1, 5, 30, 60)]
         models += [tied_chain(rng, 60), wide_then_chain(rng, 80, 40)]
         for m in models:
-            for psi in (PQ, PathFormula(Atom("p"), Atom("q"), bound=4)):
-                self.assert_same_scheduler(m, compute_pmax(m, psi))
+            # a step bound sums every backup (see assert_same_pairs)
+            self.assert_same_scheduler(m, compute_pmax(m, PQ))
             values = [rng.choice((0.0, 0.5, 1.0)) for _ in m.states]
             vv = ValueVector(values, 1, 0.0, PQ,
                              frozenset(s for s in m.states

@@ -19,7 +19,8 @@ from mdpdiag.cli import main
 from mdpdiag.program import (Binary, BoolLit, Call, Name, Num, Unary,
                              compile_expr)
 from fixtures import (serialize_explicit_model, serialize_labels,
-                      slow_exit_mdp, slow_exit_property, tied_chain)
+                      slow_exit_mdp, slow_exit_property, step_counting_mdp,
+                      tied_chain)
 
 # the benchmark's input generators, read only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -483,6 +484,64 @@ class TestDiagnose:
         assert "command: module" in out
 
 
+class TestStepBoundedDiagnosis:
+    """A step-bounded violation is diagnosed through a witness that counts
+    steps; one action per state would gather 1/2 of the 3/4 (see
+    step_counting_mdp), below the threshold 0.6."""
+
+    PROP = "P<=0.6 [ true U<=4 goal ]"
+
+    def model_args(self, tmp_path):
+        m = step_counting_mdp()
+        tra, lab = tmp_path / "m.tra", tmp_path / "m.lab"
+        tra.write_text(serialize_explicit_model(m))
+        lab.write_text(serialize_labels(m))
+        return "--model", str(tra), "--labels", str(lab)
+
+    def export(self, capsys, tmp_path):
+        path = tmp_path / "cx.json"
+        code, out, err = run(capsys, "diagnose", "--export-cx", str(path),
+                             *self.model_args(tmp_path), "--prop", self.PROP)
+        assert (code, err) == (1, "")
+        return path, out
+
+    def test_diagnose_gathers_the_mass_the_check_reports(self, capsys,
+                                                        tmp_path):
+        code, out, _ = run(capsys, "check", *self.model_args(tmp_path),
+                           "--prop", self.PROP)
+        assert code == 1 and "Pmax = 0.75\n" in out
+        path, out = self.export(capsys, tmp_path)
+        assert "verdict: VIOLATED (Pmax = 0.75, threshold 0.6)\n" in out
+        assert "counterexample: 2 paths, total probability 0.75\n" in out
+        assert "0 -go-> 2 -slow-> 3 -on-> 4 -on-> 5   p=0.5\n" in out
+        assert "0 -go-> 1 -go-> 2 -fast-> 5   p=0.25\n" in out
+        data = json.loads(path.read_text())
+        assert data["total_mass"] == 0.75 and data["scheduler"] == {}
+        assert data["step_scheduler"]["2"] == {"2": "fast", "3": "slow"}
+
+    def test_retrace_matches_the_model_route(self, capsys, tmp_path):
+        path, out = self.export(capsys, tmp_path)
+        code, again, err = run(capsys, "diagnose-trace", "--trace", str(path))
+        assert (code, err) == (1, "")
+        # the trace knows no Pmax, so its verdict line is gone
+        assert again == "".join(line for line in out.splitlines(True)
+                                if not line.startswith("verdict:"))
+
+    @pytest.mark.parametrize("prop, problem", [
+        ("P<=0.6 [ true U<=6 goal ]", "bounds 6"),
+        ("P<=0.6 [ true U<=2 goal ]", "bounds 2"),
+        ("P<=0.6 [ true U goal ]", "has no step bound")])
+    def test_retrace_under_another_bound_fails_verification(
+            self, capsys, tmp_path, prop, problem):
+        path, _ = self.export(capsys, tmp_path)
+        code, out, err = run(capsys, "diagnose-trace", "--trace", str(path),
+                             "--prop", prop)
+        assert (code, out) == (2, "")
+        assert (f"invalid counterexample: the scheduler counts 4 steps, but "
+                f"the property {prop} {problem}\n") in err
+        assert err.endswith("problem(s)\n") and "Traceback" not in err
+
+
 class TestDiagnoseTrace:
     def export(self, capsys, tmp_path):
         path = tmp_path / "cx.json"
@@ -760,8 +819,8 @@ ran = sorted(name.split(".")[1] for name, module in sys.modules.items()
 print(json.dumps([code, ran]), file=sys.stderr)
 """
 
-PIPELINE = {"pctl", "mdp", "graph", "checker", "counterexample", "diagnosis",
-            "program"}
+PIPELINE = {"pctl", "mdp", "graph", "bounded", "checker", "counterexample",
+            "diagnosis", "program"}
 
 
 def _subprocess_env():
@@ -793,13 +852,15 @@ class TestLoading:
         assert not ran & {"counterexample", "diagnosis", "program"}
 
     def test_step_bounded_check_runs_no_graph(self):
-        # a step bound sweeps every pending state: no components
+        # a step bound sweeps the pairs within reach: no components, and
+        # only a step bound runs the module that solves it
         code, ran = executed("check", "--model", str(MODELS / "csma.pm"),
                              "--prop",
                              'P<=0.7 [ !"gave_up" U<=4 "delivered_all" ]')
-        assert code == 0 and "checker" in ran and "graph" not in ran
+        assert code == 0 and {"checker", "bounded"} <= ran
+        assert "graph" not in ran
         code, ran = executed("check", *demo_args())
-        assert code == 1 and "graph" in ran
+        assert code == 1 and "graph" in ran and "bounded" not in ran
 
     def test_program_check_runs_program(self):
         code, ran = executed("check", "--model", str(MODELS / "zeroconf.pm"),

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import mdpdiag.bounded as bounded
 import mdpdiag.counterexample as counterexample
 from mdpdiag import (Atom, BudgetError, Counterexample, DomainError, Dtmc,
                      FinitePath, Mdp, ParseError, PathForest, PathFormula,
-                     Scheduler, WeightedPath, build_mipcx, check_property,
+                     PropertySpec, Scheduler, WeightedPath, build_mipcx,
+                     check_property,
                      counterexample_from_dict, counterexample_from_json,
                      counterexample_to_dict, counterexample_to_json,
                      enumerate_satisfying_paths, eval_state_formula,
@@ -22,9 +24,11 @@ from mdpdiag.cli import main
 from mdpdiag.records import replace
 
 from fixtures import (bundled_model, demo_mdp, demo_property, slow_exit_mdp,
-                      slow_exit_property)
-from oracles import (cx_import_fault, forest_of, list_satisfying_paths,
-                     prefix_paths, random_layered_mdp)
+                      slow_exit_property, step_counting_mdp,
+                      step_counting_property)
+from oracles import (bounded_pmax_exact, cx_import_fault, forest_of,
+                     list_satisfying_paths, prefix_paths, random_layered_mdp,
+                     random_mdp)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -36,14 +40,19 @@ _PROBABILITY_EDITS = ("0.2", True, 10 ** 400, None, 0.5)
 
 
 def corrupt(rng: random.Random, data: dict) -> None:
-    """One seeded edit of data's paths, scheduler or total_mass: mostly a
-    fault, sometimes a valid change."""
+    """One seeded edit of data's paths, scheduler, step_scheduler (where
+    the export has one) or total_mass: mostly a fault, sometimes a valid
+    change."""
     paths = data["paths"]
     i = rng.randrange(len(paths))
     entry = paths[i]
     lists = isinstance(entry, dict) and all(
         isinstance(entry.get(f), list) for f in ("states", "actions"))
-    kind = rng.randrange(8) if lists else rng.randrange(5, 8)
+    kinds = 9 if "step_scheduler" in data else 8
+    kind = rng.randrange(kinds) if lists else rng.randrange(5, kinds)
+    if kind == 8:
+        corrupt_step_scheduler(rng, data)
+        return
     if kind < 2:
         seq = entry["states" if kind == 0 else "actions"]
         if seq:
@@ -73,6 +82,29 @@ def corrupt(rng: random.Random, data: dict) -> None:
                     lambda: sched.update({"01": name})])()
     else:
         data["total_mass"] = rng.choice(["0.6", True, None, 0.5])
+
+
+def corrupt_step_scheduler(rng: random.Random, data: dict) -> None:
+    """One seeded edit of data's step_scheduler, or of the property or
+    scheduler it needs."""
+    steps = data["step_scheduler"]
+    rows = isinstance(steps, dict) and all(
+        isinstance(row, dict) and row for row in steps.values()) and steps
+    if not rows or rng.random() < 0.2:
+        rng.choice([
+            lambda: data.update({"step_scheduler": rng.choice(
+                [[], 0, {"0": "go"}, {"0": {"4": 1}}, {}])}),
+            lambda: data.update({"property": "P<=0.6 [ true U goal ]"}),
+            lambda: data.update({"scheduler": {"0": "go"}})])()
+        return
+    state = rng.choice(sorted(steps))
+    row = steps[state]
+    left, name = rng.choice(sorted(row.items()))
+    rng.choice([lambda: row.update({rng.choice(["0", "5", "x", "04", " 1"]):
+                                    name}),
+                lambda: steps.update({rng.choice(["x", "01", "-1"]): row}),
+                lambda: row.update({left: rng.choice([0, None, "zz"])}),
+                lambda: row.update({left: "fast"})])()
 
 
 def demo_chain():
@@ -330,6 +362,150 @@ class TestBuildMipcx:
     def test_verifies_clean(self):
         cx = build_mipcx(demo_mdp(), demo_property())
         assert verify_counterexample(cx) == []
+
+
+class TestStepCountingWitness:
+    """Under a step bound the witness counts steps: the search runs on the
+    chain of pairs (state, steps left) it induces, whose paths carry the
+    Pmax that the check reports, and a path drops the counter."""
+
+    def test_the_witness_carries_pmax(self):
+        m, spec = step_counting_mdp(), step_counting_property()
+        verdict = check_property(m, spec)
+        assert not verdict.holds and verdict.pmax == 0.75
+        cx = build_mipcx(m, spec)
+        assert cx.total_mass == 0.75
+        assert [(wp.path.states, wp.probability) for wp in cx.paths] == [
+            ((0, 2, 3, 4, 5), 0.5), ((0, 1, 2, 5), 0.25)]
+        slow, fast = m.action_id("slow"), m.action_id("fast")
+        assert cx.scheduler.bound == 4
+        assert (cx.scheduler.choice[2, 3], cx.scheduler.choice[2, 2]) == (
+            slow, fast)
+        assert verify_counterexample(cx) == []
+        # one action per state gathers 1/2 at most, which violates nothing
+        for aid in (slow, fast):
+            chain = induce_dtmc(m, Scheduler({s: aid if s == 2 else
+                                              m.enabled_actions(s)[0]
+                                              for s in m.states}))
+            assert math.fsum(p for _, p in enumerate_satisfying_paths(
+                chain, spec.path)) == 0.5
+
+    def test_the_chain_has_pairs_for_states(self):
+        m, spec = step_counting_mdp(), step_counting_property()
+        vv = check_property(m, spec).value_vector
+        chain = induce_dtmc(m, extract_max_scheduler(m, vv))
+        assert chain.init == (0, 4)
+        assert chain.choices[2, 3] == ((m.action_id("slow"),
+                                        (((3, 2), 1.0),)),)
+        # a target and a pair of no steps left end the chain
+        assert chain.choices[5, 0] == chain.choices[5, 1] == ()
+        assert chain.labels[5, 1] == {"goal"}
+
+    def test_paths_must_follow_the_counted_choices(self):
+        m, spec = step_counting_mdp(), step_counting_property()
+        cx = build_mipcx(m, spec)
+        slow, fast = m.action_id("slow"), m.action_id("fast")
+        swapped = dict(cx.scheduler.choice)
+        swapped[2, 2], swapped[2, 3] = slow, fast
+        problems = verify_counterexample(
+            replace(cx, scheduler=Scheduler(swapped, 4)))
+        assert problems == [
+            "path 0: at state 2, position 1, the path takes action slow, "
+            "where the scheduler chooses fast",
+            "path 1: at state 2, position 2, the path takes action fast, "
+            "where the scheduler chooses slow"]
+        # a memoryless scheduler is read at the state, as before
+        go, on = m.action_id("go"), m.action_id("on")
+        memoryless = Scheduler({0: go, 1: go, 2: slow, 3: on, 4: on})
+        assert verify_counterexample(replace(cx, scheduler=memoryless)) == [
+            "path 1: at state 2, position 2, the path takes action fast, "
+            "where the scheduler chooses slow"]
+
+    @pytest.mark.parametrize("prop, problem", [
+        ("P<=0.6 [ true U<=5 goal ]", "bounds 5"),
+        ("P<=0.6 [ true U<=3 goal ]", "bounds 3"),
+        ("P<=0.6 [ true U goal ]", "has no step bound")])
+    def test_another_bound_is_a_verification_problem(self, prop, problem):
+        cx = build_mipcx(step_counting_mdp(), step_counting_property())
+        again = counterexample_from_json(counterexample_to_json(cx))
+        problems = verify_counterexample(
+            replace(again, spec=parse_property(prop)))
+        assert (f"the scheduler counts 4 steps, but the property "
+                f"{parse_property(prop)} {problem}") in problems
+
+    def test_export_writes_the_counted_choices(self):
+        cx = build_mipcx(step_counting_mdp(), step_counting_property())
+        data = counterexample_to_dict(cx)
+        assert data["scheduler"] == {}
+        assert data["step_scheduler"] == {
+            "0": {"4": "go"}, "1": {"3": "go"},
+            "2": {"2": "fast", "3": "slow"}, "3": {"2": "on"},
+            "4": {"1": "on"}}
+        assert list(data)[5:7] == ["scheduler", "step_scheduler"]
+        text = counterexample_to_json(cx)
+        again = counterexample_from_json(text)
+        assert again.scheduler.bound == 4
+        assert {(s, j): again.action_name(a)
+                for (s, j), a in again.scheduler.choice.items()} == {
+            (s, j): cx.action_name(a)
+            for (s, j), a in cx.scheduler.choice.items()}
+        assert verify_counterexample(again) == []
+        assert counterexample_to_json(again) == text
+
+    def test_unbounded_exports_have_no_step_scheduler(self):
+        assert "step_scheduler" not in counterexample_to_dict(
+            build_mipcx(demo_mdp(), demo_property()))
+
+    def test_random_bounded_models(self):
+        # bounds 0 to 12: every violated verdict, at the default budget,
+        # yields a counterexample of more mass than the threshold; the
+        # witness chain's satisfying paths are its exhaustive listing, and
+        # carry the exact step-indexed Pmax
+        rng = random.Random(16087881)
+        violated = 0
+        for _ in range(150):
+            m = random_mdp(rng, max_states=6, max_actions=3)
+            psi = PathFormula(Atom("p"), Atom("q"), bound=rng.randint(0, 12))
+            labels = m.label_map()
+            interior = {s for s in m.states
+                        if eval_state_formula(labels, s, psi.left)}
+            targets = {s for s in m.states
+                       if eval_state_formula(labels, s, psi.right)}
+            pmax = bounded_pmax_exact(m, interior, targets,
+                                      psi.bound)[m.init]
+            spec = PropertySpec("<=", pmax * rng.choice((0.3, 0.8, 0.99)),
+                                psi)
+            verdict = check_property(m, spec)
+            assert verdict.pmax == pytest.approx(pmax, abs=1e-12)
+            if verdict.holds:
+                assert pmax == 0.0
+                continue
+            violated += 1
+            cx = build_mipcx(m, spec)
+            assert cx.total_mass > spec.threshold
+            assert verify_counterexample(cx) == []
+            chain = induce_dtmc(m, cx.scheduler)
+            got = {wp.path.states: wp.probability for wp in prefix_paths(
+                enumerate_satisfying_paths(chain, psi))}
+            trans = {x: dist for x in chain.states
+                     for _, dist in chain.choices[x]}
+            want = dict(list_satisfying_paths(
+                trans, chain.init, {x for x in chain.states
+                                    if x[0] in interior},
+                {x for x in chain.states if x[0] in targets}, psi.bound))
+            assert got.keys() == want.keys()
+            for key, p in want.items():
+                assert got[key] == pytest.approx(p, abs=1e-12)
+            assert math.fsum(got.values()) == pytest.approx(pmax, abs=1e-12)
+        assert violated >= 60
+
+    def test_a_huge_bound_on_a_cycle_runs_out_of_pairs(self, monkeypatch):
+        # the counted choices of U<=10**18 on a cycle would never end
+        monkeypatch.setattr(bounded, "STEP_WITNESS_CAP", 500)
+        spec = parse_property("P<=0.45 [ ok U<=1000000000000000000 goal ]")
+        with pytest.raises(BudgetError, match="chooses at more than 500 "
+                           r"pairs \(state, steps left\)"):
+            build_mipcx(slow_exit_mdp(), spec)
 
 
 GT_LABELS = {0: frozenset({"g"}), 1: frozenset({"g"}), 2: frozenset({"t"}),
@@ -678,6 +854,19 @@ class TestJsonInterchange:
         with pytest.raises(ParseError, match="format_version"):
             counterexample_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["labels", "ap_names"])
+    def test_name_holding_a_double_quote_rejected(self, field):
+        # no property can name it: a quoted atom ends at its first '"'
+        data = self.base()
+        if field == "labels":
+            data["labels"]["0"] = ['a"b']
+        else:
+            data["ap_names"] = ["a", 'a"b']
+        with pytest.raises(ParseError, match="^counterexample label "
+                           "'a\"b' holds '\"', which no property can "
+                           "name$"):
+            counterexample_from_dict(data)
+
     def test_bad_labels_shape(self):
         data = self.base()
         data["labels"] = ["a"]
@@ -827,17 +1016,20 @@ class TestJsonInterchange:
 
     @pytest.fixture(scope="class")
     def exports(self, slow_exit_cx):
-        """The demo trace, and the first 12 paths of the slow-exit export
-        with the labels of the states on them."""
+        """The demo trace, the first 12 paths of the slow-exit export with
+        the labels of the states on them, and the export of a step-bounded
+        counterexample, with its step_scheduler."""
         demo = json.loads((GOLDEN / "demo.cx.json").read_text())
         sliced = counterexample_to_dict(slow_exit_cx)
         del sliced["paths"][12:]
         on_paths = {s for p in sliced["paths"] for s in p["states"]}
         sliced["labels"] = {k: v for k, v in sliced["labels"].items()
                             if int(k) in on_paths}
-        return {"demo": demo, "slow-exit": sliced}
+        counted = counterexample_to_dict(build_mipcx(
+            step_counting_mdp(), step_counting_property()))
+        return {"demo": demo, "slow-exit": sliced, "step-bounded": counted}
 
-    @pytest.mark.parametrize("name", ["demo", "slow-exit"])
+    @pytest.mark.parametrize("name", ["demo", "slow-exit", "step-bounded"])
     @pytest.mark.parametrize("faults", [1, 2])
     def test_seeded_corruptions_match_the_reference(self, exports, name,
                                                     faults):
@@ -854,8 +1046,10 @@ class TestJsonInterchange:
                 assert str(err.value) == message
                 checked += 1
                 continue
-            # a valid edit: the forest holds the entries, in file order
+            # a valid edit: the forest holds the entries, in file order,
+            # and verification reports what it finds without raising
             cx = counterexample_from_dict(data)
+            assert isinstance(verify_counterexample(cx), list)
             assert [(list(wp.path.states),
                      [cx.action_name(a) for a in wp.path.actions],
                      wp.probability) for wp in cx.paths] == [

@@ -14,7 +14,8 @@ from mdpdiag import (BudgetError, DomainError, FinitePath, Mdp, ParseError,
 from mdpdiag.mdp import live_states
 from mdpdiag.pctl import until_sets
 
-from fixtures import demo_mdp, serialize_explicit_model, serialize_labels
+from fixtures import (bundled_model, demo_mdp, serialize_explicit_model,
+                      serialize_labels)
 from oracles import random_mdp
 
 
@@ -168,6 +169,29 @@ class TestConstruction:
                         1: {"c", "y", "a", "b"}},
                 ap_names=["d", "a"])
         assert m.ap_names == ["c", "m", "a", "z", "b", "y", "d"]
+
+    @pytest.mark.parametrize("labels, ap_names, message", [
+        ({1: {'a"b'}}, None, 'label \'a"b\' of state 1'),
+        ({1: {"ok"}}, ["ok", 'x"'], 'label \'x"\' in ap_names')])
+    def test_name_holding_a_double_quote_rejected(self, labels, ap_names,
+                                                  message):
+        # no property can name it: a quoted atom ends at its first '"'
+        with pytest.raises(DomainError, match=f"^{message} holds '\"', "
+                           "which no property can name$"):
+            Mdp(2, 0, {(0, "a"): [(1, 1.0)], (1, "a"): [(1, 1.0)]}, labels,
+                ap_names=ap_names)
+
+    def test_states_sharing_a_label_set_share_its_frozenset(self):
+        shared = {"ok"}
+        m = Mdp(3, 0, {(s, "a"): [(s, 1.0)] for s in range(3)},
+                labels={0: shared, 1: shared, 2: {"ok"}})
+        assert m.labels_of(0) is m.labels_of(1)
+        assert m.labels_of(2) == m.labels_of(0)
+        # build_mdp hands one label-set object to every state with the
+        # same labels: 570 labelled states of csma at K=20, 8 objects
+        csma, _ = bundled_model("csma")
+        assert len(csma.labels) == 570
+        assert len(set(map(id, csma.labels.values()))) == 8
 
     def test_state_names_default_to_ids(self):
         m = two_action_mdp()
@@ -341,6 +365,23 @@ class TestScheduler:
         sched = Scheduler({0: m.action_id("stay")})
         with pytest.raises(DomainError, match="disabled"):
             induce_dtmc(m, sched)
+
+    def test_a_counting_scheduler_induces_a_chain_of_pairs(self):
+        # a pair without a choice, or of no steps left, ends the chain
+        m = two_action_mdp()
+        go, stay = m.action_id("go"), m.action_id("stay")
+        sched = Scheduler({(0, 2): go, (2, 1): stay, (1, 0): stay}, 2)
+        d = induce_dtmc(m, sched)
+        assert d.init == (0, 2)
+        assert d.states == ((0, 2), (1, 1), (2, 0), (2, 1))
+        assert d.choices == {(0, 2): ((go, (((1, 1), 0.5), ((2, 1), 0.5))),),
+                             (1, 1): (), (2, 1): ((stay, (((2, 0), 1.0),)),),
+                             (2, 0): ()}
+        assert d.labels == {(0, 2): frozenset(), (1, 1): {"goal"},
+                            (2, 1): frozenset(), (2, 0): frozenset()}
+        with pytest.raises(DomainError, match="disabled action id 2 at "
+                           r"state \(0, 2\)"):
+            induce_dtmc(m, Scheduler({(0, 2): 2}, 2))
 
 
 # until operands of random properties over p, q and zz, which labels no state
