@@ -41,8 +41,18 @@ def _names(aps, where: str) -> frozenset[str]:
     return names
 
 
+def _fault(what: str, s: int, act) -> DomainError:
+    return DomainError(f"{what} for state {s} action {act!r}")
+
+
 class Mdp:
-    """A finite MDP with labelled actions and labelled states."""
+    """A finite MDP with labelled actions and labelled states.
+
+    Mdp(...) compiles the choice table from a (state, action label)-keyed
+    map, as the explicit reader builds one; program.build_mdp builds the
+    table as it elaborates and hands it to Mdp.from_choice_table. Both
+    hold every distribution to the same rule.
+    """
 
     def __init__(self, num_states, init, transitions, labels=None, state_names=None,
                  ap_names=None):
@@ -79,53 +89,111 @@ class Mdp:
         property can name it. States that share one label-set object share
         its frozenset, built and checked once.
         """
-        n = self.num_states = _state_id(num_states, "state count")
-        if n < 1:
-            raise DomainError(f"state count must be positive, got {n}")
-        self.init = self._check_state(init, "initial state")
-        self.action_names: list[str] = []
-        self._action_ids: dict[str, int] = {}
-
-        def fault(what: str) -> DomainError:
-            return DomainError(f"{what} for state {s} action {act!r}")
-
+        n = self._set_states(num_states, init)
+        ids: dict[str, int] = {}  # action label -> id, in first-seen order
         rows: list[dict[int, Distribution]] = [{} for _ in self.states]
         for (s, act), dist in transitions.items():
-            aid = self._intern_action(str(act))
+            aid = ids.setdefault(str(act), len(ids))
             # a plain int in range needs no check, nor the role text
             if not (type(s) is int and 0 <= s < n):
                 s = self._check_state(s, "source state")
             row = rows[s]
             if aid in row:
-                raise fault("transitions listed twice")
-            succ: dict[int, float] = {}
-            total = 0.0
-            for t, p in dist:
-                if not (type(t) is int and 0 <= t < n):
-                    t = self._check_state(t, f"state {s} has successor")
-                if type(p) is not float:
-                    # float() would read "0.5", and True as 1.0
-                    if isinstance(p, bool) or not hasattr(type(p), "__float__"):
-                        raise fault(f"non-numeric probability {p!r} to "
-                                    f"successor {t}")
-                    try:
-                        p = float(p)
-                    except OverflowError:
-                        raise fault(f"probability to successor {t} out of "
-                                    f"float range") from None
-                if not p > 0.0:
-                    raise fault(f"nonpositive probability {p!r} to successor {t}")
-                if t in succ:
-                    raise fault(f"successor {t} listed twice")
-                succ[t] = p
-                total += p
-            if not succ:
-                raise fault("empty distribution")
-            if not abs(total - 1.0) <= PROB_SUM_TOL:
-                raise fault(f"probabilities sum to {total!r}")
-            row[aid] = tuple(succ.items())
+                raise _fault("transitions listed twice", s, act)
+            row[aid] = self._distribution(tuple(dist), s, act)
         self._choices = [tuple(sorted(row.items())) for row in rows]
+        self._name(list(ids), labels, state_names, ap_names)
 
+    @classmethod
+    def from_choice_table(cls, num_states, init, choices, action_names,
+                          labels=None, state_names=None, ap_names=None) -> Mdp:
+        """Build an MDP from a finished choice table, without compiling it.
+
+        choices holds a row per state 0..num_states-1, the row a tuple of
+        (action id, distribution) pairs with ids ascending, and the
+        distribution a tuple of (int successor, float probability) pairs;
+        action_names names the ids 0, 1, .... The table's tuples are kept,
+        not copied. Each row is checked once, in state order: DomainError
+        is raised for an id out of order or range, and for the first pair
+        that breaks the distribution rule of Mdp(...), with the same text,
+        or that is not an (int, float) tuple. labels, state_names and
+        ap_names are read as by Mdp(...).
+        """
+        self = cls.__new__(cls)
+        n = self._set_states(num_states, init)
+        self._choices = table = list(choices)
+        if len(table) != n:
+            raise DomainError(f"{len(table)} rows of choices for {n} states")
+        names = list(map(str, action_names))
+        for s, row in enumerate(table):
+            last = -1
+            for aid, dist in row:
+                if not (type(aid) is int and last < aid < len(names)):
+                    raise DomainError(f"state {s} lists action id {aid!r} out "
+                                      f"of ascending order in 0..{len(names) - 1}")
+                last = aid
+                if self._distribution(dist, s, names[aid]) is not dist:
+                    raise _fault("not a tuple of (int, float) pairs", s,
+                                 names[aid])
+        self._name(names, labels, state_names, ap_names)
+        return self
+
+    def _set_states(self, num_states, init) -> int:
+        n = self.num_states = _state_id(num_states, "state count")
+        if n < 1:
+            raise DomainError(f"state count must be positive, got {n}")
+        self.init = self._check_state(init, "initial state")
+        return n
+
+    def _distribution(self, dist, s: int, act) -> Distribution:
+        """dist held to the distribution rule, as a tuple of (int successor,
+        float probability) pairs: dist itself when it is one already.
+
+        Raises DomainError naming state s and action act for the first fault
+        in pair order, then for an empty distribution and a sum off 1 (see
+        __init__). Both constructors check every distribution with it.
+        """
+        n = self.num_states
+        succ: dict[int, float] = {}
+        total = 0.0
+        same = type(dist) is tuple
+        for pair in dist:
+            t, p = pair
+            if not (type(t) is int and 0 <= t < n):
+                t, same = self._check_state(t, f"state {s} has successor"), False
+            if type(p) is not float:
+                # float() would read "0.5", and True as 1.0
+                if isinstance(p, bool) or not hasattr(type(p), "__float__"):
+                    raise _fault(f"non-numeric probability {p!r} to successor "
+                                 f"{t}", s, act)
+                try:
+                    p, same = float(p), False
+                except OverflowError:
+                    raise _fault(f"probability to successor {t} out of float "
+                                 "range", s, act) from None
+            if not p > 0.0:
+                raise _fault(f"nonpositive probability {p!r} to successor {t}",
+                             s, act)
+            if t in succ:
+                raise _fault(f"successor {t} listed twice", s, act)
+            succ[t] = p
+            total += p
+            if type(pair) is not tuple:
+                same = False
+        if not succ:
+            raise _fault("empty distribution", s, act)
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            raise _fault(f"probabilities sum to {total!r}", s, act)
+        return dist if same else tuple(succ.items())
+
+    def _name(self, action_names: list[str], labels, state_names, ap_names):
+        """Name the action ids 0, 1, ... after action_names, and read
+        labels, state_names and ap_names (see __init__)."""
+        self.action_names = action_names
+        self._action_ids = {a: aid for aid, a in enumerate(action_names)}
+        if len(self._action_ids) < len(action_names):
+            raise DomainError("an action name is listed twice")
+        n = self.num_states
         atoms: dict[str, None] = {}
         self._labels: dict[int, frozenset[str]] = {}
         # id of a label-set object -> (the object, kept alive, its names)
@@ -146,16 +214,7 @@ class Mdp:
                 self._labels[s] = names
         atoms.update(dict.fromkeys(_names(ap_names or (), "in ap_names")))
         self.ap_names: list[str] = list(atoms)
-
         self._state_names = state_names
-
-    def _intern_action(self, name: str) -> int:
-        aid = self._action_ids.get(name)
-        if aid is None:
-            aid = len(self.action_names)
-            self._action_ids[name] = aid
-            self.action_names.append(name)
-        return aid
 
     # -- queries ---------------------------------------------------------
 
@@ -219,10 +278,6 @@ class Mdp:
         """The labels of the labelled states; a state not in it carries
         none. Shared, not copied, so callers must not mutate it."""
         return self._labels
-
-    def label_map(self) -> dict[int, frozenset[str]]:
-        """Labels of every state, including empty sets."""
-        return {s: self._labels.get(s, frozenset()) for s in self.states}
 
     def transition_items(self):
         """Iterate ((state, action id), distribution) in ascending order."""

@@ -755,6 +755,14 @@ def build_mdp(program: Program,
     raised at the state, and in the order, where evaluating each state in
     turn meets it. Labels are memoized alike, and the MDP formats a
     state's name only when it is read.
+
+    build_mdp fills the MDP's choice table itself, a row per state as it
+    is explored: action ids in first-seen order, and each distribution's
+    successors in firing order, a successor met twice summed. The finished
+    table goes to Mdp.from_choice_table, which checks it once, so a
+    product of synchronized distributions that breaks the distribution
+    rule (a sum drifting off 1, a probability underflowing to 0) raises
+    the DomainError Mdp(...) would, after the whole space is explored.
     """
     consts = fold_constants(program, constants)
     ready = _prepare(program, consts)
@@ -765,8 +773,9 @@ def build_mdp(program: Program,
 
     ids: dict[tuple[int, ...], int] = {}
     valuations: list[tuple[int, ...]] = []
-    transitions: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    commands: dict[str, tuple[tuple[str, int], ...]] = {}  # per action
+    choices: list[tuple] = []  # the choice table, one row per state
+    action_ids: dict[str, int] = {}  # in first-seen order
+    commands: list[tuple[tuple[str, int], ...]] = []  # per action id
 
     def intern_state(state: tuple) -> int:
         sid = ids.get(state)
@@ -782,8 +791,8 @@ def build_mdp(program: Program,
     intern_state(ready.init)  # a cap below 1 holds no state at all
 
     def evaluate(state: tuple, label: str, groups, entry: list):
-        """Yield, and append to entry, (action, branches) for each command
-        combination enabled at state; branches holds each branch's
+        """Yield, and append to entry, (action id, branches) for each
+        command combination enabled at state; branches holds each branch's
         probability and the (slot, value) pairs it assigns. Yielding one
         combination at a time interns its successors before the next one is
         evaluated, so a state cap met there is raised before a later
@@ -815,11 +824,12 @@ def build_mdp(program: Program,
                                 f"{describe(state)}")
                         assigned.append((slot, value))
                 branches.append((prob, tuple(assigned)))
-            if action not in commands:
-                commands[action] = tuple(sorted({(c.module, c.line)
-                                                 for c in combo}))
-            entry.append((action, branches))
-            yield action, branches
+            aid = action_ids.setdefault(action, len(action_ids))
+            if aid == len(commands):
+                commands.append(tuple(sorted({(c.module, c.line)
+                                              for c in combo})))
+            entry.append((aid, branches))
+            yield aid, branches
 
     # one memo per synchronization: the values its commands read -> what
     # evaluate gives for them
@@ -828,13 +838,14 @@ def build_mdp(program: Program,
     sid = 0
     while sid < len(valuations):
         state = valuations[sid]
+        row = []
         for key_of, memo, label, groups in syncs:
             key = key_of(state)
             fired = memo.get(key)
             if fired is None:
                 fired = evaluate(state, label, groups,
                                  memo.setdefault(key, []))
-            for action, branches in fired:
+            for aid, branches in fired:
                 dist: dict[tuple[int, ...], float] = {}  # in firing order
                 for prob, assigned in branches:
                     target = list(state)
@@ -842,8 +853,10 @@ def build_mdp(program: Program,
                         target[slot] = value
                     target = tuple(target)
                     dist[target] = dist.get(target, 0.0) + prob
-                transitions[(sid, action)] = [(intern_state(t), p)
-                                              for t, p in dist.items()]
+                row.append((aid, tuple([(intern_state(t), p)
+                                        for t, p in dist.items()])))
+        row.sort()  # by action id: no id fires twice at a state
+        choices.append(tuple(row))
         sid += 1
 
     labels: dict[int, set[str]] = {}
@@ -857,7 +870,7 @@ def build_mdp(program: Program,
         if here:
             labels[s] = here
 
-    m = Mdp(len(valuations), 0, transitions, labels,
-            _Described(valuations, describe),
-            ap_names=[name for name, _ in ready.labels])
-    return m, {m.action_id(a): cmds for a, cmds in commands.items()}
+    m = Mdp.from_choice_table(len(valuations), 0, choices, list(action_ids),
+                              labels, _Described(valuations, describe),
+                              [name for name, _ in ready.labels])
+    return m, dict(enumerate(commands))

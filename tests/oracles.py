@@ -36,6 +36,11 @@ from mdpdiag.diagnosis import MASS_EQ_TOL
 DEFAULT_ORACLE_VAR_CAP = 20
 
 
+def label_map(m: Mdp) -> dict[int, frozenset[str]]:
+    """The labels of every state of m, an empty set for an unlabelled one."""
+    return {s: m.labels.get(s, frozenset()) for s in m.states}
+
+
 def dtmc_reach_exact(trans, targets, interior, num_states):
     """Probability of reaching targets through interior, per state.
 

@@ -18,7 +18,7 @@ from mdpdiag import (Atom, BudgetError, DomainError, Mdp, ParseError,
 
 from fixtures import MODELS, demo_mdp, demo_property, slow_exit_mdp
 from oracles import (bounded_pmax_exact, dtmc_reach_exact, exhaustive_pmax,
-                     random_mdp)
+                     label_map, random_mdp)
 
 # the benchmark's input generators and its LP reference, read only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -29,7 +29,7 @@ PQ = PathFormula(Atom("p"), Atom("q"))
 
 
 def sat_sets(m, psi):
-    labels = m.label_map()
+    labels = label_map(m)
     sat1 = {s for s in m.states if eval_state_formula(labels, s, psi.left)}
     sat2 = {s for s in m.states if eval_state_formula(labels, s, psi.right)}
     return sat1, sat2

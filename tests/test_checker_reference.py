@@ -42,6 +42,7 @@ from mdpdiag.checker import SCHEDULER_TIE_TOL
 from mdpdiag.mdp import content_lines
 
 from fixtures import MODELS, demo_mdp, demo_property, tied_chain
+from oracles import label_map
 
 # the benchmark's input generators, read only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -54,7 +55,7 @@ PQ = PathFormula(Atom("p"), Atom("q"))
 
 
 def _sat_sets(m: Mdp, psi: PathFormula):
-    labels = m.label_map()
+    labels = label_map(m)
     sat1 = frozenset(s for s in m.states
                      if eval_state_formula(labels, s, psi.left))
     sat2 = frozenset(s for s in m.states
@@ -466,7 +467,7 @@ def shuffled(rng: random.Random, m: Mdp) -> Mdp:
     transitions = {(perm[s], m.action_names[aid]): [(perm[t], p)
                                                    for t, p in dist]
                    for (s, aid), dist in m.transition_items()}
-    labels = {perm[s]: aps for s, aps in m.label_map().items() if aps}
+    labels = {perm[s]: aps for s, aps in label_map(m).items() if aps}
     return Mdp(m.num_states, perm[m.init], transitions, labels)
 
 

@@ -310,6 +310,24 @@ class TestProgramModels:
         assert code == 2 and out == ""
         assert "branch probability nan must be positive" in err
 
+    @pytest.mark.parametrize("update,message", [
+        ("0.5000000009:({v}'=1) + 0.5:({v}'=2)",
+         "probabilities sum to 1.0000000018 for state 0 action 'go'"),
+        ("1e-200:({v}'=1) + 1:({v}'=2)",
+         "nonpositive probability 0.0 to successor 1 for state 0 action 'go'"),
+    ])
+    def test_synchronized_distribution_fault(self, capsys, tmp_path, update,
+                                             message):
+        # each command keeps the distribution rule, their product does not
+        bad = tmp_path / "sync.pm"
+        bad.write_text("".join(
+            f"module m{i}\n  {v} : [0..2] init 0;\n"
+            f"  [go] {v} = 0 -> {update.format(v=v)};\nendmodule\n"
+            for i, v in enumerate("xy")))
+        code, out, err = run(capsys, "check", "--model", str(bad),
+                             "--prop", "P<=0.5 [ true U false ]")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("pair,needle", [
         ("K", "NAME=VALUE"),
         ("K=abc", "not a number"),

@@ -27,8 +27,8 @@ from fixtures import (bundled_model, demo_mdp, demo_property, slow_exit_mdp,
                       slow_exit_property, step_counting_mdp,
                       step_counting_property)
 from oracles import (bounded_pmax_exact, cx_import_fault, forest_of,
-                     list_satisfying_paths, prefix_paths, random_layered_mdp,
-                     random_mdp)
+                     label_map, list_satisfying_paths, prefix_paths,
+                     random_layered_mdp, random_mdp)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -466,7 +466,7 @@ class TestStepCountingWitness:
         for _ in range(150):
             m = random_mdp(rng, max_states=6, max_actions=3)
             psi = PathFormula(Atom("p"), Atom("q"), bound=rng.randint(0, 12))
-            labels = m.label_map()
+            labels = label_map(m)
             interior = {s for s in m.states
                         if eval_state_formula(labels, s, psi.left)}
             targets = {s for s in m.states

@@ -16,7 +16,7 @@ from mdpdiag.pctl import until_sets
 
 from fixtures import (bundled_model, demo_mdp, serialize_explicit_model,
                       serialize_labels)
-from oracles import random_mdp
+from oracles import label_map, random_mdp
 
 
 def two_action_mdp():
@@ -151,8 +151,8 @@ class TestConstruction:
         m = two_action_mdp()
         assert m.labels_of(1) == frozenset({"goal"})
         assert m.labels_of(0) == frozenset()
-        assert m.label_map() == {0: frozenset(), 1: frozenset({"goal"}),
-                                 2: frozenset()}
+        assert label_map(m) == {0: frozenset(), 1: frozenset({"goal"}),
+                                2: frozenset()}
         assert m.ap_names == ["goal"]
 
     def test_declared_alphabet_follows_labelled_atoms(self):
@@ -291,6 +291,74 @@ class TestValidation:
         assert validate_mdp(m) == [0, 2, 4]
 
 
+class TestChoiceTable:
+    """Mdp.from_choice_table keeps a finished table and checks it once."""
+
+    def test_rebuilds_the_compiled_model_keeping_its_rows(self):
+        rng = random.Random(36)
+        for _ in range(50):
+            m = random_mdp(rng)
+            table = m.choice_table()
+            again = Mdp.from_choice_table(m.num_states, m.init, table,
+                                          m.action_names, m.labels,
+                                          ap_names=m.ap_names)
+            assert list(again.transition_items()) == list(m.transition_items())
+            assert all(row is table[s]
+                       for s, row in enumerate(again.choice_table()))
+            assert again.action_names == m.action_names
+            assert all(again.action_id(a) == m.action_id(a)
+                       for a in m.action_names)
+            assert again.labels == m.labels and again.ap_names == m.ap_names
+
+    @pytest.mark.parametrize("dist", [
+        ((1, 0.7),), ((0, 0.0), (1, 1.0)), ((0, 0.5), (0, 0.5)), ((5, 1.0),),
+        (), ((1, float("nan")), (0, 0.5)), ((1, 1.0 + 2e-9),),
+        ((1, 0.5), (1, 0.5), (0, 0.0)),
+    ])
+    def test_faults_read_as_the_constructors(self, dist):
+        with pytest.raises(DomainError) as compiled:
+            Mdp(2, 0, {(0, "a"): dist, (1, "a"): [(1, 1.0)]})
+        with pytest.raises(DomainError) as kept:
+            Mdp.from_choice_table(2, 0, [((0, dist),), ((0, ((1, 1.0),)),)],
+                                  ["a"])
+        assert str(kept.value) == str(compiled.value)
+
+    def test_first_faulty_row_in_state_order(self):
+        with pytest.raises(DomainError, match="for state 0 action 'b'$"):
+            Mdp.from_choice_table(2, 0, [((1, ((1, 0.5),)),),
+                                         ((0, ((1, 0.5),)),)], ["a", "b"])
+
+    @pytest.mark.parametrize("row", [
+        ((1, ((0, 1.0),)), (0, ((0, 1.0),))), ((0, ((0, 1.0),)),) * 2,
+        ((2, ((0, 1.0),)),), ((-1, ((0, 1.0),)),), ((True, ((0, 1.0),)),),
+    ])
+    def test_ids_must_ascend_in_range(self, row):
+        with pytest.raises(DomainError, match="^state 0 lists action id .* "
+                                              "out of ascending order in 0..1$"):
+            Mdp.from_choice_table(1, 0, [row], ["a", "b"])
+
+    @pytest.mark.parametrize("dist", [[(0, 1.0)], ((0, 1),), ([0, 1.0],)])
+    def test_distributions_must_be_tuples_of_ints_and_floats(self, dist):
+        # Mdp(...) converts these; a finished table is kept as it is
+        assert Mdp(1, 0, {(0, "a"): dist}).distribution(0, 0) == ((0, 1.0),)
+        with pytest.raises(DomainError, match=(
+                r"^not a tuple of \(int, float\) pairs for state 0 action 'a'$")):
+            Mdp.from_choice_table(1, 0, [((0, dist),)], ["a"])
+
+    def test_table_states_names_and_labels_are_checked(self):
+        row = ((0, ((0, 1.0),)),)
+        with pytest.raises(DomainError, match="^1 rows of choices for 2 states$"):
+            Mdp.from_choice_table(2, 0, [row], ["a"])
+        with pytest.raises(DomainError, match="^initial state 1 outside"):
+            Mdp.from_choice_table(1, 1, [row], ["a"])
+        with pytest.raises(DomainError, match="^an action name is listed twice$"):
+            Mdp.from_choice_table(1, 0, [row], ["a", "a"])
+        with pytest.raises(DomainError, match="^labelled state 3 outside"):
+            Mdp.from_choice_table(1, 0, [row], ["a"], labels={3: {"p"}})
+        with pytest.raises(DomainError, match="holds '\"'"):
+            Mdp.from_choice_table(1, 0, [row], ["a"], ap_names=['a"b'])
+
+
 class TestPaths:
     def test_step_iteration(self):
         p = FinitePath((0, 2, 1), (4, 7))
@@ -392,7 +460,7 @@ UNTILS = [parse_property(f"P<=0.5 [ {text} ]").path for text in (
 
 class TestUntilSets:
     def brute_force(self, m, psi):
-        labels = m.label_map()
+        labels = label_map(m)
         right = {s for s in m.states if eval_state_formula(labels, s, psi.right)}
         left = {s for s in m.states if eval_state_formula(labels, s, psi.left)}
         live = set(right)
@@ -412,7 +480,7 @@ class TestUntilSets:
             m = random_mdp(rng, max_states=8, max_actions=3)
             psi = rng.choice(UNTILS)
             want_targets, want_guard, want_live = self.brute_force(m, psi)
-            targets, guard = until_sets(m.label_map(), m.states, psi)
+            targets, guard = until_sets(label_map(m), m.states, psi)
             assert (targets, guard) == (want_targets, want_guard)
             preds, live = live_states(m.choice_table(), guard, targets)
             assert live == want_live
@@ -429,13 +497,13 @@ class TestUntilSets:
                                for s in m.states})
             d = induce_dtmc(m, sched)
             targets, guard = until_sets(d.labels, d.states, psi)
-            full_targets, full_guard = until_sets(m.label_map(), m.states, psi)
+            full_targets, full_guard = until_sets(label_map(m), m.states, psi)
             assert targets == full_targets & set(d.states)
             assert guard == full_guard & set(d.states)
             _, live = live_states(d.choices, guard, targets)
             chain = Mdp(m.num_states, m.init,
                         {(s, "x"): dist for s in d.states
-                         for _, dist in d.choices[s]}, m.label_map())
+                         for _, dist in d.choices[s]}, label_map(m))
             assert live == self.brute_force(chain, psi)[2] & set(d.states)
 
     def test_match_brute_force_on_random_formulas(self):
@@ -461,7 +529,7 @@ class TestUntilSets:
             m = random_mdp(rng, max_states=10)
             psi = parse_property(
                 f"P<=0.5 [ {formula(3)} U {formula(3)} ]").path
-            labels = m.label_map()
+            labels = label_map(m)
             states = [s for s in m.states if rng.random() < 0.7] * 2
             right = {s for s in states
                      if eval_state_formula(labels, s, psi.right)}
@@ -475,7 +543,7 @@ def structure(m):
     trans = {}
     for (s, aid), dist in m.transition_items():
         trans[(s, m.action_name(aid))] = sorted(dist)
-    return m.num_states, m.init, trans, m.label_map()
+    return m.num_states, m.init, trans, label_map(m)
 
 
 class TestExplicitFormat:

@@ -18,7 +18,7 @@ from mdpdiag import (Mdp, PropertySpec, build_mdp, check_property,
 from mdpdiag.mdp import content_lines
 
 from fixtures import MODELS, demo_mdp, demo_property
-from oracles import exhaustive_pmax
+from oracles import exhaustive_pmax, label_map
 
 # the benchmark's input generators, read only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -28,7 +28,7 @@ DELTAS = (1e-3, 1e-5, 1e-7)
 
 
 def oracle_pmax(m, spec):
-    labels = m.label_map()
+    labels = label_map(m)
     interior = {s for s in m.states
                 if eval_state_formula(labels, s, spec.path.left)}
     targets = {s for s in m.states

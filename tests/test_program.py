@@ -1,5 +1,6 @@
 """Guarded-command parsing, constant folding, and state-space elaboration."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -450,3 +451,25 @@ class TestShippedModels:
         bigger, _ = build_mdp(prog, constants={"K": 3})
         assert bigger.num_states == 180
         assert validate_mdp(bigger) == []
+
+
+class TestElaborationMemory:
+    def test_peak_stays_near_what_the_model_holds(self):
+        # build_mdp fills the choice table as it goes, with no map keyed by
+        # (state, action name) beside it for the model to copy; measured in
+        # traced bytes, so it does not depend on the machine or its load
+        prog = parse_program((MODELS / "csma.pm").read_text(), "csma.pm")
+        build_mdp(prog, {"K": 1})  # run each code path once beforehand
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            m, smap = build_mdp(prog, {"K": 20})
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert m.num_states == 3784 and smap
+        assert peak - before <= 1.6 * (held - before)

@@ -41,6 +41,8 @@ from mdpdiag.program import (DEFAULT_STATE_CAP, Assignment, Binary, BoolLit,
                              Call, Expr, LabelDef, Name, Num, Program, Unary)
 from mdpdiag.records import replace
 
+from oracles import label_map
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -462,7 +464,7 @@ def reference_build_mdp(program: Program,
 
 
 def snapshot(m: Mdp, sources: dict):
-    return (m.num_states, m.init, list(m.transition_items()), m.label_map(),
+    return (m.num_states, m.init, list(m.transition_items()), label_map(m),
             m.state_names, m.ap_names, list(m.action_names), sources)
 
 
@@ -699,6 +701,14 @@ def module(*commands: str, var: str = "x : [0..2] init 0;") -> str:
     return f"module m\n  {var}\n{body}endmodule\n"
 
 
+def synced(update: str) -> str:
+    """Modules m0 over x and m1 over y, each firing update, with {v} for
+    its variable, on [go] at 0."""
+    return "".join(f"module m{i}\n  {v} : [0..2] init 0;\n"
+                   f"  [go] {v} = 0 -> {update.format(v=v)};\nendmodule\n"
+                   for i, v in enumerate("xy"))
+
+
 RAISES = [
     # ill-typed guards, the first error in left-to-right order wins
     ("guard-numeric", module("[a] x + true -> true;"), ParseError,
@@ -761,6 +771,12 @@ RAISES = [
      ParseError, "boolean operand"),
     ("update-beats-label", module("[a] true -> (x'=x+1);")
      + 'label "l" = x + 1;\n', DomainError, "leaves [0..2]"),
+    # each command's distribution keeps the rule, their product does not:
+    # its sum drifts past PROB_SUM_TOL, or a branch underflows to 0
+    ("sync-sum-drifts", synced("0.5000000009:({v}'=1) + 0.5:({v}'=2)"),
+     DomainError, "probabilities sum to 1.0000000018 for state 0 action 'go'"),
+    ("sync-underflow", synced("1e-200:({v}'=1) + 1:({v}'=2)"), DomainError,
+     "nonpositive probability 0.0 to successor 1 for state 0 action 'go'"),
 ]
 
 
